@@ -209,10 +209,6 @@ def _frac_float(x: Fraction) -> float:
         return float("inf") if x > 0 else float("-inf")
 
 
-def sqrt_rational(x) -> QuadExt:
-    return QuadExt.from_radicand(0, 1, Fraction(x))
-
-
 def q_power_half(q: int, twice: int) -> QuadExt:
     """q^(twice/2) as an exact QuadExt."""
     if twice % 2 == 0:

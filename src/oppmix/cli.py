@@ -357,6 +357,14 @@ def cmd_mixing_check(args) -> int:
     return 0 if not bad else 1
 
 
+def prime_power_arg(text: str) -> int:
+    """argparse type for --q: an int that is a prime power."""
+    q = int(text)
+    if not exactnum.is_prime_power(q):
+        raise argparse.ArgumentTypeError(f"q = {q} is not a prime power")
+    return q
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oppmix",
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_case:
             p.add_argument("--e1", type=int, required=True)
             p.add_argument("--e2", type=int, required=True)
-            p.add_argument("--q", type=int, required=True)
+            p.add_argument("--q", type=prime_power_arg, required=True)
 
     p = sub.add_parser("spectrum", help="distinct eigenvalues of the bipartite graph")
     common(p)

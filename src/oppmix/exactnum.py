@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 PLUS = 1
@@ -113,6 +114,7 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     return num
 
 
+@lru_cache(maxsize=None)
 def omega(base: int, e: int) -> Fraction:
     """prod_{i=1}^{e} (1 - base^(-i)), exact.
 

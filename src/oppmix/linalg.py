@@ -6,8 +6,10 @@ enumeration order is fixed: pivot-column patterns lexicographically, then an
 odometer over the free entries (row-major positions, rightmost digit fastest,
 field values ascending).  Chunked/parallel consumers rely on this order.
 
-Over F_2 a row is also usable as a machine-word bitmask (bit j = coordinate
-j); the *_bits helpers implement the hot complementarity loop on those.
+Over F_2 a row is also a machine-word bitmask (bit j = coordinate j).  The
+*_bits functions work on subspaces held as tuples of such rows:
+subspaces_for_pattern_bits enumerates them directly, in the same canonical
+order, and complementary_bits is the hot pair test.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ def _row_to_bits(row) -> int:
         if v:
             out |= 1 << j
     return out
-
-
-def bits_to_row(bits: int, d: int) -> tuple:
-    return tuple((bits >> j) & 1 for j in range(d))
 
 
 # -- reduction -------------------------------------------------------------
@@ -133,6 +131,26 @@ def subspaces_for_pattern(d: int, pattern, fld: Field) -> Iterator[Subspace]:
         for (i, j), v in zip(free_pos, values):
             template[i][j] = v
         yield Subspace(d, tuple(tuple(r) for r in template), pat)
+
+
+def subspaces_for_pattern_bits(d: int, pattern) -> Iterator[tuple]:
+    """subspaces_for_pattern over F_2, as tuples of bitmask rows, same order.
+
+    Each row's candidates are listed in odometer order over its own free
+    entries; rows are consecutive in the row-major odometer, so the product
+    over rows (last row fastest) is the odometer over all free entries.
+    """
+    pivot_set = set(pattern)
+    candidates = []
+    for c in pattern:
+        free = [j for j in range(c + 1, d) if j not in pivot_set]
+        candidates.append(
+            [
+                (1 << c) | sum(1 << j for j, v in zip(free, values) if v)
+                for values in product((0, 1), repeat=len(free))
+            ]
+        )
+    return product(*candidates)
 
 
 def count_subspaces(d: int, e: int, q: int) -> int:

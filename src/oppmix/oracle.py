@@ -6,6 +6,12 @@ complementary-pair counting comes in two flavours (all pairs, and the
 single-orbit shortcut that fixes one subspace), which must agree wherever
 both run.
 
+Over F_2, Y-set members are tuples of bitmask rows, enumerated as such and
+fed straight to the bitmask pair test; over other fields they are Subspace
+objects.  A partition build classifies each distinct restricted form (the
+form on the member's basis) once and reuses the verdict for every member
+that restricts to it.
+
 The seven orthogonal exception triples (q, m2, m1) from the theorem sweep
 are first-class data here; they are exactly the parameter points where the
 closed-form bound dips under the threshold and the count has to be done for
@@ -19,11 +25,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import exactnum, forms, linalg, spectrum
 from .forms import ClassicalForm
 from .gf import field
-from .linalg import Subspace
 
 # (q, m2, m1), verbatim from the orthogonal sweep's exclusion list.
 ORTHOGONAL_EXCEPTIONS = (
@@ -45,7 +51,7 @@ class YSet:
     form: ClassicalForm
     e: int
     sigma: int | None  # orthogonal subspace type; None for symplectic/hermitian
-    members: tuple
+    members: tuple  # bitmask-row tuples over F_2, Subspace objects otherwise
 
     @property
     def count(self) -> int:
@@ -74,43 +80,80 @@ class CountReport:
     seed: int | None = None
 
 
-def _classify_member(form: ClassicalForm, s: Subspace, qt, bil):
-    """sigma (+-1) for orthogonal, True for plain non-degenerate, None if degenerate."""
-    if form.kind == forms.ORTHOGONAL:
-        if qt is not None:
-            return forms.classify_orthogonal_gf2(qt, s.bit_rows())
+def _classifier(form: ClassicalForm):
+    """(key, verdict) for one partition build over `form`.
+
+    key(s) is the form restricted to the basis of member s, which alone
+    decides verdict(s): sigma (+-1) for orthogonal, True for plain
+    non-degenerate, None if degenerate.  Over F_2 members are tuples of
+    bitmask rows and the key packs the restricted form into an int; over
+    other fields it packs it into bytes.
+    """
+    if form.field.q == 2 and form.kind == forms.ORTHOGONAL:
+        qt = forms.quad_table_gf2(form)
+
+        def key(rows):
+            # Q(b_i), and Q(b_i + b_j) = Q(b_i) + Q(b_j) + B(b_i, b_j), as bits
+            k = 0
+            for i, ri in enumerate(rows):
+                k = (k << 1) | qt[ri]
+                for rj in rows[i + 1 :]:
+                    k = (k << 1) | qt[ri ^ rj]
+            return k
+
+        return key, lambda rows: forms.classify_orthogonal_gf2(qt, rows)
+    if form.field.q == 2:  # symplectic: hermitian forms live over F_{q^2}
+        bil = forms.bilinear_masks_gf2(form)
+
+        def key(rows):
+            # B(b_i, b_j) for i < j, as bits; the form is alternating
+            k = 0
+            for i, ri in enumerate(rows):
+                for rj in rows[i + 1 :]:
+                    k = (k << 1) | ((ri & bil[rj]).bit_count() & 1)
+            return k
+
+        return key, lambda rows: True if forms.symplectic_nondeg_gf2(bil, rows) else None
+
+    def key(s):
+        # the restricted gram and Q values, one byte per field element
+        r = forms.restrict(form, s)
+        return bytes(chain(*r.gram, r.qdiag or ()))
+
+    def verdict(s):
         r = forms.restrict(form, s)
         if not forms.is_nondegenerate(r):
             return None
-        return forms.orthogonal_type(r)
-    if form.kind == forms.SYMPLECTIC and bil is not None:
-        return True if forms.symplectic_nondeg_gf2(bil, s.bit_rows()) else None
-    r = forms.restrict(form, s)
-    return True if forms.is_nondegenerate(r) else None
+        return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
+
+    return key, verdict
 
 
-def _classify_patterns(form: ClassicalForm, e: int, patterns) -> tuple:
-    qt = bil = None
-    if form.q == 2 and form.kind == forms.ORTHOGONAL:
-        qt = forms.quad_table_gf2(form)
-    elif form.q == 2 and form.kind == forms.SYMPLECTIC:
-        bil = forms.bilinear_masks_gf2(form)
+def _classify_patterns(form: ClassicalForm, patterns) -> tuple:
+    """Buckets and degenerate count for the subspaces with these pivot patterns.
+
+    Each distinct restricted form is classified once, on its first member.
+    """
+    key, verdict = _classifier(form)
+    d, fld = form.d, form.field
+    memo: dict = {}
     buckets: dict = {}
     degenerate = 0
     for pattern in patterns:
-        for s in linalg.subspaces_for_pattern(form.d, pattern, form.field):
-            c = _classify_member(form, s, qt, bil)
+        if fld.q == 2:
+            members = linalg.subspaces_for_pattern_bits(d, pattern)
+        else:
+            members = linalg.subspaces_for_pattern(d, pattern, fld)
+        for s in members:
+            k = key(s)
+            try:
+                c = memo[k]
+            except KeyError:
+                c = memo[k] = verdict(s)
             if c is None:
                 degenerate += 1
             else:
                 buckets.setdefault(c, []).append(s)
-    return buckets, degenerate
-
-
-def _classify_patterns_job(args):
-    kind, d, q, eps, e, patterns = args
-    form = forms.standard_form(kind, d, q, eps)
-    buckets, degenerate = _classify_patterns(form, e, patterns)
     return buckets, degenerate
 
 
@@ -121,40 +164,26 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None, w
     """Split all e-subspaces into non-degenerate buckets plus a degenerate count.
 
     Returns (buckets, degenerate) where buckets maps sigma (or True) to the
-    member list in enumeration order.  Cached per (form, e).
+    member tuple in enumeration order (bitmask-row tuples over F_2).  The
+    budget is checked on every call; the result is cached per (form, e).
+    The build is serial: `workers` is accepted for call compatibility and
+    ignored, because with memoized classification a process pool no longer
+    pays for its start-up and the pickling of the members.
     """
     if form.kind == forms.ORTHOGONAL and e % 2:
         raise ValueError("orthogonal type classification needs even dimensions")
+    q = form.field.q
+    total = linalg.count_subspaces(form.d, e, q)
+    if total > (budget or DEFAULT_ENUM_BUDGET):
+        raise linalg.BudgetError(
+            f"{total} {e}-subspaces of dim {form.d} over F_{q} "
+            f"exceed budget {budget or DEFAULT_ENUM_BUDGET}"
+        )
     key = (form, e)
     hit = _partition_cache.get(key)
     if hit is not None:
         return hit
-    total = linalg.count_subspaces(form.d, e, form.field.q)
-    if total > (budget or DEFAULT_ENUM_BUDGET):
-        raise linalg.BudgetError(
-            f"{total} {e}-subspaces of dim {form.d} over F_{form.field.q} "
-            f"exceed budget {budget or DEFAULT_ENUM_BUDGET}"
-        )
-    patterns = linalg.pivot_patterns(form.d, e)
-    if workers > 1 and total > 5000:
-        chunks = [patterns[i::workers] for i in range(workers)]
-        jobs = [(form.kind, form.d, form.q, form.eps, e, c) for c in chunks if c]
-        buckets: dict = {}
-        degenerate = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_classify_patterns_job, jobs))
-        # chunks are round-robin by pattern; reassemble in pattern order
-        merged: dict = {}
-        for b, deg in partials:
-            degenerate += deg
-            for sig, mem in b.items():
-                merged.setdefault(sig, []).append(mem)
-        for sig, lists in merged.items():
-            allmem = [m for mem in lists for m in mem]
-            allmem.sort(key=lambda s: (s.pivots, s.basis))
-            buckets[sig] = allmem
-    else:
-        buckets, degenerate = _classify_patterns(form, e, patterns)
+    buckets, degenerate = _classify_patterns(form, linalg.pivot_patterns(form.d, e))
     result = ({k: tuple(v) for k, v in buckets.items()}, degenerate)
     _partition_cache[key] = result
     return result
@@ -190,10 +219,6 @@ def build_yset(
     return YSet(form, e, sigma, members)
 
 
-def degenerate_count(form: ClassicalForm, e: int, budget: int | None = None) -> int:
-    return classify_partition(form, e, budget)[1]
-
-
 # -- pair counting -----------------------------------------------------------
 
 
@@ -217,8 +242,7 @@ def count_complementary(
     fld = y1.form.field
     n1, n2 = y1.count, y2.count
     if fld.q == 2:
-        rows1 = [s.bit_rows() for s in y1.members]
-        rows2 = [s.bit_rows() for s in y2.members]
+        rows1, rows2 = y1.members, y2.members
         if workers > 1 and n1 * n2 > 250_000:
             chunks = [rows1[i::workers] for i in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -246,9 +270,8 @@ def count_complementary_transitive(
     fld = y1.form.field
     s1 = y1.members[0]
     if fld.q == 2:
-        r1 = s1.bit_rows()
         comp = linalg.complementary_bits
-        hits = sum(1 for s2 in y2.members if comp(r1, s2.bit_rows()))
+        hits = sum(1 for s2 in y2.members if comp(s1, s2))
     else:
         hits = sum(1 for s2 in y2.members if linalg.complementary(s1, s2, fld))
     pairs = hits * y1.count

@@ -225,6 +225,21 @@ def test_invalid_parameters_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--e1", "2", "--e2", "2", "--q", "6"],
+        ["bound", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "6"],
+        ["count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "1"],
+    ],
+)
+def test_q_not_prime_power_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "prime power" in capsys.readouterr().err
+
+
 def test_frac_str():
     from fractions import Fraction
 

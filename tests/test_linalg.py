@@ -55,6 +55,15 @@ def test_enumeration_counts_d8_gf2():
         assert n == gaussian_binomial(8, e, 2)
 
 
+def test_bits_enumeration_matches_subspaces_for_pattern():
+    f = field(2)
+    for d in range(1, 9):
+        for e in range(0, d + 1):
+            for pattern in linalg.pivot_patterns(d, e):
+                want = [s.bit_rows() for s in linalg.subspaces_for_pattern(d, pattern, f)]
+                assert list(linalg.subspaces_for_pattern_bits(d, pattern)) == want, (d, pattern)
+
+
 def test_enumeration_unique_and_canonical():
     seen = set()
     for s in enumerate_subspaces(4, 2, field(3)):

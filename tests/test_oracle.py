@@ -59,6 +59,41 @@ def test_hermitian_counts_match_closed_form(q, d):
             assert y.count == exactnum.count_nondegenerate("hermitian", e, d - e, q)
 
 
+@pytest.mark.parametrize(
+    "kind,d,q,eps",
+    [
+        ("orthogonal", 6, 2, 1),
+        ("orthogonal", 6, 2, -1),
+        ("orthogonal", 4, 3, 1),
+        ("orthogonal", 4, 3, -1),
+        ("orthogonal", 4, 4, 1),
+        ("orthogonal", 4, 4, -1),
+        ("symplectic", 6, 2, None),
+    ],
+)
+def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
+    form = forms.standard_form(kind, d, q, eps)
+    for e in range(2, d - 1, 2):
+        want: dict = {}
+        degenerate = 0
+        for s in linalg.enumerate_subspaces(d, e, form.field):
+            r = forms.restrict(form, s)
+            if not forms.is_nondegenerate(r):
+                degenerate += 1
+                continue
+            c = forms.orthogonal_type(r) if kind == "orthogonal" else True
+            want.setdefault(c, []).append(s.bit_rows() if q == 2 else s)
+        want = {c: tuple(members) for c, members in want.items()}
+        assert oracle.classify_partition(form, e) == (want, degenerate), e
+
+
+def test_partition_budget_checked_after_cache_fill():
+    form = forms.standard_form("symplectic", 4, 2)
+    oracle.classify_partition(form, 2)
+    with pytest.raises(linalg.BudgetError):
+        oracle.classify_partition(form, 2, budget=10)
+
+
 def test_build_yset_validation():
     form = forms.standard_form("orthogonal", 4, 2, 1)
     with pytest.raises(ValueError):
@@ -228,6 +263,19 @@ def test_orthogonal_exception_list_verbatim():
         (2, 1, 3),
         (2, 2, 2),
     )
+
+
+def test_double_counting_identity_d8_exception():
+    # (q, m2, m1) = (2, 1, 3): hits(S1 -> Y2) |Y1| = hits(S2 -> Y1) |Y2|
+    for eps in (1, -1):
+        form = forms.standard_form("orthogonal", 8, 2, eps)
+        for sigma1 in (1, -1):
+            for sigma2 in (1, -1):
+                y1 = oracle.build_yset(form, 6, sigma1)
+                y2 = oracle.build_yset(form, 2, sigma2)
+                forward = oracle.count_complementary_transitive(y1, y2)
+                backward = oracle.count_complementary_transitive(y2, y1)
+                assert forward.pairs == backward.pairs > 0, (eps, sigma1, sigma2)
 
 
 def test_exception_report_small():
