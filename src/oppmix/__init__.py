@@ -2,6 +2,7 @@
 of complementary subspaces over finite classical spaces."""
 
 from .bounds import (
+    THEOREM,
     QuadExt,
     alpha_orthogonal,
     alpha_symplectic,
@@ -26,7 +27,6 @@ from .exactnum import (
 )
 from .forms import standard_form
 from .oracle import (
-    ORTHOGONAL_EXCEPTIONS,
     annihilator_check,
     build_biadjacency,
     build_yset,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuadExt",
-    "ORTHOGONAL_EXCEPTIONS",
+    "THEOREM",
     "alpha_orthogonal",
     "alpha_symplectic",
     "alpha_unitary",

@@ -1,5 +1,9 @@
 """Closed-form density bounds, evaluated exactly, and the verification sweeps.
 
+THEOREM is the one table of the theorem's cases: per family, its form kind,
+the signs and parity a case needs, each branch's threshold 1 - c/q^k with
+its formula id, and the exception tuples the oracle must count exactly.
+
 The mixing-lemma lower bound contains a square root; values here live in
 QuadExt, an exact a + b*sqrt(n) with rational a, b and integer n >= 0.
 Comparisons are decided by the sign algorithm (compare a^2 against b^2 n with
@@ -16,11 +20,13 @@ prime powers up to an explicit limit, reported as finite verifications.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
-from . import oracle
+from . import forms, oracle
 from .exactnum import (
     MINUS,
     PLUS,
@@ -28,11 +34,76 @@ from .exactnum import (
     lambda_factor,
     omega,
     parse_sign,
+    prime_power,
     prime_powers_upto,
     sign_char,
 )
 
 SIGNS = (PLUS, MINUS)
+CONTAINMENT = "unitary-e2-1-containment"
+
+
+# -- the theorem's cases -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Case:
+    """A branch of a family's theorem: the proportion is >= 1 - c/q^k
+    wherever when(e1, e2, q), with e1 >= e2, holds (None: everywhere)."""
+
+    formula_id: str
+    c: Fraction
+    k: int
+    when: Callable[[int, int, int], bool] | None = None
+
+    def threshold(self, q: int) -> Fraction:
+        return 1 - self.c / q**self.k
+
+
+@dataclass(frozen=True)
+class Family:
+    kind: str  # the forms kind whose subspaces the oracle counts
+    signed: bool  # needs eps, sigma1 and sigma2
+    even: bool  # e1, e2 even; the bounds take m_i = e_i / 2
+    cases: tuple  # first match wins; the last covers the large dims the tails settle
+    exceptions: tuple = ()  # (q, m2, m1) the closed form misses; counted exactly
+
+    def case(self, e1: int, e2: int, q: int) -> Case:
+        prime_power(q)  # raises ValueError unless q is a prime power
+        e1, e2 = max(e1, e2), min(e1, e2)
+        return next(c for c in self.cases if c.when is None or c.when(e1, e2, q))
+
+    def threshold(self, e1: int, e2: int, q: int) -> Fraction:
+        return self.case(e1, e2, q).threshold(q)
+
+
+THEOREM = {
+    "orthogonal": Family(
+        forms.ORTHOGONAL,
+        signed=True,
+        even=True,
+        cases=(Case("orthogonal-two-alpha-mixing", Fraction(3, 2), 1),),
+        exceptions=((2, 1, 1), (3, 1, 1), (4, 1, 1), (5, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 2)),
+    ),
+    "symplectic": Family(
+        forms.SYMPLECTIC,
+        signed=False,
+        even=True,
+        cases=(Case("symplectic-display", Fraction(10, 7), 1),),
+    ),
+    "unitary": Family(
+        forms.HERMITIAN,
+        signed=False,
+        even=False,
+        cases=(
+            # the mixing route is weak at e2 = 1: the containment
+            # overestimate 1 - c1/q^2 stands in, tight at (1, 1, 2)
+            Case(CONTAINMENT, Fraction(2), 2, lambda e1, e2, q: (e1, e2, q) == (1, 1, 2)),
+            Case(CONTAINMENT, Fraction(3, 2), 2, lambda e1, e2, q: e2 == 1),
+            Case("unitary-display", Fraction(63, 50), 2),
+        ),
+    ),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,9 +349,6 @@ class BoundReport:
     q: int
     e1: int
     e2: int
-    eps: int | None
-    sigma1: int | None
-    sigma2: int | None
     alpha1: Fraction | None
     alpha2: Fraction | None
     lower_bound: QuadExt
@@ -288,6 +356,9 @@ class BoundReport:
     passed: bool
     tight: bool
     formula_id: str
+    eps: int | None = None  # the signs, for families that need them
+    sigma1: int | None = None
+    sigma2: int | None = None
     relaxed_bound: Fraction | None = None
     seconds: float = 0.0
     note: str | None = None
@@ -304,7 +375,7 @@ class BoundReport:
 
 
 def is_orthogonal_exception(q: int, m1: int, m2: int) -> bool:
-    return (q, m2, m1) in oracle.ORTHOGONAL_EXCEPTIONS
+    return (q, m2, m1) in THEOREM["orthogonal"].exceptions
 
 
 def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: int) -> BoundReport:
@@ -317,13 +388,14 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     t0 = time.perf_counter()
     eps, sigma1, sigma2 = parse_sign(eps), parse_sign(sigma1), parse_sign(sigma2)
     e1, e2, d = 2 * m1, 2 * m2, 2 * (m1 + m2)
+    case = THEOREM["orthogonal"].case(e1, e2, q)
+    threshold = case.threshold(q)
     a1 = alpha_orthogonal(eps, sigma1, m1, m2, q)
     a2 = alpha_orthogonal(eps, sigma2, m2, m1, q)
     exact = mixing_lower_bound(a1, a2, e1, e2, q)
     lam = lambda_factor(MINUS, PLUS, m1, m2, q)
     qd = Fraction(q) ** (-(d // 2))
     relaxed = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd / lam
-    threshold = 1 - Fraction(3, 2 * q)
     note = None
     if is_orthogonal_exception(q, m1, m2):
         note = "exception tuple: dispatch to the enumeration oracle (`count`)"
@@ -341,7 +413,7 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
         threshold=threshold,
         passed=exact >= threshold,
         tight=exact == threshold,
-        formula_id="orthogonal-two-alpha-mixing",
+        formula_id=case.formula_id,
         relaxed_bound=relaxed,
         seconds=time.perf_counter() - t0,
         note=note,
@@ -352,27 +424,25 @@ def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
     """B_q(e1,e2)(1 + q^(-d/2)) - B_{q^2}(m1,m2) q^(-d/2) vs 1 - 10/(7q)."""
     t0 = time.perf_counter()
     e1, e2, d = 2 * m1, 2 * m2, 2 * (m1 + m2)
+    case = THEOREM["symplectic"].case(e1, e2, q)
+    threshold = case.threshold(q)
     a = alpha_symplectic(m1, m2, q)
     qd = Fraction(q) ** (-(d // 2))
     display = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd
     exact = mixing_lower_bound(a, a, e1, e2, q)
     assert exact == display, "uniform-density bound must collapse to the display"
-    threshold = 1 - Fraction(10, 7 * q)
     return BoundReport(
         family="symplectic",
         q=q,
         e1=e1,
         e2=e2,
-        eps=None,
-        sigma1=None,
-        sigma2=None,
         alpha1=a,
         alpha2=a,
         lower_bound=QuadExt.make(display),
         threshold=threshold,
         passed=display >= threshold,
         tight=display == threshold,
-        formula_id="symplectic-display",
+        formula_id=case.formula_id,
         seconds=time.perf_counter() - t0,
     )
 
@@ -383,64 +453,49 @@ def unitary_c1(e1: int, q: int) -> Fraction:
 
 
 def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
-    """Hermitian-space bound with the per-branch thresholds.
+    """Hermitian-space bound, on the branch THEOREM picks for (e1, e2, q).
 
-    e2 >= 2 uses the mixing display over F_{q^2} against 1 - 1.26/q^2;
-    e2 = 1 uses the containment overestimate 1 - c1/q^2 (the mixing route is
-    weak there) against 1 - 1.5/q^2, except that (1,1,2) gets 1 - 2/q^2.
+    e2 >= 2 uses the mixing display over F_{q^2}; e2 = 1 uses the
+    containment overestimate 1 - c1/q^2, because the mixing route is weak there.
     """
     t0 = time.perf_counter()
     if e2 > e1:
         e1, e2 = e2, e1
-    d = e1 + e2
-    if e2 == 1:
-        c1 = unitary_c1(e1, q)
-        value = 1 - c1 / q**2
-        if (e1, e2, q) == (1, 1, 2):
-            threshold = 1 - Fraction(2, q**2)
-        else:
-            threshold = 1 - Fraction(3, 2 * q**2)
-        a1 = alpha_unitary(e1, e2, q)
-        return BoundReport(
-            family="unitary",
-            q=q,
-            e1=e1,
-            e2=e2,
-            eps=None,
-            sigma1=None,
-            sigma2=None,
-            alpha1=a1,
-            alpha2=alpha_unitary(e2, e1, q),
-            lower_bound=QuadExt.make(value),
-            threshold=threshold,
-            passed=value >= threshold,
-            tight=value == threshold,
-            formula_id="unitary-e2-1-containment",
-            seconds=time.perf_counter() - t0,
-        )
+    case = THEOREM["unitary"].case(e1, e2, q)
+    threshold = case.threshold(q)
     a = alpha_unitary(e1, e2, q)
-    qd = Fraction(q) ** (-d)
-    display = bq(q * q, e1, e2) * (1 + qd) - bq(-q, e1, e2) * qd
-    exact = mixing_lower_bound(a, a, e1, e2, q * q)
-    assert exact == display, "uniform-density bound must collapse to the display"
-    threshold = 1 - Fraction(63, 50 * q**2)
+    if case.formula_id == CONTAINMENT:
+        value = 1 - unitary_c1(e1, q) / q**2
+    else:
+        qd = Fraction(q) ** (-(e1 + e2))
+        value = bq(q * q, e1, e2) * (1 + qd) - bq(-q, e1, e2) * qd
+        exact = mixing_lower_bound(a, a, e1, e2, q * q)
+        assert exact == value, "uniform-density bound must collapse to the display"
     return BoundReport(
         family="unitary",
         q=q,
         e1=e1,
         e2=e2,
-        eps=None,
-        sigma1=None,
-        sigma2=None,
         alpha1=a,
         alpha2=a,
-        lower_bound=QuadExt.make(display),
+        lower_bound=QuadExt.make(value),
         threshold=threshold,
-        passed=display >= threshold,
-        tight=display == threshold,
-        formula_id="unitary-display",
+        passed=value >= threshold,
+        tight=value == threshold,
+        formula_id=case.formula_id,
         seconds=time.perf_counter() - t0,
     )
+
+
+def bound_case(
+    family: str, e1: int, e2: int, q: int, eps=None, sigma1=None, sigma2=None
+) -> BoundReport:
+    """The closed-form report for one case, with dimensions e1, e2 as counted."""
+    if family == "orthogonal":
+        return bound_orthogonal(eps, sigma1, sigma2, e1 // 2, e2 // 2, q)
+    if family == "symplectic":
+        return bound_symplectic(e1 // 2, e2 // 2, q)
+    return bound_unitary(e1, e2, q)
 
 
 # -- finite verification of the analytic tails --------------------------------
@@ -461,6 +516,7 @@ def _tail(name, q, value, threshold) -> TailCheck:
 
 def orthogonal_tail_checks(q_limit: int = 97) -> list:
     """The displays that settle the orthogonal theorem off the swept range."""
+    threshold = THEOREM["orthogonal"].cases[-1].threshold
     checks = []
     for q in prime_powers_upto(q_limit):
         # the infinite-product lower bound the tail displays substitute in
@@ -477,7 +533,7 @@ def orthogonal_tail_checks(q_limit: int = 97) -> list:
             continue
         one_q = Fraction(1, q)
         val = 1 / ((1 + one_q + one_q**2) * (1 + one_q**2)) - 2 * one_q**2 / (1 - one_q) ** 2
-        checks.append(_tail("orthogonal-q>=7-m1=m2=1", q, val, 1 - Fraction(3, 2 * q)))
+        checks.append(_tail("orthogonal-q>=7-m1=m2=1", q, val, threshold(q)))
         tail = (
             1
             - Fraction(1, q)
@@ -487,7 +543,7 @@ def orthogonal_tail_checks(q_limit: int = 97) -> list:
             * bq(q * q, 1, 2)
             * Fraction(1, q**3)
         )
-        checks.append(_tail("orthogonal-q>=7-d>=6", q, tail, 1 - Fraction(3, 2 * q)))
+        checks.append(_tail("orthogonal-q>=7-d>=6", q, tail, threshold(q)))
     for q in (2, 3, 4, 5):
         tail = (
             1
@@ -498,33 +554,35 @@ def orthogonal_tail_checks(q_limit: int = 97) -> list:
             * bq(q * q, 1, 6)
             * Fraction(1, q**7)
         )
-        checks.append(_tail("orthogonal-q<=5-d>=14", q, tail, 1 - Fraction(3, 2 * q)))
+        checks.append(_tail("orthogonal-q<=5-d>=14", q, tail, threshold(q)))
     return checks
 
 
 def symplectic_tail_checks(q_limit: int = 97) -> list:
+    threshold = THEOREM["symplectic"].cases[-1].threshold
     checks = []
     for q in prime_powers_upto(q_limit):
         if q >= 5:
             val = 1 - Fraction(1, q) - Fraction(2, q**2)
-            checks.append(_tail("symplectic-q>=5", q, val, 1 - Fraction(10, 7 * q)))
+            checks.append(_tail("symplectic-q>=5", q, val, threshold(q)))
     for q in (2, 3, 4):
         val = omega_tail_lower(q, 64) - Fraction(1, q**10)
-        checks.append(_tail("symplectic-d>=20", q, val, 1 - Fraction(10, 7 * q)))
+        checks.append(_tail("symplectic-d>=20", q, val, threshold(q)))
     return checks
 
 
 def unitary_tail_checks(q_limit: int = 97) -> list:
+    threshold = THEOREM["unitary"].cases[-1].threshold
     checks = []
     for q in prime_powers_upto(q_limit):
         bneg = (1 + Fraction(1, q)) / ((1 - Fraction(1, q**4)) * (1 - Fraction(1, q**6)))
         if q >= 4:
             val = 1 - Fraction(1, q**2) - Fraction(1, q**4) - bneg * Fraction(1, q**4)
-            checks.append(_tail("unitary-q>=4", q, val, 1 - Fraction(63, 50 * q**2)))
+            checks.append(_tail("unitary-q>=4", q, val, threshold(q)))
     for q in (2, 3):
         bneg = (1 + Fraction(1, q)) / ((1 - Fraction(1, q**4)) * (1 - Fraction(1, q**6)))
         val = omega_tail_lower(q * q, 64) - bneg * Fraction(1, q**10)
-        checks.append(_tail("unitary-q<=3-d>=10", q, val, 1 - Fraction(63, 50 * q**2)))
+        checks.append(_tail("unitary-q<=3-d>=10", q, val, threshold(q)))
     return checks
 
 
@@ -554,10 +612,11 @@ def verify_orthogonal(
 ) -> FamilyReport:
     """Sweep all sign combinations over q <= q_max, m2 <= m1 <= m_max.
 
-    Non-exception tuples must clear 1 - 3/(2q) in closed form; the seven
+    Non-exception tuples must clear the threshold in closed form; the seven
     exception tuples go to the enumeration oracle, whose exact proportion
     must clear the same threshold.
     """
+    orthogonal = THEOREM["orthogonal"]
     bound_reports = []
     count_reports = []
     failures = []
@@ -565,33 +624,24 @@ def verify_orthogonal(
         for m1 in range(1, m_max + 1):
             for m2 in range(1, m1 + 1):
                 exception = is_orthogonal_exception(q, m1, m2)
-                for eps in SIGNS:
-                    for s1 in SIGNS:
-                        for s2 in SIGNS:
-                            rep = bound_orthogonal(eps, s1, s2, m1, m2, q)
-                            bound_reports.append(rep)
-                            if not rep.passed and not exception:
-                                failures.append(f"closed-form bound failed: {rep.label()}")
-                if exception and run_oracle:
-                    d4 = m1 + m2 == 2
-                    for eps in SIGNS:
-                        for s1 in SIGNS:
-                            for s2 in SIGNS:
-                                crep = oracle.orthogonal_exception_report(
-                                    q,
-                                    m1,
-                                    m2,
-                                    eps,
-                                    s1,
-                                    s2,
-                                    full_pairs=full_pairs_d4 and d4,
-                                    workers=workers,
-                                )
-                                count_reports.append(crep)
-                                if not crep.passed:
-                                    failures.append(
-                                        f"oracle proportion failed: {crep.case}"
-                                    )
+                for eps, s1, s2 in product(SIGNS, repeat=3):
+                    rep = bound_orthogonal(eps, s1, s2, m1, m2, q)
+                    bound_reports.append(rep)
+                    if not rep.passed and not exception:
+                        failures.append(f"closed-form bound failed: {rep.label()}")
+                if not (exception and run_oracle):
+                    continue
+                e1, e2 = 2 * m1, 2 * m2
+                threshold = orthogonal.threshold(e1, e2, q)
+                full_pairs = full_pairs_d4 and m1 + m2 == 2
+                for eps, s1, s2 in product(SIGNS, repeat=3):
+                    form = forms.standard_form(orthogonal.kind, e1 + e2, q, eps)
+                    crep = oracle.count_case(
+                        form, e1, e2, s1, s2, threshold, full_pairs, workers=workers
+                    )
+                    count_reports.append(crep)
+                    if not crep.passed:
+                        failures.append(f"oracle proportion failed: {crep.case}")
     tails = orthogonal_tail_checks(tail_q_limit)
     failures.extend(f"tail check failed: {t.name} q={t.q}" for t in tails if not t.passed)
     return FamilyReport("orthogonal", bound_reports, count_reports, tails, failures)

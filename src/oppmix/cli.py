@@ -202,32 +202,24 @@ def cmd_spectrum(args) -> int:
     return 0 if agree else 1
 
 
-def _require(args, names) -> bool:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+def _case_ok(args, fam: bounds.Family) -> bool:
+    """The signs and dimension parity the family's theorem needs."""
+    missing = [n for n in ("eps", "sigma1", "sigma2") if fam.signed and getattr(args, n) is None]
     if missing:
         print(f"error: --{' --'.join(missing)} required for this family", file=sys.stderr)
+        return False
+    if fam.even and (args.e1 % 2 or args.e2 % 2):
+        print(f"error: {args.family} dimensions must be even", file=sys.stderr)
         return False
     return True
 
 
 def cmd_bound(args) -> int:
-    fam = args.family
-    if fam == "orthogonal":
-        if not _require(args, ["eps", "sigma1", "sigma2"]):
-            return 2
-        if args.e1 % 2 or args.e2 % 2:
-            print("error: orthogonal dimensions must be even", file=sys.stderr)
-            return 2
-        rep = bounds.bound_orthogonal(
-            args.eps, args.sigma1, args.sigma2, args.e1 // 2, args.e2 // 2, args.q
-        )
-    elif fam == "symplectic":
-        if args.e1 % 2 or args.e2 % 2:
-            print("error: symplectic dimensions must be even", file=sys.stderr)
-            return 2
-        rep = bounds.bound_symplectic(args.e1 // 2, args.e2 // 2, args.q)
-    else:
-        rep = bounds.bound_unitary(args.e1, args.e2, args.q)
+    if not _case_ok(args, bounds.THEOREM[args.family]):
+        return 2
+    rep = bounds.bound_case(
+        args.family, args.e1, args.e2, args.q, args.eps, args.sigma1, args.sigma2
+    )
     lines = [
         f"{rep.label()}",
         f"alpha1 = {frac_str(rep.alpha1)}, alpha2 = {frac_str(rep.alpha2)}",
@@ -243,32 +235,16 @@ def cmd_bound(args) -> int:
 
 
 def cmd_count(args) -> int:
-    fam = args.family
-    threshold = None
-    if fam == "orthogonal":
-        if not _require(args, ["eps", "sigma1", "sigma2"]):
-            return 2
-        form = forms.standard_form(forms.ORTHOGONAL, args.e1 + args.e2, args.q, args.eps)
-        y1 = oracle.build_yset(form, args.e1, args.sigma1, args.budget, args.workers)
-        y2 = oracle.build_yset(form, args.e2, args.sigma2, args.budget, args.workers)
-        threshold = 1 - Fraction(3, 2 * args.q)
-    elif fam == "symplectic":
-        form = forms.standard_form(forms.SYMPLECTIC, args.e1 + args.e2, args.q)
-        y1 = oracle.build_yset(form, args.e1, budget=args.budget, workers=args.workers)
-        y2 = oracle.build_yset(form, args.e2, budget=args.budget, workers=args.workers)
-        threshold = 1 - Fraction(10, 7 * args.q)
-    else:
-        form = forms.standard_form(forms.HERMITIAN, args.e1 + args.e2, args.q)
-        y1 = oracle.build_yset(form, args.e1, budget=args.budget, workers=args.workers)
-        y2 = oracle.build_yset(form, args.e2, budget=args.budget, workers=args.workers)
-        if (args.e1, args.e2, args.q) == (1, 1, 2):
-            threshold = Fraction(1, 2)
-        else:
-            threshold = 1 - Fraction(3, 2 * args.q**2)
-    if args.full_pairs:
-        rep = oracle.count_complementary(y1, y2, threshold, workers=args.workers)
-    else:
-        rep = oracle.count_complementary_transitive(y1, y2, threshold)
+    fam = bounds.THEOREM[args.family]
+    if not _case_ok(args, fam):
+        return 2
+    eps, sigma1, sigma2 = (args.eps, args.sigma1, args.sigma2) if fam.signed else (None,) * 3
+    e1, e2, q = args.e1, args.e2, args.q
+    form = forms.standard_form(fam.kind, e1 + e2, q, eps)
+    threshold = fam.threshold(e1, e2, q)
+    rep = oracle.count_case(
+        form, e1, e2, sigma1, sigma2, threshold, args.full_pairs, args.budget, args.workers
+    )
     lines = [
         f"case: {rep.case}",
         f"|Y1| = {rep.y1_count}, |Y2| = {rep.y2_count}, complementary pairs = {rep.pairs}",
@@ -282,9 +258,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    families = (
-        ["orthogonal", "symplectic", "unitary"] if args.family == "all" else [args.family]
-    )
+    families = list(bounds.THEOREM) if args.family == "all" else [args.family]
     overall_failures = []
     all_bound_rows = []
     all_jsonable = {}
@@ -383,34 +357,29 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--e2", type=int, required=True)
             p.add_argument("--q", type=prime_power_arg, required=True)
 
+    def family_case(p):
+        p.add_argument("--family", choices=list(bounds.THEOREM), required=True)
+        for sign in ("--eps", "--sigma1", "--sigma2"):
+            p.add_argument(sign, type=exactnum.parse_sign, default=None)
+
     p = sub.add_parser("spectrum", help="distinct eigenvalues of the bipartite graph")
     common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bound", help="closed-form lower bound for one case")
     common(p)
-    p.add_argument("--family", choices=["orthogonal", "symplectic", "unitary"], required=True)
-    p.add_argument("--eps", type=exactnum.parse_sign, default=None)
-    p.add_argument("--sigma1", type=exactnum.parse_sign, default=None)
-    p.add_argument("--sigma2", type=exactnum.parse_sign, default=None)
+    family_case(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("count", help="exact enumeration of one case")
     common(p)
-    p.add_argument("--family", choices=["orthogonal", "symplectic", "unitary"], required=True)
-    p.add_argument("--eps", type=exactnum.parse_sign, default=None)
-    p.add_argument("--sigma1", type=exactnum.parse_sign, default=None)
-    p.add_argument("--sigma2", type=exactnum.parse_sign, default=None)
+    family_case(p)
     p.add_argument("--full-pairs", action="store_true", help="count every pair (no orbit shortcut)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run a family's theorem sweep")
     common(p, with_case=False)
-    p.add_argument(
-        "--family",
-        choices=["orthogonal", "symplectic", "unitary", "all"],
-        required=True,
-    )
+    p.add_argument("--family", choices=[*bounds.THEOREM, "all"], required=True)
     p.add_argument("--full-pairs", action="store_true", help="cross-check d=4 exceptions with all pairs")
     p.add_argument("--skip-oracle", action="store_true", help="closed-form sweep only")
     p.set_defaults(func=cmd_verify)

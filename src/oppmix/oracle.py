@@ -12,10 +12,8 @@ objects.  A partition build classifies each distinct restricted form (the
 form on the member's basis) once and reuses the verdict for every member
 that restricts to it.
 
-The seven orthogonal exception triples (q, m2, m1) from the theorem sweep
-are first-class data here; they are exactly the parameter points where the
-closed-form bound dips under the threshold and the count has to be done for
-real.
+The oracle knows no theorem: a caller that judges a proportion passes the
+threshold in.
 """
 
 from __future__ import annotations
@@ -31,17 +29,6 @@ from . import exactnum, forms, linalg, spectrum
 from .forms import ClassicalForm
 from .gf import field
 
-# (q, m2, m1), verbatim from the orthogonal sweep's exclusion list.
-ORTHOGONAL_EXCEPTIONS = (
-    (2, 1, 1),
-    (3, 1, 1),
-    (4, 1, 1),
-    (5, 1, 1),
-    (2, 1, 2),
-    (2, 1, 3),
-    (2, 2, 2),
-)
-
 DEFAULT_BIADJACENCY_CAP = 5000
 DEFAULT_ENUM_BUDGET = 1_500_000
 
@@ -56,14 +43,6 @@ class YSet:
     @property
     def count(self) -> int:
         return len(self.members)
-
-    def describe(self) -> dict:
-        out = {"kind": self.form.kind, "q": self.form.q, "d": self.form.d, "e": self.e}
-        if self.form.eps is not None:
-            out["eps"] = exactnum.sign_char(self.form.eps)
-        if self.sigma is not None:
-            out["sigma"] = exactnum.sign_char(self.sigma)
-        return out
 
 
 @dataclass(frozen=True)
@@ -160,15 +139,12 @@ def _classify_patterns(form: ClassicalForm, patterns) -> tuple:
 _partition_cache: dict = {}
 
 
-def classify_partition(form: ClassicalForm, e: int, budget: int | None = None, workers: int = 1):
+def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
     """Split all e-subspaces into non-degenerate buckets plus a degenerate count.
 
     Returns (buckets, degenerate) where buckets maps sigma (or True) to the
     member tuple in enumeration order (bitmask-row tuples over F_2).  The
     budget is checked on every call; the result is cached per (form, e).
-    The build is serial: `workers` is accepted for call compatibility and
-    ignored, because with memoized classification a process pool no longer
-    pays for its start-up and the pickling of the members.
     """
     if form.kind == forms.ORTHOGONAL and e % 2:
         raise ValueError("orthogonal type classification needs even dimensions")
@@ -194,7 +170,6 @@ def build_yset(
     e: int,
     sigma: int | None = None,
     budget: int | None = None,
-    workers: int = 1,
 ) -> YSet:
     """Enumerate the non-degenerate e-subspaces (of type sigma, if orthogonal).
 
@@ -205,7 +180,7 @@ def build_yset(
         raise ValueError("orthogonal Y-sets need sigma = +1 or -1")
     if form.kind != forms.ORTHOGONAL and sigma is not None:
         raise ValueError(f"sigma applies only to orthogonal spaces, not {form.kind}")
-    buckets, _ = classify_partition(form, e, budget, workers)
+    buckets, _ = classify_partition(form, e, budget)
     key = sigma if form.kind == forms.ORTHOGONAL else True
     members = buckets.get(key, ())
     expected = exactnum.count_nondegenerate(
@@ -302,22 +277,24 @@ def _finish_report(y1, y2, pairs, proportion, method, t0, threshold) -> CountRep
     )
 
 
-def orthogonal_exception_report(
-    q: int,
-    m1: int,
-    m2: int,
-    eps: int,
-    sigma1: int,
-    sigma2: int,
+def count_case(
+    form: ClassicalForm,
+    e1: int,
+    e2: int,
+    sigma1: int | None = None,
+    sigma2: int | None = None,
+    threshold: Fraction | None = None,
     full_pairs: bool = False,
+    budget: int | None = None,
     workers: int = 1,
 ) -> CountReport:
-    """Exact proportion for one orthogonal exception case, vs 1 - 3/(2q)."""
-    e1, e2 = 2 * m1, 2 * m2
-    form = forms.standard_form(forms.ORTHOGONAL, e1 + e2, q, eps)
-    y1 = build_yset(form, e1, sigma1, workers=workers)
-    y2 = build_yset(form, e2, sigma2, workers=workers)
-    threshold = 1 - Fraction(3, 2 * q)
+    """Exact proportion of complementary pairs between the two Y-sets of a case.
+
+    Counts all pairs with `full_pairs`, otherwise one orbit; the report is
+    judged against `threshold` when one is given.
+    """
+    y1 = build_yset(form, e1, sigma1, budget)
+    y2 = build_yset(form, e2, sigma2, budget)
     if full_pairs:
         return count_complementary(y1, y2, threshold, workers=workers)
     return count_complementary_transitive(y1, y2, threshold)
@@ -352,15 +329,18 @@ _biadjacency_cache: dict = {}
 
 
 def build_biadjacency(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_CAP) -> Biadjacency:
-    """0/1 matrix of the complementarity relation in enumeration order."""
-    key = (e1, e2, q)
-    hit = _biadjacency_cache.get(key)
-    if hit is not None:
-        return hit
+    """0/1 matrix of the complementarity relation in enumeration order.
+
+    The cap is checked on every call, before the cache.
+    """
     d = e1 + e2
     n1 = linalg.count_subspaces(d, e1, q)
     if n1 > cap:
         raise linalg.BudgetError(f"[{d} choose {e1}]_{q} = {n1} exceeds the cap {cap}")
+    key = (e1, e2, q)
+    hit = _biadjacency_cache.get(key)
+    if hit is not None:
+        return hit
     fld = field(q)
     x1 = list(linalg.enumerate_subspaces(d, e1, fld))
     x2 = list(linalg.enumerate_subspaces(d, e2, fld)) if e1 != e2 else x1

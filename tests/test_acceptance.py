@@ -123,21 +123,22 @@ def test_criterion_6_orthogonal_sweep_and_exceptions():
                             else:
                                 failing.add((q, m2, m1))
     sweep_dt = time.perf_counter() - t0
-    assert failing == set(oracle.ORTHOGONAL_EXCEPTIONS)
+    assert failing == set(bounds.THEOREM["orthogonal"].exceptions)
     assert sweep_dt < 5.0  # stated budget: < 1 s
 
     oracle_t0 = time.perf_counter()
-    for q, m2, m1 in oracle.ORTHOGONAL_EXCEPTIONS:
+    for q, m2, m1 in bounds.THEOREM["orthogonal"].exceptions:
         threshold = 1 - Fraction(3, 2 * q)
         d4 = m1 + m2 == 2
         for eps in (1, -1):
+            form = forms.standard_form("orthogonal", 2 * (m1 + m2), q, eps)
             for s1 in (1, -1):
                 for s2 in (1, -1):
-                    rep = oracle.orthogonal_exception_report(q, m1, m2, eps, s1, s2)
+                    rep = oracle.count_case(form, 2 * m1, 2 * m2, s1, s2, threshold)
                     assert rep.proportion >= threshold, rep.case
                     if d4:
-                        full = oracle.orthogonal_exception_report(
-                            q, m1, m2, eps, s1, s2, full_pairs=True
+                        full = oracle.count_case(
+                            form, 2 * m1, 2 * m2, s1, s2, threshold, full_pairs=True
                         )
                         assert full.proportion == rep.proportion
                         assert full.pairs == rep.pairs

@@ -247,7 +247,7 @@ def test_orthogonal_exceptions_are_exactly_the_failures():
                             rep = bounds.bound_orthogonal(eps, s1, s2, m1, m2, q)
                             if not rep.passed:
                                 failing.add((q, m2, m1))
-    assert failing == set(oracle.ORTHOGONAL_EXCEPTIONS)
+    assert failing == set(bounds.THEOREM["orthogonal"].exceptions)
 
 
 def test_bound_symplectic():
@@ -261,6 +261,15 @@ def test_bound_symplectic():
                 if m1 + m2 > 9:
                     continue
                 assert bounds.bound_symplectic(m1, m2, q).passed
+
+
+def test_bounds_reject_q_not_prime_power():
+    with pytest.raises(ValueError, match="prime power"):
+        bounds.bound_symplectic(1, 1, 6)
+    with pytest.raises(ValueError, match="prime power"):
+        bounds.bound_orthogonal(1, 1, 1, 1, 1, 6)
+    with pytest.raises(ValueError, match="prime power"):
+        bounds.bound_unitary(2, 1, 10)
 
 
 def test_symplectic_oracle_beats_bound():

@@ -180,6 +180,35 @@ def test_count_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "family,e1,e2,q,threshold",
+    [
+        ("orthogonal", 2, 2, 2, "1/4"),
+        ("orthogonal", 2, 2, 3, "1/2"),
+        ("orthogonal", 4, 2, 2, "1/4"),
+        ("symplectic", 2, 2, 2, "2/7"),
+        ("symplectic", 2, 4, 2, "2/7"),
+        ("symplectic", 2, 2, 3, "11/21"),
+        ("unitary", 1, 1, 2, "1/2"),
+        ("unitary", 1, 2, 2, "5/8"),
+        ("unitary", 2, 2, 2, "137/200"),
+        ("unitary", 1, 1, 3, "5/6"),
+        ("unitary", 2, 1, 3, "5/6"),
+    ],
+)
+def test_count_and_bound_share_threshold(capsys, family, e1, e2, q, threshold):
+    argv = ["--family", family, "--e1", str(e1), "--e2", str(e2), "--q", str(q)]
+    argv += ["--format", "json"]
+    if family == "orthogonal":
+        argv += ["--eps", "+", "--sigma1", "-", "--sigma2", "+"]
+    _, bound_out, _ = run(capsys, "bound", *argv)
+    _, count_out, _ = run(capsys, "count", *argv)
+    num, den = threshold.split("/")
+    want = {"num": num, "den": den, "approx": int(num) / int(den)}
+    assert json.loads(bound_out)["threshold"] == want
+    assert json.loads(count_out)["threshold"] == want
+
+
 def test_verify_symplectic(capsys):
     code, out, _ = run(capsys, "verify", "--family", "symplectic")
     assert code == 0

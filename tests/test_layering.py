@@ -1,0 +1,32 @@
+"""Each module of the package imports only the modules below it."""
+
+import ast
+from pathlib import Path
+
+import oppmix
+
+LAYERS = ["exactnum", "gf", "linalg", "forms", "spectrum", "oracle", "bounds", "cli"]
+PACKAGE = Path(oppmix.__file__).parent
+
+
+def package_imports(path: Path) -> set:
+    """Names of the sibling modules that `from .x import` / `from . import x` pull in."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+def test_imports_point_downward():
+    for i, name in enumerate(LAYERS):
+        above = package_imports(PACKAGE / f"{name}.py") - set(LAYERS[:i])
+        assert not above, f"{name} imports {sorted(above)}, which sit above it"

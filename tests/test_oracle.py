@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oppmix import exactnum, forms, linalg, oracle
+from oppmix import bounds, exactnum, forms, linalg, oracle
 from oppmix.gf import field
 
 # Oracle-enumerable fixtures, keyed by ambient field size Q:
@@ -173,15 +173,6 @@ def test_transitive_agrees_on_general_q():
     )
 
 
-def test_workers_reproduce_serial_partition():
-    form = forms.standard_form("symplectic", 8, 2)
-    serial = oracle.classify_partition(form, 2)
-    oracle._partition_cache.clear()
-    parallel = oracle.classify_partition(form, 2, workers=2)
-    oracle._partition_cache.clear()
-    assert serial == parallel
-
-
 def test_biadjacency_examples():
     b = oracle.build_biadjacency(1, 1, 2)
     assert b.rows == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -197,6 +188,12 @@ def test_biadjacency_examples():
 def test_biadjacency_cap():
     with pytest.raises(linalg.BudgetError):
         oracle.build_biadjacency(3, 3, 3, cap=100)
+
+
+def test_biadjacency_cap_checked_after_cache_fill():
+    oracle.build_biadjacency(2, 1, 2)
+    with pytest.raises(linalg.BudgetError):
+        oracle.build_biadjacency(2, 1, 2, cap=3)
 
 
 @pytest.mark.parametrize(
@@ -254,7 +251,7 @@ def test_mixing_suite_seed_deterministic():
 
 
 def test_orthogonal_exception_list_verbatim():
-    assert oracle.ORTHOGONAL_EXCEPTIONS == (
+    assert bounds.THEOREM["orthogonal"].exceptions == (
         (2, 1, 1),
         (3, 1, 1),
         (4, 1, 1),
@@ -279,10 +276,12 @@ def test_double_counting_identity_d8_exception():
 
 
 def test_exception_report_small():
-    rep = oracle.orthogonal_exception_report(2, 1, 1, 1, -1, -1, full_pairs=True)
+    form = forms.standard_form("orthogonal", 4, 2, 1)
+    threshold = bounds.THEOREM["orthogonal"].threshold(2, 2, 2)
+    rep = oracle.count_case(form, 2, 2, -1, -1, threshold, full_pairs=True)
     assert rep.y1_count == rep.y2_count == 2
     assert rep.proportion == Fraction(1, 2)
     assert rep.threshold == Fraction(1, 4)
     assert rep.passed
-    fast = oracle.orthogonal_exception_report(2, 1, 1, 1, -1, -1)
+    fast = oracle.count_case(form, 2, 2, -1, -1, threshold)
     assert fast.proportion == rep.proportion
