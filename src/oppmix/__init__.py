@@ -3,7 +3,7 @@ of complementary subspaces over finite classical spaces."""
 
 from .bounds import (
     THEOREM,
-    QuadExt,
+    Surd,
     alpha_orthogonal,
     alpha_symplectic,
     alpha_unitary,
@@ -11,7 +11,9 @@ from .bounds import (
     bound_symplectic,
     bound_unitary,
     corollary_bound,
+    compare,
     mixing_lower_bound,
+    surd,
     verify_theorem,
 )
 from .exactnum import (
@@ -39,7 +41,7 @@ from .spectrum import eigen_exponents, eigen_exponents_via_characters
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadExt",
+    "Surd",
     "THEOREM",
     "alpha_orthogonal",
     "alpha_symplectic",
@@ -50,6 +52,7 @@ __all__ = [
     "bound_unitary",
     "bq",
     "build_biadjacency",
+    "compare",
     "build_yset",
     "corollary_bound",
     "count_complementary",
@@ -67,5 +70,6 @@ __all__ = [
     "omega",
     "prime_power",
     "standard_form",
+    "surd",
     "verify_theorem",
 ]

@@ -4,11 +4,12 @@ THEOREM is the one table of the theorem's cases: per family, its form kind,
 the signs and parity a case needs, each branch's threshold 1 - c/q^k with
 its formula id, and the exception tuples the oracle must count exactly.
 
-The mixing-lemma lower bound contains a square root; values here live in
-QuadExt, an exact a + b*sqrt(n) with rational a, b and integer n >= 0.
-Comparisons are decided by the sign algorithm (compare a^2 against b^2 n with
-sign bookkeeping), never by floating point: the margins at q = 2 are thin
-enough that a rounding error could flip a verdict.
+The mixing-lemma lower bound contains a square root; its values are Surds,
+an exact a + b*sqrt(n) with rational a, b and integer n >= 0.  Each verdict on
+one is compare(x, t), the sign of x - t for a rational threshold t, decided by
+sign bookkeeping and one comparison of (a - t)^2 against b^2 n, never by
+floating point: the margins at q = 2 are thin enough that a rounding error
+could flip a verdict.
 
 Analytic tail facts about the infinite products omega_q(inf) are replaced by
 finite rational certificates: omega_tail_lower(q, e) is a rational lower
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from typing import NamedTuple
 
 from . import forms, oracle
 from .exactnum import (
@@ -106,186 +108,61 @@ THEOREM = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class QuadExt:
-    """Exact a + b*sqrt(base); base is a non-negative integer.
+class Surd(NamedTuple):
+    """Exact a + b*sqrt(base): rational a, b and an integer base >= 0.
 
-    Perfect-square bases are folded away on construction, so a pure rational
-    always has b == 0 and base == 0.  Equality and order are value-based and
-    work across different bases.
+    Build one with surd(), which keeps the canonical form: b == 0 exactly
+    when the value is rational, and then base == 0.
     """
 
     a: Fraction
     b: Fraction
     base: int
 
-    @staticmethod
-    def make(a, b=0, base=0) -> "QuadExt":
-        a = Fraction(a)
-        b = Fraction(b)
-        if base < 0:
-            raise ValueError(f"negative radicand {base}")
-        if base in (0, 1):
-            return QuadExt(a + b * base, Fraction(0), 0)
-        if b == 0:
-            return QuadExt(a, Fraction(0), 0)
-        root = isqrt(base)
-        if root * root == base:
-            return QuadExt(a + b * root, Fraction(0), 0)
-        return QuadExt(a, b, base)
-
-    @staticmethod
-    def from_radicand(a, b, rad: Fraction) -> "QuadExt":
-        """a + b*sqrt(rad) for a non-negative rational radicand."""
-        rad = Fraction(rad)
-        if rad < 0:
-            raise ValueError(f"negative radicand {rad}")
-        num, den = rad.numerator, rad.denominator
-        return QuadExt.make(a, Fraction(b, den), num * den)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs = a * a
-        rhs = b * b * self.base
-        if lhs == rhs:
-            return 0
-        bigger_is_a = lhs > rhs
-        return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
-
-    def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt.make(Fraction(other))
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        diff_a = self.a - other.a
-        left = QuadExt.make(diff_a, self.b, self.base)
-        if other.b == 0:
-            return left.sign()
-        s_left = left.sign()
-        s_right = 1 if other.b > 0 else -1
-        if s_left != s_right:
-            return s_left if s_left != 0 else -s_right
-        # both sides share a nonzero sign; compare squares
-        sq = QuadExt.make(
-            diff_a * diff_a + self.b * self.b * self.base - other.b * other.b * other.base,
-            2 * diff_a * self.b,
-            self.base,
-        )
-        return s_left * sq.sign()
-
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
-    __hash__ = None
-
-    def _with(self, other, op):
-        if isinstance(other, (int, Fraction)):
-            if op == "add":
-                return QuadExt.make(self.a + other, self.b, self.base)
-            if op == "mul":
-                return QuadExt.make(self.a * other, self.b * other, self.base)
-        if isinstance(other, QuadExt):
-            if other.b == 0:
-                return self._with(other.a, op)
-            if self.b == 0:
-                if op == "add":
-                    return QuadExt.make(self.a + other.a, other.b, other.base)
-                return QuadExt.make(
-                    self.a * other.a, self.a * other.b, other.base
-                )
-            if other.base != self.base:
-                raise ValueError(f"mixed radicands {self.base} and {other.base}")
-            if op == "add":
-                return QuadExt.make(self.a + other.a, self.b + other.b, self.base)
-            return QuadExt.make(
-                self.a * other.a + self.b * other.b * self.base,
-                self.a * other.b + self.b * other.a,
-                self.base,
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        return self._with(other, "add")
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.base if self.b else 0)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt.make(self.a - other, self.b, self.base)
-        res = self.__add__(-other)
-        return res
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        return self._with(other, "mul")
-
-    __rmul__ = __mul__
+    # tuple order is lexicographic, not by value: order a surd with compare()
+    __lt__ = __le__ = __gt__ = __ge__ = None
 
     def approx(self) -> float:
-        if self.b == 0:
-            return _frac_float(self.a)
-        scale = 10**40
-        root = Fraction(isqrt(self.base * scale * scale), scale)
-        return _frac_float(self.a + self.b * root)
+        x = self.a
+        if self.b:
+            scale = 10**40
+            x += self.b * Fraction(isqrt(self.base * scale * scale), scale)
+        try:
+            return x.numerator / x.denominator
+        except OverflowError:
+            return float("inf") if x > 0 else float("-inf")
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt({self.base})"
+        return f"{self.a} + {self.b}*sqrt({self.base})" if self.b else str(self.a)
 
 
-def _frac_float(x: Fraction) -> float:
-    try:
-        return x.numerator / x.denominator
-    except OverflowError:
-        return float("inf") if x > 0 else float("-inf")
+def surd(a, b=0, rad=0) -> Surd:
+    """a + b*sqrt(rad) for a rational radicand rad >= 0, in canonical form.
+
+    rad = num/den becomes b/den * sqrt(num*den); a square radicand folds into a.
+    """
+    a, b, rad = Fraction(a), Fraction(b), Fraction(rad)
+    if rad < 0:
+        raise ValueError(f"negative radicand {rad}")
+    b, base = b / rad.denominator, rad.numerator * rad.denominator
+    root = isqrt(base)
+    if b == 0 or root * root == base:
+        return Surd(a + b * root, Fraction(0), 0)
+    return Surd(a, b, base)
 
 
-def q_power_half(q: int, twice: int) -> QuadExt:
-    """q^(twice/2) as an exact QuadExt."""
-    if twice % 2 == 0:
-        return QuadExt.make(Fraction(q) ** (twice // 2))
-    whole = Fraction(q) ** ((twice - 1) // 2)
-    return QuadExt.make(0, whole, q)
+def compare(x: Surd, t) -> int:
+    """The sign of x - t for a rational t: -1, 0 or 1, decided exactly.
+
+    With a' = a - t, a' + b*sqrt(base) takes the common sign of a' and b when
+    they agree; otherwise the sign of whichever of a'^2 and b^2*base is larger.
+    """
+    a, b = x.a - t, x.b
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    gap = a * a - b * b * x.base
+    return sa if gap > 0 else sb if gap < 0 else 0
 
 
 def omega_tail_lower(base: int, e: int) -> Fraction:
@@ -303,7 +180,7 @@ def omega_tail_lower(base: int, e: int) -> Fraction:
 # -- bound formulas ----------------------------------------------------------
 
 
-def mixing_lower_bound(alpha1: Fraction, alpha2: Fraction, e1: int, e2: int, q: int) -> QuadExt:
+def mixing_lower_bound(alpha1: Fraction, alpha2: Fraction, e1: int, e2: int, q: int) -> Surd:
     """q^(e1 e2)/[d choose e1]_q * (1 - sqrt((1/a1 - 1)(1/a2 - 1)) q^(-d/2))."""
     alpha1, alpha2 = Fraction(alpha1), Fraction(alpha2)
     if not (0 < alpha1 <= 1 and 0 < alpha2 <= 1):
@@ -311,17 +188,16 @@ def mixing_lower_bound(alpha1: Fraction, alpha2: Fraction, e1: int, e2: int, q: 
     d = e1 + e2
     k_ratio = bq(q, e1, e2)
     radicand = (1 / alpha1 - 1) * (1 / alpha2 - 1) / Fraction(q) ** d
-    return QuadExt.from_radicand(k_ratio, -k_ratio, radicand)
+    return surd(k_ratio, -k_ratio, radicand)
 
 
-def corollary_bound(alpha: Fraction, d: int, q: int) -> QuadExt:
+def corollary_bound(alpha: Fraction, d: int, q: int) -> Surd:
     """(1 - 3/(2q)) (1 - (1/alpha - 1) q^(-d/2))."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError(f"density must be in (0, 1], got {alpha}")
     lead = 1 - Fraction(3, 2 * q)
-    inner = 1 - (q_power_half(q, -d) * (1 / alpha - 1))
-    return inner * lead
+    return surd(lead, -lead * (1 / alpha - 1), Fraction(1, q**d))
 
 
 def alpha_orthogonal(eps: int, sigma: int, m1: int, m2: int, q: int) -> Fraction:
@@ -351,7 +227,7 @@ class BoundReport:
     e2: int
     alpha1: Fraction | None
     alpha2: Fraction | None
-    lower_bound: QuadExt
+    lower_bound: Surd
     threshold: Fraction
     passed: bool
     tight: bool
@@ -393,6 +269,7 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     a1 = alpha_orthogonal(eps, sigma1, m1, m2, q)
     a2 = alpha_orthogonal(eps, sigma2, m2, m1, q)
     exact = mixing_lower_bound(a1, a2, e1, e2, q)
+    verdict = compare(exact, threshold)
     lam = lambda_factor(MINUS, PLUS, m1, m2, q)
     qd = Fraction(q) ** (-(d // 2))
     relaxed = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd / lam
@@ -411,8 +288,8 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
         alpha2=a2,
         lower_bound=exact,
         threshold=threshold,
-        passed=exact >= threshold,
-        tight=exact == threshold,
+        passed=verdict >= 0,
+        tight=verdict == 0,
         formula_id=case.formula_id,
         relaxed_bound=relaxed,
         seconds=time.perf_counter() - t0,
@@ -430,7 +307,7 @@ def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
     qd = Fraction(q) ** (-(d // 2))
     display = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd
     exact = mixing_lower_bound(a, a, e1, e2, q)
-    assert exact == display, "uniform-density bound must collapse to the display"
+    assert exact == surd(display), "uniform-density bound must collapse to the display"
     return BoundReport(
         family="symplectic",
         q=q,
@@ -438,7 +315,7 @@ def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
         e2=e2,
         alpha1=a,
         alpha2=a,
-        lower_bound=QuadExt.make(display),
+        lower_bound=surd(display),
         threshold=threshold,
         passed=display >= threshold,
         tight=display == threshold,
@@ -470,7 +347,7 @@ def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
         qd = Fraction(q) ** (-(e1 + e2))
         value = bq(q * q, e1, e2) * (1 + qd) - bq(-q, e1, e2) * qd
         exact = mixing_lower_bound(a, a, e1, e2, q * q)
-        assert exact == value, "uniform-density bound must collapse to the display"
+        assert exact == surd(value), "uniform-density bound must collapse to the display"
     return BoundReport(
         family="unitary",
         q=q,
@@ -478,7 +355,7 @@ def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
         e2=e2,
         alpha1=a,
         alpha2=a,
-        lower_bound=QuadExt.make(value),
+        lower_bound=surd(value),
         threshold=threshold,
         passed=value >= threshold,
         tight=value == threshold,
@@ -609,12 +486,13 @@ def verify_orthogonal(
     run_oracle: bool = True,
     full_pairs_d4: bool = False,
     workers: int = 1,
+    budget: int | None = None,
 ) -> FamilyReport:
     """Sweep all sign combinations over q <= q_max, m2 <= m1 <= m_max.
 
     Non-exception tuples must clear the threshold in closed form; the seven
     exception tuples go to the enumeration oracle, whose exact proportion
-    must clear the same threshold.
+    must clear the same threshold.  `budget` caps each oracle enumeration.
     """
     orthogonal = THEOREM["orthogonal"]
     bound_reports = []
@@ -637,7 +515,7 @@ def verify_orthogonal(
                 for eps, s1, s2 in product(SIGNS, repeat=3):
                     form = forms.standard_form(orthogonal.kind, e1 + e2, q, eps)
                     crep = oracle.count_case(
-                        form, e1, e2, s1, s2, threshold, full_pairs, workers=workers
+                        form, e1, e2, s1, s2, threshold, full_pairs, budget, workers
                     )
                     count_reports.append(crep)
                     if not crep.passed:

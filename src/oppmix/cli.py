@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, exactnum, forms, oracle, spectrum
-from .bounds import QuadExt
+from .bounds import Surd
 from .linalg import BudgetError
 
 CSV_COLUMNS = [
@@ -49,7 +49,7 @@ def frac_jsonable(x: Fraction) -> dict:
     }
 
 
-def quad_jsonable(x: QuadExt) -> dict:
+def quad_jsonable(x: Surd) -> dict:
     return {
         "a": frac_jsonable(x.a),
         "b": frac_jsonable(x.b),
@@ -65,10 +65,8 @@ def dumps_canonical(obj) -> str:
 def frac_str(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, QuadExt):
-        if x.is_rational:
-            return frac_str(x.as_fraction())
-        return str(x)
+    if isinstance(x, Surd):
+        return str(x) if x.b else frac_str(x.a)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -110,7 +108,6 @@ def count_report_jsonable(rep: oracle.CountReport) -> dict:
         "threshold": frac_jsonable(rep.threshold) if rep.threshold is not None else None,
         "pass": rep.passed,
         "method": rep.method,
-        "seed": rep.seed,
         "seconds": round(rep.seconds, 6),
     }
 
@@ -270,6 +267,7 @@ def cmd_verify(args) -> int:
                 "run_oracle": not args.skip_oracle,
                 "full_pairs_d4": args.full_pairs,
                 "workers": args.workers,
+                "budget": args.budget,
             }
         rep = bounds.verify_theorem(fam, **kwargs)
         overall_failures.extend(rep.failures)
@@ -350,12 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_case=True):
         p.add_argument("--format", choices=["table", "json", "csv"], default="table")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET)
-        p.add_argument("--seed", type=int, default=0)
         if with_case:
             p.add_argument("--e1", type=int, required=True)
             p.add_argument("--e2", type=int, required=True)
             p.add_argument("--q", type=prime_power_arg, required=True)
+
+    def budget(p):
+        p.add_argument("--budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET)
 
     def family_case(p):
         p.add_argument("--family", choices=list(bounds.THEOREM), required=True)
@@ -374,11 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact enumeration of one case")
     common(p)
     family_case(p)
+    budget(p)
     p.add_argument("--full-pairs", action="store_true", help="count every pair (no orbit shortcut)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run a family's theorem sweep")
     common(p, with_case=False)
+    budget(p)
     p.add_argument("--family", choices=[*bounds.THEOREM, "all"], required=True)
     p.add_argument("--full-pairs", action="store_true", help="cross-check d=4 exceptions with all pairs")
     p.add_argument("--skip-oracle", action="store_true", help="closed-form sweep only")
@@ -387,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixing-check", help="exact mixing-lemma property suite")
     common(p)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mixing_check)
 
     return parser

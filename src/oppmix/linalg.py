@@ -193,8 +193,6 @@ def complementary(s1: Subspace, s2: Subspace, fld: Field) -> bool:
         raise ValueError(f"ambient mismatch: {s1.d} != {s2.d}")
     if s1.e + s2.e > s1.d:
         return False
-    if fld.q == 2:
-        return complementary_bits(s1.bit_rows(), s2.bit_rows())
     # Seed elimination with s1, already in RREF.
     by_pivot = {p: list(row) for p, row in zip(s1.pivots, s1.basis)}
     d = s1.d

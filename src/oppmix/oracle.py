@@ -56,7 +56,6 @@ class CountReport:
     seconds: float
     threshold: Fraction | None = None
     passed: bool | None = None
-    seed: int | None = None
 
 
 def _classifier(form: ClassicalForm):

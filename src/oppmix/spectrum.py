@@ -103,10 +103,7 @@ def eigen_exponents(e1: int, e2: int) -> SpectrumResult:
 
 def a_invariants(mu: TwoRowPartition) -> tuple:
     """(a, a*) with a = sum (i-1) mu_i and a* = sum C(mu_i, 2)."""
-    parts = mu.parts
-    a = sum(i * m for i, m in enumerate(parts))
-    a_star = sum(comb(m, 2) for m in parts)
-    return a, a_star
+    return a_of_parts(mu.parts), sum(comb(m, 2) for m in mu.parts)
 
 
 def a_of_parts(parts) -> int:

@@ -102,7 +102,7 @@ def test_criterion_5_hermitian_tight_case():
     assert rep.proportion == 1 - Fraction(2, 2**2)  # c = 2 at (1,1,2)
     alpha = bounds.alpha_unitary(1, 1, 2)
     lower = bounds.mixing_lower_bound(alpha, alpha, 1, 1, 4)
-    assert lower == rep.proportion  # the mixing bound is attained
+    assert bounds.compare(lower, rep.proportion) == 0  # the mixing bound is attained
     dt = time.perf_counter() - t0
     _ok(5, "hermitian (1,1,2): proportion = 1/2 = 1 - 2/q^2 = mixing bound", dt)
 

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from oppmix import bounds, exactnum, forms, oracle
-from oppmix.bounds import QuadExt
+from oppmix.bounds import compare, surd
 
 
 def interval_sign(a: Fraction, b: Fraction, base: int) -> int:
@@ -24,23 +24,29 @@ def interval_sign(a: Fraction, b: Fraction, base: int) -> int:
 
 
 def test_quadext_construction_folds_squares():
-    x = QuadExt.make(Fraction(1, 3), Fraction(2), 9)
-    assert x.is_rational and x.as_fraction() == Fraction(19, 3)
-    y = QuadExt.from_radicand(0, 1, Fraction(9, 4))
-    assert y.as_fraction() == Fraction(3, 2)
-    z = QuadExt.from_radicand(1, -1, Fraction(2, 3))
+    x = surd(Fraction(1, 3), Fraction(2), 9)
+    assert x == (Fraction(19, 3), 0, 0)
+    y = surd(0, 1, Fraction(9, 4))
+    assert y == (Fraction(3, 2), 0, 0)
+    z = surd(1, -1, Fraction(2, 3))
     assert z.base == 6 and z.b == Fraction(-1, 3)
+    assert surd(Fraction(1, 2)) == (Fraction(1, 2), 0, 0)  # a rational stays rational
+    assert surd(5, 0, 2) == (5, 0, 0)  # b == 0 forces base == 0
     with pytest.raises(ValueError):
-        QuadExt.from_radicand(0, 1, Fraction(-1, 4))
+        surd(0, 1, Fraction(-1, 4))
 
 
 def test_quadext_sign_examples():
-    assert QuadExt.make(0, 1, 2).sign() == 1
-    assert QuadExt.make(0, -1, 2).sign() == -1
-    assert QuadExt.make(-1, 1, 2).sign() == 1  # sqrt(2) > 1
-    assert QuadExt.make(-2, 1, 2).sign() == -1  # sqrt(2) < 2
-    assert QuadExt.make(-3, 2, 2).sign() == -1  # 2 sqrt(2) = 2.828...
-    assert QuadExt.make(-2, 1, 4).sign() == 0  # folded: sqrt(4) = 2
+    assert compare(surd(0, 1, 2), 0) == 1
+    assert compare(surd(0, -1, 2), 0) == -1
+    assert compare(surd(0, 1, 2), 1) == 1  # sqrt(2) > 1
+    assert compare(surd(0, 1, 2), 2) == -1  # sqrt(2) < 2
+    assert compare(surd(0, 1, 2), Fraction(3, 2)) == -1  # sqrt(2) < 3/2
+    assert compare(surd(0, 2, 2), 3) == -1  # 2 sqrt(2) = 2.828...
+    assert compare(surd(-2, 1, 4), 0) == 0  # folded: sqrt(4) = 2
+    assert compare(surd(Fraction(1, 2)), Fraction(1, 2)) == 0
+    with pytest.raises(TypeError):  # no lexicographic tuple order
+        surd(0, 1, 2) < surd(1)
 
 
 def test_quadext_sign_against_interval_oracle():
@@ -49,9 +55,9 @@ def test_quadext_sign_against_interval_oracle():
     for _ in range(10_000):
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
         b = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+        t = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
         base = rng.choice(qs)
-        x = QuadExt.make(a, b, base)
-        assert x.sign() == interval_sign(a, b, base)
+        assert compare(surd(a, b, base), t) == interval_sign(a - t, b, base)
 
 
 def test_quadext_zero_detection():
@@ -60,43 +66,7 @@ def test_quadext_zero_detection():
     for _ in range(500):
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        x = QuadExt.make(a, b, 7)
-        assert (x.sign() == 0) == (a == 0 and b == 0)
-
-
-def test_quadext_comparisons_cross_base():
-    r2 = QuadExt.make(0, 1, 2)
-    r3 = QuadExt.make(0, 1, 3)
-    assert r2 < r3
-    assert r3 > r2
-    assert QuadExt.make(1, 1, 2) < QuadExt.make(0, 2, 3)  # 2.414 < 3.46
-    assert QuadExt.make(0, 5, 2) > QuadExt.make(0, 4, 3)  # 7.07 > 6.93
-    assert QuadExt.make(1, 1, 8) == QuadExt.make(1, 2, 2)  # sqrt(8) = 2 sqrt(2)
-    assert r2 < Fraction(3, 2)
-    assert r2 > 1
-    assert QuadExt.make(Fraction(1, 2)) == Fraction(1, 2)
-
-
-def test_quadext_arithmetic():
-    r2 = QuadExt.make(0, 1, 2)
-    assert (r2 * r2) == 2
-    x = (1 + r2) * (1 + r2)  # 3 + 2 sqrt(2)
-    assert x == QuadExt.make(3, 2, 2)
-    assert (x - 3) == QuadExt.make(0, 2, 2)
-    assert (2 - r2).sign() == 1
-    assert (-r2).sign() == -1
-    assert (Fraction(1, 2) * r2) == QuadExt.make(0, Fraction(1, 2), 2)
-    with pytest.raises(ValueError):
-        r2 * QuadExt.make(0, 1, 3)
-
-
-def test_q_power_half():
-    assert bounds.q_power_half(2, 4) == 4
-    assert bounds.q_power_half(2, -4) == Fraction(1, 4)
-    assert bounds.q_power_half(2, 1) == QuadExt.make(0, 1, 2)
-    assert bounds.q_power_half(2, -3) == QuadExt.make(0, Fraction(1, 4), 2)
-    assert bounds.q_power_half(4, 1) == 2  # perfect square folds
-    assert bounds.q_power_half(4, -3) == Fraction(1, 8)
+        assert (compare(surd(a, b, 7), 0) == 0) == (a == 0 and b == 0)
 
 
 def test_omega_tail_lower_is_sound():
@@ -108,24 +78,28 @@ def test_omega_tail_lower_is_sound():
 
 
 def test_mixing_lower_bound_alpha_one():
-    assert bounds.mixing_lower_bound(1, 1, 2, 2, 2) == exactnum.bq(2, 2, 2)
-    assert bounds.mixing_lower_bound(1, 1, 3, 1, 3) == exactnum.bq(3, 3, 1)
+    assert bounds.mixing_lower_bound(1, 1, 2, 2, 2) == surd(exactnum.bq(2, 2, 2))
+    assert bounds.mixing_lower_bound(1, 1, 3, 1, 3) == surd(exactnum.bq(3, 3, 1))
 
 
 def test_mixing_lower_bound_hermitian_tight():
     val = bounds.mixing_lower_bound(Fraction(2, 5), Fraction(2, 5), 1, 1, 4)
-    assert val == Fraction(1, 2)
+    assert val == surd(Fraction(1, 2))
 
 
 def test_mixing_lower_bound_symmetric_alpha_collapses():
+    def value(x):
+        # a + b sqrt(n) as (a, sign(b) b^2 n), equal exactly when the values are:
+        # at odd d the two sides carry the same radical under different radicands
+        return x.a, ((x.b > 0) - (x.b < 0)) * x.b * x.b * x.base
+
     for q, e1, e2 in [(2, 2, 2), (3, 2, 1), (2, 4, 2)]:
         alpha = Fraction(1, 3)
         sym = bounds.mixing_lower_bound(alpha, alpha, e1, e2, q)
         d = e1 + e2
-        direct = exactnum.bq(q, e1, e2) * (
-            1 - (1 / alpha - 1) * bounds.q_power_half(q, -d)
-        )
-        assert sym == direct
+        k = exactnum.bq(q, e1, e2)
+        direct = surd(k, -k * (1 / alpha - 1), Fraction(1, q**d))  # k (1 - (1/alpha - 1) q^(-d/2))
+        assert value(sym) == value(direct)
 
 
 def test_mixing_lower_bound_validation():
@@ -136,9 +110,9 @@ def test_mixing_lower_bound_validation():
 
 
 def test_corollary_bound_examples():
-    assert bounds.corollary_bound(1, 4, 2) == 1 - Fraction(3, 4)
-    assert bounds.corollary_bound(Fraction(1, 2), 4, 2) == Fraction(3, 16)
-    assert bounds.corollary_bound(Fraction(2, 3), 6, 3) == Fraction(53, 108)
+    assert bounds.corollary_bound(1, 4, 2) == surd(1 - Fraction(3, 4))
+    assert bounds.corollary_bound(Fraction(1, 2), 4, 2) == surd(Fraction(3, 16))
+    assert bounds.corollary_bound(Fraction(2, 3), 6, 3) == surd(Fraction(53, 108))
 
 
 def test_bound_ordering_two_alpha_vs_uniform_vs_corollary():
@@ -156,11 +130,13 @@ def test_bound_ordering_two_alpha_vs_uniform_vs_corollary():
                     amin = min(a1, a2)
                     two = bounds.mixing_lower_bound(a1, a2, e1, e2, q)
                     uni = bounds.mixing_lower_bound(amin, amin, e1, e2, q)
-                    assert two >= uni
+                    assert uni.b == 0  # equal densities, even d: rational
+                    assert compare(two, uni.a) >= 0
                     inner = 1 - (1 / amin - 1) * Fraction(1, q ** (d // 2))
                     if inner >= 0:
                         cor = bounds.corollary_bound(amin, d, q)
-                        assert uni >= cor
+                        assert cor.b == 0
+                        assert compare(uni, cor.a) >= 0
                         checked_corollary += 1
     assert checked_corollary > 20
 
@@ -204,7 +180,7 @@ def test_alpha_matches_oracle_density():
 def test_bound_orthogonal_report():
     rep = bounds.bound_orthogonal(1, 1, 1, 1, 1, 2)
     assert rep.alpha1 == Fraction(18, 35)
-    assert rep.lower_bound == Fraction(22, 63)
+    assert rep.lower_bound == surd(Fraction(22, 63))
     assert rep.passed and not rep.tight
     assert rep.note is not None  # (2,1,1) is an exception tuple
     rep2 = bounds.bound_orthogonal(1, -1, -1, 1, 1, 2)
@@ -220,7 +196,7 @@ def test_bound_orthogonal_relaxed_is_bestlb():
             lam = exactnum.lambda_factor(-1, 1, m1, m2, q)
             alpha = lam * exactnum.bq(q, 2 * m1, 2 * m2) / exactnum.bq(q * q, m1, m2)
             uniform = bounds.mixing_lower_bound(alpha, alpha, 2 * m1, 2 * m2, q)
-            assert uniform == rep.relaxed_bound
+            assert uniform == surd(rep.relaxed_bound)
 
 
 def test_bound_orthogonal_q7_display():
@@ -252,7 +228,7 @@ def test_orthogonal_exceptions_are_exactly_the_failures():
 
 def test_bound_symplectic():
     rep = bounds.bound_symplectic(1, 1, 2)
-    assert rep.lower_bound == Fraction(13, 35)
+    assert rep.lower_bound == surd(Fraction(13, 35))
     assert rep.threshold == Fraction(2, 7)
     assert rep.passed
     for q in (2, 3, 4):
@@ -277,7 +253,7 @@ def test_symplectic_oracle_beats_bound():
     y = oracle.build_yset(spform, 2)
     rep = oracle.count_complementary(y, y)
     formula = bounds.bound_symplectic(1, 1, 2)
-    assert rep.proportion >= formula.lower_bound.as_fraction()
+    assert compare(formula.lower_bound, rep.proportion) <= 0
 
 
 def test_bound_unitary_thresholds():

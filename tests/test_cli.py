@@ -180,6 +180,31 @@ def test_count_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_verify_budget_exit_code(capsys):
+    code, _, err = run(
+        capsys, "verify", "--family", "orthogonal", "--budget", "10", "--workers", "1"
+    )
+    assert code == 3
+    assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "2", "--seed", "5"],
+        ["bound", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "2", "--seed", "5"],
+        ["bound", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "2", "--budget", "9"],
+        ["spectrum", "--e1", "2", "--e2", "2", "--q", "2", "--budget", "9"],
+        ["mixing-check", "--e1", "2", "--e2", "1", "--q", "2", "--budget", "9"],
+    ],
+)
+def test_flags_a_command_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "family,e1,e2,q,threshold",
     [
@@ -232,9 +257,11 @@ def test_verify_orthogonal_skip_oracle(capsys):
 
 def test_mixing_check(capsys):
     code, out, _ = run(
-        capsys, "mixing-check", "--e1", "2", "--e2", "1", "--q", "2", "--trials", "20"
+        capsys, "mixing-check", "--e1", "2", "--e2", "1", "--q", "2", "--trials", "20",
+        "--seed", "5",
     )
     assert code == 0
+    assert "seed=5" in out
     assert "PASS" in out
 
 
@@ -272,6 +299,10 @@ def test_q_not_prime_power_exit_code(capsys, argv):
 def test_frac_str():
     from fractions import Fraction
 
+    from oppmix.bounds import surd
+
     assert cli.frac_str(Fraction(3, 7)) == "3/7"
     assert cli.frac_str(Fraction(4)) == "4"
     assert cli.frac_str(None) == ""
+    assert cli.frac_str(surd(Fraction(1, 2))) == "1/2"
+    assert cli.frac_str(surd(1, -1, 2)) == "1 + -1*sqrt(2)"

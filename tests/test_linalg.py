@@ -123,7 +123,7 @@ def test_complementary_general_q_matches_bits():
     for s1 in subs:
         for s2 in subs:
             bit = linalg.complementary_bits(s1.bit_rows(), s2.bit_rows())
-            # route the generic path by lying about q via direct call
+            # complementary() runs the generic elimination over every field
             by_pivot = linalg.complementary(s1, s2, f2)
             assert bit == by_pivot
 
