@@ -4,18 +4,23 @@ A subspace is held as its reduced-row-echelon basis plus the pivot columns,
 which makes equality structural and the enumeration duplicate-free.  The
 enumeration order is fixed: pivot-column patterns lexicographically, then an
 odometer over the free entries (row-major positions, rightmost digit fastest,
-field values ascending).  Chunked/parallel consumers rely on this order.
+field values ascending).
 
 Over F_2 a row is also a machine-word bitmask (bit j = coordinate j).  The
 *_bits functions work on subspaces held as tuples of such rows:
 subspaces_for_pattern_bits enumerates them directly, in the same canonical
 order, and complementary_bits is the hot pair test.
+
+members and pair_test are the one place that picks a field's representation:
+bitmask-row tuples over F_2, Subspace objects over every other field.
+Callers that only enumerate and pair-test never branch on q.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterator, NamedTuple
+from functools import partial
+from itertools import chain, combinations, product
+from typing import Callable, Iterator, NamedTuple
 
 from .exactnum import gaussian_binomial
 from .gf import Field
@@ -153,10 +158,6 @@ def subspaces_for_pattern_bits(d: int, pattern) -> Iterator[tuple]:
     return product(*candidates)
 
 
-def count_subspaces(d: int, e: int, q: int) -> int:
-    return gaussian_binomial(d, e, q)
-
-
 def enumerate_subspaces(
     d: int, e: int, fld: Field, budget: int | None = None
 ) -> Iterator[Subspace]:
@@ -164,7 +165,7 @@ def enumerate_subspaces(
     if not 0 <= e <= d:
         raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
     if budget is not None:
-        total = count_subspaces(d, e, fld.q)
+        total = gaussian_binomial(d, e, fld.q)
         if total > budget:
             raise BudgetError(
                 f"enumeration of {total} subspaces (d={d}, e={e}, q={fld.q}) "
@@ -177,11 +178,16 @@ def enumerate_subspaces(
         yield from subspaces_for_pattern(d, pattern, fld)
 
 
-def pivot_patterns(d: int, e: int) -> list:
-    """The enumeration's chunk keys, in order."""
-    if e == 0:
-        return [()]
-    return list(combinations(range(d), e))
+def members(d: int, e: int, fld: Field) -> Iterator:
+    """Every e-subspace in the canonical order, in the field's representation.
+
+    Over F_2 each member is a tuple of bitmask rows; over other fields it is
+    a Subspace.  pair_test(fld) is the matching complementarity test.
+    """
+    if fld.q == 2:
+        patterns = combinations(range(d), e)
+        return chain.from_iterable(subspaces_for_pattern_bits(d, p) for p in patterns)
+    return enumerate_subspaces(d, e, fld)
 
 
 # -- complementarity -------------------------------------------------------
@@ -222,6 +228,13 @@ def complementary(s1: Subspace, s2: Subspace, fld: Field) -> bool:
             r = [fld.mul(inv, v) for v in r]
         by_pivot[lead] = r
     return True
+
+
+def pair_test(fld: Field) -> Callable:
+    """The complementarity test on two members(..., fld) members."""
+    if fld.q == 2:
+        return complementary_bits
+    return partial(complementary, fld=fld)
 
 
 def complementary_bits(rows1, rows2) -> bool:

@@ -6,11 +6,12 @@ complementary-pair counting comes in two flavours (all pairs, and the
 single-orbit shortcut that fixes one subspace), which must agree wherever
 both run.
 
-Over F_2, Y-set members are tuples of bitmask rows, enumerated as such and
-fed straight to the bitmask pair test; over other fields they are Subspace
-objects.  A partition build classifies each distinct restricted form (the
-form on the member's basis) once and reuses the verdict for every member
-that restricts to it.
+Members come from linalg.members and are paired with linalg.pair_test, so
+the representation (bitmask-row tuples over F_2, Subspace objects over other
+fields) is chosen in linalg; only the restricted-form keys of a partition
+build read bitmask rows themselves, for speed.  A partition build classifies
+each distinct restricted form (the form on the member's basis) once and
+reuses the verdict for every member that restricts to it.
 
 The oracle knows no theorem: a caller that judges a proportion passes the
 threshold in.
@@ -23,6 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 from . import exactnum, forms, linalg, spectrum
@@ -107,37 +109,6 @@ def _classifier(form: ClassicalForm):
     return key, verdict
 
 
-def _classify_patterns(form: ClassicalForm, patterns) -> tuple:
-    """Buckets and degenerate count for the subspaces with these pivot patterns.
-
-    Each distinct restricted form is classified once, on its first member.
-    """
-    key, verdict = _classifier(form)
-    d, fld = form.d, form.field
-    memo: dict = {}
-    buckets: dict = {}
-    degenerate = 0
-    for pattern in patterns:
-        if fld.q == 2:
-            members = linalg.subspaces_for_pattern_bits(d, pattern)
-        else:
-            members = linalg.subspaces_for_pattern(d, pattern, fld)
-        for s in members:
-            k = key(s)
-            try:
-                c = memo[k]
-            except KeyError:
-                c = memo[k] = verdict(s)
-            if c is None:
-                degenerate += 1
-            else:
-                buckets.setdefault(c, []).append(s)
-    return buckets, degenerate
-
-
-_partition_cache: dict = {}
-
-
 def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
     """Split all e-subspaces into non-degenerate buckets plus a degenerate count.
 
@@ -148,20 +119,36 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
     if form.kind == forms.ORTHOGONAL and e % 2:
         raise ValueError("orthogonal type classification needs even dimensions")
     q = form.field.q
-    total = linalg.count_subspaces(form.d, e, q)
+    total = exactnum.gaussian_binomial(form.d, e, q)
     if total > (budget or DEFAULT_ENUM_BUDGET):
         raise linalg.BudgetError(
             f"{total} {e}-subspaces of dim {form.d} over F_{q} "
             f"exceed budget {budget or DEFAULT_ENUM_BUDGET}"
         )
-    key = (form, e)
-    hit = _partition_cache.get(key)
-    if hit is not None:
-        return hit
-    buckets, degenerate = _classify_patterns(form, linalg.pivot_patterns(form.d, e))
-    result = ({k: tuple(v) for k, v in buckets.items()}, degenerate)
-    _partition_cache[key] = result
-    return result
+    return _partition(form, e)
+
+
+@lru_cache(maxsize=None)
+def _partition(form: ClassicalForm, e: int) -> tuple:
+    """classify_partition without the budget check.
+
+    Each distinct restricted form is classified once, on its first member.
+    """
+    restricted, verdict = _classifier(form)
+    memo: dict = {}
+    buckets: dict = {}
+    degenerate = 0
+    for s in linalg.members(form.d, e, form.field):
+        k = restricted(s)
+        try:
+            c = memo[k]
+        except KeyError:
+            c = memo[k] = verdict(s)
+        if c is None:
+            degenerate += 1
+        else:
+            buckets.setdefault(c, []).append(s)
+    return {c: tuple(v) for c, v in buckets.items()}, degenerate
 
 
 def build_yset(
@@ -196,37 +183,32 @@ def build_yset(
 # -- pair counting -----------------------------------------------------------
 
 
-def _count_pairs_gf2(rows1, rows2) -> int:
-    comp = linalg.complementary_bits
-    return sum(1 for r1 in rows1 for r2 in rows2 if comp(r1, r2))
-
-
-def _count_pairs_job(args):
-    rows1, rows2 = args
-    return _count_pairs_gf2(rows1, rows2)
+def _count_pairs(args) -> int:
+    """Complementary pairs in members1 x members2 over F_q; one pool job."""
+    q, members1, members2 = args
+    comp = linalg.pair_test(field(q))
+    return sum(1 for s1 in members1 for s2 in members2 if comp(s1, s2))
 
 
 def count_complementary(
     y1: YSet, y2: YSet, threshold: Fraction | None = None, workers: int = 1
 ) -> CountReport:
-    """Exact count over all of Y1 x Y2."""
+    """Exact count over all of Y1 x Y2.
+
+    With workers > 1 and more than 250,000 pairs, Y1 is dealt round-robin to
+    a process pool.
+    """
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
     t0 = time.perf_counter()
-    fld = y1.form.field
-    n1, n2 = y1.count, y2.count
-    if fld.q == 2:
-        rows1, rows2 = y1.members, y2.members
-        if workers > 1 and n1 * n2 > 250_000:
-            chunks = [rows1[i::workers] for i in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                pairs = sum(pool.map(_count_pairs_job, [(c, rows2) for c in chunks if c]))
-        else:
-            pairs = _count_pairs_gf2(rows1, rows2)
+    q, m1, m2 = y1.form.field.q, y1.members, y2.members
+    if workers > 1 and len(m1) * len(m2) > 250_000:
+        jobs = [(q, m1[i::workers], m2) for i in range(min(workers, len(m1)))]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pairs = sum(pool.map(_count_pairs, jobs))
     else:
-        comp = linalg.complementary
-        pairs = sum(1 for s1 in y1.members for s2 in y2.members if comp(s1, s2, fld))
-    proportion = Fraction(pairs, n1 * n2)
+        pairs = _count_pairs((q, m1, m2))
+    proportion = Fraction(pairs, len(m1) * len(m2))
     return _finish_report(y1, y2, pairs, proportion, "full-pairs", t0, threshold)
 
 
@@ -241,13 +223,9 @@ def count_complementary_transitive(
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
     t0 = time.perf_counter()
-    fld = y1.form.field
+    comp = linalg.pair_test(y1.form.field)
     s1 = y1.members[0]
-    if fld.q == 2:
-        comp = linalg.complementary_bits
-        hits = sum(1 for s2 in y2.members if comp(s1, s2))
-    else:
-        hits = sum(1 for s2 in y2.members if linalg.complementary(s1, s2, fld))
+    hits = sum(1 for s2 in y2.members if comp(s1, s2))
     pairs = hits * y1.count
     proportion = Fraction(hits, y2.count)
     return _finish_report(y1, y2, pairs, proportion, "transitivity-fast-path", t0, threshold)
@@ -324,39 +302,26 @@ class Biadjacency:
         return [sum(col) for col in zip(*self.rows)]
 
 
-_biadjacency_cache: dict = {}
-
-
 def build_biadjacency(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_CAP) -> Biadjacency:
     """0/1 matrix of the complementarity relation in enumeration order.
 
     The cap is checked on every call, before the cache.
     """
     d = e1 + e2
-    n1 = linalg.count_subspaces(d, e1, q)
+    n1 = exactnum.gaussian_binomial(d, e1, q)
     if n1 > cap:
         raise linalg.BudgetError(f"[{d} choose {e1}]_{q} = {n1} exceeds the cap {cap}")
-    key = (e1, e2, q)
-    hit = _biadjacency_cache.get(key)
-    if hit is not None:
-        return hit
+    return _biadjacency(e1, e2, q)
+
+
+@lru_cache(maxsize=None)
+def _biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     fld = field(q)
-    x1 = list(linalg.enumerate_subspaces(d, e1, fld))
-    x2 = list(linalg.enumerate_subspaces(d, e2, fld)) if e1 != e2 else x1
-    if fld.q == 2:
-        b1 = [s.bit_rows() for s in x1]
-        b2 = [s.bit_rows() for s in x2]
-        comp = linalg.complementary_bits
-        rows = tuple(
-            tuple(1 if comp(r1, r2) else 0 for r2 in b2) for r1 in b1
-        )
-    else:
-        rows = tuple(
-            tuple(1 if linalg.complementary(s1, s2, fld) else 0 for s2 in x2) for s1 in x1
-        )
-    out = Biadjacency(e1, e2, q, rows)
-    _biadjacency_cache[key] = out
-    return out
+    x1 = list(linalg.members(e1 + e2, e1, fld))
+    x2 = list(linalg.members(e1 + e2, e2, fld)) if e1 != e2 else x1
+    comp = linalg.pair_test(fld)
+    rows = tuple(tuple(1 if comp(s1, s2) else 0 for s2 in x2) for s1 in x1)
+    return Biadjacency(e1, e2, q, rows)
 
 
 def _mat_mul(a, b) -> list:

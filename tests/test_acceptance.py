@@ -8,7 +8,7 @@ wall-clock guards, asserted with generous headroom over the stated budgets.
 import time
 from fractions import Fraction
 
-from oppmix import bounds, exactnum, forms, linalg, oracle, spectrum
+from oppmix import bounds, exactnum, forms, oracle, spectrum
 
 ORTH_SYMP_CASES = sorted({(q, d) for q in (2, 3) for d in (4, 6)} | {(4, 4), (5, 4), (2, 8)})
 HERMITIAN_CASES = [(2, 2), (2, 3), (2, 4)]
@@ -80,7 +80,7 @@ def test_criterion_4_counts_match_oracle():
                         checked += 1
                     assert (
                         len(buckets.get(1, ())) + len(buckets.get(-1, ())) + degenerate
-                        == linalg.count_subspaces(d, e, q)
+                        == exactnum.gaussian_binomial(d, e, q)
                     )
     for q, d in HERMITIAN_CASES:
         hform = forms.standard_form("hermitian", d, q)

@@ -59,9 +59,8 @@ def test_bits_enumeration_matches_subspaces_for_pattern():
     f = field(2)
     for d in range(1, 9):
         for e in range(0, d + 1):
-            for pattern in linalg.pivot_patterns(d, e):
-                want = [s.bit_rows() for s in linalg.subspaces_for_pattern(d, pattern, f)]
-                assert list(linalg.subspaces_for_pattern_bits(d, pattern)) == want, (d, pattern)
+            want = [s.bit_rows() for s in enumerate_subspaces(d, e, f)]
+            assert list(linalg.members(d, e, f)) == want, (d, e)
 
 
 def test_enumeration_unique_and_canonical():

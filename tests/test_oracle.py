@@ -38,7 +38,7 @@ def test_orthogonal_counts_match_closed_form(q, d):
                     )
                     assert got == want, (q, d, eps, e, sigma)
                     total += got
-                assert total + degenerate == linalg.count_subspaces(d, e, q)
+                assert total + degenerate == exactnum.gaussian_binomial(d, e, q)
 
 
 @pytest.mark.parametrize("q,d", SYMPLECTIC_CASES)
@@ -173,6 +173,14 @@ def test_transitive_agrees_on_general_q():
     )
 
 
+def test_pool_count_matches_transitive_general_q():
+    # 650^2 = 422,500 pairs: the smallest q > 2 case above the pool threshold
+    y = oracle.build_yset(forms.standard_form("symplectic", 4, 5), 2)
+    assert y.count == 650
+    full = oracle.count_complementary(y, y, workers=2)
+    assert full.pairs == oracle.count_complementary_transitive(y, y).pairs == 328_250
+
+
 def test_biadjacency_examples():
     b = oracle.build_biadjacency(1, 1, 2)
     assert b.rows == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -183,6 +191,16 @@ def test_biadjacency_examples():
     assert b2222.n1 == 35
     assert set(b2222.row_sums()) == {16}
     assert set(b2222.col_sums()) == {16}
+
+
+@pytest.mark.parametrize("e1,e2", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_biadjacency_index_order_gf2(e1, e2):
+    # mixing-check seeds pick rows and columns by index in enumeration order
+    f = field(2)
+    x1 = list(linalg.enumerate_subspaces(e1 + e2, e1, f))
+    x2 = list(linalg.enumerate_subspaces(e1 + e2, e2, f))
+    want = tuple(tuple(int(linalg.complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
+    assert oracle.build_biadjacency(e1, e2, 2).rows == want
 
 
 def test_biadjacency_cap():
