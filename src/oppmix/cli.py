@@ -2,7 +2,10 @@
 
 Commands: spectrum | bound | count | verify | mixing-check.  Output formats:
 table (default), json, csv.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 usage error (argparse's own), 3 enumeration budget exceeded.
+failed, 2 usage error (argparse's own), 3 enumeration budget exceeded, 4
+internal error (an ArithmeticError: an exact result contradicted itself, such
+as an enumerated count that disagrees with its closed form), reported as one
+"internal error:" line on stderr.
 
 JSON is canonical: keys sorted, rationals as {"num": "...", "den": "..."}
 decimal strings plus a non-authoritative float "approx"; parsing and
@@ -402,6 +405,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,11 @@ order, and complementary_bits is the hot pair test.
 
 members and pair_test are the one place that picks a field's representation:
 bitmask-row tuples over F_2, Subspace objects over every other field.
-Callers that only enumerate and pair-test never branch on q.
+Callers that only enumerate and pair-test never branch on q.  pair_test is
+curried on S1: over other fields it reduces each distinct S2 row against
+S1's RREF basis once per S1 and caches independence verdicts on the reduced
+rows.  complementary, one full elimination per pair, stays as the reference
+implementation the tests hold pair_test to.
 """
 
 from __future__ import annotations
@@ -230,11 +234,65 @@ def complementary(s1: Subspace, s2: Subspace, fld: Field) -> bool:
     return True
 
 
-def pair_test(fld: Field) -> Callable:
-    """The complementarity test on two members(..., fld) members."""
+def pair_test(fld: Field, n2: int) -> Callable:
+    """Complementarity of members(..., fld), curried: pair_test(fld, n2)(s1)(s2).
+
+    Callers fix S1 outermost and test it against n2 members S2.  Over F_2 the
+    test is complementary_bits.  Over other fields each distinct S2 row is
+    reduced against S1's RREF basis once per S1 (see _Reduced), and S1 + S2
+    is direct iff the e2 reduced rows are independent.  That verdict depends
+    on the reduced rows alone, so it is cached on them across every S1; the
+    cache is cleared when it reaches n2 entries.  complementary is the
+    reference this agrees with.
+    """
     if fld.q == 2:
-        return complementary_bits
-    return partial(complementary, fld=fld)
+        return lambda rows1: partial(complementary_bits, rows1)
+    independent: dict = {}
+
+    def against(s1: Subspace) -> Callable:
+        reduce = _Reduced(s1, fld).__getitem__
+
+        def test(s2: Subspace) -> bool:
+            key = tuple(map(reduce, s2.basis))
+            try:
+                return independent[key]
+            except KeyError:
+                if len(independent) >= n2:
+                    independent.clear()
+                verdict = independent[key] = rank(key, fld) == len(key)
+                return verdict
+
+        return test
+
+    return against
+
+
+class _Reduced(dict):
+    """Row -> the row minus its S1 part, on S1's non-pivot columns.
+
+    S1's RREF basis row i has a 1 at pivot i and 0 at every other pivot, so
+    the coefficient of row i is the row's own entry at pivot i.  One instance
+    serves one S1; it holds one entry per distinct row asked for, at most
+    (q^d - 1)/(q - 1) for RREF rows.
+    """
+
+    def __init__(self, s1: Subspace, fld: Field):
+        super().__init__()
+        self.fld = fld
+        self.pivots = tuple(zip(s1.pivots, s1.basis))
+        self.free = tuple(j for j in range(s1.d) if j not in s1.pivots)
+
+    def __missing__(self, row) -> tuple:
+        sub, mul = self.fld.sub, self.fld.mul
+        out = [row[j] for j in self.free]
+        for p, b in self.pivots:
+            c = row[p]
+            if c:
+                for t, j in enumerate(self.free):
+                    if b[j]:
+                        out[t] = sub(out[t], mul(c, b[j]))
+        out = self[row] = tuple(out)
+        return out
 
 
 def complementary_bits(rows1, rows2) -> bool:

@@ -11,7 +11,10 @@ the representation (bitmask-row tuples over F_2, Subspace objects over other
 fields) is chosen in linalg; only the restricted-form keys of a partition
 build read bitmask rows themselves, for speed.  A partition build classifies
 each distinct restricted form (the form on the member's basis) once and
-reuses the verdict for every member that restricts to it.
+reuses the verdict for every member that restricts to it.  Over other fields
+the key is built from a per-build memo of each distinct basis row's image
+under the ambient form (G b, and Q(b) if orthogonal); it equals the bytes of
+forms.restrict, which still computes every verdict.
 
 The oracle knows no theorem: a caller that judges a proportion passes the
 threshold in.
@@ -25,7 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import compress
+from operator import mul
 
 from . import exactnum, forms, linalg, spectrum
 from .forms import ClassicalForm
@@ -95,10 +99,26 @@ def _classifier(form: ClassicalForm):
 
         return key, lambda rows: True if forms.symplectic_nondeg_gf2(bil, rows) else None
 
+    fld = form.field
+    if fld.k == 1:
+        p = fld.p
+
+        def dot(u, v):
+            return sum(map(mul, u, v)) % p
+
+    else:
+        dot = fld.dot
+    images = _RowImages(form, dot)
+
     def key(s):
-        # the restricted gram and Q values, one byte per field element
-        r = forms.restrict(form, s)
-        return bytes(chain(*r.gram, r.qdiag or ()))
+        # the restricted gram and Q values, one byte per field element: the
+        # bytes of forms.restrict(form, s), from the rows' memoized images
+        basis = s.basis
+        imgs = [images[b] for b in basis]
+        out = [dot(b, gb) for b in basis for gb, _ in imgs]
+        if form.kind == forms.ORTHOGONAL:
+            out += [qb for _, qb in imgs]
+        return bytes(out)
 
     def verdict(s):
         r = forms.restrict(form, s)
@@ -107,6 +127,27 @@ def _classifier(form: ClassicalForm):
         return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
 
     return key, verdict
+
+
+class _RowImages(dict):
+    """Basis row b -> (G b, Q(b)) for one partition build's generic key.
+
+    G b is the ambient gram applied to b (to conj(b) for a hermitian form),
+    so B(a, b) = dot(a, G b); Q(b) is None unless the form is orthogonal.  It
+    holds one entry per distinct basis row, at most (q^d - 1)/(q - 1).
+    """
+
+    def __init__(self, form: ClassicalForm, dot):
+        super().__init__()
+        self.form = form
+        self.dot = dot
+
+    def __missing__(self, b) -> tuple:
+        form, dot = self.form, self.dot
+        c = tuple(map(form.field.conj, b)) if form.kind == forms.HERMITIAN else b
+        qb = form.quad_value(b) if form.kind == forms.ORTHOGONAL else None
+        image = self[b] = (tuple(dot(g, c) for g in form.gram), qb)
+        return image
 
 
 def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
@@ -186,8 +227,8 @@ def build_yset(
 def _count_pairs(args) -> int:
     """Complementary pairs in members1 x members2 over F_q; one pool job."""
     q, members1, members2 = args
-    comp = linalg.pair_test(field(q))
-    return sum(1 for s1 in members1 for s2 in members2 if comp(s1, s2))
+    against = linalg.pair_test(field(q), len(members2))
+    return sum(sum(map(against(s1), members2)) for s1 in members1)
 
 
 def count_complementary(
@@ -223,9 +264,8 @@ def count_complementary_transitive(
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
     t0 = time.perf_counter()
-    comp = linalg.pair_test(y1.form.field)
-    s1 = y1.members[0]
-    hits = sum(1 for s2 in y2.members if comp(s1, s2))
+    against = linalg.pair_test(y1.form.field, y2.count)
+    hits = sum(map(against(y1.members[0]), y2.members))
     pairs = hits * y1.count
     proportion = Fraction(hits, y2.count)
     return _finish_report(y1, y2, pairs, proportion, "transitivity-fast-path", t0, threshold)
@@ -319,14 +359,14 @@ def _biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     fld = field(q)
     x1 = list(linalg.members(e1 + e2, e1, fld))
     x2 = list(linalg.members(e1 + e2, e2, fld)) if e1 != e2 else x1
-    comp = linalg.pair_test(fld)
-    rows = tuple(tuple(1 if comp(s1, s2) else 0 for s2 in x2) for s1 in x1)
+    against = linalg.pair_test(fld, len(x2))
+    rows = tuple(tuple(map(int, map(against(s1), x2))) for s1 in x1)
     return Biadjacency(e1, e2, q, rows)
 
 
 def _mat_mul(a, b) -> list:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def annihilator_check(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_CAP) -> bool:
@@ -404,7 +444,10 @@ def mixing_check(
     set2 = sorted(set(idx2))
     k = q ** (e1 * e2)
     d = e1 + e2
-    edges = sum(bi.rows[i][j] for i in set1 for j in set2)
+    in_set2 = [0] * n2
+    for j in set2:
+        in_set2[j] = 1
+    edges = sum(sum(compress(bi.rows[i], in_set2)) for i in set1)
     big_d = n1 * k
     a1 = Fraction(len(set1), n1)
     a2 = Fraction(len(set2), n2)

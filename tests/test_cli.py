@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oppmix import cli
+from oppmix import cli, exactnum
 
 
 def run(capsys, *argv):
@@ -186,6 +186,23 @@ def test_verify_budget_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # an enumerated count that disagrees with its closed form is an internal
+    # inconsistency: exit 4 with one line on stderr, not a traceback
+    closed_form = exactnum.count_nondegenerate
+    monkeypatch.setattr(
+        exactnum, "count_nondegenerate", lambda *a, **kw: closed_form(*a, **kw) + 1
+    )
+    code, out, err = run(
+        capsys, "count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "3"
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: enumerated ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from oppmix import linalg
@@ -125,6 +128,35 @@ def test_complementary_general_q_matches_bits():
             # complementary() runs the generic elimination over every field
             by_pivot = linalg.complementary(s1, s2, f2)
             assert bit == by_pivot
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_pair_test_matches_complementary(q):
+    # Every pair where |X_e1| |X_e2| <= 20,000; beyond that (q = 4, 5, 9 at
+    # d = 4) every S2 against a seeded sample of S1.
+    f = field(q)
+    rng = random.Random(q)
+    for d in range(1, 5):
+        x = [list(enumerate_subspaces(d, e, f)) for e in range(d + 1)]
+        for e1, e2 in product(range(d + 1), repeat=2):
+            x1, x2 = x[e1], x[e2]
+            if len(x1) * len(x2) > 20_000:
+                x1 = rng.sample(x1, max(1, 20_000 // len(x2)))
+            against = linalg.pair_test(f, len(x2))
+            for s1 in x1:
+                test = against(s1)
+                for s2 in x2:
+                    assert test(s2) == linalg.complementary(s1, s2, f), (d, s1, s2)
+
+
+def test_pair_test_verdict_cache_cleared_when_full():
+    # n2 = 1: the shared verdict cache is cleared on every miss
+    f = field(3)
+    x = list(enumerate_subspaces(4, 2, f))
+    against = linalg.pair_test(f, 1)
+    for s1 in x[::7]:
+        test = against(s1)
+        assert [test(s2) for s2 in x] == [linalg.complementary(s1, s2, f) for s2 in x]
 
 
 def _complement_count(d, e1, q):

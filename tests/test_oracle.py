@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -85,6 +86,27 @@ def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
             want.setdefault(c, []).append(s.bit_rows() if q == 2 else s)
         want = {c: tuple(members) for c, members in want.items()}
         assert oracle.classify_partition(form, e) == (want, degenerate), e
+
+
+# (kind, d, q, eps): every generic-field (q != 2) fixture family, with the
+# d = 6 spaces of the benchmarked q = 3 counts
+GENERIC_KEY_CASES = (
+    [("orthogonal", d, q, eps) for q in (3, 4, 5) for d in (4, 6) if q == 3 or d == 4
+     for eps in (1, -1)]
+    + [("symplectic", d, q, None) for q in (3, 5) for d in (4, 6) if q == 3 or d == 4]
+    + [("hermitian", d, q, None) for q, d in HERMITIAN_CASES]
+)
+
+
+@pytest.mark.parametrize("kind,d,q,eps", GENERIC_KEY_CASES)
+def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
+    form = forms.standard_form(kind, d, q, eps)
+    key, _ = oracle._classifier(form)
+    step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
+    for e in range(0, d + 1, step):
+        for s in linalg.members(d, e, form.field):
+            r = forms.restrict(form, s)
+            assert key(s) == bytes(chain(*r.gram, r.qdiag or ())), (e, s)
 
 
 def test_partition_budget_checked_after_cache_fill():
