@@ -14,7 +14,6 @@ from .bounds import (
     compare,
     mixing_lower_bound,
     surd,
-    verify_theorem,
 )
 from .exactnum import (
     bq,
@@ -37,6 +36,7 @@ from .oracle import (
     mixing_check,
 )
 from .spectrum import eigen_exponents, eigen_exponents_via_characters
+from .sweep import verify_theorem
 
 __version__ = "0.1.0"
 

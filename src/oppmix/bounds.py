@@ -1,4 +1,4 @@
-"""Closed-form density bounds, evaluated exactly, and the verification sweeps.
+"""Closed-form density bounds, evaluated exactly, and their tail certificates.
 
 THEOREM is the one table of the theorem's cases: per family, its form kind,
 the signs and parity a case needs, each branch's threshold 1 - c/q^k with
@@ -14,21 +14,22 @@ could flip a verdict.
 Analytic tail facts about the infinite products omega_q(inf) are replaced by
 finite rational certificates: omega_tail_lower(q, e) is a rational lower
 bound for every omega_q(e') with e' >= e (and for the infinite product), via
-the Weierstrass product inequality.  Sweeps over "all q" become sweeps over
-prime powers up to an explicit limit, reported as finite verifications.
+the Weierstrass product inequality.  Displays over "all q" become checks over
+prime powers up to TAIL_Q_LIMIT, reported as finite verifications.
+
+This layer knows no brute force: the sweeps that send exception tuples to the
+enumeration oracle live in `sweep`.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 from typing import NamedTuple
 
-from . import forms, oracle
+from . import forms
 from .exactnum import (
     MINUS,
     PLUS,
@@ -41,8 +42,8 @@ from .exactnum import (
     sign_char,
 )
 
-SIGNS = (PLUS, MINUS)
 CONTAINMENT = "unitary-e2-1-containment"
+TAIL_Q_LIMIT = 97  # the tail displays are checked for every prime power up to this
 
 
 # -- the theorem's cases -------------------------------------------------------
@@ -68,7 +69,7 @@ class Family:
     signed: bool  # needs eps, sigma1 and sigma2
     even: bool  # e1, e2 even; the bounds take m_i = e_i / 2
     cases: tuple  # first match wins; the last covers the large dims the tails settle
-    exceptions: tuple = ()  # (q, m2, m1) the closed form misses; counted exactly
+    exceptions: tuple = ()  # (q, m2, m1), m_i = e_i / 2, that the closed form misses
 
     def case(self, e1: int, e2: int, q: int) -> Case:
         prime_power(q)  # raises ValueError unless q is a prime power
@@ -77,6 +78,10 @@ class Family:
 
     def threshold(self, e1: int, e2: int, q: int) -> Fraction:
         return self.case(e1, e2, q).threshold(q)
+
+    def is_exception(self, e1: int, e2: int, q: int) -> bool:
+        """Whether the closed form misses (e1, e2, q), so the oracle must count it."""
+        return (q, min(e1, e2) // 2, max(e1, e2) // 2) in self.exceptions
 
 
 THEOREM = {
@@ -236,7 +241,6 @@ class BoundReport:
     sigma1: int | None = None
     sigma2: int | None = None
     relaxed_bound: Fraction | None = None
-    seconds: float = 0.0
     note: str | None = None
 
     def label(self) -> str:
@@ -250,10 +254,6 @@ class BoundReport:
         return " ".join(bits)
 
 
-def is_orthogonal_exception(q: int, m1: int, m2: int) -> bool:
-    return (q, m2, m1) in THEOREM["orthogonal"].exceptions
-
-
 def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: int) -> BoundReport:
     """Two-density mixing bound vs 1 - 3/(2q), plus the relaxed uniform form.
 
@@ -261,10 +261,10 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     factor at (-, +)); it is weaker but free of the cross term, which is what
     the tail analysis wants, and is reported alongside for reference.
     """
-    t0 = time.perf_counter()
     eps, sigma1, sigma2 = parse_sign(eps), parse_sign(sigma1), parse_sign(sigma2)
     e1, e2, d = 2 * m1, 2 * m2, 2 * (m1 + m2)
-    case = THEOREM["orthogonal"].case(e1, e2, q)
+    orthogonal = THEOREM["orthogonal"]
+    case = orthogonal.case(e1, e2, q)
     threshold = case.threshold(q)
     a1 = alpha_orthogonal(eps, sigma1, m1, m2, q)
     a2 = alpha_orthogonal(eps, sigma2, m2, m1, q)
@@ -274,7 +274,7 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     qd = Fraction(q) ** (-(d // 2))
     relaxed = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd / lam
     note = None
-    if is_orthogonal_exception(q, m1, m2):
+    if orthogonal.is_exception(e1, e2, q):
         note = "exception tuple: dispatch to the enumeration oracle (`count`)"
     return BoundReport(
         family="orthogonal",
@@ -292,22 +292,25 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
         tight=verdict == 0,
         formula_id=case.formula_id,
         relaxed_bound=relaxed,
-        seconds=time.perf_counter() - t0,
         note=note,
     )
 
 
+def _collapse(exact: Surd, display: Fraction) -> None:
+    """With equal densities the mixing bound loses its radical and equals the display."""
+    if exact != surd(display):
+        raise ArithmeticError(f"uniform-density bound {exact} does not collapse to {display}")
+
+
 def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
     """B_q(e1,e2)(1 + q^(-d/2)) - B_{q^2}(m1,m2) q^(-d/2) vs 1 - 10/(7q)."""
-    t0 = time.perf_counter()
     e1, e2, d = 2 * m1, 2 * m2, 2 * (m1 + m2)
     case = THEOREM["symplectic"].case(e1, e2, q)
     threshold = case.threshold(q)
     a = alpha_symplectic(m1, m2, q)
     qd = Fraction(q) ** (-(d // 2))
     display = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd
-    exact = mixing_lower_bound(a, a, e1, e2, q)
-    assert exact == surd(display), "uniform-density bound must collapse to the display"
+    _collapse(mixing_lower_bound(a, a, e1, e2, q), display)
     return BoundReport(
         family="symplectic",
         q=q,
@@ -320,7 +323,6 @@ def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
         passed=display >= threshold,
         tight=display == threshold,
         formula_id=case.formula_id,
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -335,7 +337,6 @@ def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
     e2 >= 2 uses the mixing display over F_{q^2}; e2 = 1 uses the
     containment overestimate 1 - c1/q^2, because the mixing route is weak there.
     """
-    t0 = time.perf_counter()
     if e2 > e1:
         e1, e2 = e2, e1
     case = THEOREM["unitary"].case(e1, e2, q)
@@ -346,8 +347,7 @@ def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
     else:
         qd = Fraction(q) ** (-(e1 + e2))
         value = bq(q * q, e1, e2) * (1 + qd) - bq(-q, e1, e2) * qd
-        exact = mixing_lower_bound(a, a, e1, e2, q * q)
-        assert exact == surd(value), "uniform-density bound must collapse to the display"
+        _collapse(mixing_lower_bound(a, a, e1, e2, q * q), value)
     return BoundReport(
         family="unitary",
         q=q,
@@ -360,7 +360,6 @@ def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
         passed=value >= threshold,
         tight=value == threshold,
         formula_id=case.formula_id,
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -391,11 +390,11 @@ def _tail(name, q, value, threshold) -> TailCheck:
     return TailCheck(name, q, value, threshold, value > threshold)
 
 
-def orthogonal_tail_checks(q_limit: int = 97) -> list:
+def orthogonal_tail_checks() -> list:
     """The displays that settle the orthogonal theorem off the swept range."""
     threshold = THEOREM["orthogonal"].cases[-1].threshold
     checks = []
-    for q in prime_powers_upto(q_limit):
+    for q in prime_powers_upto(TAIL_Q_LIMIT):
         # the infinite-product lower bound the tail displays substitute in
         checks.append(
             _tail(
@@ -405,7 +404,7 @@ def orthogonal_tail_checks(q_limit: int = 97) -> list:
                 1 - Fraction(1, q) - Fraction(1, q**2) + Fraction(1, q**5),
             )
         )
-    for q in prime_powers_upto(q_limit):
+    for q in prime_powers_upto(TAIL_Q_LIMIT):
         if q < 7:
             continue
         one_q = Fraction(1, q)
@@ -435,10 +434,10 @@ def orthogonal_tail_checks(q_limit: int = 97) -> list:
     return checks
 
 
-def symplectic_tail_checks(q_limit: int = 97) -> list:
+def symplectic_tail_checks() -> list:
     threshold = THEOREM["symplectic"].cases[-1].threshold
     checks = []
-    for q in prime_powers_upto(q_limit):
+    for q in prime_powers_upto(TAIL_Q_LIMIT):
         if q >= 5:
             val = 1 - Fraction(1, q) - Fraction(2, q**2)
             checks.append(_tail("symplectic-q>=5", q, val, threshold(q)))
@@ -448,10 +447,10 @@ def symplectic_tail_checks(q_limit: int = 97) -> list:
     return checks
 
 
-def unitary_tail_checks(q_limit: int = 97) -> list:
+def unitary_tail_checks() -> list:
     threshold = THEOREM["unitary"].cases[-1].threshold
     checks = []
-    for q in prime_powers_upto(q_limit):
+    for q in prime_powers_upto(TAIL_Q_LIMIT):
         bneg = (1 + Fraction(1, q)) / ((1 - Fraction(1, q**4)) * (1 - Fraction(1, q**6)))
         if q >= 4:
             val = 1 - Fraction(1, q**2) - Fraction(1, q**4) - bneg * Fraction(1, q**4)
@@ -461,117 +460,3 @@ def unitary_tail_checks(q_limit: int = 97) -> list:
         val = omega_tail_lower(q * q, 64) - bneg * Fraction(1, q**10)
         checks.append(_tail("unitary-q<=3-d>=10", q, val, threshold(q)))
     return checks
-
-
-# -- theorem sweeps ------------------------------------------------------------
-
-
-@dataclass
-class FamilyReport:
-    family: str
-    bound_reports: list
-    count_reports: list
-    tail_checks: list
-    failures: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_orthogonal(
-    q_max: int = 5,
-    m_max: int = 6,
-    tail_q_limit: int = 97,
-    run_oracle: bool = True,
-    full_pairs_d4: bool = False,
-    workers: int = 1,
-    budget: int | None = None,
-) -> FamilyReport:
-    """Sweep all sign combinations over q <= q_max, m2 <= m1 <= m_max.
-
-    Non-exception tuples must clear the threshold in closed form; the seven
-    exception tuples go to the enumeration oracle, whose exact proportion
-    must clear the same threshold.  `budget` caps each oracle enumeration.
-    """
-    orthogonal = THEOREM["orthogonal"]
-    bound_reports = []
-    count_reports = []
-    failures = []
-    for q in prime_powers_upto(q_max):
-        for m1 in range(1, m_max + 1):
-            for m2 in range(1, m1 + 1):
-                exception = is_orthogonal_exception(q, m1, m2)
-                for eps, s1, s2 in product(SIGNS, repeat=3):
-                    rep = bound_orthogonal(eps, s1, s2, m1, m2, q)
-                    bound_reports.append(rep)
-                    if not rep.passed and not exception:
-                        failures.append(f"closed-form bound failed: {rep.label()}")
-                if not (exception and run_oracle):
-                    continue
-                e1, e2 = 2 * m1, 2 * m2
-                threshold = orthogonal.threshold(e1, e2, q)
-                full_pairs = full_pairs_d4 and m1 + m2 == 2
-                for eps, s1, s2 in product(SIGNS, repeat=3):
-                    form = forms.standard_form(orthogonal.kind, e1 + e2, q, eps)
-                    crep = oracle.count_case(
-                        form, e1, e2, s1, s2, threshold, full_pairs, budget, workers
-                    )
-                    count_reports.append(crep)
-                    if not crep.passed:
-                        failures.append(f"oracle proportion failed: {crep.case}")
-    tails = orthogonal_tail_checks(tail_q_limit)
-    failures.extend(f"tail check failed: {t.name} q={t.q}" for t in tails if not t.passed)
-    return FamilyReport("orthogonal", bound_reports, count_reports, tails, failures)
-
-
-def verify_symplectic(d_limit: int = 20, tail_q_limit: int = 97) -> FamilyReport:
-    bound_reports = []
-    failures = []
-    for q in (2, 3, 4):
-        for m1 in range(1, d_limit // 2):
-            for m2 in range(1, m1 + 1):
-                if 2 * (m1 + m2) >= d_limit:
-                    continue
-                rep = bound_symplectic(m1, m2, q)
-                bound_reports.append(rep)
-                if not rep.passed:
-                    failures.append(f"closed-form bound failed: {rep.label()}")
-    tails = symplectic_tail_checks(tail_q_limit)
-    failures.extend(f"tail check failed: {t.name} q={t.q}" for t in tails if not t.passed)
-    return FamilyReport("symplectic", bound_reports, [], tails, failures)
-
-
-def verify_unitary(
-    sum_limit: int = 10, e1_max_rank_one: int = 40, q_rank_one: int = 9, tail_q_limit: int = 97
-) -> FamilyReport:
-    bound_reports = []
-    failures = []
-    for q in (2, 3):
-        for e1 in range(2, sum_limit):
-            for e2 in range(2, e1 + 1):
-                if e1 + e2 >= sum_limit:
-                    continue
-                rep = bound_unitary(e1, e2, q)
-                bound_reports.append(rep)
-                if not rep.passed:
-                    failures.append(f"closed-form bound failed: {rep.label()}")
-    for q in prime_powers_upto(q_rank_one):
-        for e1 in range(1, e1_max_rank_one + 1):
-            rep = bound_unitary(e1, 1, q)
-            bound_reports.append(rep)
-            if not rep.passed:
-                failures.append(f"rank-one bound failed: {rep.label()}")
-    tails = unitary_tail_checks(tail_q_limit)
-    failures.extend(f"tail check failed: {t.name} q={t.q}" for t in tails if not t.passed)
-    return FamilyReport("unitary", bound_reports, [], tails, failures)
-
-
-def verify_theorem(family: str, **kwargs) -> FamilyReport:
-    if family == "orthogonal":
-        return verify_orthogonal(**kwargs)
-    if family == "symplectic":
-        return verify_symplectic(**kwargs)
-    if family == "unitary":
-        return verify_unitary(**kwargs)
-    raise ValueError(f"unknown family {family!r}")

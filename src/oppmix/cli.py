@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bounds, exactnum, forms, oracle, spectrum
+from . import bounds, exactnum, forms, oracle, spectrum, sweep
 from .bounds import Surd
 from .linalg import BudgetError
 
@@ -40,7 +40,6 @@ CSV_COLUMNS = [
     "threshold",
     "pass",
     "method",
-    "seconds",
 ]
 
 
@@ -97,7 +96,6 @@ def bound_report_jsonable(rep: bounds.BoundReport) -> dict:
         "tight": rep.tight,
         "formula_id": rep.formula_id,
         "note": rep.note,
-        "seconds": round(rep.seconds, 6),
     }
 
 
@@ -111,7 +109,6 @@ def count_report_jsonable(rep: oracle.CountReport) -> dict:
         "threshold": frac_jsonable(rep.threshold) if rep.threshold is not None else None,
         "pass": rep.passed,
         "method": rep.method,
-        "seconds": round(rep.seconds, 6),
     }
 
 
@@ -130,7 +127,6 @@ def _bound_csv_row(rep: bounds.BoundReport) -> dict:
         "threshold": frac_str(rep.threshold),
         "pass": rep.passed,
         "method": rep.formula_id,
-        "seconds": f"{rep.seconds:.6f}",
     }
 
 
@@ -150,7 +146,6 @@ def _count_csv_row(rep: oracle.CountReport) -> dict:
         "threshold": frac_str(rep.threshold) if rep.threshold is not None else "",
         "pass": rep.passed,
         "method": rep.method,
-        "seconds": f"{rep.seconds:.6f}",
     }
 
 
@@ -264,15 +259,13 @@ def cmd_verify(args) -> int:
     all_jsonable = {}
     lines = []
     for fam in families:
-        kwargs = {}
-        if fam == "orthogonal":
-            kwargs = {
-                "run_oracle": not args.skip_oracle,
-                "full_pairs_d4": args.full_pairs,
-                "workers": args.workers,
-                "budget": args.budget,
-            }
-        rep = bounds.verify_theorem(fam, **kwargs)
+        rep = sweep.verify_theorem(
+            fam,
+            run_oracle=not args.skip_oracle,
+            full_pairs_d4=args.full_pairs,
+            workers=args.workers,
+            budget=args.budget,
+        )
         overall_failures.extend(rep.failures)
         n_bound = len(rep.bound_reports)
         n_count = len(rep.count_reports)

@@ -256,20 +256,6 @@ def orthogonal_type(r: RestrictedForm) -> int:
     )
 
 
-def perp(form: ClassicalForm, s: Subspace) -> Subspace:
-    """{v : B(v, b) = 0 for every basis vector b of s}, as a canonical subspace."""
-    fld = form.field
-    if s.e == 0:
-        return nullspace((), fld, form.d)
-    if form.kind == HERMITIAN:
-        vecs = [tuple(fld.conj(v) for v in row) for row in s.basis]
-    else:
-        vecs = list(s.basis)
-    # rows[i][j] = B(e_j, b_i); kernel of this matrix is the perp
-    rows = [tuple(fld.dot(form.gram[j], w) for j in range(form.d)) for w in vecs]
-    return nullspace(rows, fld, form.d)
-
-
 # -- GF(2) fast paths --------------------------------------------------------
 #
 # The heavy oracle cases are over F_2 with d <= 8; there every vector is a

@@ -26,7 +26,6 @@ from functools import partial
 from itertools import chain, combinations, product
 from typing import Callable, Iterator, NamedTuple
 
-from .exactnum import gaussian_binomial
 from .gf import Field
 
 
@@ -113,11 +112,6 @@ def nullspace(rows, fld: Field, ncols: int) -> Subspace:
     return Subspace(ncols, red2, piv2)
 
 
-def subspace_from_rows(rows, fld: Field, d: int) -> Subspace:
-    red, piv = rref(rows, fld)
-    return Subspace(d, red, piv)
-
-
 # -- enumeration -----------------------------------------------------------
 
 
@@ -162,19 +156,10 @@ def subspaces_for_pattern_bits(d: int, pattern) -> Iterator[tuple]:
     return product(*candidates)
 
 
-def enumerate_subspaces(
-    d: int, e: int, fld: Field, budget: int | None = None
-) -> Iterator[Subspace]:
+def enumerate_subspaces(d: int, e: int, fld: Field) -> Iterator[Subspace]:
     """Every e-subspace of (F_q)^d exactly once, in the canonical order."""
     if not 0 <= e <= d:
         raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
-    if budget is not None:
-        total = gaussian_binomial(d, e, fld.q)
-        if total > budget:
-            raise BudgetError(
-                f"enumeration of {total} subspaces (d={d}, e={e}, q={fld.q}) "
-                f"exceeds budget {budget}"
-            )
     if e == 0:
         yield Subspace(d, (), ())
         return
@@ -327,38 +312,3 @@ def rank_bits(rows) -> int:
                 break
             r ^= piv
     return rk
-
-
-def rref_bits(rows) -> tuple:
-    """(rref bitmask rows, pivot columns) over F_2; zero rows dropped."""
-    work = [r for r in rows if r]
-    out = []
-    pivots = []
-    col = 0
-    while work:
-        col_rows = [i for i, r in enumerate(work) if (r >> col) & 1]
-        if not col_rows:
-            col += 1
-            continue
-        piv = work.pop(col_rows[0])
-        work = [w for w in ((r ^ piv if (r >> col) & 1 else r) for r in work) if w]
-        out = [r ^ piv if (r >> col) & 1 else r for r in out]
-        out.append(piv)
-        pivots.append(col)
-        col += 1
-    return tuple(out), tuple(pivots)
-
-
-def nullspace_bits(rows, d: int) -> tuple:
-    """Canonical RREF bitmask basis of {v : parity(v & row) = 0 for all rows}."""
-    red, pivots = rref_bits(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(d) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for i, p in enumerate(pivots):
-            if (red[i] >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return rref_bits(basis)[0]

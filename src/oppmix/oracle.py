@@ -23,7 +23,6 @@ threshold in.
 from __future__ import annotations
 
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +58,6 @@ class CountReport:
     pairs: int
     proportion: Fraction
     method: str
-    seconds: float
     threshold: Fraction | None = None
     passed: bool | None = None
 
@@ -241,7 +239,6 @@ def count_complementary(
     """
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
-    t0 = time.perf_counter()
     q, m1, m2 = y1.form.field.q, y1.members, y2.members
     if workers > 1 and len(m1) * len(m2) > 250_000:
         jobs = [(q, m1[i::workers], m2) for i in range(min(workers, len(m1)))]
@@ -250,7 +247,7 @@ def count_complementary(
     else:
         pairs = _count_pairs((q, m1, m2))
     proportion = Fraction(pairs, len(m1) * len(m2))
-    return _finish_report(y1, y2, pairs, proportion, "full-pairs", t0, threshold)
+    return _finish_report(y1, y2, pairs, proportion, "full-pairs", threshold)
 
 
 def count_complementary_transitive(
@@ -263,15 +260,14 @@ def count_complementary_transitive(
     """
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
-    t0 = time.perf_counter()
     against = linalg.pair_test(y1.form.field, y2.count)
     hits = sum(map(against(y1.members[0]), y2.members))
     pairs = hits * y1.count
     proportion = Fraction(hits, y2.count)
-    return _finish_report(y1, y2, pairs, proportion, "transitivity-fast-path", t0, threshold)
+    return _finish_report(y1, y2, pairs, proportion, "transitivity-fast-path", threshold)
 
 
-def _finish_report(y1, y2, pairs, proportion, method, t0, threshold) -> CountReport:
+def _finish_report(y1, y2, pairs, proportion, method, threshold) -> CountReport:
     form = y1.form
     case = {"kind": form.kind, "q": form.q, "d": form.d, "e1": y1.e, "e2": y2.e}
     if form.eps is not None:
@@ -288,7 +284,6 @@ def _finish_report(y1, y2, pairs, proportion, method, t0, threshold) -> CountRep
         pairs=pairs,
         proportion=proportion,
         method=method,
-        seconds=time.perf_counter() - t0,
         threshold=threshold,
         passed=passed,
     )

@@ -1,0 +1,62 @@
+"""Reference helpers that only the tests use: direct constructions that the
+package's fast paths are checked against."""
+
+from oppmix import forms
+from oppmix.forms import ClassicalForm
+from oppmix.gf import Field
+from oppmix.linalg import Subspace, nullspace, rref
+
+
+def subspace_from_rows(rows, fld: Field, d: int) -> Subspace:
+    """The span of `rows` in (F_q)^d, as a canonical subspace."""
+    red, piv = rref(rows, fld)
+    return Subspace(d, red, piv)
+
+
+def perp(form: ClassicalForm, s: Subspace) -> Subspace:
+    """{v : B(v, b) = 0 for every basis vector b of s}, as a canonical subspace."""
+    fld = form.field
+    if s.e == 0:
+        return nullspace((), fld, form.d)
+    if form.kind == forms.HERMITIAN:
+        vecs = [tuple(fld.conj(v) for v in row) for row in s.basis]
+    else:
+        vecs = list(s.basis)
+    # rows[i][j] = B(e_j, b_i); kernel of this matrix is the perp
+    rows = [tuple(fld.dot(form.gram[j], w) for j in range(form.d)) for w in vecs]
+    return nullspace(rows, fld, form.d)
+
+
+def rref_bits(rows) -> tuple:
+    """(rref bitmask rows, pivot columns) over F_2; zero rows dropped."""
+    work = [r for r in rows if r]
+    out = []
+    pivots = []
+    col = 0
+    while work:
+        col_rows = [i for i, r in enumerate(work) if (r >> col) & 1]
+        if not col_rows:
+            col += 1
+            continue
+        piv = work.pop(col_rows[0])
+        work = [w for w in ((r ^ piv if (r >> col) & 1 else r) for r in work) if w]
+        out = [r ^ piv if (r >> col) & 1 else r for r in out]
+        out.append(piv)
+        pivots.append(col)
+        col += 1
+    return tuple(out), tuple(pivots)
+
+
+def nullspace_bits(rows, d: int) -> tuple:
+    """Canonical RREF bitmask basis of {v : parity(v & row) = 0 for all rows}."""
+    red, pivots = rref_bits(rows)
+    pivot_set = set(pivots)
+    free = [j for j in range(d) if j not in pivot_set]
+    basis = []
+    for f in free:
+        v = 1 << f
+        for i, p in enumerate(pivots):
+            if (red[i] >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return rref_bits(basis)[0]

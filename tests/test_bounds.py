@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from oppmix import bounds, exactnum, forms, oracle
+from oppmix import bounds, exactnum, forms, oracle, sweep
 from oppmix.bounds import compare, surd
 
 
@@ -303,18 +303,18 @@ def test_tail_checks_pass():
 
 
 def test_verify_symplectic_and_unitary():
-    rs = bounds.verify_symplectic()
+    rs = sweep.verify_theorem("symplectic")
     assert rs.passed
     assert len(rs.bound_reports) == 3 * len(
         [(m1, m2) for m1 in range(1, 10) for m2 in range(1, m1 + 1) if m1 + m2 <= 9]
     )
-    ru = bounds.verify_unitary()
+    ru = sweep.verify_theorem("unitary")
     assert ru.passed
 
 
 def test_verify_orthogonal_closed_form_only():
-    rep = bounds.verify_theorem("orthogonal", run_oracle=False)
+    rep = sweep.verify_theorem("orthogonal", run_oracle=False)
     assert rep.passed
     assert len(rep.bound_reports) == 4 * 21 * 8
     with pytest.raises(ValueError):
-        bounds.verify_theorem("elliptic")
+        sweep.verify_theorem("elliptic")

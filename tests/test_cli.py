@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oppmix import cli, exactnum
+from oppmix import bounds, cli, exactnum
 
 
 def run(capsys, *argv):
@@ -203,6 +203,35 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: enumerated ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_collapse_mismatch_exit_code(capsys, monkeypatch):
+    # the uniform-density mixing bound must equal its display exactly; a
+    # mismatch is an internal error under `python -O` too, not an assert
+    monkeypatch.setattr(bounds, "mixing_lower_bound", lambda *a: bounds.surd(0))
+    for argv in (
+        ["--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "2"],
+        ["--family", "unitary", "--e1", "2", "--e2", "2", "--q", "2"],
+    ):
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: uniform-density bound 0 does not collapse")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "all", "--format", "json", "--workers", "1"],
+        ["count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "3"]
+        + ["--format", "csv"],
+    ],
+)
+def test_reports_are_byte_identical_across_runs(capsys, argv):
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
 
 
 @pytest.mark.parametrize(

