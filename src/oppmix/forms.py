@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from .gf import Field, field
@@ -232,12 +233,32 @@ def singular_point_counts(m: int, q: int) -> tuple:
 
 
 def singular_count(r: RestrictedForm) -> int:
-    """Number of nonzero singular vectors of the restricted quadratic form."""
+    """Number of nonzero singular vectors of the restricted quadratic form.
+
+    Q(v) = sum_i qdiag_i v_i^2 + sum_{i<j} gram_ij v_i v_j is one dot product
+    of those coefficients with v's monomials, read from a table per (e, field).
+    """
     if r.kind != ORTHOGONAL:
         raise ValueError("singular_count is for quadratic restrictions")
-    q = r.field.q
-    hits = sum(1 for rep in _projective_reps(r.e, q) if r.quad_value(rep) == 0)
-    return hits * (q - 1)
+    fld = r.field
+    coeffs = (*r.qdiag, *(r.gram[i][j] for i in range(r.e) for j in range(i + 1, r.e)))
+    monomials = _monomials(r.e, fld)
+    if fld.k == 1:
+        p = fld.p
+        hits = sum(not sum(map(mul, coeffs, m)) % p for m in monomials)
+    else:
+        dot = fld.dot
+        hits = sum(not dot(coeffs, m) for m in monomials)
+    return hits * (fld.q - 1)
+
+
+@lru_cache(maxsize=None)
+def _monomials(e: int, fld: Field) -> tuple:
+    """(v_i^2 for each i, then v_i v_j for i < j) per projective representative v."""
+    pairs = [(i, i) for i in range(e)] + [(i, j) for i in range(e) for j in range(i + 1, e)]
+    return tuple(
+        tuple(fld.mul(v[i], v[j]) for i, j in pairs) for v in _projective_reps(e, fld.q)
+    )
 
 
 def orthogonal_type(r: RestrictedForm) -> int:

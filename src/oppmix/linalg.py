@@ -228,14 +228,20 @@ def pair_test(fld: Field, n2: int) -> Callable:
     is direct iff the e2 reduced rows are independent.  That verdict depends
     on the reduced rows alone, so it is cached on them across every S1; the
     cache is cleared when it reaches n2 entries.  complementary is the
-    reference this agrees with.
+    reference this agrees with.  The first S1 does not write the cache: a
+    scan of Y2 against one S1 alone would fill it without a hit.
     """
     if fld.q == 2:
         return lambda rows1: partial(complementary_bits, rows1)
     independent: dict = {}
+    given = 0
 
     def against(s1: Subspace) -> Callable:
+        nonlocal given
+        given += 1
         reduce = _Reduced(s1, fld).__getitem__
+        if given == 1:
+            return lambda s2: _independent(tuple(map(reduce, s2.basis)), fld)
 
         def test(s2: Subspace) -> bool:
             key = tuple(map(reduce, s2.basis))
@@ -244,12 +250,16 @@ def pair_test(fld: Field, n2: int) -> Callable:
             except KeyError:
                 if len(independent) >= n2:
                     independent.clear()
-                verdict = independent[key] = rank(key, fld) == len(key)
+                verdict = independent[key] = _independent(key, fld)
                 return verdict
 
         return test
 
     return against
+
+
+def _independent(rows, fld: Field) -> bool:
+    return rank(rows, fld) == len(rows)
 
 
 class _Reduced(dict):

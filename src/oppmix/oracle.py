@@ -16,6 +16,9 @@ the key is built from a per-build memo of each distinct basis row's image
 under the ambient form (G b, and Q(b) if orthogonal); it equals the bytes of
 forms.restrict, which still computes every verdict.
 
+The biadjacency matrix of the complementarity graph holds each row as an int
+bitmask, so edge counts and the entries of N N^T are popcounts.
+
 The oracle knows no theorem: a caller that judges a proportion passes the
 threshold in.
 """
@@ -27,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from math import lcm
 from operator import mul
 
 from . import exactnum, forms, linalg, spectrum
@@ -317,24 +320,36 @@ def count_case(
 
 @dataclass(frozen=True)
 class Biadjacency:
+    """The 0/1 complementarity matrix N, one int bitmask per row.
+
+    Row i indexes the i-th e1-space and bit j of masks[i] is N[i][j], the
+    complementarity of e1-space i and e2-space j, both in enumeration order.
+    """
+
     e1: int
     e2: int
     q: int
-    rows: tuple  # tuple of row tuples, 0/1 ints; rows index e1-spaces
+    n2: int
+    masks: tuple
 
     @property
     def n1(self) -> int:
-        return len(self.rows)
+        return len(self.masks)
 
     @property
-    def n2(self) -> int:
-        return len(self.rows[0])
+    def rows(self) -> tuple:
+        """N as a tuple of 0/1 row tuples."""
+        return tuple(tuple((m >> j) & 1 for j in range(self.n2)) for m in self.masks)
 
     def row_sums(self):
-        return [sum(r) for r in self.rows]
+        return [m.bit_count() for m in self.masks]
 
     def col_sums(self):
-        return [sum(col) for col in zip(*self.rows)]
+        return [sum((m >> j) & 1 for m in self.masks) for j in range(self.n2)]
+
+    def gram(self) -> list:
+        """N N^T: entry (i, j) is popcount(masks[i] & masks[j])."""
+        return [[(mi & mj).bit_count() for mj in self.masks] for mi in self.masks]
 
 
 def build_biadjacency(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_CAP) -> Biadjacency:
@@ -355,8 +370,11 @@ def _biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     x1 = list(linalg.members(e1 + e2, e1, fld))
     x2 = list(linalg.members(e1 + e2, e2, fld)) if e1 != e2 else x1
     against = linalg.pair_test(fld, len(x2))
-    rows = tuple(tuple(map(int, map(against(s1), x2))) for s1 in x1)
-    return Biadjacency(e1, e2, q, rows)
+    masks = []
+    for s1 in x1:
+        test = against(s1)
+        masks.append(sum(1 << j for j, s2 in enumerate(x2) if test(s2)))
+    return Biadjacency(e1, e2, q, len(x2), tuple(masks))
 
 
 def _mat_mul(a, b) -> list:
@@ -365,22 +383,45 @@ def _mat_mul(a, b) -> list:
 
 
 def annihilator_check(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_CAP) -> bool:
-    """Exact check that prod_j (N N^T - q^(2 m_j) I) = 0.
+    """Exact check of the spectrum of N N^T: annihilator and trace identities.
 
-    The m_j are the closed-form eigenvalue exponents; annihilation of the
-    integer matrix N N^T by this polynomial is what "these are exactly the
-    distinct eigenvalues" buys us, and it is verified in integer arithmetic.
+    With d = e1 + e2 and mult_j = [d, j]_q - [d, j-1]_q, the eigenvalue
+    q^(2 m_j) of N N^T has multiplicity mult_j (the Grassmann-scheme
+    eigenspaces).  Checked in integer arithmetic:
+
+        prod_j (N N^T - q^(2 m_j) I) = 0,
+        tr(N N^T)      = sum_j mult_j q^(2 m_j),
+        ||N N^T||_F^2  = sum_j mult_j q^(4 m_j).
+
+    The annihilator says the closed-form q^(2 m_j) include every eigenvalue;
+    the traces tie them to their multiplicities, so that a graph with the
+    right eigenvalues in the wrong proportions fails.
     """
     bi = build_biadjacency(e1, e2, q, cap)
     spec = spectrum.eigen_exponents(max(e1, e2), min(e1, e2))
-    m = _mat_mul(bi.rows, list(zip(*bi.rows)))
+    lams = [spec.eigenvalue_squared(q, j) for j in range(len(spec.exponents))]
+    m = bi.gram()
     n = len(m)
+    trace, frobenius = _predicted_traces(e1 + e2, q, lams)
+    if sum(m[i][i] for i in range(n)) != trace:
+        return False
+    if sum(v * v for row in m for v in row) != frobenius:
+        return False
     prod = None
-    for j in range(len(spec.exponents)):
-        lam2 = spec.eigenvalue_squared(q, j)
+    for lam2 in lams:
         factor = [[m[r][c] - (lam2 if r == c else 0) for c in range(n)] for r in range(n)]
         prod = factor if prod is None else _mat_mul(prod, factor)
     return all(v == 0 for row in prod for v in row)
+
+
+def _predicted_traces(d: int, q: int, lams) -> tuple:
+    """(tr(N N^T), ||N N^T||_F^2) from the eigenvalues lams[j] = q^(2 m_j).
+
+    The multiplicity of lams[j] is mult_j = [d, j]_q - [d, j-1]_q.
+    """
+    binoms = [exactnum.gaussian_binomial(d, j, q) for j in range(len(lams))]
+    mults = [b - a for a, b in zip([0, *binoms], binoms)]
+    return sum(map(mul, mults, lams)), sum(c * lam * lam for c, lam in zip(mults, lams))
 
 
 # -- expander mixing lemma, exactly ------------------------------------------
@@ -401,18 +442,28 @@ class MixingReport:
 
 
 def _charpoly(mat) -> list:
-    """Characteristic polynomial coefficients [1, c1, ..., cn] (Faddeev-LeVerrier)."""
+    """Characteristic polynomial coefficients [1, c1, ..., cn] of a rational matrix.
+
+    Faddeev-LeVerrier over the integers: with L the lcm of the entries'
+    denominators, A = L * mat is an integer matrix whose characteristic
+    polynomial has integer coefficients a_k, each found by an exact division
+    of a trace by k (a remainder raises ArithmeticError).  Then c_k = a_k / L^k.
+    """
     n = len(mat)
+    frac = [[Fraction(v) for v in row] for row in mat]
+    scale = lcm(*(v.denominator for row in frac for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in frac]
     coeffs = [Fraction(1)]
-    mk = [[Fraction(v) for v in row] for row in mat]
-    a = [[Fraction(v) for v in row] for row in mat]
+    mk = [row[:] for row in a]
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
+        ak, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace not divisible by {k}")
+        coeffs.append(Fraction(ak, scale**k))
         if k == n:
             break
         for i in range(n):
-            mk[i][i] += ck
+            mk[i][i] += ak
         mk = _mat_mul(a, mk)
     return coeffs
 
@@ -428,10 +479,12 @@ def mixing_check(
 ) -> MixingReport:
     """Exact two-sided check of the mixing inequality for one subset pair.
 
-    The inequality is squared to clear the radical (both sides are
-    non-negative), and when both densities are interior the 4x4 quotient
-    matrix's characteristic polynomial is compared against
-    (t^2 - k^2)(t^2 - gamma^2/delta) coefficient by coefficient.
+    The edge count between the two subsets is the sum of
+    popcount(masks[i] & mask2) over the rows i in subset 1, with mask2 the
+    bitmask of subset 2.  The inequality is squared to clear the radical
+    (both sides are non-negative), and when both densities are interior the
+    4x4 quotient matrix's characteristic polynomial (_charpoly) is compared
+    against (t^2 - k^2)(t^2 - gamma^2/delta) coefficient by coefficient.
     """
     bi = build_biadjacency(e1, e2, q, cap)
     n1, n2 = bi.n1, bi.n2
@@ -439,10 +492,11 @@ def mixing_check(
     set2 = sorted(set(idx2))
     k = q ** (e1 * e2)
     d = e1 + e2
-    in_set2 = [0] * n2
-    for j in set2:
-        in_set2[j] = 1
-    edges = sum(sum(compress(bi.rows[i], in_set2)) for i in set1)
+    if set2 and not (0 <= set2[0] and set2[-1] < n2):
+        raise IndexError(f"e2-space indices must lie in range({n2})")
+    mask2 = sum(1 << j for j in set2)
+    masks = bi.masks
+    edges = sum((masks[i] & mask2).bit_count() for i in set1)
     big_d = n1 * k
     a1 = Fraction(len(set1), n1)
     a2 = Fraction(len(set2), n2)
@@ -493,6 +547,8 @@ def mixing_suite(e1: int, e2: int, q: int, trials: int = 100, seed: int = 0):
     bi = build_biadjacency(e1, e2, q)
     full1 = list(range(bi.n1))
     full2 = list(range(bi.n2))
+    nbr1 = [i for i in full1 if bi.masks[i] & 1]
+    nbr2 = [j for j in full2 if bi.masks[0] >> j & 1]
     cases = [
         (full1, full2),
         (full1, [0]),
@@ -501,12 +557,9 @@ def mixing_suite(e1: int, e2: int, q: int, trials: int = 100, seed: int = 0):
         ([], full2),
         (full1, []),
         # neighborhoods of a fixed vertex on each side
-        ([i for i in full1 if bi.rows[i][0]], full2),
-        (full1, [j for j in full2 if bi.rows[0][j]]),
-        (
-            [i for i in full1 if bi.rows[i][0]],
-            [j for j in full2 if bi.rows[0][j]],
-        ),
+        (nbr1, full2),
+        (full1, nbr2),
+        (nbr1, nbr2),
     ]
     reports = [mixing_check(e1, e2, q, s1, s2) for s1, s2 in cases]
     for s1, s2 in random_subset_pairs(e1, e2, q, trials, seed):

@@ -1,6 +1,8 @@
 """Reference helpers that only the tests use: direct constructions that the
 package's fast paths are checked against."""
 
+from itertools import compress
+
 from oppmix import forms
 from oppmix.forms import ClassicalForm
 from oppmix.gf import Field
@@ -60,3 +62,18 @@ def nullspace_bits(rows, d: int) -> tuple:
                 v |= 1 << p
         basis.append(v)
     return rref_bits(basis)[0]
+
+
+def singular_count_by_points(r) -> int:
+    """forms.singular_count evaluated point by point through RestrictedForm.quad_value."""
+    q = r.field.q
+    hits = sum(1 for rep in forms._projective_reps(r.e, q) if r.quad_value(rep) == 0)
+    return hits * (q - 1)
+
+
+def edges_by_compress(rows, idx1, idx2) -> int:
+    """Edges between row subset idx1 and column subset idx2 of a 0/1 matrix."""
+    in_set2 = [0] * len(rows[0])
+    for j in set(idx2):
+        in_set2[j] = 1
+    return sum(sum(compress(rows[i], in_set2)) for i in set(idx1))

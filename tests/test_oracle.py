@@ -1,10 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 
-from oppmix import bounds, exactnum, forms, linalg, oracle
+from oppmix import bounds, exactnum, forms, linalg, oracle, spectrum
 from oppmix.gf import field
+from reference import edges_by_compress
 
 # Oracle-enumerable fixtures, keyed by ambient field size Q:
 # Q <= 3 with d <= 6, Q <= 5 with d = 4, Q = 2 with d = 8; hermitian spaces
@@ -262,12 +264,65 @@ def test_annihilator_square_example():
     assert m == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 
 
+@pytest.mark.parametrize("e1,e2,q", [(3, 2, 2), (2, 2, 3)])
+def test_gram_popcounts_match_dense_product(e1, e2, q):
+    b = oracle.build_biadjacency(e1, e2, q)
+    assert b.gram() == oracle._mat_mul(b.rows, list(zip(*b.rows)))
+
+
+@pytest.mark.parametrize("e1,e2,q", [(2, 1, 3), (2, 2, 3), (1, 2, 3)])
+def test_biadjacency_rows_from_masks_match_elimination(e1, e2, q):
+    f = field(q)
+    x1 = list(linalg.enumerate_subspaces(e1 + e2, e1, f))
+    x2 = list(linalg.enumerate_subspaces(e1 + e2, e2, f))
+    want = tuple(tuple(int(linalg.complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
+    b = oracle.build_biadjacency(e1, e2, q)
+    assert b.rows == want
+    assert b.row_sums() == [sum(r) for r in want]
+    assert b.col_sums() == [sum(c) for c in zip(*want)]
+
+
+@pytest.mark.parametrize("e1,e2,q", [(2, 2, 3), (3, 2, 2)])
+def test_mixing_edges_match_compress_sum(e1, e2, q):
+    rows = oracle.build_biadjacency(e1, e2, q).rows
+    for idx1, idx2 in oracle.random_subset_pairs(e1, e2, q, trials=30, seed=5):
+        assert oracle.mixing_check(e1, e2, q, idx1, idx2).edges == edges_by_compress(
+            rows, idx1, idx2
+        )
+
+
+def test_trace_identities_fail_on_flipped_entry(monkeypatch):
+    b = oracle.build_biadjacency(2, 2, 3)
+    spec = spectrum.eigen_exponents(2, 2)
+    lams = [spec.eigenvalue_squared(3, j) for j in range(3)]
+    trace, frobenius = oracle._predicted_traces(4, 3, lams)
+    m = b.gram()
+    assert sum(m[i][i] for i in range(len(m))) == trace
+    assert sum(v * v for row in m for v in row) == frobenius
+
+    masks = list(b.masks)
+    masks[7] ^= 1 << 11  # flip N[7][11]
+    flipped = replace(b, masks=tuple(masks))
+    m = flipped.gram()
+    assert sum(m[i][i] for i in range(len(m))) != trace
+    assert sum(v * v for row in m for v in row) != frobenius
+    monkeypatch.setattr(oracle, "build_biadjacency", lambda *args: flipped)
+    assert not oracle.annihilator_check(2, 2, 3)
+
+
 def test_mixing_boundaries():
     n = oracle.build_biadjacency(2, 2, 2).n1
     full = list(range(n))
     for idx1, idx2 in [(full, full), (full, [3]), ([3], full), ([], full)]:
         rep = oracle.mixing_check(2, 2, 2, idx1, idx2)
         assert rep.holds and rep.tight
+
+
+def test_mixing_check_rejects_column_out_of_range():
+    with pytest.raises(IndexError):
+        oracle.mixing_check(2, 1, 2, [0], [7])  # n2 = 7
+    with pytest.raises(IndexError):
+        oracle.mixing_check(2, 1, 2, [0], [-1])
 
 
 def test_mixing_suite_gamma22_f2():
