@@ -14,10 +14,12 @@ each distinct restricted form (the form on the member's basis) once and
 reuses the verdict for every member that restricts to it.  Over other fields
 the key is built from a per-build memo of each distinct basis row's image
 under the ambient form (G b, and Q(b) if orthogonal); it equals the bytes of
-forms.restrict, which still computes every verdict.
+forms.restrict, and a verdict decodes the restricted form from those bytes
+instead of restricting again.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
-bitmask, so edge counts and the entries of N N^T are popcounts.
+bitmask, so edge counts and the entries of N N^T are popcounts.  The
+annihilator product is taken on rows packed into one int each.
 
 The oracle knows no theorem: a caller that judges a proportion passes the
 threshold in.
@@ -26,7 +28,6 @@ threshold in.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -69,10 +70,12 @@ def _classifier(form: ClassicalForm):
     """(key, verdict) for one partition build over `form`.
 
     key(s) is the form restricted to the basis of member s, which alone
-    decides verdict(s): sigma (+-1) for orthogonal, True for plain
+    decides verdict(s, key(s)): sigma (+-1) for orthogonal, True for plain
     non-degenerate, None if degenerate.  Over F_2 members are tuples of
-    bitmask rows and the key packs the restricted form into an int; over
-    other fields it packs it into bytes.
+    bitmask rows, the key packs the restricted form into an int and the
+    verdict reads the rows.  Over other fields the key packs the form into
+    bytes (the e x e gram, then the e values Q(b_i) if orthogonal) and the
+    verdict decodes it back into a RestrictedForm.
     """
     if form.field.q == 2 and form.kind == forms.ORTHOGONAL:
         qt = forms.quad_table_gf2(form)
@@ -86,7 +89,7 @@ def _classifier(form: ClassicalForm):
                     k = (k << 1) | qt[ri ^ rj]
             return k
 
-        return key, lambda rows: forms.classify_orthogonal_gf2(qt, rows)
+        return key, lambda rows, _: forms.classify_orthogonal_gf2(qt, rows)
     if form.field.q == 2:  # symplectic: hermitian forms live over F_{q^2}
         bil = forms.bilinear_masks_gf2(form)
 
@@ -98,7 +101,7 @@ def _classifier(form: ClassicalForm):
                     k = (k << 1) | ((ri & bil[rj]).bit_count() & 1)
             return k
 
-        return key, lambda rows: True if forms.symplectic_nondeg_gf2(bil, rows) else None
+        return key, lambda rows, _: True if forms.symplectic_nondeg_gf2(bil, rows) else None
 
     fld = form.field
     if fld.k == 1:
@@ -121,8 +124,11 @@ def _classifier(form: ClassicalForm):
             out += [qb for _, qb in imgs]
         return bytes(out)
 
-    def verdict(s):
-        r = forms.restrict(form, s)
+    def verdict(s, k):
+        e = s.e
+        gram = tuple(tuple(k[i : i + e]) for i in range(0, e * e, e))
+        qdiag = tuple(k[e * e :]) if form.kind == forms.ORTHOGONAL else None
+        r = forms.RestrictedForm(form.kind, e, fld, gram, qdiag)
         if not forms.is_nondegenerate(r):
             return None
         return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
@@ -185,7 +191,7 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
         try:
             c = memo[k]
         except KeyError:
-            c = memo[k] = verdict(s)
+            c = memo[k] = verdict(s, k)
         if c is None:
             degenerate += 1
         else:
@@ -244,6 +250,9 @@ def count_complementary(
         raise ValueError("Y-sets live on different spaces")
     q, m1, m2 = y1.form.field.q, y1.members, y2.members
     if workers > 1 and len(m1) * len(m2) > 250_000:
+        # imported here: it loads multiprocessing, which only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(q, m1[i::workers], m2) for i in range(min(workers, len(m1)))]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = sum(pool.map(_count_pairs, jobs))
@@ -395,7 +404,8 @@ def annihilator_check(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_C
 
     The annihilator says the closed-form q^(2 m_j) include every eigenvalue;
     the traces tie them to their multiplicities, so that a graph with the
-    right eigenvalues in the wrong proportions fails.
+    right eigenvalues in the wrong proportions fails.  The product is taken
+    by _annihilates on packed rows, never as dense matrices.
     """
     bi = build_biadjacency(e1, e2, q, cap)
     spec = spectrum.eigen_exponents(max(e1, e2), min(e1, e2))
@@ -407,11 +417,32 @@ def annihilator_check(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_C
         return False
     if sum(v * v for row in m for v in row) != frobenius:
         return False
-    prod = None
-    for lam2 in lams:
-        factor = [[m[r][c] - (lam2 if r == c else 0) for c in range(n)] for r in range(n)]
-        prod = factor if prod is None else _mat_mul(prod, factor)
-    return all(v == 0 for row in prod for v in row)
+    return _annihilates(m, lams)
+
+
+def _annihilates(m, lams) -> bool:
+    """Whether prod_j (m - lams[j] I) is the zero matrix, for an integer matrix m.
+
+    Each row of the product P is carried as one int, sum_c P[r][c] 2^(w c)
+    (Kronecker substitution), and a factor is applied from the left as
+    row r <- sum_k m[r][k] row k - lam row r: about n^2 small-int times
+    big-int steps per factor.  Those steps are linear, so the packed rows are
+    exact whatever the carries between fields.  Every |P[r][c]| is at most
+    the product over j of max_r (sum_c |m[r][c]| + |lams[j]|), below
+    2^(w - 2), so a packed row is 0 exactly when its row of P is.
+    """
+    bound = 1
+    for lam in lams:
+        bound *= max(sum(map(abs, row)) + abs(lam) for row in m)
+    w = bound.bit_length() + 2
+    *rest, last = lams
+    rows = [
+        sum((v - last if r == c else v) << (w * c) for c, v in enumerate(row))
+        for r, row in enumerate(m)
+    ]
+    for lam in rest:
+        rows = [sum(map(mul, m_r, rows)) - lam * x_r for m_r, x_r in zip(m, rows)]
+    return not any(rows)
 
 
 def _predicted_traces(d: int, q: int, lams) -> tuple:
@@ -482,9 +513,11 @@ def mixing_check(
     The edge count between the two subsets is the sum of
     popcount(masks[i] & mask2) over the rows i in subset 1, with mask2 the
     bitmask of subset 2.  The inequality is squared to clear the radical
-    (both sides are non-negative), and when both densities are interior the
-    4x4 quotient matrix's characteristic polynomial (_charpoly) is compared
-    against (t^2 - k^2)(t^2 - gamma^2/delta) coefficient by coefficient.
+    (both sides are non-negative) and multiplied out of its denominators, so
+    holds and tight are integer comparisons.  When both densities are
+    interior the 4x4 quotient matrix's characteristic polynomial (_charpoly)
+    is compared against (t^2 - k^2)(t^2 - gamma^2/delta) coefficient by
+    coefficient.
     """
     bi = build_biadjacency(e1, e2, q, cap)
     n1, n2 = bi.n1, bi.n2
@@ -498,28 +531,31 @@ def mixing_check(
     masks = bi.masks
     edges = sum((masks[i] & mask2).bit_count() for i in set1)
     big_d = n1 * k
-    a1 = Fraction(len(set1), n1)
-    a2 = Fraction(len(set2), n2)
-    lhs = Fraction(edges, big_d) - a1 * a2
-    rhs_sq = Fraction(1, q**d) * a1 * a2 * (1 - a1) * (1 - a2)
-    holds = lhs * lhs <= rhs_sq
-    tight = lhs * lhs == rhs_sq
+    s1, s2 = len(set1), len(set2)
+    a1 = Fraction(s1, n1)
+    a2 = Fraction(s2, n2)
+    # the squared inequality times (n1 n2 k)^2 q^d, with dev = edges n2 - s1 s2 k
+    dev = edges * n2 - s1 * s2 * k
+    lhs = dev * dev * q**d
+    rhs = k * k * s1 * s2 * (n1 - s1) * (n2 - s2)
+    holds = lhs <= rhs
+    tight = lhs == rhs
     charpoly_ok = None
     if 0 < a1 < 1 and 0 < a2 < 1:
-        e_y1_x2 = k * len(set1)
-        e_x1_y2 = k * len(set2)
+        e_y1_x2 = k * s1
+        e_x1_y2 = k * s2
         b = [
-            [0, 0, Fraction(edges, len(set1)), Fraction(e_y1_x2 - edges, len(set1))],
+            [0, 0, Fraction(edges, s1), Fraction(e_y1_x2 - edges, s1)],
             [
                 0,
                 0,
-                Fraction(e_x1_y2 - edges, n1 - len(set1)),
-                Fraction(big_d - e_y1_x2 - e_x1_y2 + edges, n1 - len(set1)),
+                Fraction(e_x1_y2 - edges, n1 - s1),
+                Fraction(big_d - e_y1_x2 - e_x1_y2 + edges, n1 - s1),
             ],
-            [Fraction(edges, len(set2)), Fraction(e_x1_y2 - edges, len(set2)), 0, 0],
+            [Fraction(edges, s2), Fraction(e_x1_y2 - edges, s2), 0, 0],
             [
-                Fraction(e_y1_x2 - edges, n2 - len(set2)),
-                Fraction(big_d - e_y1_x2 - e_x1_y2 + edges, n2 - len(set2)),
+                Fraction(e_y1_x2 - edges, n2 - s2),
+                Fraction(big_d - e_y1_x2 - e_x1_y2 + edges, n2 - s2),
                 0,
                 0,
             ],

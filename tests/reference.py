@@ -1,9 +1,10 @@
 """Reference helpers that only the tests use: direct constructions that the
 package's fast paths are checked against."""
 
+from fractions import Fraction
 from itertools import compress
 
-from oppmix import forms
+from oppmix import forms, oracle
 from oppmix.forms import ClassicalForm
 from oppmix.gf import Field
 from oppmix.linalg import Subspace, nullspace, rref
@@ -77,3 +78,24 @@ def edges_by_compress(rows, idx1, idx2) -> int:
     for j in set(idx2):
         in_set2[j] = 1
     return sum(sum(compress(rows[i], in_set2)) for i in set(idx1))
+
+
+def mixing_verdicts_by_fractions(n1, n2, k, qd, edges, s1, s2) -> tuple:
+    """(holds, tight) of the squared mixing inequality, in Fractions.
+
+    (edges / (n1 k) - a1 a2)^2 against a1 a2 (1 - a1) (1 - a2) / q^d, with
+    the densities a1 = s1 / n1 and a2 = s2 / n2.
+    """
+    a1, a2 = Fraction(s1, n1), Fraction(s2, n2)
+    lhs = Fraction(edges, n1 * k) - a1 * a2
+    rhs_sq = Fraction(1, qd) * a1 * a2 * (1 - a1) * (1 - a2)
+    return lhs * lhs <= rhs_sq, lhs * lhs == rhs_sq
+
+
+def dense_factor_product(m, lams) -> list:
+    """prod_j (m - lams[j] I) as a dense matrix, through oracle._mat_mul."""
+    prod = None
+    for lam in lams:
+        factor = [[v - lam if r == c else v for c, v in enumerate(row)] for r, row in enumerate(m)]
+        prod = factor if prod is None else oracle._mat_mul(prod, factor)
+    return prod

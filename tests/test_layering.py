@@ -1,6 +1,8 @@
 """Each module of the package imports only the modules below it."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import oppmix
@@ -30,3 +32,20 @@ def test_imports_point_downward():
     for i, name in enumerate(LAYERS):
         above = package_imports(PACKAGE / f"{name}.py") - set(LAYERS[:i])
         assert not above, f"{name} imports {sorted(above)}, which sit above it"
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool's modules load only when count_complementary starts a pool
+    probe = (
+        "import sys, oppmix.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

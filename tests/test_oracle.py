@@ -6,7 +6,7 @@ import pytest
 
 from oppmix import bounds, exactnum, forms, linalg, oracle, spectrum
 from oppmix.gf import field
-from reference import edges_by_compress
+from reference import dense_factor_product, edges_by_compress, mixing_verdicts_by_fractions
 
 # Oracle-enumerable fixtures, keyed by ambient field size Q:
 # Q <= 3 with d <= 6, Q <= 5 with d = 4, Q = 2 with d = 8; hermitian spaces
@@ -72,11 +72,16 @@ def test_hermitian_counts_match_closed_form(q, d):
         ("orthogonal", 4, 4, 1),
         ("orthogonal", 4, 4, -1),
         ("symplectic", 6, 2, None),
+        ("orthogonal", 4, 5, 1),
+        ("orthogonal", 4, 5, -1),
+        ("symplectic", 4, 3, None),
+        ("hermitian", 3, 2, None),
+        ("hermitian", 4, 2, None),
     ],
 )
 def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
     form = forms.standard_form(kind, d, q, eps)
-    for e in range(2, d - 1, 2):
+    for e in range(1, d) if kind == "hermitian" else range(2, d - 1, 2):
         want: dict = {}
         degenerate = 0
         for s in linalg.enumerate_subspaces(d, e, form.field):
@@ -85,7 +90,7 @@ def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
                 degenerate += 1
                 continue
             c = forms.orthogonal_type(r) if kind == "orthogonal" else True
-            want.setdefault(c, []).append(s.bit_rows() if q == 2 else s)
+            want.setdefault(c, []).append(s.bit_rows() if form.field.q == 2 else s)
         want = {c: tuple(members) for c, members in want.items()}
         assert oracle.classify_partition(form, e) == (want, degenerate), e
 
@@ -291,6 +296,38 @@ def test_mixing_edges_match_compress_sum(e1, e2, q):
         )
 
 
+@pytest.mark.parametrize("e1,e2,q", [(3, 2, 2), (2, 2, 3)])
+def test_annihilator_product_fails_without_any_one_eigenvalue(e1, e2, q):
+    m = oracle.build_biadjacency(e1, e2, q).gram()
+    spec = spectrum.eigen_exponents(max(e1, e2), min(e1, e2))
+    lams = [spec.eigenvalue_squared(q, j) for j in range(len(spec.exponents))]
+    assert oracle._annihilates(m, lams)
+    for j in range(len(lams)):
+        assert not oracle._annihilates(m, lams[:j] + lams[j + 1 :]), lams[j]
+
+
+@pytest.mark.parametrize(
+    "m,lams",
+    [
+        ([[0, 5, 0], [0, 0, -7], [0, 0, 0]], [0, 0]),  # -35 in the last column
+        ([[0, 0, 0], [-1, 0, 0], [0, -1, 0]], [0, 0]),  # 1 in the first column
+        ([[2, 1, 0], [0, 2, 1], [0, 0, 2]], [2, 2]),
+        ([[-4, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 1, 0, 3]], [-4, 3]),
+    ],
+)
+def test_annihilator_product_fails_on_one_nonzero_entry(m, lams):
+    prod = dense_factor_product(m, lams)
+    assert sum(v != 0 for row in prod for v in row) == 1
+    assert not oracle._annihilates(m, lams)
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_annihilator_product_fields_do_not_alias(t):
+    # the row (0, 2^t, -1) packs to 0 at field width t; the packed product must not
+    m = [[0, 2**t, -1], [0, 0, 0], [0, 0, 0]]
+    assert not oracle._annihilates(m, [0])
+
+
 def test_trace_identities_fail_on_flipped_entry(monkeypatch):
     b = oracle.build_biadjacency(2, 2, 3)
     spec = spectrum.eigen_exponents(2, 2)
@@ -308,6 +345,39 @@ def test_trace_identities_fail_on_flipped_entry(monkeypatch):
     assert sum(v * v for row in m for v in row) != frobenius
     monkeypatch.setattr(oracle, "build_biadjacency", lambda *args: flipped)
     assert not oracle.annihilator_check(2, 2, 3)
+
+
+@pytest.mark.parametrize("e1,e2,q", [(2, 2, 3), (3, 2, 2)])
+def test_mixing_integer_verdicts_match_fractions(e1, e2, q):
+    b = oracle.build_biadjacency(e1, e2, q)
+    full1, full2 = list(range(b.n1)), list(range(b.n2))
+    boundary = [
+        (full1, full2), (full1, [0]), ([0], full2), ([0], [0]), ([], full2), (full1, []), ([], [])
+    ]
+    seeded = oracle.random_subset_pairs(e1, e2, q, trials=30, seed=9)
+    k, qd = q ** (e1 * e2), q ** (e1 + e2)
+    for idx1, idx2 in [*boundary, *seeded]:
+        rep = oracle.mixing_check(e1, e2, q, idx1, idx2)
+        want = mixing_verdicts_by_fractions(b.n1, b.n2, k, qd, rep.edges, len(idx1), len(idx2))
+        assert (rep.holds, rep.tight) == want, (len(idx1), len(idx2))
+
+
+def test_mixing_integer_verdicts_match_fractions_on_banded_graph(monkeypatch):
+    # a banded 81-regular matrix of the (2, 2, 3) shape: unlike the real graph,
+    # its prefix pairs break the inequality, meet it and hold it with little room
+    b = oracle.build_biadjacency(2, 2, 3)
+    n, k = b.n1, 3**4
+    band, full = (1 << k) - 1, (1 << n) - 1
+    masks = tuple(((band << i) | (band >> (n - i))) & full for i in range(n))
+    monkeypatch.setattr(oracle, "build_biadjacency", lambda *args: replace(b, masks=masks))
+    seen = set()
+    for s1 in range(0, n + 1, 5):
+        for s2 in range(0, n + 1, 5):
+            rep = oracle.mixing_check(2, 2, 3, range(s1), range(s2))
+            want = mixing_verdicts_by_fractions(n, n, k, 3**4, rep.edges, s1, s2)
+            assert (rep.holds, rep.tight) == want, (s1, s2)
+            seen.add(want)
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_mixing_boundaries():

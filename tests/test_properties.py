@@ -9,7 +9,11 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from oppmix import forms, linalg, oracle  # noqa: E402
 from oppmix.gf import field  # noqa: E402
-from reference import singular_count_by_points, subspace_from_rows  # noqa: E402
+from reference import (  # noqa: E402
+    dense_factor_product,
+    singular_count_by_points,
+    subspace_from_rows,
+)
 
 
 @st.composite
@@ -78,3 +82,35 @@ def restricted_quadratic_forms(draw, e, q):
 def test_singular_count_matches_point_loop(e, q, data):
     r = data.draw(restricted_quadratic_forms(e, q))
     assert forms.singular_count(r) == singular_count_by_points(r)
+
+
+@st.composite
+def matrices_with_eigenvalues(draw):
+    """(m, lams): an integer matrix U T U^-1 and some of T's diagonal entries.
+
+    T is upper triangular with entries in [-3, 3] and U a product of integer
+    elementary matrices, so the product over all of T's diagonal annihilates
+    m; lams is a prefix of a shuffle of that diagonal plus at most one stray
+    value, so the product may or may not vanish.
+    """
+    n = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    m = [[draw(small) if j >= i else 0 for j in range(n)] for i in range(n)]
+    diag = [m[i][i] for i in range(n)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-2, 2)), max_size=4)):
+        if i != j:  # m <- (I + c E_ij) m (I - c E_ij)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[j] -= c * row[i]
+    lams = draw(st.permutations(diag))[: draw(st.integers(1, n))]
+    return m, lams + draw(st.lists(small, max_size=1))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(matrices_with_eigenvalues())
+@hypothesis.example(([[0, 1, 0], [0, 0, -1], [0, 0, 0]], [0, 0]))  # one nonzero entry
+def test_packed_annihilator_matches_dense_product(case):
+    m, lams = case
+    prod = dense_factor_product(m, lams)
+    assert oracle._annihilates(m, lams) == all(v == 0 for row in prod for v in row)
