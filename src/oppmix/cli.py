@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: spectrum | bound | count | verify | mixing-check.  Output formats:
-table (default), json, csv.  Exit codes: 0 all checks passed, 1 a check
+table (default) and json everywhere; csv only on bound, count and verify, whose
+reports have rows.  Exit codes: 0 all checks passed, 1 a check
 failed, 2 usage error (argparse's own), 3 enumeration budget exceeded, 4
 internal error (an ArithmeticError: an exact result contradicted itself, such
 as an enumerated count that disagrees with its closed form), reported as one
@@ -9,7 +10,8 @@ as an enumerated count that disagrees with its closed form), reported as one
 
 JSON is canonical: keys sorted, rationals as {"num": "...", "den": "..."}
 decimal strings plus a non-authoritative float "approx"; parsing and
-re-serializing a report is byte-identical.
+re-serializing a report is byte-identical.  A CSV row is one JSON report
+record read through CSV_COLUMNS, so the two formats cannot drift apart.
 """
 
 from __future__ import annotations
@@ -26,21 +28,16 @@ from . import bounds, exactnum, forms, oracle, spectrum, sweep
 from .bounds import Surd
 from .linalg import BudgetError
 
-CSV_COLUMNS = [
-    "family",
-    "eps",
-    "sigma1",
-    "sigma2",
-    "e1",
-    "e2",
-    "q",
-    "alpha1",
-    "alpha2",
-    "bound",
-    "threshold",
-    "pass",
-    "method",
-]
+# CSV column -> the JSON keys it reads, first key present wins; a count
+# report's `case` fields count as its own.
+CSV_COLUMNS = {
+    "family": ("family", "kind"),
+    **{c: (c,) for c in ("eps", "sigma1", "sigma2", "e1", "e2", "q", "alpha1", "alpha2")},
+    "bound": ("lower_bound", "proportion"),
+    "threshold": ("threshold",),
+    "pass": ("pass",),
+    "method": ("formula_id", "method"),
+}
 
 
 def frac_jsonable(x: Fraction) -> dict:
@@ -112,57 +109,39 @@ def count_report_jsonable(rep: oracle.CountReport) -> dict:
     }
 
 
-def _bound_csv_row(rep: bounds.BoundReport) -> dict:
-    return {
-        "family": rep.family,
-        "eps": _sign_str(rep.eps),
-        "sigma1": _sign_str(rep.sigma1),
-        "sigma2": _sign_str(rep.sigma2),
-        "e1": rep.e1,
-        "e2": rep.e2,
-        "q": rep.q,
-        "alpha1": frac_str(rep.alpha1),
-        "alpha2": frac_str(rep.alpha2),
-        "bound": frac_str(rep.lower_bound),
-        "threshold": frac_str(rep.threshold),
-        "pass": rep.passed,
-        "method": rep.formula_id,
-    }
+def _json_number(record: dict):
+    """The Fraction or Surd that a rational or surd JSON record stands for."""
+    if "sqrt_base" in record:
+        return Surd(_json_number(record["a"]), _json_number(record["b"]), record["sqrt_base"])
+    return Fraction(int(record["num"]), int(record["den"]))
 
 
-def _count_csv_row(rep: oracle.CountReport) -> dict:
-    case = rep.case
-    return {
-        "family": case.get("kind", ""),
-        "eps": case.get("eps", ""),
-        "sigma1": case.get("sigma1", ""),
-        "sigma2": case.get("sigma2", ""),
-        "e1": case.get("e1", ""),
-        "e2": case.get("e2", ""),
-        "q": case.get("q", ""),
-        "alpha1": "",
-        "alpha2": "",
-        "bound": frac_str(rep.proportion),
-        "threshold": frac_str(rep.threshold) if rep.threshold is not None else "",
-        "pass": rep.passed,
-        "method": rep.method,
-    }
+def _csv_cell(value):
+    """A JSON value as a CSV cell: None empty, a rational or surd as frac_str writes it."""
+    if isinstance(value, dict):
+        return frac_str(_json_number(value))
+    return "" if value is None else value
 
 
-def _emit_csv(rows) -> str:
+def _emit_csv(records) -> str:
+    """One CSV row per JSON report record, read through CSV_COLUMNS."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for record in records:
+        fields = {**record.get("case", {}), **record}
+        writer.writerow(
+            _csv_cell(next((fields[k] for k in keys if k in fields), None))
+            for keys in CSV_COLUMNS.values()
+        )
     return buf.getvalue()
 
 
-def _print_report(args, jsonable, csv_rows, table_lines):
+def _print_report(args, jsonable, table_lines, csv_records=()):
     if args.format == "json":
         print(dumps_canonical(jsonable))
     elif args.format == "csv":
-        sys.stdout.write(_emit_csv(csv_rows))
+        sys.stdout.write(_emit_csv(csv_records))
     else:
         for line in table_lines:
             print(line)
@@ -193,7 +172,7 @@ def cmd_spectrum(args) -> int:
         "eigenvalues": [spectrum.eigenvalue_str(args.q, m) for m in exps],
         "character_route_agrees": agree,
     }
-    _print_report(args, jsonable, [], lines)
+    _print_report(args, jsonable, lines)
     return 0 if agree else 1
 
 
@@ -225,7 +204,8 @@ def cmd_bound(args) -> int:
     if rep.note:
         lines.append(f"note: {rep.note}")
         print(f"note: {rep.note}", file=sys.stderr)
-    _print_report(args, bound_report_jsonable(rep), [_bound_csv_row(rep)], lines)
+    record = bound_report_jsonable(rep)
+    _print_report(args, record, lines, [record])
     return 0 if rep.passed else 1
 
 
@@ -248,14 +228,15 @@ def cmd_count(args) -> int:
         f"method = {rep.method}",
         "PASS" if rep.passed else "FAIL",
     ]
-    _print_report(args, count_report_jsonable(rep), [_count_csv_row(rep)], lines)
+    record = count_report_jsonable(rep)
+    _print_report(args, record, lines, [record])
     return 0 if rep.passed else 1
 
 
 def cmd_verify(args) -> int:
     families = list(bounds.THEOREM) if args.family == "all" else [args.family]
     overall_failures = []
-    all_bound_rows = []
+    records = []
     all_jsonable = {}
     lines = []
     for fam in families:
@@ -276,12 +257,13 @@ def cmd_verify(args) -> int:
         )
         for f in rep.failures:
             lines.append(f"  FAILURE: {f}")
-        all_bound_rows.extend(_bound_csv_row(r) for r in rep.bound_reports)
-        all_bound_rows.extend(_count_csv_row(r) for r in rep.count_reports)
+        bound_records = [bound_report_jsonable(r) for r in rep.bound_reports]
+        count_records = [count_report_jsonable(r) for r in rep.count_reports]
+        records += bound_records + count_records
         all_jsonable[fam] = {
             "passed": rep.passed,
-            "bound_reports": [bound_report_jsonable(r) for r in rep.bound_reports],
-            "count_reports": [count_report_jsonable(r) for r in rep.count_reports],
+            "bound_reports": bound_records,
+            "count_reports": count_records,
             "tail_checks": [
                 {
                     "name": t.name,
@@ -294,7 +276,7 @@ def cmd_verify(args) -> int:
             ],
             "failures": rep.failures,
         }
-    _print_report(args, all_jsonable, all_bound_rows, lines)
+    _print_report(args, all_jsonable, lines, records)
     if overall_failures:
         print(f"first failure: {overall_failures[0]}", file=sys.stderr)
         return 1
@@ -321,7 +303,7 @@ def cmd_mixing_check(args) -> int:
         "tight_cases": sum(1 for r in reports if r.tight),
         "charpoly_checked": sum(1 for r in reports if r.charpoly_ok is not None),
     }
-    _print_report(args, jsonable, [], lines)
+    _print_report(args, jsonable, lines)
     return 0 if not bad else 1
 
 
@@ -341,9 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_case=True):
-        p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    def common(p, rows, with_case=True):
+        """--format, with csv only for a command whose report has rows."""
+        formats = ["table", "json", "csv"] if rows else ["table", "json"]
+        p.add_argument("--format", choices=formats, default="table")
         if with_case:
             p.add_argument("--e1", type=int, required=True)
             p.add_argument("--e2", type=int, required=True)
@@ -352,37 +335,44 @@ def build_parser() -> argparse.ArgumentParser:
     def budget(p):
         p.add_argument("--budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET)
 
+    def workers(p):
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+
     def family_case(p):
         p.add_argument("--family", choices=list(bounds.THEOREM), required=True)
         for sign in ("--eps", "--sigma1", "--sigma2"):
             p.add_argument(sign, type=exactnum.parse_sign, default=None)
 
     p = sub.add_parser("spectrum", help="distinct eigenvalues of the bipartite graph")
-    common(p)
+    common(p, rows=False)
+    workers(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bound", help="closed-form lower bound for one case")
-    common(p)
+    common(p, rows=True)
     family_case(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("count", help="exact enumeration of one case")
-    common(p)
+    common(p, rows=True)
     family_case(p)
     budget(p)
+    workers(p)
     p.add_argument("--full-pairs", action="store_true", help="count every pair (no orbit shortcut)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run a family's theorem sweep")
-    common(p, with_case=False)
+    common(p, rows=True, with_case=False)
     budget(p)
+    workers(p)
     p.add_argument("--family", choices=[*bounds.THEOREM, "all"], required=True)
     p.add_argument("--full-pairs", action="store_true", help="cross-check d=4 exceptions with all pairs")
     p.add_argument("--skip-oracle", action="store_true", help="closed-form sweep only")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mixing-check", help="exact mixing-lemma property suite")
-    common(p)
+    common(p, rows=False)
+    workers(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mixing_check)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -242,6 +243,7 @@ def test_reports_are_byte_identical_across_runs(capsys, argv):
         ["bound", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "2", "--budget", "9"],
         ["spectrum", "--e1", "2", "--e2", "2", "--q", "2", "--budget", "9"],
         ["mixing-check", "--e1", "2", "--e2", "1", "--q", "2", "--budget", "9"],
+        ["bound", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "2", "--workers", "1"],
     ],
 )
 def test_flags_a_command_ignores_are_rejected(capsys, argv):
@@ -249,6 +251,28 @@ def test_flags_a_command_ignores_are_rejected(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "mixing-check"])
+def test_csv_is_offered_only_where_a_report_has_rows(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--e1", "2", "--e2", "1", "--q", "2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_verify_all_csv_is_pinned(capsys):
+    # header, 1,036 bound rows (288 with an irrational surd) and 56 count rows:
+    # every column of both report kinds, read through CSV_COLUMNS
+    code, out, _ = run(capsys, "verify", "--family", "all", "--format", "csv", "--workers", "1")
+    assert code == 0
+    assert out.count("\n") == 1093
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "4645fb5d0380098caf2d6f5b24b4785634b53a4d6e841ae34e3b81bc3899f893"
+    argv = ["--family", "unitary", "--e1", "2", "--e2", "3", "--q", "2", "--format", "csv"]
+    code, out, _ = run(capsys, "count", *argv)
+    assert code == 0
+    assert out.splitlines()[1] == "hermitian,,,,2,3,2,,,157/220,137/200,True,transitivity-fast-path"
 
 
 @pytest.mark.parametrize(

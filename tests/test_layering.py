@@ -34,6 +34,43 @@ def test_imports_point_downward():
         assert not above, f"{name} imports {sorted(above)}, which sit above it"
 
 
+def private_definitions(tree: ast.Module):
+    """The module- and class-level `def _name` / `class _Name` nodes, dunders exempt."""
+    defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+        for node in scope.body:
+            name = getattr(node, "name", "")
+            dunder = name.startswith("__") and name.endswith("__")
+            if isinstance(node, defines) and name.startswith("_") and not dunder:
+                yield node
+
+
+def referenced_names(node: ast.AST) -> list:
+    """Every name read under node, as a bare name, an attribute or an import."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.append(sub.name)
+    return names
+
+
+def test_every_private_helper_is_referenced():
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    everywhere = [name for tree in trees for name in referenced_names(tree)]
+    dead = [
+        node.name
+        for tree in trees
+        for node in private_definitions(tree)
+        # a use inside its own body, such as a recursive call, does not count
+        if everywhere.count(node.name) == referenced_names(node).count(node.name)
+    ]
+    assert not dead, f"private helpers that nothing else references: {dead}"
+
+
 def test_cli_import_loads_no_process_pool():
     # the pool's modules load only when count_complementary starts a pool
     probe = (
