@@ -141,13 +141,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[x]
 
-    def pow(self, x: int, n: int) -> int:
-        if x == 0:
-            if n < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return 0 if n else 1
-        return self.exp[(self.log[x] * n) % (self.q - 1)]
-
     def conj(self, x: int) -> int:
         """x^q for the quadratic extension F_{q^2} over F_q."""
         if self._conj is None:

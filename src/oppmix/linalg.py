@@ -11,17 +11,18 @@ Over F_2 a row is also a machine-word bitmask (bit j = coordinate j).  The
 subspaces_for_pattern_bits enumerates them directly, in the same canonical
 order, and complementary_bits is the hot pair test.
 
-members and pair_test are the one place that picks a field's representation:
-bitmask-row tuples over F_2, Subspace objects over every other field.
-Callers that only enumerate and pair-test never branch on q.  pair_test is
-curried on S1: over other fields it reduces each distinct S2 row against
-S1's RREF basis once per S1 and caches independence verdicts on the reduced
-rows.  complementary, one full elimination per pair, stays as the reference
-implementation the tests hold pair_test to.
+members, points, pair_test and complement_rows are the one place that picks
+a field's representation: bitmask-row tuples over F_2, Subspace objects over
+every other field.  Callers that only enumerate and pair-test never branch
+on q.  pair_test is one elimination per pair, for scans of one S1.  Two
+subspaces meet trivially iff they share no projective point, so
+complement_rows decides all of Y1 x Y2 by point incidence, one bitmask row
+per S1, with no elimination per pair.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
 from itertools import chain, combinations, product
 from typing import Callable, Iterator, NamedTuple
@@ -171,12 +172,38 @@ def members(d: int, e: int, fld: Field) -> Iterator:
     """Every e-subspace in the canonical order, in the field's representation.
 
     Over F_2 each member is a tuple of bitmask rows; over other fields it is
-    a Subspace.  pair_test(fld) is the matching complementarity test.
+    a Subspace.  points(fld, s) lists its projective points, and pair_test
+    and complement_rows are the matching complementarity tests.
     """
     if fld.q == 2:
         patterns = combinations(range(d), e)
         return chain.from_iterable(subspaces_for_pattern_bits(d, p) for p in patterns)
     return enumerate_subspaces(d, e, fld)
+
+
+def points(fld: Field, s) -> list:
+    """Ids sum_j v_j q^j of the (q^e - 1)/(q - 1) normalized vectors v of member s.
+
+    Over F_2 they are the nonzero XOR span of the bitmask rows.  Over other
+    fields they are b_i + (a combination of the later rows) for each RREF
+    basis row b_i; the later rows vanish at b_i's pivot, so it leads with 1.
+    """
+    if fld.q == 2:
+        span = [0]
+        for r in s:
+            span += [x ^ r for x in span]
+        return span[1:]
+    add, mul = fld.add, fld.mul
+    weights = [fld.q**j for j in range(s.d)]
+    ids = []
+    span = [(0,) * s.d]  # every vector spanned by the rows after b
+    led = []  # the points led by b: b + span
+    for b in reversed(s.basis):
+        if led:
+            span += [tuple(mul(c, x) for x in w) for c in range(1, fld.q) for w in led]
+        led = [tuple(map(add, b, v)) for v in span]
+        ids += [sum(map(int.__mul__, w, weights)) for w in led]
+    return ids
 
 
 # -- complementarity -------------------------------------------------------
@@ -219,75 +246,35 @@ def complementary(s1: Subspace, s2: Subspace, fld: Field) -> bool:
     return True
 
 
-def pair_test(fld: Field, n2: int) -> Callable:
-    """Complementarity of members(..., fld), curried: pair_test(fld, n2)(s1)(s2).
+def pair_test(fld: Field) -> Callable:
+    """Complementarity of members(..., fld), curried: pair_test(fld)(s1)(s2).
 
-    Callers fix S1 outermost and test it against n2 members S2.  Over F_2 the
-    test is complementary_bits.  Over other fields each distinct S2 row is
-    reduced against S1's RREF basis once per S1 (see _Reduced), and S1 + S2
-    is direct iff the e2 reduced rows are independent.  That verdict depends
-    on the reduced rows alone, so it is cached on them across every S1; the
-    cache is cleared when it reaches n2 entries.  complementary is the
-    reference this agrees with.  The first S1 does not write the cache: a
-    scan of Y2 against one S1 alone would fill it without a hit.
+    complementary_bits over F_2, complementary over other fields.
     """
     if fld.q == 2:
         return lambda rows1: partial(complementary_bits, rows1)
-    independent: dict = {}
-    given = 0
-
-    def against(s1: Subspace) -> Callable:
-        nonlocal given
-        given += 1
-        reduce = _Reduced(s1, fld).__getitem__
-        if given == 1:
-            return lambda s2: _independent(tuple(map(reduce, s2.basis)), fld)
-
-        def test(s2: Subspace) -> bool:
-            key = tuple(map(reduce, s2.basis))
-            try:
-                return independent[key]
-            except KeyError:
-                if len(independent) >= n2:
-                    independent.clear()
-                verdict = independent[key] = _independent(key, fld)
-                return verdict
-
-        return test
-
-    return against
+    return lambda s1: lambda s2: complementary(s1, s2, fld)
 
 
-def _independent(rows, fld: Field) -> bool:
-    return rank(rows, fld) == len(rows)
+def complement_rows(fld: Field, members1, members2) -> Iterator[int]:
+    """Per S1 in members1, the bitmask whose bit j says S1 + members2[j] is direct.
 
-
-class _Reduced(dict):
-    """Row -> the row minus its S1 part, on S1's non-pivot columns.
-
-    S1's RREF basis row i has a 1 at pivot i and 0 at every other pivot, so
-    the coefficient of row i is the row's own entry at pivot i.  One instance
-    serves one S1; it holds one entry per distinct row asked for, at most
-    (q^d - 1)/(q - 1) for RREF rows.
+    That holds iff the two share no projective point, so a row is the
+    complement of the OR of the incidence masks (bit j for each S2 through
+    the point) of S1's points: no pair costs an elimination.
     """
-
-    def __init__(self, s1: Subspace, fld: Field):
-        super().__init__()
-        self.fld = fld
-        self.pivots = tuple(zip(s1.pivots, s1.basis))
-        self.free = tuple(j for j in range(s1.d) if j not in s1.pivots)
-
-    def __missing__(self, row) -> tuple:
-        sub, mul = self.fld.sub, self.fld.mul
-        out = [row[j] for j in self.free]
-        for p, b in self.pivots:
-            c = row[p]
-            if c:
-                for t, j in enumerate(self.free):
-                    if b[j]:
-                        out[t] = sub(out[t], mul(c, b[j]))
-        out = self[row] = tuple(out)
-        return out
+    size = (len(members2) + 7) >> 3
+    through = defaultdict(lambda: bytearray(size))  # bit j set byte by byte
+    for j, s2 in enumerate(members2):
+        for x in points(fld, s2):
+            through[x][j >> 3] |= 1 << (j & 7)
+    get = {x: int.from_bytes(mask, "little") for x, mask in through.items()}.get
+    full = (1 << len(members2)) - 1
+    for s1 in members1:
+        hit = 0
+        for x in points(fld, s1):
+            hit |= get(x, 0)
+        yield full & ~hit
 
 
 def complementary_bits(rows1, rows2) -> bool:

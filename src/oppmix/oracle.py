@@ -6,16 +6,17 @@ complementary-pair counting comes in two flavours (all pairs, and the
 single-orbit shortcut that fixes one subspace), which must agree wherever
 both run.
 
-Members come from linalg.members and are paired with linalg.pair_test, so
-the representation (bitmask-row tuples over F_2, Subspace objects over other
-fields) is chosen in linalg; only the restricted-form keys of a partition
-build read bitmask rows themselves, for speed.  A partition build classifies
-each distinct restricted form (the form on the member's basis) once and
-reuses the verdict for every member that restricts to it.  Over other fields
-the key is built from a per-build memo of each distinct basis row's image
-under the ambient form (G b, and Q(b) if orthogonal); it equals the bytes of
-forms.restrict, and a verdict decodes the restricted form from those bytes
-instead of restricting again.
+Members come from linalg.members, so the representation (bitmask-row tuples
+over F_2, Subspace objects over other fields) is chosen in linalg; only the
+restricted-form keys of a partition build read bitmask rows themselves.
+All-pairs counts and the biadjacency matrix take their rows from
+linalg.complement_rows (point incidence); the single-orbit count tests one
+S1 with linalg.pair_test.  A partition build classifies each distinct
+restricted form (the form on the member's basis) once and reuses the
+verdict for every member that restricts to it.  Over other fields the key
+holds the restricted gram's upper triangle (with the diagonal if hermitian;
+and the Q(b_i) if orthogonal), from a per-build memo of each distinct basis
+row's image under the ambient form; a verdict decodes the whole form from it.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -73,9 +74,9 @@ def _classifier(form: ClassicalForm):
     decides verdict(s, key(s)): sigma (+-1) for orthogonal, True for plain
     non-degenerate, None if degenerate.  Over F_2 members are tuples of
     bitmask rows, the key packs the restricted form into an int and the
-    verdict reads the rows.  Over other fields the key packs the form into
-    bytes (the e x e gram, then the e values Q(b_i) if orthogonal) and the
-    verdict decodes it back into a RestrictedForm.
+    verdict reads the rows.  Over other fields the key packs the entries
+    that determine the form into bytes (see _decode) and the verdict decodes
+    it back into a RestrictedForm.
     """
     if form.field.q == 2 and form.kind == forms.ORTHOGONAL:
         qt = forms.quad_table_gf2(form)
@@ -113,27 +114,49 @@ def _classifier(form: ClassicalForm):
     else:
         dot = fld.dot
     images = _RowImages(form, dot)
+    lo = 0 if form.kind == forms.HERMITIAN else 1  # row i keeps columns j >= i + lo
 
     def key(s):
-        # the restricted gram and Q values, one byte per field element: the
-        # bytes of forms.restrict(form, s), from the rows' memoized images
+        # the kept gram entries row by row, then the Q(b_i) if orthogonal,
+        # one byte per field element, from the rows' memoized images
         basis = s.basis
         imgs = [images[b] for b in basis]
-        out = [dot(b, gb) for b in basis for gb, _ in imgs]
+        out = [dot(b, gb) for i, b in enumerate(basis) for gb, _ in imgs[i + lo :]]
         if form.kind == forms.ORTHOGONAL:
             out += [qb for _, qb in imgs]
         return bytes(out)
 
     def verdict(s, k):
-        e = s.e
-        gram = tuple(tuple(k[i : i + e]) for i in range(0, e * e, e))
-        qdiag = tuple(k[e * e :]) if form.kind == forms.ORTHOGONAL else None
-        r = forms.RestrictedForm(form.kind, e, fld, gram, qdiag)
+        r = _decode(form, s.e, k)
         if not forms.is_nondegenerate(r):
             return None
         return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
 
     return key, verdict
+
+
+def _decode(form: ClassicalForm, e: int, k: bytes) -> forms.RestrictedForm:
+    """The form restricted to an e-space, from its generic-field key k.
+
+    k holds the gram's (i, j) for i < j (i <= j if hermitian), then the Q(b_i)
+    if orthogonal.  Below the diagonal the gram is the transpose, negative
+    (symplectic, 0 diagonal) or conjugate (hermitian) of the upper triangle;
+    the orthogonal (polar) diagonal is 2 Q(b_i).
+    """
+    fld = form.field
+    mirror = {forms.SYMPLECTIC: fld.neg, forms.HERMITIAN: fld.conj}.get(form.kind, lambda v: v)
+    gram = [[0] * e for _ in range(e)]
+    entries = iter(k)
+    for i in range(e):
+        for j in range(i if form.kind == forms.HERMITIAN else i + 1, e):
+            gram[i][j] = v = next(entries)
+            gram[j][i] = mirror(v)
+    qdiag = None
+    if form.kind == forms.ORTHOGONAL:
+        qdiag = tuple(entries)
+        for i, qb in enumerate(qdiag):
+            gram[i][i] = fld.add(qb, qb)
+    return forms.RestrictedForm(form.kind, e, fld, tuple(map(tuple, gram)), qdiag)
 
 
 class _RowImages(dict):
@@ -234,8 +257,8 @@ def build_yset(
 def _count_pairs(args) -> int:
     """Complementary pairs in members1 x members2 over F_q; one pool job."""
     q, members1, members2 = args
-    against = linalg.pair_test(field(q), len(members2))
-    return sum(sum(map(against(s1), members2)) for s1 in members1)
+    rows = linalg.complement_rows(field(q), members1, members2)
+    return sum(row.bit_count() for row in rows)
 
 
 def count_complementary(
@@ -272,7 +295,7 @@ def count_complementary_transitive(
     """
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
-    against = linalg.pair_test(y1.form.field, y2.count)
+    against = linalg.pair_test(y1.form.field)
     hits = sum(map(against(y1.members[0]), y2.members))
     pairs = hits * y1.count
     proportion = Fraction(hits, y2.count)
@@ -345,17 +368,6 @@ class Biadjacency:
     def n1(self) -> int:
         return len(self.masks)
 
-    @property
-    def rows(self) -> tuple:
-        """N as a tuple of 0/1 row tuples."""
-        return tuple(tuple((m >> j) & 1 for j in range(self.n2)) for m in self.masks)
-
-    def row_sums(self):
-        return [m.bit_count() for m in self.masks]
-
-    def col_sums(self):
-        return [sum((m >> j) & 1 for m in self.masks) for j in range(self.n2)]
-
     def gram(self) -> list:
         """N N^T: entry (i, j) is popcount(masks[i] & masks[j])."""
         return [[(mi & mj).bit_count() for mj in self.masks] for mi in self.masks]
@@ -378,12 +390,7 @@ def _biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     fld = field(q)
     x1 = list(linalg.members(e1 + e2, e1, fld))
     x2 = list(linalg.members(e1 + e2, e2, fld)) if e1 != e2 else x1
-    against = linalg.pair_test(fld, len(x2))
-    masks = []
-    for s1 in x1:
-        test = against(s1)
-        masks.append(sum(1 << j for j, s2 in enumerate(x2) if test(s2)))
-    return Biadjacency(e1, e2, q, len(x2), tuple(masks))
+    return Biadjacency(e1, e2, q, len(x2), tuple(linalg.complement_rows(fld, x1, x2)))
 
 
 def _mat_mul(a, b) -> list:

@@ -60,10 +60,6 @@ class TwoRowPartition:
     def parts(self) -> tuple:
         return (self.d - self.j, self.j) if self.j else (self.d,)
 
-    def conjugate_parts(self) -> tuple:
-        # [d-j, j]* = [2^j, 1^(d-2j)]
-        return (2,) * self.j + (1,) * (self.d - 2 * self.j)
-
 
 @dataclass(frozen=True)
 class SpectrumResult:

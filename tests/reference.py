@@ -2,7 +2,7 @@
 package's fast paths are checked against."""
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 
 from oppmix import forms, oracle
 from oppmix.forms import ClassicalForm
@@ -63,6 +63,45 @@ def nullspace_bits(rows, d: int) -> tuple:
                 v |= 1 << p
         basis.append(v)
     return rref_bits(basis)[0]
+
+
+def field_pow(fld: Field, x: int, n: int) -> int:
+    """x^n in fld for n >= 0, by repeated multiplication."""
+    out = 1
+    for _ in range(n):
+        out = fld.mul(out, x)
+    return out
+
+
+def conjugate_parts(mu) -> tuple:
+    """The conjugate of the two-row partition [d - j, j]: [2^j, 1^(d - 2j)]."""
+    return (2,) * mu.j + (1,) * (mu.d - 2 * mu.j)
+
+
+def biadjacency_rows(bi) -> tuple:
+    """N as a tuple of 0/1 row tuples, from a Biadjacency's row bitmasks."""
+    return tuple(tuple((m >> j) & 1 for j in range(bi.n2)) for m in bi.masks)
+
+
+def row_sums(bi) -> list:
+    return [m.bit_count() for m in bi.masks]
+
+
+def col_sums(bi) -> list:
+    return [sum((m >> j) & 1 for m in bi.masks) for j in range(bi.n2)]
+
+
+def points_by_span(fld: Field, s: Subspace) -> set:
+    """Ids (base-q integers) of the normalized nonzero vectors of s's span."""
+    q, ids = fld.q, set()
+    for coeffs in product(range(q), repeat=s.e):
+        v = [0] * s.d
+        for c, row in zip(coeffs, s.basis):
+            v = [fld.add(x, fld.mul(c, y)) for x, y in zip(v, row)]
+        lead = next((x for x in v if x), 0)
+        if lead:
+            ids.add(sum(fld.mul(fld.inv(lead), x) * q**j for j, x in enumerate(v)))
+    return ids
 
 
 def singular_count_by_points(r) -> int:

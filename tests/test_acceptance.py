@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 from oppmix import bounds, exactnum, forms, oracle, spectrum
+from reference import col_sums, row_sums
 
 ORTH_SYMP_CASES = sorted({(q, d) for q in (2, 3) for d in (4, 6)} | {(4, 4), (5, 4), (2, 8)})
 HERMITIAN_CASES = [(2, 2), (2, 3), (2, 4)]
@@ -54,8 +55,8 @@ def test_criterion_3_regularity():
     for e1, e2, q in ANNIHILATOR_CASES + [(3, 2, 2)]:
         b = oracle.build_biadjacency(e1, e2, q)
         k = q ** (e1 * e2)
-        assert set(b.row_sums()) == {k}, (e1, e2, q)
-        assert set(b.col_sums()) == {k}, (e1, e2, q)
+        assert set(row_sums(b)) == {k}, (e1, e2, q)
+        assert set(col_sums(b)) == {k}, (e1, e2, q)
     dt = time.perf_counter() - t0
     _ok(3, "all biadjacency row/column sums equal q^(e1*e2)", dt)
 

@@ -138,6 +138,19 @@ def test_count_hermitian_tight(capsys):
     assert cli.dumps_canonical(doc) == out.strip()
 
 
+def test_count_full_pairs_on_o8_plus_gf2(capsys):
+    argv = ["count", "--family", "orthogonal", "--eps", "+", "--sigma1", "+", "--sigma2", "+",
+            "--e1", "4", "--e2", "4", "--q", "2", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--full-pairs", "--workers", "1")
+    assert code == 0
+    full = json.loads(out)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    fast = json.loads(out)
+    assert (full["method"], fast["method"]) == ("full-pairs", "transitivity-fast-path")
+    assert full["pairs"] == fast["pairs"] == "1455820800"
+
+
 def test_count_orthogonal(capsys):
     code, out, _ = run(
         capsys,

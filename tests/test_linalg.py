@@ -138,21 +138,31 @@ def test_pair_test_matches_complementary(q):
             x1, x2 = x[e1], x[e2]
             if len(x1) * len(x2) > 20_000:
                 x1 = rng.sample(x1, max(1, 20_000 // len(x2)))
-            against = linalg.pair_test(f, len(x2))
+            against = linalg.pair_test(f)
             for s1 in x1:
                 test = against(s1)
                 for s2 in x2:
                     assert test(s2) == linalg.complementary(s1, s2, f), (d, s1, s2)
 
 
-def test_pair_test_verdict_cache_cleared_when_full():
-    # n2 = 1: the shared verdict cache is cleared on every miss
-    f = field(3)
-    x = list(enumerate_subspaces(4, 2, f))
-    against = linalg.pair_test(f, 1)
-    for s1 in x[::7]:
-        test = against(s1)
-        assert [test(s2) for s2 in x] == [linalg.complementary(s1, s2, f) for s2 in x]
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_complement_rows_match_complementary(q):
+    # every pair of subspaces of (F_q)^d, d <= 3, including e = 0, e1 + e2 != d
+    # and an empty members2
+    f = field(q)
+    for d in range(1, 4):
+        x = [list(enumerate_subspaces(d, e, f)) for e in range(d + 1)]
+        for e1, e2 in product(range(d + 1), repeat=2):
+            for x2 in (x[e2], []):
+                m1, m2 = x[e1], x2
+                if q == 2:
+                    m1, m2 = [s.bit_rows() for s in m1], [s.bit_rows() for s in m2]
+                rows = list(linalg.complement_rows(f, m1, m2))
+                assert len(rows) == len(x[e1])
+                for s1, row in zip(x[e1], rows):
+                    want = [linalg.complementary(s1, s2, f) for s2 in x2]
+                    assert [bool(row >> j & 1) for j in range(len(x2))] == want
+                    assert row >> len(x2) == 0
 
 
 def _complement_count(d, e1, q):

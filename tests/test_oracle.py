@@ -1,12 +1,18 @@
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 
 from oppmix import bounds, exactnum, forms, linalg, oracle, spectrum
 from oppmix.gf import field
-from reference import dense_factor_product, edges_by_compress, mixing_verdicts_by_fractions
+from reference import (
+    biadjacency_rows,
+    col_sums,
+    dense_factor_product,
+    edges_by_compress,
+    mixing_verdicts_by_fractions,
+    row_sums,
+)
 
 # Oracle-enumerable fixtures, keyed by ambient field size Q:
 # Q <= 3 with d <= 6, Q <= 5 with d = 4, Q = 2 with d = 8; hermitian spaces
@@ -107,13 +113,14 @@ GENERIC_KEY_CASES = (
 
 @pytest.mark.parametrize("kind,d,q,eps", GENERIC_KEY_CASES)
 def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
+    # the key keeps part of the gram; decoded, it is the whole restricted
+    # form, gram and Q values, of every member
     form = forms.standard_form(kind, d, q, eps)
     key, _ = oracle._classifier(form)
     step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
     for e in range(0, d + 1, step):
         for s in linalg.members(d, e, form.field):
-            r = forms.restrict(form, s)
-            assert key(s) == bytes(chain(*r.gram, r.qdiag or ())), (e, s)
+            assert oracle._decode(form, e, key(s)) == forms.restrict(form, s), (e, s)
 
 
 def test_partition_budget_checked_after_cache_fill():
@@ -202,6 +209,14 @@ def test_transitive_agrees_on_general_q():
     )
 
 
+def test_transitive_agrees_with_full_pairs_on_o8_plus_gf2():
+    # the paper's new F_2 orthogonal case: O+(8, 2), e1 = e2 = 4, both of type +
+    y = oracle.build_yset(forms.standard_form("orthogonal", 8, 2, 1), 4, 1)
+    assert y.count == 67_200
+    full = oracle.count_complementary(y, y)
+    assert full.pairs == oracle.count_complementary_transitive(y, y).pairs == 1_455_820_800
+
+
 def test_pool_count_matches_transitive_general_q():
     # 650^2 = 422,500 pairs: the smallest q > 2 case above the pool threshold
     y = oracle.build_yset(forms.standard_form("symplectic", 4, 5), 2)
@@ -212,14 +227,14 @@ def test_pool_count_matches_transitive_general_q():
 
 def test_biadjacency_examples():
     b = oracle.build_biadjacency(1, 1, 2)
-    assert b.rows == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    assert biadjacency_rows(b) == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     b712 = oracle.build_biadjacency(2, 1, 2)
     assert b712.n1 == 7 and b712.n2 == 7
-    assert set(b712.row_sums()) == {4}
+    assert set(row_sums(b712)) == {4}
     b2222 = oracle.build_biadjacency(2, 2, 2)
     assert b2222.n1 == 35
-    assert set(b2222.row_sums()) == {16}
-    assert set(b2222.col_sums()) == {16}
+    assert set(row_sums(b2222)) == {16}
+    assert set(col_sums(b2222)) == {16}
 
 
 @pytest.mark.parametrize("e1,e2", [(1, 1), (2, 1), (2, 2), (3, 2)])
@@ -229,7 +244,7 @@ def test_biadjacency_index_order_gf2(e1, e2):
     x1 = list(linalg.enumerate_subspaces(e1 + e2, e1, f))
     x2 = list(linalg.enumerate_subspaces(e1 + e2, e2, f))
     want = tuple(tuple(int(linalg.complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
-    assert oracle.build_biadjacency(e1, e2, 2).rows == want
+    assert biadjacency_rows(oracle.build_biadjacency(e1, e2, 2)) == want
 
 
 def test_biadjacency_cap():
@@ -250,8 +265,8 @@ def test_biadjacency_cap_checked_after_cache_fill():
 def test_biadjacency_regular(e1, e2, q):
     b = oracle.build_biadjacency(e1, e2, q)
     k = q ** (e1 * e2)
-    assert set(b.row_sums()) == {k}
-    assert set(b.col_sums()) == {k}
+    assert set(row_sums(b)) == {k}
+    assert set(col_sums(b)) == {k}
 
 
 @pytest.mark.parametrize(
@@ -265,14 +280,16 @@ def test_annihilator(e1, e2, q):
 def test_annihilator_square_example():
     # spot check the (1,1,2) identity by hand: M = (J - I)^2 = J + I
     b = oracle.build_biadjacency(1, 1, 2)
-    m = oracle._mat_mul(b.rows, list(zip(*b.rows)))
+    rows = biadjacency_rows(b)
+    m = oracle._mat_mul(rows, list(zip(*rows)))
     assert m == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 
 
 @pytest.mark.parametrize("e1,e2,q", [(3, 2, 2), (2, 2, 3)])
 def test_gram_popcounts_match_dense_product(e1, e2, q):
     b = oracle.build_biadjacency(e1, e2, q)
-    assert b.gram() == oracle._mat_mul(b.rows, list(zip(*b.rows)))
+    rows = biadjacency_rows(b)
+    assert b.gram() == oracle._mat_mul(rows, list(zip(*rows)))
 
 
 @pytest.mark.parametrize("e1,e2,q", [(2, 1, 3), (2, 2, 3), (1, 2, 3)])
@@ -282,14 +299,14 @@ def test_biadjacency_rows_from_masks_match_elimination(e1, e2, q):
     x2 = list(linalg.enumerate_subspaces(e1 + e2, e2, f))
     want = tuple(tuple(int(linalg.complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
     b = oracle.build_biadjacency(e1, e2, q)
-    assert b.rows == want
-    assert b.row_sums() == [sum(r) for r in want]
-    assert b.col_sums() == [sum(c) for c in zip(*want)]
+    assert biadjacency_rows(b) == want
+    assert row_sums(b) == [sum(r) for r in want]
+    assert col_sums(b) == [sum(c) for c in zip(*want)]
 
 
 @pytest.mark.parametrize("e1,e2,q", [(2, 2, 3), (3, 2, 2)])
 def test_mixing_edges_match_compress_sum(e1, e2, q):
-    rows = oracle.build_biadjacency(e1, e2, q).rows
+    rows = biadjacency_rows(oracle.build_biadjacency(e1, e2, q))
     for idx1, idx2 in oracle.random_subset_pairs(e1, e2, q, trials=30, seed=5):
         assert oracle.mixing_check(e1, e2, q, idx1, idx2).edges == edges_by_compress(
             rows, idx1, idx2

@@ -8,9 +8,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from oppmix import forms, linalg, oracle  # noqa: E402
-from oppmix.gf import field  # noqa: E402
+from oppmix.gf import FIXED_MODULI, field  # noqa: E402
 from reference import (  # noqa: E402
     dense_factor_product,
+    points_by_span,
+    rref_bits,
     singular_count_by_points,
     subspace_from_rows,
 )
@@ -35,7 +37,96 @@ def spanning_pairs(draw):
 @hypothesis.given(spanning_pairs())
 def test_pair_test_matches_complementary_on_random_spans(case):
     f, s1, s2 = case
-    assert linalg.pair_test(f, 1)(s1)(s2) == linalg.complementary(s1, s2, f)
+    assert linalg.pair_test(f)(s1)(s2) == linalg.complementary(s1, s2, f)
+
+
+def _max_d(q):
+    # the span of a d-space has q^d vectors; keep it small for F_16 and F_25
+    return 4 if q <= 9 else 3
+
+
+@st.composite
+def rref_subspaces(draw, f, d, e):
+    """A random e-subspace of (F_q)^d, built in RREF from drawn pivots and free entries."""
+    pivots = sorted(draw(st.lists(st.integers(0, d - 1), min_size=e, max_size=e, unique=True)))
+    basis = []
+    for p in pivots:
+        row = [0] * d
+        row[p] = 1
+        for j in range(p + 1, d):
+            if j not in pivots:
+                row[j] = draw(st.integers(0, f.q - 1))
+        basis.append(tuple(row))
+    return linalg.Subspace(d, tuple(basis), tuple(pivots))
+
+
+def _member(f, s):
+    """s in the representation of linalg.members over f."""
+    return s.bit_rows() if f.q == 2 else s
+
+
+@st.composite
+def complement_cases(draw, q, regime):
+    """(field, S1s, S2s) with sign(e1 + e2 - d) == regime."""
+    f = field(q)
+    d = draw(st.integers(1, _max_d(q)))
+    if regime < 0:
+        e1 = draw(st.integers(0, d - 1))
+        e2 = draw(st.integers(0, d - 1 - e1))
+    elif regime == 0:
+        e1 = draw(st.integers(0, d))
+        e2 = d - e1
+    else:
+        e1 = draw(st.integers(1, d))
+        e2 = draw(st.integers(d - e1 + 1, d))
+    s1s = draw(st.lists(rref_subspaces(f, d, e1), min_size=1, max_size=4))
+    s2s = draw(st.lists(rref_subspaces(f, d, e2), max_size=8))
+    return f, s1s, s2s
+
+
+@pytest.mark.parametrize("regime", [-1, 0, 1], ids=["below", "equal", "above"])
+@pytest.mark.parametrize("q", sorted(FIXED_MODULI))
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(data=st.data())
+def test_complement_rows_match_complementary(q, regime, data):
+    f, s1s, s2s = data.draw(complement_cases(q, regime))
+    rows = list(linalg.complement_rows(f, [_member(f, s) for s in s1s], [_member(f, s) for s in s2s]))
+    assert len(rows) == len(s1s)
+    for s1, row in zip(s1s, rows):
+        assert row >> len(s2s) == 0
+        for j, s2 in enumerate(s2s):
+            assert bool(row >> j & 1) == linalg.complementary(s1, s2, f), (s1, s2)
+
+
+@pytest.mark.parametrize("q", sorted(FIXED_MODULI))
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(data=st.data())
+def test_points_of_random_spanning_sets(q, data):
+    # RREF canonicity: a shuffled invertible mix of the basis rows, plus
+    # further combinations of them, reduces to the same Subspace, with the
+    # same points; those are the (q^e - 1)/(q - 1) normalized vectors of the span
+    f = field(q)
+    d = data.draw(st.integers(1, _max_d(q)))
+    e = data.draw(st.integers(0, d))
+    s = data.draw(rref_subspaces(f, d, e))
+    element, unit = st.integers(0, q - 1), st.integers(1, q - 1)
+    rows = []
+    for i, b in enumerate(s.basis):  # row i: a unit times b_i plus earlier rows
+        coeffs = [data.draw(element) for _ in range(i)] + [data.draw(unit)]
+        rows.append([f.dot(coeffs, col) for col in zip(*s.basis[: i + 1])])
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = [data.draw(element) for _ in range(e)]
+        rows.append([f.dot(coeffs, col) for col in zip(*s.basis)] if e else [0] * d)
+    rows = data.draw(st.permutations(rows))
+    spanned = subspace_from_rows(rows, f, d)
+    assert spanned == s
+    if q == 2:
+        bits = [sum(v << j for j, v in enumerate(r)) for r in rows]
+        assert rref_bits(bits)[0] == s.bit_rows()
+    pts = linalg.points(f, _member(f, s))
+    assert len(pts) == len(set(pts)) == (q**e - 1) // (q - 1)
+    assert set(pts) == points_by_span(f, s)
+    assert sorted(linalg.points(f, _member(f, spanned))) == sorted(pts)
 
 
 @st.composite
