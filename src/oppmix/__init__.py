@@ -1,75 +1,37 @@
 """Exact spectra and expander-mixing density bounds for the bipartite graph
-of complementary subspaces over finite classical spaces."""
+of complementary subspaces over finite classical spaces.
 
-from .bounds import (
-    THEOREM,
-    Surd,
-    alpha_orthogonal,
-    alpha_symplectic,
-    alpha_unitary,
-    bound_orthogonal,
-    bound_symplectic,
-    bound_unitary,
-    corollary_bound,
-    compare,
-    mixing_lower_bound,
-    surd,
-)
-from .exactnum import (
-    bq,
-    count_nondegenerate,
-    gaussian_binomial,
-    group_order_go,
-    group_order_gu,
-    group_order_sp,
-    lambda_factor,
-    omega,
-    prime_power,
-)
-from .forms import standard_form
-from .oracle import (
-    annihilator_check,
-    build_biadjacency,
-    build_yset,
-    count_complementary,
-    count_complementary_transitive,
-    mixing_check,
-)
-from .spectrum import eigen_exponents, eigen_exponents_via_characters
-from .sweep import verify_theorem
+The names in __all__ resolve on first access (PEP 562), so importing the
+package, or only its command line, loads no module it does not use.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Surd",
-    "THEOREM",
-    "alpha_orthogonal",
-    "alpha_symplectic",
-    "alpha_unitary",
-    "annihilator_check",
-    "bound_orthogonal",
-    "bound_symplectic",
-    "bound_unitary",
-    "bq",
-    "build_biadjacency",
-    "compare",
-    "build_yset",
-    "corollary_bound",
-    "count_complementary",
-    "count_complementary_transitive",
-    "count_nondegenerate",
-    "eigen_exponents",
-    "eigen_exponents_via_characters",
-    "gaussian_binomial",
-    "group_order_go",
-    "group_order_gu",
-    "group_order_sp",
-    "lambda_factor",
-    "mixing_check",
-    "mixing_lower_bound",
-    "omega",
-    "prime_power",
-    "standard_form",
-    "surd",
-    "verify_theorem",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "bounds": "THEOREM Surd alpha_orthogonal alpha_symplectic alpha_unitary bound_orthogonal "
+    "bound_symplectic bound_unitary corollary_bound compare mixing_lower_bound surd",
+    "exactnum": "bq count_nondegenerate gaussian_binomial group_order_go group_order_gu "
+    "group_order_sp lambda_factor omega prime_power",
+    "forms": "standard_form",
+    "oracle": "annihilator_check build_biadjacency build_yset count_complementary "
+    "count_complementary_transitive mixing_check",
+    "spectrum": "eigen_exponents eigen_exponents_via_characters",
+    "sweep": "verify_theorem",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

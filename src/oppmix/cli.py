@@ -12,6 +12,10 @@ JSON is canonical: keys sorted, rationals as {"num": "...", "den": "..."}
 decimal strings plus a non-authoritative float "approx"; parsing and
 re-serializing a report is byte-identical.  A CSV row is one JSON report
 record read through CSV_COLUMNS, so the two formats cannot drift apart.
+
+The brute-force and spectral layers (oracle, spectrum, sweep) are imported
+inside the commands that run them, so start-up and the closed-form commands
+do not load them.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bounds, exactnum, forms, oracle, spectrum, sweep
+from . import bounds, exactnum, forms
 from .bounds import Surd
-from .linalg import BudgetError
+from .linalg import DEFAULT_ENUM_BUDGET, BudgetError
 
 # CSV column -> the JSON keys it reads, first key present wins; a count
 # report's `case` fields count as its own.
@@ -96,7 +100,8 @@ def bound_report_jsonable(rep: bounds.BoundReport) -> dict:
     }
 
 
-def count_report_jsonable(rep: oracle.CountReport) -> dict:
+def count_report_jsonable(rep) -> dict:
+    """An oracle.CountReport as its JSON record."""
     return {
         "case": rep.case,
         "y1_count": str(rep.y1_count),
@@ -151,6 +156,8 @@ def _print_report(args, jsonable, table_lines, csv_records=()):
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectrum
+
     e1, e2 = max(args.e1, args.e2), min(args.e1, args.e2)
     closed = spectrum.eigen_exponents(e1, e2)
     via_chars = spectrum.eigen_exponents_via_characters(e1, e2)
@@ -210,6 +217,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import oracle
+
     fam = bounds.THEOREM[args.family]
     if not _case_ok(args, fam):
         return 2
@@ -234,6 +243,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import sweep
+
     families = list(bounds.THEOREM) if args.family == "all" else [args.family]
     overall_failures = []
     records = []
@@ -284,6 +295,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mixing_check(args) -> int:
+    from . import oracle
+
     reports = oracle.mixing_suite(args.e1, args.e2, args.q, args.trials, args.seed)
     bad = [r for r in reports if not r.holds or r.charpoly_ok is False]
     lines = [
@@ -333,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", type=prime_power_arg, required=True)
 
     def budget(p):
-        p.add_argument("--budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET)
+        p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
 
     def workers(p):
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1)

@@ -20,11 +20,15 @@ characteristic 2.
 
 Type classification of a non-degenerate even restriction counts singular
 projective points exhaustively (scaling preserves singularity), then matches
-the count against the two closed-form totals.
+the count against the two closed-form totals.  Over a prime field the count
+is a packed kernel (singular_count): one int per monomial column, one field
+per projective representative.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -236,19 +240,24 @@ def singular_count(r: RestrictedForm) -> int:
     """Number of nonzero singular vectors of the restricted quadratic form.
 
     Q(v) = sum_i qdiag_i v_i^2 + sum_{i<j} gram_ij v_i v_j is one dot product
-    of those coefficients with v's monomials, read from a table per (e, field).
+    of those coefficients with v's monomials, one per projective
+    representative v.  Over a prime field the monomial table's columns are
+    packed (_packed_monomials), so all the dot products come from
+    e(e+1)/2 small-int times big-int steps, and the count is the number of
+    packed fields that are 0 mod p.  Extension fields read the table row by
+    row.
     """
     if r.kind != ORTHOGONAL:
         raise ValueError("singular_count is for quadratic restrictions")
     fld = r.field
     coeffs = (*r.qdiag, *(r.gram[i][j] for i in range(r.e) for j in range(i + 1, r.e)))
-    monomials = _monomials(r.e, fld)
     if fld.k == 1:
-        p = fld.p
-        hits = sum(not sum(map(mul, coeffs, m)) % p for m in monomials)
+        columns, fmt, size, zero = _packed_monomials(r.e, fld)
+        fields = memoryview(sum(map(mul, coeffs, columns)).to_bytes(size, sys.byteorder))
+        hits = sum(map(zero.__getitem__, fields.cast(fmt)))
     else:
         dot = fld.dot
-        hits = sum(not dot(coeffs, m) for m in monomials)
+        hits = sum(not dot(coeffs, m) for m in _monomials(r.e, fld))
     return hits * (fld.q - 1)
 
 
@@ -259,6 +268,27 @@ def _monomials(e: int, fld: Field) -> tuple:
     return tuple(
         tuple(fld.mul(v[i], v[j]) for i, j in pairs) for v in _projective_reps(e, fld.q)
     )
+
+
+@lru_cache(maxsize=None)
+def _packed_monomials(e: int, fld: Field) -> tuple:
+    """(columns, fmt, size, zero): _monomials(e, fld) packed for a prime field.
+
+    Column t is sum_r m_r[t] 2^(w r) over the representatives r, in fields of
+    w bits.  A field of sum_t c_t column_t, with every c_t and m_r[t] in
+    [0, p), is at most bound = e(e+1)/2 (p - 1)^2, so w is the width of the
+    narrowest unsigned machine format fmt above the bound: the fields never
+    carry into each other, and the sum is `size` bytes long.  zero[v] is 1
+    iff v = 0 mod p, for v up to the bound.
+    """
+    table = _monomials(e, fld)
+    terms = e * (e + 1) // 2
+    bound = terms * (fld.p - 1) ** 2
+    fmt = next(c for c in "BHIQ" if bound < 1 << 8 * struct.calcsize(c))
+    w = 8 * struct.calcsize(fmt)
+    columns = tuple(sum(m[t] << (w * r) for r, m in enumerate(table)) for t in range(terms))
+    zero = bytes(v % fld.p == 0 for v in range(bound + 1))
+    return columns, fmt, len(table) * w // 8, zero
 
 
 def orthogonal_type(r: RestrictedForm) -> int:

@@ -147,6 +147,16 @@ class Field:
             raise ValueError(f"F_{self.q} is not a declared quadratic extension")
         return self._conj[x]
 
+    def scale(self, c: int, u) -> list:
+        """c u, entry by entry, from one row of the multiplication table."""
+        row = self._mul[c]
+        return [row[x] for x in u]
+
+    def sub_scaled(self, u, c: int, v) -> list:
+        """u - c v, entry by entry, from table rows."""
+        add, row = self._add, self._mul[self._neg[c]]
+        return [add[a][row[b]] for a, b in zip(u, v)]
+
     def elements(self) -> range:
         return range(self.q)
 

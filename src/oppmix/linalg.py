@@ -4,20 +4,22 @@ A subspace is held as its reduced-row-echelon basis plus the pivot columns,
 which makes equality structural and the enumeration duplicate-free.  The
 enumeration order is fixed: pivot-column patterns lexicographically, then an
 odometer over the free entries (row-major positions, rightmost digit fastest,
-field values ascending).
+field values ascending).  There is one enumerator: row_candidates lists each
+pivot row's candidates in odometer order over that row's own free entries,
+and the subspaces of a pattern are the product over rows, last row fastest.
+Consecutive subspaces therefore share every row but the last, which the
+partition build and complement_rows exploit.
 
-Over F_2 a row is also a machine-word bitmask (bit j = coordinate j).  The
-*_bits functions work on subspaces held as tuples of such rows:
-subspaces_for_pattern_bits enumerates them directly, in the same canonical
-order, and complementary_bits is the hot pair test.
+Over F_2 a row is also a machine-word bitmask (bit j = coordinate j), and
+complementary_bits is the pair test on tuples of such rows.
 
-members, points, pair_test and complement_rows are the one place that picks
-a field's representation: bitmask-row tuples over F_2, Subspace objects over
-every other field.  Callers that only enumerate and pair-test never branch
-on q.  pair_test is one elimination per pair, for scans of one S1.  Two
-subspaces meet trivially iff they share no projective point, so
-complement_rows decides all of Y1 x Y2 by point incidence, one bitmask row
-per S1, with no elimination per pair.
+row_candidates, member(s), points, pair_test and complement_rows are the one
+place that picks a field's representation: bitmask-row tuples over F_2,
+Subspace objects over every other field.  Callers that only enumerate and
+pair-test never branch on q.  pair_test is one elimination per pair, for
+scans of one S1.  Two subspaces meet trivially iff they share no projective
+point, so complement_rows decides all of Y1 x Y2 by point incidence, one
+bitmask row per S1, with no elimination per pair.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from itertools import chain, combinations, product
 from typing import Callable, Iterator, NamedTuple
 
 from .gf import Field
+
+
+DEFAULT_ENUM_BUDGET = 1_500_000
 
 
 class BudgetError(RuntimeError):
@@ -70,21 +75,19 @@ def rref(rows, fld: Field):
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
+        for pr in range(r, len(work)):
+            if work[pr][c]:
+                break
+        else:
             continue
         work[r], work[pr] = work[pr], work[r]
         inv = fld.inv(work[r][c])
         if inv != 1:
-            work[r] = [fld.mul(inv, v) for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row_r = work[r]
-                row_i = work[i]
-                for j in range(c, ncols):
-                    if row_r[j]:
-                        row_i[j] = fld.sub(row_i[j], fld.mul(f, row_r[j]))
+            work[r] = fld.scale(inv, work[r])
+        row_r = work[r]  # zero before column c
+        for i, row_i in enumerate(work):
+            if i != r and row_i[c]:
+                work[i] = fld.sub_scaled(row_i, row_i[c], row_r)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -93,7 +96,23 @@ def rref(rows, fld: Field):
 
 
 def rank(rows, fld: Field) -> int:
-    return len(rref(rows, fld)[1])
+    """Rank by forward elimination: rref without the scaling and back-substitution."""
+    work = [list(r) for r in rows]
+    rk = 0
+    for c in range(len(work[0]) if work else 0):
+        for pr in range(rk, len(work)):
+            if work[pr][c]:
+                break
+        else:
+            continue
+        work[rk], work[pr] = work[pr], work[rk]
+        piv = work[rk]
+        inv = fld.inv(piv[c])
+        for i in range(rk + 1, len(work)):
+            if work[i][c]:
+                work[i] = fld.sub_scaled(work[i], fld.mul(inv, work[i][c]), piv)
+        rk += 1
+    return rk
 
 
 def nullspace(rows, fld: Field, ncols: int) -> Subspace:
@@ -116,56 +135,32 @@ def nullspace(rows, fld: Field, ncols: int) -> Subspace:
 # -- enumeration -----------------------------------------------------------
 
 
-def subspaces_for_pattern(d: int, pattern, fld: Field) -> Iterator[Subspace]:
-    """All subspaces whose RREF pivot columns equal `pattern`, odometer order."""
-    e = len(pattern)
-    pivot_set = set(pattern)
-    free_pos = [
-        (i, j) for i in range(e) for j in range(pattern[i] + 1, d) if j not in pivot_set
-    ]
-    template = [[0] * d for i in range(e)]
-    for i, c in enumerate(pattern):
-        template[i][c] = 1
-    if not free_pos:
-        basis = tuple(tuple(r) for r in template)
-        yield Subspace(d, basis, tuple(pattern))
-        return
-    pat = tuple(pattern)
-    for values in product(fld.elements(), repeat=len(free_pos)):
-        for (i, j), v in zip(free_pos, values):
-            template[i][j] = v
-        yield Subspace(d, tuple(tuple(r) for r in template), pat)
+def row_candidates(d: int, pattern, fld: Field) -> list:
+    """Per pivot row, its candidates in odometer order over the row's own free entries.
 
-
-def subspaces_for_pattern_bits(d: int, pattern) -> Iterator[tuple]:
-    """subspaces_for_pattern over F_2, as tuples of bitmask rows, same order.
-
-    Each row's candidates are listed in odometer order over its own free
-    entries; rows are consecutive in the row-major odometer, so the product
-    over rows (last row fastest) is the odometer over all free entries.
+    A candidate is an int bitmask over F_2 and a tuple of d field values
+    otherwise.  The free entries of one row are consecutive in the row-major
+    odometer, so product(*row_candidates(d, pattern, fld)), last row fastest,
+    lists the subspaces with these pivot columns in the canonical order.
     """
     pivot_set = set(pattern)
-    candidates = []
+    out = []
     for c in pattern:
         free = [j for j in range(c + 1, d) if j not in pivot_set]
-        candidates.append(
-            [
-                (1 << c) | sum(1 << j for j, v in zip(free, values) if v)
-                for values in product((0, 1), repeat=len(free))
-            ]
-        )
-    return product(*candidates)
+        rows = []
+        for values in product(fld.elements(), repeat=len(free)):
+            row = [0] * d
+            row[c] = 1
+            for j, v in zip(free, values):
+                row[j] = v
+            rows.append(tuple(row))
+        out.append([_row_to_bits(r) for r in rows] if fld.q == 2 else rows)
+    return out
 
 
-def enumerate_subspaces(d: int, e: int, fld: Field) -> Iterator[Subspace]:
-    """Every e-subspace of (F_q)^d exactly once, in the canonical order."""
-    if not 0 <= e <= d:
-        raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
-    if e == 0:
-        yield Subspace(d, (), ())
-        return
-    for pattern in combinations(range(d), e):
-        yield from subspaces_for_pattern(d, pattern, fld)
+def member(fld: Field, d: int, pattern, rows):
+    """The member of members(d, len(rows), fld) with these RREF rows and pivots."""
+    return rows if fld.q == 2 else Subspace(d, rows, pattern)
 
 
 def members(d: int, e: int, fld: Field) -> Iterator:
@@ -175,35 +170,82 @@ def members(d: int, e: int, fld: Field) -> Iterator:
     a Subspace.  points(fld, s) lists its projective points, and pair_test
     and complement_rows are the matching complementarity tests.
     """
+    if fld.q != 2:
+        return enumerate_subspaces(d, e, fld)
+    patterns = combinations(range(d), e)
+    return chain.from_iterable(product(*row_candidates(d, p, fld)) for p in patterns)
+
+
+def enumerate_subspaces(d: int, e: int, fld: Field) -> Iterator[Subspace]:
+    """Every e-subspace of (F_q)^d exactly once, in the canonical order.
+
+    Each is a Subspace, over F_2 too: there the bitmask candidates are
+    unpacked into tuples once per pivot pattern.
+    """
+    if not 0 <= e <= d:
+        raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
+    for pattern in combinations(range(d), e):
+        candidates = row_candidates(d, pattern, fld)
+        if fld.q == 2:
+            candidates = [[tuple(r >> j & 1 for j in range(d)) for r in c] for c in candidates]
+        for rows in product(*candidates):
+            yield Subspace(d, rows, pattern)
+
+
+def _through(fld: Field, span: list, row) -> list:
+    """The normalized vectors of span + <row> that lie outside span.
+
+    span holds the normalized vectors (leading entry 1) of a subspace whose
+    RREF pivots all precede row's, and row is in RREF against them.  Those
+    vectors are row and x + c row for each x in span and c != 0, and each
+    leads with 1.  Over F_2 a vector is a bitmask and x + row is x ^ row.
+    """
     if fld.q == 2:
-        patterns = combinations(range(d), e)
-        return chain.from_iterable(subspaces_for_pattern_bits(d, p) for p in patterns)
-    return enumerate_subspaces(d, e, fld)
+        return [row, *map(row.__xor__, span)]
+    add = fld.add
+    out = [row]
+    for c in range(1, fld.q):
+        cr = fld.scale(c, row)
+        out += [tuple(map(add, x, cr)) for x in span]
+    return out
+
+
+def _point_ids(fld: Field, vectors: list) -> list:
+    """Id sum_j v_j q^j of each vector v; over F_2 the bitmask is its own id."""
+    if fld.q == 2:
+        return vectors
+    weights = [fld.q**j for j in range(len(vectors[0]))] if vectors else []
+    return [sum(map(int.__mul__, v, weights)) for v in vectors]
+
+
+def _split_points(fld: Field, members) -> Iterator[tuple]:
+    """Per member: (ids of the points of the span of all its rows but the
+    last, or None when those rows are the previous member's; ids of the
+    points through its last row).
+
+    Members in the canonical order share every row but the last with their
+    neighbours, so the span of those rows is built once per run of members.
+    """
+    prefix = span = None
+    for s in members:
+        rows = s if fld.q == 2 else s.basis
+        head = None
+        if rows[:-1] != prefix:
+            prefix, span = rows[:-1], []
+            for row in prefix:
+                span += _through(fld, span, row)
+            head = _point_ids(fld, span)
+        yield head, _point_ids(fld, _through(fld, span, rows[-1])) if rows else []
 
 
 def points(fld: Field, s) -> list:
-    """Ids sum_j v_j q^j of the (q^e - 1)/(q - 1) normalized vectors v of member s.
+    """Ids of the (q^e - 1)/(q - 1) normalized vectors of member s.
 
-    Over F_2 they are the nonzero XOR span of the bitmask rows.  Over other
-    fields they are b_i + (a combination of the later rows) for each RREF
-    basis row b_i; the later rows vanish at b_i's pivot, so it leads with 1.
+    The span is built row by row with _through, so each vector appears once,
+    scaled to lead with 1.
     """
-    if fld.q == 2:
-        span = [0]
-        for r in s:
-            span += [x ^ r for x in span]
-        return span[1:]
-    add, mul = fld.add, fld.mul
-    weights = [fld.q**j for j in range(s.d)]
-    ids = []
-    span = [(0,) * s.d]  # every vector spanned by the rows after b
-    led = []  # the points led by b: b + span
-    for b in reversed(s.basis):
-        if led:
-            span += [tuple(mul(c, x) for x in w) for c in range(1, fld.q) for w in led]
-        led = [tuple(map(add, b, v)) for v in span]
-        ids += [sum(map(int.__mul__, w, weights)) for w in led]
-    return ids
+    ((head, last),) = _split_points(fld, [s])
+    return head + last
 
 
 # -- complementarity -------------------------------------------------------
@@ -216,10 +258,9 @@ def complementary(s1: Subspace, s2: Subspace, fld: Field) -> bool:
     if s1.e + s2.e > s1.d:
         return False
     # Seed elimination with s1, already in RREF.
-    by_pivot = {p: list(row) for p, row in zip(s1.pivots, s1.basis)}
+    by_pivot = dict(zip(s1.pivots, s1.basis))
     d = s1.d
-    for row in s2.basis:
-        r = list(row)
+    for r in s2.basis:
         lead = None
         for j in range(d):
             if not r[j]:
@@ -228,20 +269,12 @@ def complementary(s1: Subspace, s2: Subspace, fld: Field) -> bool:
             if piv is None:
                 lead = j
                 break
-            f = r[j]
-            if f == 1:
-                for t in range(j, d):
-                    if piv[t]:
-                        r[t] = fld.sub(r[t], piv[t])
-            else:
-                for t in range(j, d):
-                    if piv[t]:
-                        r[t] = fld.sub(r[t], fld.mul(f, piv[t]))
+            r = fld.sub_scaled(r, r[j], piv)  # piv is zero before column j
         if lead is None:
             return False
         inv = fld.inv(r[lead])
         if inv != 1:
-            r = [fld.mul(inv, v) for v in r]
+            r = fld.scale(inv, r)
         by_pivot[lead] = r
     return True
 
@@ -261,20 +294,28 @@ def complement_rows(fld: Field, members1, members2) -> Iterator[int]:
 
     That holds iff the two share no projective point, so a row is the
     complement of the OR of the incidence masks (bit j for each S2 through
-    the point) of S1's points: no pair costs an elimination.
+    the point) of S1's points: no pair costs an elimination.  The OR over
+    the span of all rows but the last is kept while consecutive S1 share
+    those rows (_split_points), so each S1 adds only the points through its
+    last row.
     """
     size = (len(members2) + 7) >> 3
     through = defaultdict(lambda: bytearray(size))  # bit j set byte by byte
-    for j, s2 in enumerate(members2):
-        for x in points(fld, s2):
+    for j, (head, last) in enumerate(_split_points(fld, members2)):
+        shared = head if head is not None else shared
+        for x in shared + last:
             through[x][j >> 3] |= 1 << (j & 7)
     get = {x: int.from_bytes(mask, "little") for x, mask in through.items()}.get
     full = (1 << len(members2)) - 1
-    for s1 in members1:
-        hit = 0
-        for x in points(fld, s1):
+    for head, last in _split_points(fld, members1):
+        if head is not None:
+            base = 0
+            for x in head:
+                base |= get(x, 0)
+        hit = base
+        for x in last:
             hit |= get(x, 0)
-        yield full & ~hit
+        yield full ^ hit  # hit has no bit at or above len(members2)
 
 
 def complementary_bits(rows1, rows2) -> bool:

@@ -7,16 +7,24 @@ single-orbit shortcut that fixes one subspace), which must agree wherever
 both run.
 
 Members come from linalg.members, so the representation (bitmask-row tuples
-over F_2, Subspace objects over other fields) is chosen in linalg; only the
-restricted-form keys of a partition build read bitmask rows themselves.
+over F_2, Subspace objects over other fields) is chosen in linalg.
 All-pairs counts and the biadjacency matrix take their rows from
 linalg.complement_rows (point incidence); the single-orbit count tests one
-S1 with linalg.pair_test.  A partition build classifies each distinct
-restricted form (the form on the member's basis) once and reuses the
-verdict for every member that restricts to it.  Over other fields the key
-holds the restricted gram's upper triangle (with the diagonal if hermitian;
-and the Q(b_i) if orthogonal), from a per-build memo of each distinct basis
-row's image under the ambient form; a verdict decodes the whole form from it.
+S1 with linalg.pair_test.
+
+A partition build classifies each distinct restricted form (the form on the
+member's basis) once and reuses the verdict for every member that restricts
+to it.  It is one walk for every field over linalg.row_candidates, in the
+canonical order: pivot pattern, then prefix (every row but the last), then
+last row.  The key is one column per basis row: the row's entries against
+the earlier rows, then its own Q or diagonal value.  A prefix's columns are
+computed once, where the walk reaches it, and only the last column once per
+member; each prefix row's entries against the later rows' candidates are
+computed when the row joins the prefix.  Over other fields the entries come
+from a per-build memo of each distinct row's image under the ambient form,
+and a verdict decodes the whole restricted form from the key: full rank of
+the (polar) gram, then the orthogonal type.  Over F_2 the verdict reads the
+member's bitmask rows.  A member object is built only if it is kept.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -29,18 +37,20 @@ threshold in.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import lcm
 from operator import mul
+from typing import Callable, NamedTuple
 
 from . import exactnum, forms, linalg, spectrum
 from .forms import ClassicalForm
 from .gf import field
 
 DEFAULT_BIADJACENCY_CAP = 5000
-DEFAULT_ENUM_BUDGET = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -67,117 +77,165 @@ class CountReport:
     passed: bool | None = None
 
 
-def _classifier(form: ClassicalForm):
-    """(key, verdict) for one partition build over `form`.
+class _Classifier(NamedTuple):
+    """The restricted-form keys and verdicts of one partition build.
 
-    key(s) is the form restricted to the basis of member s, which alone
-    decides verdict(s, key(s)): sigma (+-1) for orthogonal, True for plain
-    non-degenerate, None if degenerate.  Over F_2 members are tuples of
-    bitmask rows, the key packs the restricted form into an int and the
-    verdict reads the rows.  Over other fields the key packs the entries
-    that determine the form into bytes (see _decode) and the verdict decodes
-    it back into a RestrictedForm.
+    A key is one column per basis row b_j: the bytes B(b_i, b_j) for each
+    earlier row b_i, then b_j's own entry (Q(b_j) if orthogonal, otherwise
+    the diagonal B(b_j, b_j)).  Over F_2 the orthogonal column holds
+    Q(b_i + b_j) for B(b_i, b_j); that with the Q values determines B.
+    prepare(rows) is the per-pattern part for a list of candidate rows,
+    pairs(b, prepared) the entries B(b, x) for each of them, and
+    verdict(rows, columns) is sigma (+-1) for orthogonal, True for plain
+    non-degenerate, None if degenerate.
     """
-    if form.field.q == 2 and form.kind == forms.ORTHOGONAL:
-        qt = forms.quad_table_gf2(form)
 
-        def key(rows):
-            # Q(b_i), and Q(b_i + b_j) = Q(b_i) + Q(b_j) + B(b_i, b_j), as bits
-            k = 0
-            for i, ri in enumerate(rows):
-                k = (k << 1) | qt[ri]
-                for rj in rows[i + 1 :]:
-                    k = (k << 1) | qt[ri ^ rj]
-            return k
+    prepare: Callable
+    pairs: Callable
+    verdict: Callable
 
-        return key, lambda rows, _: forms.classify_orthogonal_gf2(qt, rows)
-    if form.field.q == 2:  # symplectic: hermitian forms live over F_{q^2}
-        bil = forms.bilinear_masks_gf2(form)
 
-        def key(rows):
-            # B(b_i, b_j) for i < j, as bits; the form is alternating
-            k = 0
-            for i, ri in enumerate(rows):
-                for rj in rows[i + 1 :]:
-                    k = (k << 1) | ((ri & bil[rj]).bit_count() & 1)
-            return k
+def _classifier(form: ClassicalForm) -> _Classifier:
+    """The keys and verdicts of partition builds over `form`.
 
-        return key, lambda rows, _: True if forms.symplectic_nondeg_gf2(bil, rows) else None
-
+    Over F_2 the verdict reads the member's bitmask rows.  Over other fields
+    it reads the key alone: the decoded gram (polar, if orthogonal) must have
+    full rank, which for the even dimensions classified here is
+    non-degeneracy in every characteristic, and an orthogonal type comes
+    from forms.orthogonal_type.
+    """
     fld = form.field
+    if fld.q == 2 and form.kind == forms.ORTHOGONAL:
+        qt = forms.quad_table_gf2(form)
+        return _Classifier(
+            lambda rows: (rows, [qt[x] for x in rows]),
+            lambda b, prepared: list(map(qt.__getitem__, map(b.__xor__, prepared[0]))),
+            lambda rows, _: forms.classify_orthogonal_gf2(qt, rows),
+        )
+    if fld.q == 2:  # symplectic: hermitian forms live over F_{q^2}
+        bil = forms.bilinear_masks_gf2(form)
+        return _Classifier(
+            # the alternating form's diagonal is 0
+            lambda rows: ([bil[x] for x in rows], [0] * len(rows)),
+            lambda b, prepared: [(b & m).bit_count() & 1 for m in prepared[0]],
+            lambda rows, _: True if forms.symplectic_nondeg_gf2(bil, rows) else None,
+        )
+
+    images = _RowImages(form)
     if fld.k == 1:
         p = fld.p
 
-        def dot(u, v):
-            return sum(map(mul, u, v)) % p
+        def pairs(b, prepared):
+            h = images[b][0]
+            return [sum(map(mul, h, x)) % p for x in prepared[0]]
 
     else:
         dot = fld.dot
-    images = _RowImages(form, dot)
-    lo = 0 if form.kind == forms.HERMITIAN else 1  # row i keeps columns j >= i + lo
 
-    def key(s):
-        # the kept gram entries row by row, then the Q(b_i) if orthogonal,
-        # one byte per field element, from the rows' memoized images
-        basis = s.basis
-        imgs = [images[b] for b in basis]
-        out = [dot(b, gb) for i, b in enumerate(basis) for gb, _ in imgs[i + lo :]]
-        if form.kind == forms.ORTHOGONAL:
-            out += [qb for _, qb in imgs]
-        return bytes(out)
+        def pairs(b, prepared):
+            h = images[b][0]
+            return [dot(h, x) for x in prepared[0]]
 
-    def verdict(s, k):
-        r = _decode(form, s.e, k)
-        if not forms.is_nondegenerate(r):
+    def prepare(rows):
+        info = [images[x] for x in rows]
+        return [cx for _, cx, _ in info], [own for _, _, own in info]
+
+    def verdict(_, columns):
+        r = _decode(form, columns)
+        if linalg.rank(r.gram, fld) < r.e:
             return None
         return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
 
-    return key, verdict
+    return _Classifier(prepare, pairs, verdict)
 
 
-def _decode(form: ClassicalForm, e: int, k: bytes) -> forms.RestrictedForm:
-    """The form restricted to an e-space, from its generic-field key k.
+def _decode(form: ClassicalForm, columns) -> forms.RestrictedForm:
+    """The form restricted to a member's basis, from its generic-field key.
 
-    k holds the gram's (i, j) for i < j (i <= j if hermitian), then the Q(b_i)
-    if orthogonal.  Below the diagonal the gram is the transpose, negative
-    (symplectic, 0 diagonal) or conjugate (hermitian) of the upper triangle;
-    the orthogonal (polar) diagonal is 2 Q(b_i).
+    Column j holds B(b_i, b_j) for i < j, then Q(b_j) if orthogonal, else
+    B(b_j, b_j).  Below the diagonal the gram is the transpose, negative
+    (symplectic) or conjugate (hermitian) of the upper triangle; the
+    orthogonal (polar) diagonal is 2 Q(b_j).
     """
     fld = form.field
     mirror = {forms.SYMPLECTIC: fld.neg, forms.HERMITIAN: fld.conj}.get(form.kind, lambda v: v)
+    e = len(columns)
     gram = [[0] * e for _ in range(e)]
-    entries = iter(k)
-    for i in range(e):
-        for j in range(i if form.kind == forms.HERMITIAN else i + 1, e):
-            gram[i][j] = v = next(entries)
+    qdiag = []
+    for j, (*above, own) in enumerate(columns):
+        for i, v in enumerate(above):
+            gram[i][j] = v
             gram[j][i] = mirror(v)
-    qdiag = None
-    if form.kind == forms.ORTHOGONAL:
-        qdiag = tuple(entries)
-        for i, qb in enumerate(qdiag):
-            gram[i][i] = fld.add(qb, qb)
+        if form.kind == forms.ORTHOGONAL:
+            qdiag.append(own)
+            own = fld.add(own, own)
+        gram[j][j] = own
+    qdiag = tuple(qdiag) if form.kind == forms.ORTHOGONAL else None
     return forms.RestrictedForm(form.kind, e, fld, tuple(map(tuple, gram)), qdiag)
 
 
 class _RowImages(dict):
-    """Basis row b -> (G b, Q(b)) for one partition build's generic key.
+    """Row b -> (b^T G, conj(b), own entry) for one partition build's generic keys.
 
-    G b is the ambient gram applied to b (to conj(b) for a hermitian form),
-    so B(a, b) = dot(a, G b); Q(b) is None unless the form is orthogonal.  It
-    holds one entry per distinct basis row, at most (q^d - 1)/(q - 1).
+    With h = b^T G (G the ambient gram), B(b, x) = dot(h, conj(x)), where
+    conj is the identity unless the form is hermitian.  The own entry is
+    Q(b) if the form is orthogonal and B(b, b) otherwise.  It holds one
+    entry per distinct row, at most (q^d - 1)/(q - 1).
     """
 
-    def __init__(self, form: ClassicalForm, dot):
+    def __init__(self, form: ClassicalForm):
         super().__init__()
         self.form = form
-        self.dot = dot
+        self.columns = tuple(zip(*form.gram))
 
     def __missing__(self, b) -> tuple:
-        form, dot = self.form, self.dot
-        c = tuple(map(form.field.conj, b)) if form.kind == forms.HERMITIAN else b
-        qb = form.quad_value(b) if form.kind == forms.ORTHOGONAL else None
-        image = self[b] = (tuple(dot(g, c) for g in form.gram), qb)
+        form, fld = self.form, self.form.field
+        h = tuple(fld.dot(col, b) for col in self.columns)
+        cb = tuple(map(fld.conj, b)) if form.kind == forms.HERMITIAN else b
+        own = form.quad_value(b) if form.kind == forms.ORTHOGONAL else fld.dot(h, cb)
+        image = self[b] = (h, cb, own)
         return image
+
+
+def _walk(form: ClassicalForm, e: int, cls: _Classifier):
+    """Every e-subspace's rows and key, one prefix at a time, in the canonical order.
+
+    Per pivot pattern each row's candidates are prepared once.  Per prefix
+    (every row but the last) this yields (pattern, prefix, the last row's
+    candidates, the prefix's columns, one last column per candidate).
+    """
+    for pattern in combinations(range(form.d), e):
+        *heads, lasts = linalg.row_candidates(form.d, pattern, form.field)
+        prepared = [cls.prepare(rows) for rows in (*heads, lasts)]
+        owns = prepared[-1][1]
+        for prefix, columns, above in _prefixes(cls.pairs, heads, prepared, (), (), [[]] * e):
+            yield pattern, prefix, lasts, columns, list(map(bytes, zip(*above, owns)))
+
+
+def _prefixes(pairs, heads, prepared, prefix, columns, above):
+    """(prefix, its columns, its entries against the last row) below one odometer node.
+
+    heads are the prefix rows still to choose, prepared the (candidates,
+    own entries) of those rows and of the last row, and above[k] holds the
+    entries of the rows in prefix against prepared[k]'s candidates.  A row's
+    entries against every later row's candidates are computed once, where
+    it joins the prefix, so each column is a zip of lists already made.  The
+    last prefix row yields directly rather than through one more level.
+    """
+    if not heads:  # e = 1: the empty prefix
+        yield prefix, columns, above[0]
+        return
+    rows, *rest = heads
+    (_, owns), *later = prepared
+    keys = map(bytes, zip(*above[0], owns))
+    if rest:
+        for b, key in zip(rows, keys):
+            deeper = [[*a, pairs(b, p)] for a, p in zip(above[1:], later)]
+            yield from _prefixes(pairs, rest, later, prefix + (b,), columns + (key,), deeper)
+    else:  # later is the last row alone
+        (last,), (over_last,) = later, above[1:]
+        for b, key in zip(rows, keys):
+            yield prefix + (b,), columns + (key,), [*over_last, pairs(b, last)]
 
 
 def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
@@ -189,12 +247,14 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
     """
     if form.kind == forms.ORTHOGONAL and e % 2:
         raise ValueError("orthogonal type classification needs even dimensions")
+    if not 1 <= e <= form.d:
+        raise ValueError(f"need 1 <= e <= d, got e={e}, d={form.d}")
     q = form.field.q
     total = exactnum.gaussian_binomial(form.d, e, q)
-    if total > (budget or DEFAULT_ENUM_BUDGET):
+    if total > (budget or linalg.DEFAULT_ENUM_BUDGET):
         raise linalg.BudgetError(
             f"{total} {e}-subspaces of dim {form.d} over F_{q} "
-            f"exceed budget {budget or DEFAULT_ENUM_BUDGET}"
+            f"exceed budget {budget or linalg.DEFAULT_ENUM_BUDGET}"
         )
     return _partition(form, e)
 
@@ -203,22 +263,29 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
 def _partition(form: ClassicalForm, e: int) -> tuple:
     """classify_partition without the budget check.
 
-    Each distinct restricted form is classified once, on its first member.
+    One walk (_walk) serves every field.  Verdicts are memoized per prefix
+    key, then per last column, so each distinct restricted form is
+    classified once, on its first member; the member itself is built only
+    if it is kept.
     """
-    restricted, verdict = _classifier(form)
+    cls = _classifier(form)
+    fld, d = form.field, form.d
     memo: dict = {}
-    buckets: dict = {}
+    buckets = defaultdict(list)
     degenerate = 0
-    for s in linalg.members(form.d, e, form.field):
-        k = restricted(s)
-        try:
-            c = memo[k]
-        except KeyError:
-            c = memo[k] = verdict(s, k)
-        if c is None:
-            degenerate += 1
-        else:
-            buckets.setdefault(c, []).append(s)
+    for pattern, prefix, lasts, columns, tails in _walk(form, e, cls):
+        seen = memo.get(columns)
+        if seen is None:
+            seen = memo[columns] = {}
+        for last, tail in zip(lasts, tails):
+            try:
+                c = seen[tail]
+            except KeyError:
+                c = seen[tail] = cls.verdict(prefix + (last,), (*columns, tail))
+            if c is None:
+                degenerate += 1
+            else:
+                buckets[c].append(linalg.member(fld, d, pattern, prefix + (last,)))
     return {c: tuple(v) for c, v in buckets.items()}, degenerate
 
 

@@ -86,3 +86,24 @@ def test_cli_import_loads_no_process_pool():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_what_commands_use():
+    # the brute-force and spectral layers load inside the commands that run
+    # them, and the package resolves its public names on first access
+    probe = (
+        "import sys, oppmix, oppmix.cli; "
+        "heavy = {'oppmix.oracle', 'oppmix.sweep', 'oppmix.spectrum'}; "
+        "print(sorted(heavy & set(sys.modules))); "
+        "print(all(getattr(oppmix, name) is not None for name in oppmix.__all__)); "
+        "print(sorted(heavy - set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.split("\n")[:3] == ["[]", "True", "[]"]

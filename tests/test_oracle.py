@@ -114,13 +114,23 @@ GENERIC_KEY_CASES = (
 @pytest.mark.parametrize("kind,d,q,eps", GENERIC_KEY_CASES)
 def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
     # the key keeps part of the gram; decoded, it is the whole restricted
-    # form, gram and Q values, of every member
+    # form, gram and Q values, of every member, and the walk lists every
+    # member once in the canonical order
     form = forms.standard_form(kind, d, q, eps)
-    key, _ = oracle._classifier(form)
+    cls = oracle._classifier(form)
     step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
-    for e in range(0, d + 1, step):
-        for s in linalg.members(d, e, form.field):
-            assert oracle._decode(form, e, key(s)) == forms.restrict(form, s), (e, s)
+    for e in range(step, d + 1, step):
+        walked, keys = [], set()
+        for pattern, prefix, lasts, columns, tails in oracle._walk(form, e, cls):
+            assert len(columns) == e - 1 and len(tails) == len(lasts)
+            for last, tail in zip(lasts, tails):
+                s = linalg.Subspace(d, prefix + (last,), pattern)
+                assert oracle._decode(form, (*columns, tail)) == forms.restrict(form, s), (e, s)
+                walked.append(s)
+                keys.add((*columns, tail))
+        assert walked == list(linalg.members(d, e, form.field)), e
+        # one key, and so one verdict, per distinct restricted form
+        assert len(keys) == len({forms.restrict(form, s) for s in walked}), e
 
 
 def test_partition_budget_checked_after_cache_fill():

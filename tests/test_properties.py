@@ -7,7 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from oppmix import forms, linalg, oracle  # noqa: E402
+from oppmix import bounds, forms, linalg, oracle  # noqa: E402
 from oppmix.gf import FIXED_MODULI, field  # noqa: E402
 from reference import (  # noqa: E402
     dense_factor_product,
@@ -166,13 +166,94 @@ def restricted_quadratic_forms(draw, e, q):
     return forms.RestrictedForm(forms.ORTHOGONAL, e, f, gram, qdiag)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 9])
-@pytest.mark.parametrize("e", [1, 2, 3, 4])
+# (4, 7): the packed fields need more than one byte (10 * 6^2 = 360)
+@pytest.mark.parametrize(
+    "e,q", [(e, q) for e in (1, 2, 3, 4) for q in (3, 4, 5, 9)] + [(4, 7), (6, 3)]
+)
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(data=st.data())
 def test_singular_count_matches_point_loop(e, q, data):
     r = data.draw(restricted_quadratic_forms(e, q))
     assert forms.singular_count(r) == singular_count_by_points(r)
+
+
+@pytest.mark.parametrize("e,q", [(4, 7), (6, 5)])
+def test_singular_count_with_every_coefficient_p_minus_1(e, q):
+    # random forms at (4, 7) keep every packed field below 247; every
+    # coefficient p - 1 at (6, 5) fills one to 304, past a byte
+    f = field(q)
+    gram = tuple(tuple(f.add(q - 1, q - 1) if i == j else q - 1 for j in range(e)) for i in range(e))
+    r = forms.RestrictedForm(forms.ORTHOGONAL, e, f, gram, (q - 1,) * e)
+    assert forms.singular_count(r) == singular_count_by_points(r)
+
+
+PRIME_FIELDS = [q for q in sorted(FIXED_MODULI) if field(q).k == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_FIELDS)
+@pytest.mark.parametrize("e", [2, 4])
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=st.data())
+def test_rank_verdict_matches_radical_refinement(e, q, data):
+    # the partition build calls an even-dimensional restriction
+    # non-degenerate iff its polar gram has full rank; forms.is_nondegenerate
+    # decides it by the radical refinement instead
+    r = data.draw(restricted_quadratic_forms(e, q))
+    assert (linalg.rank(r.gram, r.field) == e) == forms.is_nondegenerate(r)
+
+
+@pytest.mark.parametrize("q", sorted(FIXED_MODULI))
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=st.data())
+def test_field_axioms(q, data):
+    f = field(q)
+    element = st.integers(0, q - 1)
+    x, y, z = data.draw(element), data.draw(element), data.draw(element)
+    add, mul = f.add, f.mul
+    assert add(x, y) == add(y, x) and mul(x, y) == mul(y, x)
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert add(x, 0) == x and mul(x, 1) == x and mul(x, 0) == 0
+    assert add(x, f.neg(x)) == 0 and f.sub(add(x, y), y) == x
+    if x:
+        assert mul(x, f.inv(x)) == 1
+    # the row helpers that elimination uses agree with the element operations
+    u = data.draw(st.lists(element, max_size=6))
+    v = data.draw(st.lists(element, min_size=len(u), max_size=len(u)))
+    assert f.scale(x, u) == [mul(x, a) for a in u]
+    assert f.sub_scaled(u, x, v) == [f.sub(a, mul(x, b)) for a, b in zip(u, v)]
+
+
+@pytest.mark.parametrize("q", sorted(FIXED_MODULI))
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=st.data())
+def test_rank_matches_rref(q, data):
+    # rank eliminates forward only; rref also scales and back-substitutes
+    f = field(q)
+    width = data.draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from([0, 0, *range(q)]), min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, max_size=6))
+    assert linalg.rank(rows, f) == len(linalg.rref(rows, f)[1])
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    a=st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    b=st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    rad=st.fractions(min_value=0, max_value=12, max_denominator=5),
+    t=st.fractions(min_value=-12, max_value=12, max_denominator=7),
+    exact=st.booleans(),
+)
+def test_compare_matches_sympy_sign(a, b, rad, t, exact):
+    sympy = pytest.importorskip("sympy")
+    x = bounds.surd(a, b, rad)
+    if exact and x.b == 0:
+        t = x.a  # the equal case, which sign-by-interval checks cannot decide
+    r = sympy.Rational
+    value = r(x.a.numerator, x.a.denominator) - r(t.numerator, t.denominator)
+    value += r(x.b.numerator, x.b.denominator) * sympy.sqrt(x.base)
+    assert bounds.compare(x, t) == int(sympy.sign(value))
 
 
 @st.composite
