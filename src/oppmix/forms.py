@@ -12,11 +12,13 @@ standard models, fixed here once and for all:
   symplectic        gram [[0, I], [-I, 0]]           (split pairing i <-> m+i)
   hermitian         identity gram over F_{q^2}, B(x,y) = sum x_i conj(y_i)
 
-Non-degeneracy of a quadratic restriction uses the radical refinement: the
+Non-degeneracy of a quadratic restriction is the radical refinement: the
 restriction is degenerate iff some nonzero vector of the polar radical is
 singular.  For even dimension this is equivalent to a full-rank polar gram
-in every characteristic, but the refinement keeps odd dimensions honest in
-characteristic 2.
+in every characteristic (the polar form is alternating there, so a
+degenerate one has a radical of dimension >= 2, on which Q has a nonzero
+zero), so is_nondegenerate checks the rank and keeps the refinement for odd
+dimensions, which stay honest in characteristic 2.
 
 Type classification of a non-degenerate even restriction counts singular
 projective points exhaustively (scaling preserves singularity), then matches
@@ -193,10 +195,15 @@ def restrict(form: ClassicalForm, s: Subspace) -> RestrictedForm:
 
 
 def is_nondegenerate(r: RestrictedForm) -> bool:
-    if r.e == 0:
-        return True
-    if r.kind != ORTHOGONAL:
+    """Full rank of the gram (polar, if orthogonal), or for an odd quadratic
+    restriction the radical refinement."""
+    if r.kind != ORTHOGONAL or r.e % 2 == 0:
         return rank(r.gram, r.field) == r.e
+    return _radical_nondegenerate(r)
+
+
+def _radical_nondegenerate(r: RestrictedForm) -> bool:
+    """Non-degeneracy of a quadratic restriction by the radical refinement."""
     radical = nullspace(r.gram, r.field, r.e)
     if radical.e == 0:
         return True

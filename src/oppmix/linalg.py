@@ -4,9 +4,10 @@ A subspace is held as its reduced-row-echelon basis plus the pivot columns,
 which makes equality structural and the enumeration duplicate-free.  The
 enumeration order is fixed: pivot-column patterns lexicographically, then an
 odometer over the free entries (row-major positions, rightmost digit fastest,
-field values ascending).  There is one enumerator: row_candidates lists each
+field values ascending).  There is one enumerator: _row_tuples lists each
 pivot row's candidates in odometer order over that row's own free entries,
 and the subspaces of a pattern are the product over rows, last row fastest.
+row_candidates gives the same candidates in the members' representation.
 Consecutive subspaces therefore share every row but the last, which the
 partition build and complement_rows exploit.
 
@@ -96,23 +97,7 @@ def rref(rows, fld: Field):
 
 
 def rank(rows, fld: Field) -> int:
-    """Rank by forward elimination: rref without the scaling and back-substitution."""
-    work = [list(r) for r in rows]
-    rk = 0
-    for c in range(len(work[0]) if work else 0):
-        for pr in range(rk, len(work)):
-            if work[pr][c]:
-                break
-        else:
-            continue
-        work[rk], work[pr] = work[pr], work[rk]
-        piv = work[rk]
-        inv = fld.inv(piv[c])
-        for i in range(rk + 1, len(work)):
-            if work[i][c]:
-                work[i] = fld.sub_scaled(work[i], fld.mul(inv, work[i][c]), piv)
-        rk += 1
-    return rk
+    return len(rref(rows, fld)[1])
 
 
 def nullspace(rows, fld: Field, ncols: int) -> Subspace:
@@ -135,13 +120,13 @@ def nullspace(rows, fld: Field, ncols: int) -> Subspace:
 # -- enumeration -----------------------------------------------------------
 
 
-def row_candidates(d: int, pattern, fld: Field) -> list:
-    """Per pivot row, its candidates in odometer order over the row's own free entries.
+def _row_tuples(d: int, pattern, fld: Field) -> list:
+    """Per pivot row, its candidates (tuples of d field values) in odometer
+    order over the row's own free entries.
 
-    A candidate is an int bitmask over F_2 and a tuple of d field values
-    otherwise.  The free entries of one row are consecutive in the row-major
-    odometer, so product(*row_candidates(d, pattern, fld)), last row fastest,
-    lists the subspaces with these pivot columns in the canonical order.
+    The free entries of one row are consecutive in the row-major odometer,
+    so the product over rows, last row fastest, lists the subspaces with
+    these pivot columns in the canonical order.
     """
     pivot_set = set(pattern)
     out = []
@@ -154,8 +139,14 @@ def row_candidates(d: int, pattern, fld: Field) -> list:
             for j, v in zip(free, values):
                 row[j] = v
             rows.append(tuple(row))
-        out.append([_row_to_bits(r) for r in rows] if fld.q == 2 else rows)
+        out.append(rows)
     return out
+
+
+def row_candidates(d: int, pattern, fld: Field) -> list:
+    """_row_tuples in the representation of members: int bitmasks over F_2."""
+    rows = _row_tuples(d, pattern, fld)
+    return [list(map(_row_to_bits, c)) for c in rows] if fld.q == 2 else rows
 
 
 def member(fld: Field, d: int, pattern, rows):
@@ -179,16 +170,12 @@ def members(d: int, e: int, fld: Field) -> Iterator:
 def enumerate_subspaces(d: int, e: int, fld: Field) -> Iterator[Subspace]:
     """Every e-subspace of (F_q)^d exactly once, in the canonical order.
 
-    Each is a Subspace, over F_2 too: there the bitmask candidates are
-    unpacked into tuples once per pivot pattern.
+    Each is a Subspace, over F_2 too.
     """
     if not 0 <= e <= d:
         raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
     for pattern in combinations(range(d), e):
-        candidates = row_candidates(d, pattern, fld)
-        if fld.q == 2:
-            candidates = [[tuple(r >> j & 1 for j in range(d)) for r in c] for c in candidates]
-        for rows in product(*candidates):
+        for rows in product(*_row_tuples(d, pattern, fld)):
             yield Subspace(d, rows, pattern)
 
 

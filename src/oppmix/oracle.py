@@ -22,8 +22,8 @@ computed once, where the walk reaches it, and only the last column once per
 member; each prefix row's entries against the later rows' candidates are
 computed when the row joins the prefix.  Over other fields the entries come
 from a per-build memo of each distinct row's image under the ambient form,
-and a verdict decodes the whole restricted form from the key: full rank of
-the (polar) gram, then the orthogonal type.  Over F_2 the verdict reads the
+and a verdict decodes the whole restricted form from the key, then asks
+forms for non-degeneracy and the orthogonal type.  Over F_2 the verdict reads the
 member's bitmask rows.  A member object is built only if it is kept.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
@@ -99,10 +99,9 @@ def _classifier(form: ClassicalForm) -> _Classifier:
     """The keys and verdicts of partition builds over `form`.
 
     Over F_2 the verdict reads the member's bitmask rows.  Over other fields
-    it reads the key alone: the decoded gram (polar, if orthogonal) must have
-    full rank, which for the even dimensions classified here is
-    non-degeneracy in every characteristic, and an orthogonal type comes
-    from forms.orthogonal_type.
+    it reads the key alone: the decoded form must pass
+    forms.is_nondegenerate, and an orthogonal type comes from
+    forms.orthogonal_type.
     """
     fld = form.field
     if fld.q == 2 and form.kind == forms.ORTHOGONAL:
@@ -142,7 +141,7 @@ def _classifier(form: ClassicalForm) -> _Classifier:
 
     def verdict(_, columns):
         r = _decode(form, columns)
-        if linalg.rank(r.gram, fld) < r.e:
+        if not forms.is_nondegenerate(r):
             return None
         return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
 
@@ -247,8 +246,6 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
     """
     if form.kind == forms.ORTHOGONAL and e % 2:
         raise ValueError("orthogonal type classification needs even dimensions")
-    if not 1 <= e <= form.d:
-        raise ValueError(f"need 1 <= e <= d, got e={e}, d={form.d}")
     q = form.field.q
     total = exactnum.gaussian_binomial(form.d, e, q)
     if total > (budget or linalg.DEFAULT_ENUM_BUDGET):
@@ -266,10 +263,14 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
     One walk (_walk) serves every field.  Verdicts are memoized per prefix
     key, then per last column, so each distinct restricted form is
     classified once, on its first member; the member itself is built only
-    if it is kept.
+    if it is kept.  The zero space has no last row to walk: it is the one
+    member at e = 0, with no rows and the empty key.
     """
     cls = _classifier(form)
     fld, d = form.field, form.d
+    if e == 0:
+        c = cls.verdict((), ())
+        return ({} if c is None else {c: (linalg.member(fld, d, (), ()),)}), int(c is None)
     memo: dict = {}
     buckets = defaultdict(list)
     degenerate = 0

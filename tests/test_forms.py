@@ -100,6 +100,21 @@ def test_restrict_singular_line_of_hyperbolic_plane():
     assert not forms.is_nondegenerate(r)
 
 
+def test_odd_quadratic_restrictions_in_characteristic_2():
+    # the polar gram of an odd-dimensional restriction is singular in
+    # characteristic 2, so only the radical refinement sees that Q = x^2 on
+    # a line and Q = ab + c^2 on a 3-space are non-degenerate
+    form = forms.standard_form("orthogonal", 4, 2, 1)  # Q = x0 x1 + x2 x3
+    line = Subspace(4, ((1, 1, 0, 0),), (0,))
+    r = forms.restrict(form, line)
+    assert r.gram == ((0,),) and r.qdiag == (1,)
+    assert forms.is_nondegenerate(r)
+    solid = Subspace(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)), (0, 1, 2))
+    r = forms.restrict(form, solid)
+    assert linalg.rank(r.gram, form.field) == 2
+    assert forms.is_nondegenerate(r)
+
+
 def test_restrict_totally_isotropic_symplectic():
     form = forms.standard_form("symplectic", 4, 2)
     s = coord_subspace(4, (0, 1))  # split pairing: e0 pairs with e2, e1 with e3

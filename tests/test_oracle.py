@@ -87,7 +87,7 @@ def test_hermitian_counts_match_closed_form(q, d):
 )
 def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
     form = forms.standard_form(kind, d, q, eps)
-    for e in range(1, d) if kind == "hermitian" else range(2, d - 1, 2):
+    for e in range(0, d) if kind == "hermitian" else range(0, d - 1, 2):
         want: dict = {}
         degenerate = 0
         for s in linalg.enumerate_subspaces(d, e, form.field):
@@ -119,9 +119,13 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
     form = forms.standard_form(kind, d, q, eps)
     cls = oracle._classifier(form)
     step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
-    for e in range(step, d + 1, step):
+    for e in range(0, d + 1, step):
         walked, keys = [], set()
-        for pattern, prefix, lasts, columns, tails in oracle._walk(form, e, cls):
+        if e == 0:  # not walked: the zero space has no last row, and the empty key
+            walked.append(linalg.Subspace(d, (), ()))
+            keys.add(())
+            assert oracle._decode(form, ()) == forms.restrict(form, walked[0])
+        for pattern, prefix, lasts, columns, tails in oracle._walk(form, e, cls) if e else ():
             assert len(columns) == e - 1 and len(tails) == len(lasts)
             for last, tail in zip(lasts, tails):
                 s = linalg.Subspace(d, prefix + (last,), pattern)
