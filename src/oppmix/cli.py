@@ -16,6 +16,10 @@ record read through CSV_COLUMNS, so the two formats cannot drift apart.
 The brute-force and spectral layers (oracle, spectrum, sweep) are imported
 inside the commands that run them, so start-up and the closed-form commands
 do not load them.
+
+Every count runs serially in one process.  spectrum, count, verify and
+mixing-check still accept --workers N and ignore it, so that existing
+invocations keep working.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -226,9 +229,7 @@ def cmd_count(args) -> int:
     e1, e2, q = args.e1, args.e2, args.q
     form = forms.standard_form(fam.kind, e1 + e2, q, eps)
     threshold = fam.threshold(e1, e2, q)
-    rep = oracle.count_case(
-        form, e1, e2, sigma1, sigma2, threshold, args.full_pairs, args.budget, args.workers
-    )
+    rep = oracle.count_case(form, e1, e2, sigma1, sigma2, threshold, args.full_pairs, args.budget)
     lines = [
         f"case: {rep.case}",
         f"|Y1| = {rep.y1_count}, |Y2| = {rep.y2_count}, complementary pairs = {rep.pairs}",
@@ -255,7 +256,6 @@ def cmd_verify(args) -> int:
             fam,
             run_oracle=not args.skip_oracle,
             full_pairs_d4=args.full_pairs,
-            workers=args.workers,
             budget=args.budget,
         )
         overall_failures.extend(rep.failures)
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
 
     def workers(p):
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=1, help="ignored: every count runs serially")
 
     def family_case(p):
         p.add_argument("--family", choices=list(bounds.THEOREM), required=True)

@@ -9,8 +9,9 @@ both run.
 Members come from linalg.members, so the representation (bitmask-row tuples
 over F_2, Subspace objects over other fields) is chosen in linalg.
 All-pairs counts and the biadjacency matrix take their rows from
-linalg.complement_rows (point incidence); the single-orbit count tests one
-S1 with linalg.pair_test.
+linalg.complement_rows (point incidence); an all-pairs count is the sum of
+those rows' popcounts, taken serially in one process.  The single-orbit
+count tests one S1 with linalg.pair_test.
 
 A partition build classifies each distinct restricted form (the form on the
 member's basis) once and reuses the verdict for every member that restricts
@@ -248,10 +249,11 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
         raise ValueError("orthogonal type classification needs even dimensions")
     q = form.field.q
     total = exactnum.gaussian_binomial(form.d, e, q)
-    if total > (budget or linalg.DEFAULT_ENUM_BUDGET):
+    if budget is None:
+        budget = linalg.DEFAULT_ENUM_BUDGET
+    if total > budget:
         raise linalg.BudgetError(
-            f"{total} {e}-subspaces of dim {form.d} over F_{q} "
-            f"exceed budget {budget or linalg.DEFAULT_ENUM_BUDGET}"
+            f"{total} {e}-subspaces of dim {form.d} over F_{q} exceed budget {budget}"
         )
     return _partition(form, e)
 
@@ -322,33 +324,12 @@ def build_yset(
 # -- pair counting -----------------------------------------------------------
 
 
-def _count_pairs(args) -> int:
-    """Complementary pairs in members1 x members2 over F_q; one pool job."""
-    q, members1, members2 = args
-    rows = linalg.complement_rows(field(q), members1, members2)
-    return sum(row.bit_count() for row in rows)
-
-
-def count_complementary(
-    y1: YSet, y2: YSet, threshold: Fraction | None = None, workers: int = 1
-) -> CountReport:
-    """Exact count over all of Y1 x Y2.
-
-    With workers > 1 and more than 250,000 pairs, Y1 is dealt round-robin to
-    a process pool.
-    """
+def count_complementary(y1: YSet, y2: YSet, threshold: Fraction | None = None) -> CountReport:
+    """Exact count over all of Y1 x Y2: the popcounts of the complement rows."""
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
-    q, m1, m2 = y1.form.field.q, y1.members, y2.members
-    if workers > 1 and len(m1) * len(m2) > 250_000:
-        # imported here: it loads multiprocessing, which only a pool needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(q, m1[i::workers], m2) for i in range(min(workers, len(m1)))]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = sum(pool.map(_count_pairs, jobs))
-    else:
-        pairs = _count_pairs((q, m1, m2))
+    m1, m2 = y1.members, y2.members
+    pairs = sum(row.bit_count() for row in linalg.complement_rows(y1.form.field, m1, m2))
     proportion = Fraction(pairs, len(m1) * len(m2))
     return _finish_report(y1, y2, pairs, proportion, "full-pairs", threshold)
 
@@ -401,7 +382,6 @@ def count_case(
     threshold: Fraction | None = None,
     full_pairs: bool = False,
     budget: int | None = None,
-    workers: int = 1,
 ) -> CountReport:
     """Exact proportion of complementary pairs between the two Y-sets of a case.
 
@@ -411,7 +391,7 @@ def count_case(
     y1 = build_yset(form, e1, sigma1, budget)
     y2 = build_yset(form, e2, sigma2, budget)
     if full_pairs:
-        return count_complementary(y1, y2, threshold, workers=workers)
+        return count_complementary(y1, y2, threshold)
     return count_complementary_transitive(y1, y2, threshold)
 
 
@@ -600,6 +580,8 @@ def mixing_check(
     set2 = sorted(set(idx2))
     k = q ** (e1 * e2)
     d = e1 + e2
+    if set1 and not (0 <= set1[0] and set1[-1] < n1):
+        raise IndexError(f"e1-space indices must lie in range({n1})")
     if set2 and not (0 <= set2[0] and set2[-1] < n2):
         raise IndexError(f"e2-space indices must lie in range({n2})")
     mask2 = sum(1 << j for j in set2)

@@ -59,7 +59,6 @@ def verify_theorem(
     family: str,
     run_oracle: bool = True,
     full_pairs_d4: bool = False,
-    workers: int = 1,
     budget: int | None = None,
 ) -> FamilyReport:
     """Sweep the family's grid over every sign triple it needs, then its tails.
@@ -88,7 +87,7 @@ def verify_theorem(
         for eps, s1, s2 in signs:
             form = forms.standard_form(fam.kind, e1 + e2, q, eps)
             crep = oracle.count_case(
-                form, e1, e2, s1, s2, threshold, full_pairs_d4 and e1 + e2 == 4, budget, workers
+                form, e1, e2, s1, s2, threshold, full_pairs_d4 and e1 + e2 == 4, budget
             )
             count_reports.append(crep)
             if not crep.passed:

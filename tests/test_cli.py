@@ -194,6 +194,36 @@ def test_count_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_count_zero_budget_exit_code(capsys):
+    # --budget 0 is a budget of nothing, not "use the default"
+    code, _, err = run(
+        capsys, "count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "3",
+        "--budget", "0",
+    )
+    assert code == 3
+    assert "exceed budget 0" in err
+
+
+def test_workers_is_accepted_and_ignored(capsys):
+    # the benchmark appends `--format json --workers 1` to every command it runs
+    pinned = ["--format", "json", "--workers", "1"]
+    for argv in (
+        ["spectrum", "--e1", "2", "--e2", "2", "--q", "2"],
+        ["verify", "--family", "symplectic", "--skip-oracle"],
+        ["mixing-check", "--e1", "2", "--e2", "1", "--q", "2", "--trials", "5"],
+    ):
+        code, out, _ = run(capsys, *argv, *pinned)
+        assert code == 0, argv
+        json.loads(out)
+    # 650^2 = 422,500 pairs: every worker count prints the same serial count
+    count = ["count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "5",
+             "--full-pairs", "--format", "json"]
+    code, serial, _ = run(capsys, *count, "--workers", "1")
+    assert code == 0
+    assert json.loads(serial)["pairs"] == "328250"
+    assert run(capsys, *count, "--workers", "2") == (0, serial, "")
+
+
 def test_verify_budget_exit_code(capsys):
     code, _, err = run(
         capsys, "verify", "--family", "orthogonal", "--budget", "10", "--workers", "1"

@@ -71,8 +71,25 @@ def test_every_private_helper_is_referenced():
     assert not dead, f"private helpers that nothing else references: {dead}"
 
 
+def test_no_module_imports_a_process_pool():
+    # every count runs serially: a pool would have to pay for itself on the
+    # benchmark first, and then edit this test
+    pools = {"multiprocessing", "concurrent"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found = {name.split(".")[0] for name in names} & pools
+            assert not found, f"{path.name} imports {sorted(found)}"
+
+
 def test_cli_import_loads_no_process_pool():
-    # the pool's modules load only when count_complementary starts a pool
+    # no module imports a pool (see above), and none of the standard-library
+    # modules the CLI loads pulls one in either
     probe = (
         "import sys, oppmix.cli; "
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"

@@ -159,6 +159,13 @@ def test_build_yset_budget():
         oracle.build_yset(form, 4, budget=10_000)
 
 
+def test_zero_budget_is_a_budget():
+    # budget=0 caps the enumeration at nothing; only None means the default
+    form = forms.standard_form("symplectic", 4, 2)
+    with pytest.raises(linalg.BudgetError, match="exceed budget 0"):
+        oracle.classify_partition(form, 2, budget=0)
+
+
 def test_yset_examples():
     spform = forms.standard_form("symplectic", 4, 2)
     assert oracle.build_yset(spform, 2).count == 20
@@ -231,11 +238,11 @@ def test_transitive_agrees_with_full_pairs_on_o8_plus_gf2():
     assert full.pairs == oracle.count_complementary_transitive(y, y).pairs == 1_455_820_800
 
 
-def test_pool_count_matches_transitive_general_q():
-    # 650^2 = 422,500 pairs: the smallest q > 2 case above the pool threshold
+def test_full_pairs_count_matches_transitive_general_q():
+    # 650^2 = 422,500 pairs over F_5, counted serially by point incidence
     y = oracle.build_yset(forms.standard_form("symplectic", 4, 5), 2)
     assert y.count == 650
-    full = oracle.count_complementary(y, y, workers=2)
+    full = oracle.count_complementary(y, y)
     assert full.pairs == oracle.count_complementary_transitive(y, y).pairs == 328_250
 
 
@@ -424,6 +431,15 @@ def test_mixing_check_rejects_column_out_of_range():
         oracle.mixing_check(2, 1, 2, [0], [7])  # n2 = 7
     with pytest.raises(IndexError):
         oracle.mixing_check(2, 1, 2, [0], [-1])
+
+
+def test_mixing_check_rejects_row_out_of_range():
+    # a negative index must not wrap to the last row, nor one past the end
+    # surface as a bare tuple IndexError
+    with pytest.raises(IndexError, match=r"e1-space indices must lie in range\(7\)"):
+        oracle.mixing_check(2, 1, 2, [-1, 6], [0, 1])  # n1 = 7
+    with pytest.raises(IndexError, match=r"e1-space indices must lie in range\(7\)"):
+        oracle.mixing_check(2, 1, 2, [7], [0])
 
 
 def test_mixing_suite_gamma22_f2():
