@@ -24,15 +24,16 @@ enumeration oracle live in `sweep`.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from . import forms
 from .exactnum import (
+    HERMITIAN,
     MINUS,
+    ORTHOGONAL,
     PLUS,
+    SYMPLECTIC,
     bq,
     lambda_factor,
     omega,
@@ -49,8 +50,7 @@ TAIL_Q_LIMIT = 97  # the tail displays are checked for every prime power up to t
 # -- the theorem's cases -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """A branch of a family's theorem: the proportion is >= 1 - c/q^k
     wherever when(e1, e2, q), with e1 >= e2, holds (None: everywhere)."""
 
@@ -63,9 +63,8 @@ class Case:
         return 1 - self.c / q**self.k
 
 
-@dataclass(frozen=True)
-class Family:
-    kind: str  # the forms kind whose subspaces the oracle counts
+class Family(NamedTuple):
+    kind: str  # the form kind whose subspaces the oracle counts
     signed: bool  # needs eps, sigma1 and sigma2
     even: bool  # e1, e2 even; the bounds take m_i = e_i / 2
     cases: tuple  # first match wins; the last covers the large dims the tails settle
@@ -86,20 +85,20 @@ class Family:
 
 THEOREM = {
     "orthogonal": Family(
-        forms.ORTHOGONAL,
+        ORTHOGONAL,
         signed=True,
         even=True,
         cases=(Case("orthogonal-two-alpha-mixing", Fraction(3, 2), 1),),
         exceptions=((2, 1, 1), (3, 1, 1), (4, 1, 1), (5, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 2)),
     ),
     "symplectic": Family(
-        forms.SYMPLECTIC,
+        SYMPLECTIC,
         signed=False,
         even=True,
         cases=(Case("symplectic-display", Fraction(10, 7), 1),),
     ),
     "unitary": Family(
-        forms.HERMITIAN,
+        HERMITIAN,
         signed=False,
         even=False,
         cases=(
@@ -224,8 +223,7 @@ def alpha_unitary(e1: int, e2: int, q: int) -> Fraction:
     return bq(q * q, e1, e2) / bq(-q, e1, e2)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     family: str
     q: int
     e1: int
@@ -377,8 +375,7 @@ def bound_case(
 # -- finite verification of the analytic tails --------------------------------
 
 
-@dataclass(frozen=True)
-class TailCheck:
+class TailCheck(NamedTuple):
     name: str
     q: int
     value: Fraction

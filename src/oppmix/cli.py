@@ -13,9 +13,9 @@ decimal strings plus a non-authoritative float "approx"; parsing and
 re-serializing a report is byte-identical.  A CSV row is one JSON report
 record read through CSV_COLUMNS, so the two formats cannot drift apart.
 
-The brute-force and spectral layers (oracle, spectrum, sweep) are imported
-inside the commands that run them, so start-up and the closed-form commands
-do not load them.
+Start-up loads only exactnum, bounds and this module.  The enumeration,
+form, brute-force and spectral layers (gf, linalg, forms, oracle, spectrum,
+sweep) and csv are imported inside the commands that run them.
 
 Every count runs serially in one process.  spectrum, count, verify and
 mixing-check still accept --workers N and ignore it, so that existing
@@ -25,15 +25,13 @@ invocations keep working.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from fractions import Fraction
 
-from . import bounds, exactnum, forms
+from . import bounds, exactnum
 from .bounds import Surd
-from .linalg import DEFAULT_ENUM_BUDGET, BudgetError
 
 # CSV column -> the JSON keys it reads, first key present wins; a count
 # report's `case` fields count as its own.
@@ -133,6 +131,8 @@ def _csv_cell(value):
 
 def _emit_csv(records) -> str:
     """One CSV row per JSON report record, read through CSV_COLUMNS."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -220,7 +220,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from . import oracle
+    from . import forms, oracle
 
     fam = bounds.THEOREM[args.family]
     if not _case_ok(args, fam):
@@ -328,6 +328,14 @@ def prime_power_arg(text: str) -> int:
     return q
 
 
+def nonnegative_arg(text: str) -> int:
+    """argparse type for --budget and --trials: an int >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oppmix",
@@ -346,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", type=prime_power_arg, required=True)
 
     def budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+        # None: the oracle takes linalg.DEFAULT_ENUM_BUDGET
+        p.add_argument("--budget", type=nonnegative_arg, default=None)
 
     def workers(p):
         p.add_argument("--workers", type=int, default=1, help="ignored: every count runs serially")
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixing-check", help="exact mixing-lemma property suite")
     common(p, rows=False)
     workers(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=nonnegative_arg, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mixing_check)
 
@@ -398,7 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetError as exc:
+    except exactnum.BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:

@@ -7,10 +7,16 @@ the integers +1 and -1 so they can be multiplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
+
+# the classical form kinds; forms re-exports them
+ORTHOGONAL = "orthogonal"
+SYMPLECTIC = "symplectic"
+HERMITIAN = "hermitian"
+KINDS = (ORTHOGONAL, SYMPLECTIC, HERMITIAN)
 
 PLUS = 1
 MINUS = -1
@@ -32,19 +38,17 @@ def sign_char(sigma: int) -> str:
     return "+" if sigma == PLUS else "-"
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple("PrimePower", [("p", int), ("k", int), ("q", int)])):
     """q = p^k with p prime and k >= 1."""
 
-    p: int
-    k: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2 or not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.k < 1 or self.p**self.k != self.q:
-            raise ValueError(f"q = {self.q} != {self.p}^{self.k}")
+    def __new__(cls, p: int, k: int, q: int):
+        if p < 2 or not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if k < 1 or p**k != q:
+            raise ValueError(f"q = {q} != {p}^{k}")
+        return super().__new__(cls, p, k, q)
 
 
 def _is_prime(n: int) -> bool:
@@ -176,6 +180,10 @@ class InexactDivisionError(ArithmeticError):
     """An orbit-stabilizer division left a remainder; signals a formula bug."""
 
 
+class BudgetError(RuntimeError):
+    """An enumeration was larger than the configured budget; linalg re-exports it."""
+
+
 def _exact_div(num: int, den: int, what: str) -> int:
     quot, rem = divmod(num, den)
     if rem != 0:
@@ -193,7 +201,7 @@ def count_nondegenerate(
     perp then has type eps*sigma1, so the stabilizer is
     GO^sigma1_e1 x GO^(eps*sigma1)_e2.
     """
-    if kind == "orthogonal":
+    if kind == ORTHOGONAL:
         if e1 % 2 or e2 % 2 or e1 < 2 or e2 < 2:
             raise ValueError(f"orthogonal needs e1, e2 even >= 2, got {e1}, {e2}")
         eps = parse_sign(eps)
@@ -201,13 +209,13 @@ def count_nondegenerate(
         num = group_order_go((e1 + e2) // 2, eps, q)
         den = group_order_go(e1 // 2, sigma1, q) * group_order_go(e2 // 2, eps * sigma1, q)
         return _exact_div(num, den, f"orthogonal count e1={e1} e2={e2} q={q}")
-    if kind == "symplectic":
+    if kind == SYMPLECTIC:
         if e1 % 2 or e2 % 2 or e1 < 2 or e2 < 2:
             raise ValueError(f"symplectic needs e1, e2 even >= 2, got {e1}, {e2}")
         num = group_order_sp((e1 + e2) // 2, q)
         den = group_order_sp(e1 // 2, q) * group_order_sp(e2 // 2, q)
         return _exact_div(num, den, f"symplectic count e1={e1} e2={e2} q={q}")
-    if kind == "hermitian":
+    if kind == HERMITIAN:
         if e1 < 1 or e2 < 1:
             raise ValueError(f"hermitian needs e1, e2 >= 1, got {e1}, {e2}")
         num = group_order_gu(e1 + e2, q)

@@ -36,13 +36,9 @@ from itertools import product
 from operator import mul
 from typing import NamedTuple
 
+from .exactnum import HERMITIAN, KINDS, ORTHOGONAL, SYMPLECTIC  # noqa: F401 (re-exported)
 from .gf import Field, field
 from .linalg import Subspace, nullspace, rank, rank_bits
-
-ORTHOGONAL = "orthogonal"
-SYMPLECTIC = "symplectic"
-HERMITIAN = "hermitian"
-KINDS = (ORTHOGONAL, SYMPLECTIC, HERMITIAN)
 
 
 class ClassicalForm(NamedTuple):

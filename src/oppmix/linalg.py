@@ -30,14 +30,11 @@ from functools import partial
 from itertools import chain, combinations, product
 from typing import Callable, Iterator, NamedTuple
 
+from .exactnum import BudgetError  # noqa: F401 (re-exported)
 from .gf import Field
 
 
 DEFAULT_ENUM_BUDGET = 1_500_000
-
-
-class BudgetError(RuntimeError):
-    """An enumeration was larger than the configured budget."""
 
 
 class Subspace(NamedTuple):

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -47,15 +46,14 @@ from math import lcm
 from operator import mul
 from typing import Callable, NamedTuple
 
-from . import exactnum, forms, linalg, spectrum
+from . import exactnum, forms, linalg
 from .forms import ClassicalForm
 from .gf import field
 
 DEFAULT_BIADJACENCY_CAP = 5000
 
 
-@dataclass(frozen=True)
-class YSet:
+class YSet(NamedTuple):
     form: ClassicalForm
     e: int
     sigma: int | None  # orthogonal subspace type; None for symplectic/hermitian
@@ -66,8 +64,7 @@ class YSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     case: dict
     y1_count: int
     y2_count: int
@@ -398,8 +395,7 @@ def count_case(
 # -- biadjacency and spectral checks ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Biadjacency:
+class Biadjacency(NamedTuple):
     """The 0/1 complementarity matrix N, one int bitmask per row.
 
     Row i indexes the i-th e1-space and bit j of masks[i] is N[i][j], the
@@ -462,6 +458,8 @@ def annihilator_check(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_C
     right eigenvalues in the wrong proportions fails.  The product is taken
     by _annihilates on packed rows, never as dense matrices.
     """
+    from . import spectrum
+
     bi = build_biadjacency(e1, e2, q, cap)
     spec = spectrum.eigen_exponents(max(e1, e2), min(e1, e2))
     lams = [spec.eigenvalue_squared(q, j) for j in range(len(spec.exponents))]
@@ -513,8 +511,7 @@ def _predicted_traces(d: int, q: int, lams) -> tuple:
 # -- expander mixing lemma, exactly ------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixingReport:
+class MixingReport(NamedTuple):
     e1: int
     e2: int
     q: int

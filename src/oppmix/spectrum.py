@@ -18,15 +18,14 @@ scope on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .exactnum import prime_power
 
 
-@dataclass(frozen=True, order=True)
-class HalfInteger:
+class HalfInteger(NamedTuple):
     """An exact n/2; `twice` is n."""
 
     twice: int
@@ -45,24 +44,22 @@ class HalfInteger:
         return f"{self.twice}/2"
 
 
-@dataclass(frozen=True)
-class TwoRowPartition:
+class TwoRowPartition(NamedTuple("TwoRowPartition", [("d", int), ("j", int)])):
     """The partition [d - j, j] of d (j = 0 gives the one-row [d])."""
 
-    d: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.j <= self.d - self.j:
-            raise ValueError(f"[{self.d - self.j}, {self.j}] is not a partition")
+    def __new__(cls, d: int, j: int):
+        if not 0 <= j <= d - j:
+            raise ValueError(f"[{d - j}, {j}] is not a partition")
+        return super().__new__(cls, d, j)
 
     @property
     def parts(self) -> tuple:
         return (self.d - self.j, self.j) if self.j else (self.d,)
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     e1: int
     e2: int
     exponents: tuple  # HalfInteger m_0 > m_1 > ... > m_{e2}

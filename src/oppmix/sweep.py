@@ -8,8 +8,8 @@ here, so that a caller who replaces a module attribute sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import bounds, forms, oracle
 from .exactnum import MINUS, PLUS, prime_powers_upto
@@ -42,8 +42,7 @@ GRIDS = {
 }
 
 
-@dataclass
-class FamilyReport:
+class FamilyReport(NamedTuple):
     family: str
     bound_reports: list
     count_reports: list

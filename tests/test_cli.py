@@ -204,6 +204,32 @@ def test_count_zero_budget_exit_code(capsys):
     assert "exceed budget 0" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "3"],
+        ["verify", "--family", "symplectic"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "--budget: -5 is negative" in capsys.readouterr().err
+
+
+def test_negative_trials_is_a_usage_error(capsys):
+    mixing = ["mixing-check", "--e1", "2", "--e2", "1", "--q", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*mixing, "--trials", "-3"])
+    assert exc.value.code == 2
+    assert "--trials: -3 is negative" in capsys.readouterr().err
+    # no random pairs: the nine fixed subset pairs still run
+    code, out, _ = run(capsys, *mixing, "--trials", "0")
+    assert code == 0
+    assert "9 subset pairs" in out
+
+
 def test_workers_is_accepted_and_ignored(capsys):
     # the benchmark appends `--format json --workers 1` to every command it runs
     pinned = ["--format", "json", "--workers", "1"]

@@ -17,6 +17,13 @@ def test_prime_power_parsing():
     assert en.prime_powers_upto(10) == [2, 3, 4, 5, 7, 8, 9]
 
 
+def test_prime_power_record_checks_its_fields():
+    assert en.PrimePower(3, 2, 9) == en.prime_power(9)
+    for bad in ((4, 1, 4), (2, 2, 5), (2, 0, 1)):
+        with pytest.raises(ValueError):
+            en.PrimePower(*bad)
+
+
 def test_parse_sign():
     assert en.parse_sign("+") == 1
     assert en.parse_sign("-") == -1

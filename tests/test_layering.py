@@ -71,56 +71,90 @@ def test_every_private_helper_is_referenced():
     assert not dead, f"private helpers that nothing else references: {dead}"
 
 
+def absolute_imports(path: Path) -> set:
+    """Top-level names of the modules that `import x` / `from x import` pull in."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_no_module_imports_a_process_pool():
     # every count runs serially: a pool would have to pay for itself on the
     # benchmark first, and then edit this test
-    pools = {"multiprocessing", "concurrent"}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found = {name.split(".")[0] for name in names} & pools
-            assert not found, f"{path.name} imports {sorted(found)}"
+        found = absolute_imports(path) & {"multiprocessing", "concurrent"}
+        assert not found, f"{path.name} imports {sorted(found)}"
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: dataclasses pulls in inspect, ast, dis and
+    # tokenize, which every short CLI process would then import
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "dataclasses" not in absolute_imports(path), path.name
+
+
+def probe(code: str, *argv) -> str:
+    """stdout of `code` run in a fresh interpreter, with argv as sys.argv[1:]."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return out.stdout
 
 
 def test_cli_import_loads_no_process_pool():
     # no module imports a pool (see above), and none of the standard-library
     # modules the CLI loads pulls one in either
-    probe = (
+    code = (
         "import sys, oppmix.cli; "
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        cwd=PACKAGE.parent,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    )
-    assert out.stdout.strip() == "[]"
+    assert probe(code).strip() == "[]"
 
 
 def test_cli_import_loads_only_what_commands_use():
-    # the brute-force and spectral layers load inside the commands that run
-    # them, and the package resolves its public names on first access
-    probe = (
+    # every layer but exactnum and bounds loads inside the commands that run
+    # it, and the package resolves its public names on first access
+    code = (
         "import sys, oppmix, oppmix.cli; "
-        "heavy = {'oppmix.oracle', 'oppmix.sweep', 'oppmix.spectrum'}; "
-        "print(sorted(heavy & set(sys.modules))); "
+        "layers = ('gf', 'linalg', 'forms', 'spectrum', 'oracle', 'sweep'); "
+        "heavy = {'oppmix.' + m for m in layers}; "
+        "print(sorted((heavy | {'dataclasses'}) & set(sys.modules))); "
         "print(all(getattr(oppmix, name) is not None for name in oppmix.__all__)); "
         "print(sorted(heavy - set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        cwd=PACKAGE.parent,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
+    assert probe(code).split("\n")[:3] == ["[]", "True", "[]"]
+
+
+def modules_after_command(*argv) -> set:
+    """The modules loaded by the end of one CLI command in a fresh interpreter."""
+    script = (
+        "import io, sys; from oppmix import cli; "
+        "out, sys.stdout = sys.stdout, io.StringIO(); "
+        "out.write(f'{cli.main(sys.argv[1:])}\\n' + '\\n'.join(sys.modules))"
     )
-    assert out.stdout.split("\n")[:3] == ["[]", "True", "[]"]
+    code, *modules = probe(script, *argv).split("\n")
+    assert code == "0", argv
+    return set(modules)
+
+
+def test_spectrum_command_loads_no_forms_or_oracle():
+    loaded = modules_after_command("spectrum", "--e1", "3", "--e2", "2", "--q", "2")
+    assert "oppmix.spectrum" in loaded
+    assert not {"oppmix.linalg", "oppmix.forms", "oppmix.oracle", "dataclasses"} & loaded
+
+
+def test_count_command_loads_no_spectrum():
+    loaded = modules_after_command(
+        "count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "3"
+    )
+    assert "oppmix.oracle" in loaded
+    assert not {"oppmix.spectrum", "dataclasses"} & loaded

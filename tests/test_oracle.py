@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -377,7 +376,7 @@ def test_trace_identities_fail_on_flipped_entry(monkeypatch):
 
     masks = list(b.masks)
     masks[7] ^= 1 << 11  # flip N[7][11]
-    flipped = replace(b, masks=tuple(masks))
+    flipped = b._replace(masks=tuple(masks))
     m = flipped.gram()
     assert sum(m[i][i] for i in range(len(m))) != trace
     assert sum(v * v for row in m for v in row) != frobenius
@@ -407,7 +406,7 @@ def test_mixing_integer_verdicts_match_fractions_on_banded_graph(monkeypatch):
     n, k = b.n1, 3**4
     band, full = (1 << k) - 1, (1 << n) - 1
     masks = tuple(((band << i) | (band >> (n - i))) & full for i in range(n))
-    monkeypatch.setattr(oracle, "build_biadjacency", lambda *args: replace(b, masks=masks))
+    monkeypatch.setattr(oracle, "build_biadjacency", lambda *args: b._replace(masks=masks))
     seen = set()
     for s1 in range(0, n + 1, 5):
         for s2 in range(0, n + 1, 5):
