@@ -186,21 +186,17 @@ def cmd_spectrum(args) -> int:
     return 0 if agree else 1
 
 
-def _case_ok(args, fam: bounds.Family) -> bool:
-    """The signs and dimension parity the family's theorem needs."""
+def _check_case(args, fam: bounds.Family) -> None:
+    """Raise ValueError unless args have the signs and dimension parity fam needs."""
     missing = [n for n in ("eps", "sigma1", "sigma2") if fam.signed and getattr(args, n) is None]
     if missing:
-        print(f"error: --{' --'.join(missing)} required for this family", file=sys.stderr)
-        return False
+        raise ValueError(f"--{' --'.join(missing)} required for this family")
     if fam.even and (args.e1 % 2 or args.e2 % 2):
-        print(f"error: {args.family} dimensions must be even", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"{args.family} dimensions must be even")
 
 
 def cmd_bound(args) -> int:
-    if not _case_ok(args, bounds.THEOREM[args.family]):
-        return 2
+    _check_case(args, bounds.THEOREM[args.family])
     rep = bounds.bound_case(
         args.family, args.e1, args.e2, args.q, args.eps, args.sigma1, args.sigma2
     )
@@ -223,8 +219,7 @@ def cmd_count(args) -> int:
     from . import forms, oracle
 
     fam = bounds.THEOREM[args.family]
-    if not _case_ok(args, fam):
-        return 2
+    _check_case(args, fam)
     eps, sigma1, sigma2 = (args.eps, args.sigma1, args.sigma2) if fam.signed else (None,) * 3
     e1, e2, q = args.e1, args.e2, args.q
     form = forms.standard_form(fam.kind, e1 + e2, q, eps)

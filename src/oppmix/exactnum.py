@@ -16,7 +16,6 @@ from typing import NamedTuple
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 HERMITIAN = "hermitian"
-KINDS = (ORTHOGONAL, SYMPLECTIC, HERMITIAN)
 
 PLUS = 1
 MINUS = -1

@@ -1,4 +1,4 @@
-"""Classical forms on (F_q)^d: standard models, restriction, classification.
+"""Classical forms on (F_q)^d: standard models and restricted-form classification.
 
 Quadratic forms are stored as upper-triangular coefficient grids and the
 polar bilinear form is *derived* (gram = C + C^T); in characteristic 2 the
@@ -12,13 +12,15 @@ standard models, fixed here once and for all:
   symplectic        gram [[0, I], [-I, 0]]           (split pairing i <-> m+i)
   hermitian         identity gram over F_{q^2}, B(x,y) = sum x_i conj(y_i)
 
-Non-degeneracy of a quadratic restriction is the radical refinement: the
-restriction is degenerate iff some nonzero vector of the polar radical is
-singular.  For even dimension this is equivalent to a full-rank polar gram
-in every characteristic (the polar form is alternating there, so a
-degenerate one has a radical of dimension >= 2, on which Q has a nonzero
-zero), so is_nondegenerate checks the rank and keeps the refinement for odd
-dimensions, which stay honest in characteristic 2.
+A RestrictedForm is the form on a subspace's basis: its gram (polar, if
+orthogonal) and Q on each basis row.  Non-degeneracy is a full-rank gram.
+For an even-dimensional quadratic restriction that agrees with the radical
+refinement (degenerate iff some nonzero vector of the polar radical is
+singular) in every characteristic: in characteristic 2 the polar form is
+alternating, so a degenerate one has a radical of dimension >= 2, on which
+Q has a nonzero zero.  There an odd-dimensional polar gram is always
+singular, so is_nondegenerate refuses odd quadratic restrictions; the
+theorems have none.
 
 Type classification of a non-degenerate even restriction counts singular
 projective points exhaustively (scaling preserves singularity), then matches
@@ -36,9 +38,9 @@ from itertools import product
 from operator import mul
 from typing import NamedTuple
 
-from .exactnum import HERMITIAN, KINDS, ORTHOGONAL, SYMPLECTIC  # noqa: F401 (re-exported)
+from .exactnum import HERMITIAN, ORTHOGONAL, SYMPLECTIC  # noqa: F401 (re-exported)
 from .gf import Field, field
-from .linalg import Subspace, nullspace, rank, rank_bits
+from .linalg import rank, rank_bits
 
 
 class ClassicalForm(NamedTuple):
@@ -50,16 +52,6 @@ class ClassicalForm(NamedTuple):
     quad: tuple | None  # upper-triangular Q coefficients, orthogonal only
     eps: int | None  # declared type of the orthogonal standard model
     delta: int | None  # anisotropic-plane coefficient actually used
-
-    def bilinear(self, x, y) -> int:
-        fld = self.field
-        if self.kind == HERMITIAN:
-            y = tuple(fld.conj(v) for v in y)
-        acc = 0
-        for i, xi in enumerate(x):
-            if xi:
-                acc = fld.add(acc, fld.mul(xi, fld.dot(self.gram[i], y)))
-        return acc
 
     def quad_value(self, v) -> int:
         if self.kind != ORTHOGONAL:
@@ -82,19 +74,6 @@ class RestrictedForm(NamedTuple):
     field: Field
     gram: tuple  # e x e restricted bilinear (polar, if orthogonal) gram
     qdiag: tuple | None  # Q(b_i) per basis row, orthogonal only
-
-    def quad_value(self, v) -> int:
-        fld = self.field
-        acc = 0
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            acc = fld.add(acc, fld.mul(self.qdiag[i], fld.mul(vi, vi)))
-            row = self.gram[i]
-            for j in range(i + 1, self.e):
-                if row[j] and v[j]:
-                    acc = fld.add(acc, fld.mul(row[j], fld.mul(vi, v[j])))
-        return acc
 
 
 def anisotropic_delta(fld: Field) -> int:
@@ -163,65 +142,11 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def restrict(form: ClassicalForm, s: Subspace) -> RestrictedForm:
-    """Gram (polar gram, if orthogonal) and Q values on the basis of s."""
-    if s.d != form.d:
-        raise ValueError(f"ambient mismatch: subspace in dim {s.d}, form on dim {form.d}")
-    fld = form.field
-    e = s.e
-    if form.kind == HERMITIAN:
-        conj_rows = [tuple(fld.conj(v) for v in row) for row in s.basis]
-        gram_cols = [
-            tuple(fld.dot(form.gram[k], cr) for k in range(form.d)) for cr in conj_rows
-        ]
-        gram = tuple(
-            tuple(fld.dot(s.basis[i], gram_cols[j]) for j in range(e)) for i in range(e)
-        )
-        return RestrictedForm(form.kind, e, fld, gram, None)
-    gram_cols = [
-        tuple(fld.dot(form.gram[k], row) for k in range(form.d)) for row in s.basis
-    ]
-    gram = tuple(
-        tuple(fld.dot(s.basis[i], gram_cols[j]) for j in range(e)) for i in range(e)
-    )
-    qdiag = None
-    if form.kind == ORTHOGONAL:
-        qdiag = tuple(form.quad_value(row) for row in s.basis)
-    return RestrictedForm(form.kind, e, fld, gram, qdiag)
-
-
 def is_nondegenerate(r: RestrictedForm) -> bool:
-    """Full rank of the gram (polar, if orthogonal), or for an odd quadratic
-    restriction the radical refinement."""
-    if r.kind != ORTHOGONAL or r.e % 2 == 0:
-        return rank(r.gram, r.field) == r.e
-    return _radical_nondegenerate(r)
-
-
-def _radical_nondegenerate(r: RestrictedForm) -> bool:
-    """Non-degeneracy of a quadratic restriction by the radical refinement."""
-    radical = nullspace(r.gram, r.field, r.e)
-    if radical.e == 0:
-        return True
-    # Degenerate iff the radical contains a nonzero singular vector; scaling
-    # preserves singularity, so projective representatives suffice.
-    fld = r.field
-    for rep in _projective_reps(radical.e, fld.q):
-        v = _combine(rep, radical.basis, fld)
-        if r.quad_value(v) == 0:
-            return False
-    return True
-
-
-def _combine(coeffs, rows, fld: Field):
-    e = len(rows[0])
-    out = [0] * e
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = fld.add(out[j], fld.mul(c, x))
-    return tuple(out)
+    """Full rank of the gram; an odd quadratic restriction raises ValueError."""
+    if r.kind == ORTHOGONAL and r.e % 2:
+        raise ValueError(f"rank decides quadratic restrictions of even dimension, got {r.e}")
+    return rank(r.gram, r.field) == r.e
 
 
 @lru_cache(maxsize=None)

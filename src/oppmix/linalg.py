@@ -4,23 +4,19 @@ A subspace is held as its reduced-row-echelon basis plus the pivot columns,
 which makes equality structural and the enumeration duplicate-free.  The
 enumeration order is fixed: pivot-column patterns lexicographically, then an
 odometer over the free entries (row-major positions, rightmost digit fastest,
-field values ascending).  There is one enumerator: _row_tuples lists each
-pivot row's candidates in odometer order over that row's own free entries,
-and the subspaces of a pattern are the product over rows, last row fastest.
-row_candidates gives the same candidates in the members' representation.
+field values ascending).  members is the one enumerator, for every field: the
+product over pivot rows, last row fastest, of each row's candidates
+(row_candidates) in odometer order over that row's own free entries.
 Consecutive subspaces therefore share every row but the last, which the
 partition build and complement_rows exploit.
 
-Over F_2 a row is also a machine-word bitmask (bit j = coordinate j), and
-complementary_bits is the pair test on tuples of such rows.
-
-row_candidates, member(s), points, pair_test and complement_rows are the one
-place that picks a field's representation: bitmask-row tuples over F_2,
-Subspace objects over every other field.  Callers that only enumerate and
-pair-test never branch on q.  pair_test is one elimination per pair, for
-scans of one S1.  Two subspaces meet trivially iff they share no projective
-point, so complement_rows decides all of Y1 x Y2 by point incidence, one
-bitmask row per S1, with no elimination per pair.
+row_candidates, member(s), pair_test and complement_rows are the one place
+that picks a field's representation: tuples of bitmask rows (bit j =
+coordinate j) over F_2, Subspace objects over every other field.  Callers
+never branch on q.  pair_test is one elimination per pair (complementary_bits
+on bitmask rows), for scans of one S1.  Two subspaces meet trivially iff they
+share no projective point, so complement_rows decides all of Y1 x Y2 by point
+incidence, one bitmask row per S1, with no elimination per pair.
 """
 
 from __future__ import annotations
@@ -97,23 +93,6 @@ def rank(rows, fld: Field) -> int:
     return len(rref(rows, fld)[1])
 
 
-def nullspace(rows, fld: Field, ncols: int) -> Subspace:
-    """Canonical basis of {v : sum_j rows[i][j] v_j = 0 for all i}."""
-    red, pivots = rref(rows, fld) if rows else ((), ())
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = fld.neg(red[i][f])
-        basis.append(v)
-    if not basis:
-        return Subspace(ncols, (), ())
-    red2, piv2 = rref(basis, fld)
-    return Subspace(ncols, red2, piv2)
-
-
 # -- enumeration -----------------------------------------------------------
 
 
@@ -155,25 +134,15 @@ def members(d: int, e: int, fld: Field) -> Iterator:
     """Every e-subspace in the canonical order, in the field's representation.
 
     Over F_2 each member is a tuple of bitmask rows; over other fields it is
-    a Subspace.  points(fld, s) lists its projective points, and pair_test
-    and complement_rows are the matching complementarity tests.
-    """
-    if fld.q != 2:
-        return enumerate_subspaces(d, e, fld)
-    patterns = combinations(range(d), e)
-    return chain.from_iterable(product(*row_candidates(d, p, fld)) for p in patterns)
-
-
-def enumerate_subspaces(d: int, e: int, fld: Field) -> Iterator[Subspace]:
-    """Every e-subspace of (F_q)^d exactly once, in the canonical order.
-
-    Each is a Subspace, over F_2 too.
+    a Subspace.  pair_test and complement_rows are the matching
+    complementarity tests.
     """
     if not 0 <= e <= d:
         raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
-    for pattern in combinations(range(d), e):
-        for rows in product(*_row_tuples(d, pattern, fld)):
-            yield Subspace(d, rows, pattern)
+    return chain.from_iterable(
+        map(partial(member, fld, d, p), product(*row_candidates(d, p, fld)))
+        for p in combinations(range(d), e)
+    )
 
 
 def _through(fld: Field, span: list, row) -> list:
@@ -220,16 +189,6 @@ def _split_points(fld: Field, members) -> Iterator[tuple]:
                 span += _through(fld, span, row)
             head = _point_ids(fld, span)
         yield head, _point_ids(fld, _through(fld, span, rows[-1])) if rows else []
-
-
-def points(fld: Field, s) -> list:
-    """Ids of the (q^e - 1)/(q - 1) normalized vectors of member s.
-
-    The span is built row by row with _through, so each vector appears once,
-    scaled to lead with 1.
-    """
-    ((head, last),) = _split_points(fld, [s])
-    return head + last
 
 
 # -- complementarity -------------------------------------------------------

@@ -2,12 +2,102 @@
 package's fast paths are checked against."""
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import combinations, compress, product
 
-from oppmix import forms, oracle
-from oppmix.forms import ClassicalForm
+from oppmix import forms, linalg, oracle
+from oppmix.forms import ClassicalForm, RestrictedForm
 from oppmix.gf import Field
-from oppmix.linalg import Subspace, nullspace, rref
+from oppmix.linalg import Subspace, rref
+
+
+def enumerate_subspaces(d: int, e: int, fld: Field):
+    """Every e-subspace of (F_q)^d once, as a Subspace, in linalg.members' order.
+
+    Built as that order is defined, not per row: pivot patterns
+    lexicographically, then one odometer over all the free entries.
+    """
+    if not 0 <= e <= d:
+        raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
+    for pattern in combinations(range(d), e):
+        free = [(i, j) for i, c in enumerate(pattern) for j in range(c + 1, d) if j not in pattern]
+        rows = [[int(j == c) for j in range(d)] for c in pattern]
+        for values in product(fld.elements(), repeat=len(free)):
+            for (i, j), v in zip(free, values):  # every free entry is overwritten
+                rows[i][j] = v
+            yield Subspace(d, tuple(map(tuple, rows)), pattern)
+
+
+def nullspace(rows, fld: Field, ncols: int) -> Subspace:
+    """Canonical basis of {v : sum_j rows[i][j] v_j = 0 for all i}."""
+    red, pivots = rref(rows, fld)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = fld.neg(red[i][f])
+        basis.append(v)
+    return subspace_from_rows(basis, fld, ncols)
+
+
+def points(fld: Field, s) -> list:
+    """Ids of the (q^e - 1)/(q - 1) points of member s, as linalg.complement_rows sees them."""
+    ((head, last),) = linalg._split_points(fld, [s])
+    return head + last
+
+
+def _gram_times(form: ClassicalForm, y) -> list:
+    """G conj(y) for the form's gram G; conj is the identity unless hermitian."""
+    fld = form.field
+    if form.kind == forms.HERMITIAN:
+        y = tuple(fld.conj(v) for v in y)
+    return [fld.dot(row, y) for row in form.gram]
+
+
+def bilinear(form: ClassicalForm, x, y) -> int:
+    """B(x, y) = x^T G conj(y); conjugate-linear in y if hermitian."""
+    return form.field.dot(x, _gram_times(form, y))
+
+
+def restrict(form: ClassicalForm, s: Subspace) -> RestrictedForm:
+    """The form on the basis of s: its gram (polar, if orthogonal) and Q values."""
+    if s.d != form.d:
+        raise ValueError(f"ambient mismatch: subspace in dim {s.d}, form on dim {form.d}")
+    images = [_gram_times(form, y) for y in s.basis]
+    gram = tuple(tuple(form.field.dot(x, image) for image in images) for x in s.basis)
+    qdiag = None
+    if form.kind == forms.ORTHOGONAL:
+        qdiag = tuple(form.quad_value(row) for row in s.basis)
+    return RestrictedForm(form.kind, s.e, form.field, gram, qdiag)
+
+
+def restricted_quad_value(r: RestrictedForm, v) -> int:
+    """Q(sum_i v_i b_i) = sum_i Q(b_i) v_i^2 + sum_{i<j} B(b_i, b_j) v_i v_j."""
+    fld = r.field
+    acc = 0
+    for i, vi in enumerate(v):
+        acc = fld.add(acc, fld.mul(r.qdiag[i], fld.mul(vi, vi)))
+        for j in range(i + 1, r.e):
+            acc = fld.add(acc, fld.mul(r.gram[i][j], fld.mul(vi, v[j])))
+    return acc
+
+
+def radical_nondegenerate(r: RestrictedForm) -> bool:
+    """Non-degeneracy of a quadratic restriction, odd dimensions included:
+    degenerate iff some point of the polar radical is singular."""
+    fld = r.field
+    radical = nullspace(r.gram, fld, r.e)
+    for rep in forms._projective_reps(radical.e, fld.q):
+        v = [fld.dot(rep, col) for col in zip(*radical.basis)]
+        if restricted_quad_value(r, v) == 0:
+            return False
+    return True
+
+
+def coord_subspace(d: int, cols) -> Subspace:
+    """The span of the unit vectors e_c, c in cols (increasing), in (F_q)^d."""
+    return Subspace(d, tuple(tuple(int(j == c) for j in range(d)) for c in cols), tuple(cols))
 
 
 def subspace_from_rows(rows, fld: Field, d: int) -> Subspace:
@@ -18,16 +108,7 @@ def subspace_from_rows(rows, fld: Field, d: int) -> Subspace:
 
 def perp(form: ClassicalForm, s: Subspace) -> Subspace:
     """{v : B(v, b) = 0 for every basis vector b of s}, as a canonical subspace."""
-    fld = form.field
-    if s.e == 0:
-        return nullspace((), fld, form.d)
-    if form.kind == forms.HERMITIAN:
-        vecs = [tuple(fld.conj(v) for v in row) for row in s.basis]
-    else:
-        vecs = list(s.basis)
-    # rows[i][j] = B(e_j, b_i); kernel of this matrix is the perp
-    rows = [tuple(fld.dot(form.gram[j], w) for j in range(form.d)) for w in vecs]
-    return nullspace(rows, fld, form.d)
+    return nullspace([_gram_times(form, b) for b in s.basis], form.field, form.d)
 
 
 def rref_bits(rows) -> tuple:
@@ -105,9 +186,9 @@ def points_by_span(fld: Field, s: Subspace) -> set:
 
 
 def singular_count_by_points(r) -> int:
-    """forms.singular_count evaluated point by point through RestrictedForm.quad_value."""
+    """forms.singular_count evaluated point by point through restricted_quad_value."""
     q = r.field.q
-    hits = sum(1 for rep in forms._projective_reps(r.e, q) if r.quad_value(rep) == 0)
+    hits = sum(1 for rep in forms._projective_reps(r.e, q) if restricted_quad_value(r, rep) == 0)
     return hits * (q - 1)
 
 

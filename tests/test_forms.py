@@ -2,25 +2,14 @@ import pytest
 
 from oppmix import forms, linalg
 from oppmix.gf import field
-from oppmix.linalg import Subspace, enumerate_subspaces
-from reference import nullspace_bits, perp, subspace_from_rows
-
-
-def full_subspace(d):
-    return Subspace(
-        d, tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)), tuple(range(d))
-    )
-
-
-def coord_subspace(d, cols):
-    return Subspace(
-        d, tuple(tuple(1 if j == c else 0 for j in range(d)) for c in cols), tuple(cols)
-    )
+from oppmix.linalg import Subspace
+from reference import bilinear, coord_subspace, enumerate_subspaces, nullspace_bits, perp
+from reference import radical_nondegenerate, restrict, subspace_from_rows
 
 
 def test_standard_orthogonal_plus_d2():
     form = forms.standard_form("orthogonal", 2, 2, 1)
-    r = forms.restrict(form, full_subspace(2))
+    r = restrict(form, coord_subspace(2, range(2)))
     assert forms.singular_count(r) == 2
     assert forms.is_nondegenerate(r)
     assert forms.orthogonal_type(r) == 1
@@ -29,7 +18,7 @@ def test_standard_orthogonal_plus_d2():
 def test_standard_orthogonal_minus_d2():
     form = forms.standard_form("orthogonal", 2, 2, -1)
     assert form.delta == 1  # x^2 + xy + y^2 is anisotropic over F_2
-    r = forms.restrict(form, full_subspace(2))
+    r = restrict(form, coord_subspace(2, range(2)))
     assert forms.singular_count(r) == 0
     assert forms.orthogonal_type(r) == -1
 
@@ -54,7 +43,7 @@ def test_standard_form_validation():
 
 def test_singular_o4_plus():
     form = forms.standard_form("orthogonal", 4, 2, 1)
-    assert forms.singular_count(forms.restrict(form, full_subspace(4))) == 9
+    assert forms.singular_count(restrict(form, coord_subspace(4, range(4)))) == 9
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -62,7 +51,7 @@ def test_singular_counts_match_formulas(q):
     for m in range(1, 5):
         for eps in (1, -1):
             form = forms.standard_form("orthogonal", 2 * m, q, eps)
-            r = forms.restrict(form, full_subspace(2 * m))
+            r = restrict(form, coord_subspace(2 * m, range(2 * m)))
             plus, minus = forms.singular_point_counts(m, q)
             expected = plus if eps == 1 else minus
             assert forms.singular_count(r) == expected
@@ -86,7 +75,7 @@ def test_restrict_full_space_is_congruent():
     for kind, q in (("orthogonal", 2), ("symplectic", 3), ("hermitian", 2)):
         eps = 1 if kind == "orthogonal" else None
         form = forms.standard_form(kind, 4, q, eps)
-        r = forms.restrict(form, full_subspace(4))
+        r = restrict(form, coord_subspace(4, range(4)))
         assert r.gram == form.gram
         assert forms.is_nondegenerate(r)
 
@@ -94,31 +83,39 @@ def test_restrict_full_space_is_congruent():
 def test_restrict_singular_line_of_hyperbolic_plane():
     form = forms.standard_form("orthogonal", 2, 2, 1)
     line = coord_subspace(2, (0,))
-    r = forms.restrict(form, line)
+    r = restrict(form, line)
     assert r.gram == ((0,),)
     assert r.qdiag == (0,)
-    assert not forms.is_nondegenerate(r)
+    # rank decides even dimensions only; the radical refinement sees Q(e0) = 0
+    with pytest.raises(ValueError, match="even dimension"):
+        forms.is_nondegenerate(r)
+    assert not radical_nondegenerate(r)
 
 
 def test_odd_quadratic_restrictions_in_characteristic_2():
     # the polar gram of an odd-dimensional restriction is singular in
-    # characteristic 2, so only the radical refinement sees that Q = x^2 on
-    # a line and Q = ab + c^2 on a 3-space are non-degenerate
+    # characteristic 2, so rank cannot decide it and is_nondegenerate
+    # refuses; only the radical refinement sees that Q = x^2 on a line and
+    # Q = ab + c^2 on a 3-space are non-degenerate
     form = forms.standard_form("orthogonal", 4, 2, 1)  # Q = x0 x1 + x2 x3
     line = Subspace(4, ((1, 1, 0, 0),), (0,))
-    r = forms.restrict(form, line)
+    r = restrict(form, line)
     assert r.gram == ((0,),) and r.qdiag == (1,)
-    assert forms.is_nondegenerate(r)
+    with pytest.raises(ValueError, match="even dimension"):
+        forms.is_nondegenerate(r)
+    assert radical_nondegenerate(r)
     solid = Subspace(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)), (0, 1, 2))
-    r = forms.restrict(form, solid)
+    r = restrict(form, solid)
     assert linalg.rank(r.gram, form.field) == 2
-    assert forms.is_nondegenerate(r)
+    with pytest.raises(ValueError, match="even dimension"):
+        forms.is_nondegenerate(r)
+    assert radical_nondegenerate(r)
 
 
 def test_restrict_totally_isotropic_symplectic():
     form = forms.standard_form("symplectic", 4, 2)
     s = coord_subspace(4, (0, 1))  # split pairing: e0 pairs with e2, e1 with e3
-    r = forms.restrict(form, s)
+    r = restrict(form, s)
     assert r.gram == ((0, 0), (0, 0))
     assert not forms.is_nondegenerate(r)
 
@@ -128,20 +125,20 @@ def test_hermitian_points_f4():
     assert form.field.q == 4
     points = list(enumerate_subspaces(2, 1, form.field))
     assert len(points) == 5
-    nondeg = [p for p in points if forms.is_nondegenerate(forms.restrict(form, p))]
+    nondeg = [p for p in points if forms.is_nondegenerate(restrict(form, p))]
     assert len(nondeg) == 2
 
 
 def test_perp_of_full_space_is_zero():
     form = forms.standard_form("symplectic", 4, 3)
-    p = perp(form, full_subspace(4))
+    p = perp(form, coord_subspace(4, range(4)))
     assert p.e == 0
 
 
 def test_perp_symplectic_pair():
     form = forms.standard_form("symplectic", 4, 2)
     s = coord_subspace(4, (0, 2))
-    assert form.bilinear((1, 0, 0, 0), (0, 0, 1, 0)) != 0
+    assert bilinear(form, (1, 0, 0, 0), (0, 0, 1, 0)) != 0
     p = perp(form, s)
     assert p == coord_subspace(4, (1, 3))
 
@@ -153,7 +150,7 @@ def test_perp_dimension_and_direct_sum():
     f = field(3)
     for s in enumerate_subspaces(4, 2, f):
         p = perp(form, s)
-        r = forms.restrict(form, s)
+        r = restrict(form, s)
         assert p.e == 2
         full_rank = len(linalg.rref(r.gram, f)[1]) == 2
         assert linalg.complementary(s, p, f) == full_rank
@@ -166,11 +163,11 @@ def test_perp_type_is_eps_times_sigma(q, d):
         form = forms.standard_form("orthogonal", d, q, eps)
         for e in range(2, d - 1, 2):
             for s in enumerate_subspaces(d, e, f):
-                r = forms.restrict(form, s)
+                r = restrict(form, s)
                 if not forms.is_nondegenerate(r):
                     continue
                 sig = forms.orthogonal_type(r)
-                rp = forms.restrict(form, perp(form, s))
+                rp = restrict(form, perp(form, s))
                 assert forms.is_nondegenerate(rp)
                 assert forms.orthogonal_type(rp) == eps * sig
 
@@ -199,7 +196,7 @@ def test_gf2_fast_paths_agree_with_generic():
         qt = forms.quad_table_gf2(form)
         for e in (2, 4):
             for s in enumerate_subspaces(6, e, field(2)):
-                r = forms.restrict(form, s)
+                r = restrict(form, s)
                 generic = (
                     forms.orthogonal_type(r) if forms.is_nondegenerate(r) else None
                 )
@@ -207,7 +204,7 @@ def test_gf2_fast_paths_agree_with_generic():
     form = forms.standard_form("symplectic", 6, 2)
     bil = forms.bilinear_masks_gf2(form)
     for s in enumerate_subspaces(6, 2, field(2)):
-        r = forms.restrict(form, s)
+        r = restrict(form, s)
         assert forms.symplectic_nondeg_gf2(bil, s.bit_rows()) == forms.is_nondegenerate(r)
 
 
@@ -223,13 +220,13 @@ def test_congruence_invariance_of_restriction():
     ]
     alt = subspace_from_rows(alt_rows, f, 4)
     assert alt.basis == s.basis  # canonicalization recovers RREF
-    r = forms.restrict(form, s)
+    r = restrict(form, s)
     r_direct = forms.RestrictedForm(
         "orthogonal",
         2,
         f,
         tuple(
-            tuple(form.bilinear(u, v) for v in alt_rows) for u in alt_rows
+            tuple(bilinear(form, u, v) for v in alt_rows) for u in alt_rows
         ),
         tuple(form.quad_value(u) for u in alt_rows),
     )
@@ -248,6 +245,6 @@ def test_quad_value_identity():
                 s = tuple(f.add(a, b) for a, b in zip(x, y))
                 lhs = form.quad_value(s)
                 rhs = f.add(
-                    f.add(form.quad_value(x), form.quad_value(y)), form.bilinear(x, y)
+                    f.add(form.quad_value(x), form.quad_value(y)), bilinear(form, x, y)
                 )
                 assert lhs == rhs

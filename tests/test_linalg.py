@@ -6,13 +6,8 @@ import pytest
 from oppmix import linalg
 from oppmix.exactnum import gaussian_binomial
 from oppmix.gf import field
-from oppmix.linalg import Subspace, enumerate_subspaces
-from reference import nullspace_bits, rref_bits
-
-
-def coord_subspace(d, cols):
-    basis = tuple(tuple(1 if j == c else 0 for j in range(d)) for c in cols)
-    return Subspace(d, basis, tuple(cols))
+from oppmix.linalg import Subspace
+from reference import coord_subspace, enumerate_subspaces, nullspace, nullspace_bits, rref_bits
 
 
 def test_rref_identity_and_zero():
@@ -40,36 +35,43 @@ def test_rref_scales_pivots_to_one():
 
 
 def test_enumeration_counts_small():
-    assert sum(1 for _ in enumerate_subspaces(4, 0, field(2))) == 1
-    assert sum(1 for _ in enumerate_subspaces(4, 2, field(2))) == 35
-    assert sum(1 for _ in enumerate_subspaces(3, 1, field(3))) == 13
+    assert sum(1 for _ in linalg.members(4, 0, field(2))) == 1
+    assert sum(1 for _ in linalg.members(4, 2, field(2))) == 35
+    assert sum(1 for _ in linalg.members(3, 1, field(3))) == 13
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_enumeration_counts_vs_gaussian(q):
     for d in range(1, 7):
         for e in range(0, d + 1):
-            n = sum(1 for _ in enumerate_subspaces(d, e, field(q)))
+            n = sum(1 for _ in linalg.members(d, e, field(q)))
             assert n == gaussian_binomial(d, e, q)
 
 
 def test_enumeration_counts_d8_gf2():
     for e in range(0, 9):
-        n = sum(1 for _ in enumerate_subspaces(8, e, field(2)))
+        n = sum(1 for _ in linalg.members(8, e, field(2)))
         assert n == gaussian_binomial(8, e, 2)
 
 
-def test_bits_enumeration_matches_subspaces_for_pattern():
-    f = field(2)
-    for d in range(1, 9):
+@pytest.mark.parametrize("q,max_d", [(2, 8), (3, 4), (4, 4)])
+def test_members_match_reference_enumeration(q, max_d):
+    f = field(q)
+    for d in range(1, max_d + 1):
         for e in range(0, d + 1):
-            want = [s.bit_rows() for s in enumerate_subspaces(d, e, f)]
+            want = [s.bit_rows() if q == 2 else s for s in enumerate_subspaces(d, e, f)]
             assert list(linalg.members(d, e, f)) == want, (d, e)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_members_reject_e_above_d(q):
+    with pytest.raises(ValueError, match="need 0 <= e <= d"):
+        linalg.members(3, 4, field(q))
 
 
 def test_enumeration_unique_and_canonical():
     seen = set()
-    for s in enumerate_subspaces(4, 2, field(3)):
+    for s in linalg.members(4, 2, field(3)):
         assert s not in seen
         seen.add(s)
         # RREF shape: pivot entries 1, zeros above/below pivots
@@ -195,7 +197,7 @@ def test_rank_bits_and_rref_bits():
 def test_nullspace_matches_bits():
     f = field(2)
     rows = [[1, 1, 0, 0], [0, 0, 1, 1]]
-    ns = linalg.nullspace(rows, f, 4)
+    ns = nullspace(rows, f, 4)
     assert ns.e == 2
     bit_ns = nullspace_bits([0b0011, 0b1100], 4)
     assert ns.bit_rows() == bit_ns

@@ -9,7 +9,9 @@ from reference import (
     col_sums,
     dense_factor_product,
     edges_by_compress,
+    enumerate_subspaces,
     mixing_verdicts_by_fractions,
+    restrict,
     row_sums,
 )
 
@@ -89,8 +91,8 @@ def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
     for e in range(0, d) if kind == "hermitian" else range(0, d - 1, 2):
         want: dict = {}
         degenerate = 0
-        for s in linalg.enumerate_subspaces(d, e, form.field):
-            r = forms.restrict(form, s)
+        for s in enumerate_subspaces(d, e, form.field):
+            r = restrict(form, s)
             if not forms.is_nondegenerate(r):
                 degenerate += 1
                 continue
@@ -123,17 +125,17 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
         if e == 0:  # not walked: the zero space has no last row, and the empty key
             walked.append(linalg.Subspace(d, (), ()))
             keys.add(())
-            assert oracle._decode(form, ()) == forms.restrict(form, walked[0])
+            assert oracle._decode(form, ()) == restrict(form, walked[0])
         for pattern, prefix, lasts, columns, tails in oracle._walk(form, e, cls) if e else ():
             assert len(columns) == e - 1 and len(tails) == len(lasts)
             for last, tail in zip(lasts, tails):
                 s = linalg.Subspace(d, prefix + (last,), pattern)
-                assert oracle._decode(form, (*columns, tail)) == forms.restrict(form, s), (e, s)
+                assert oracle._decode(form, (*columns, tail)) == restrict(form, s), (e, s)
                 walked.append(s)
                 keys.add((*columns, tail))
         assert walked == list(linalg.members(d, e, form.field)), e
         # one key, and so one verdict, per distinct restricted form
-        assert len(keys) == len({forms.restrict(form, s) for s in walked}), e
+        assert len(keys) == len({restrict(form, s) for s in walked}), e
 
 
 def test_partition_budget_checked_after_cache_fill():
@@ -186,7 +188,7 @@ def test_hermitian_tight_case_proportion():
 def test_full_pairs_no_form_filter_regularity():
     # with no form in play, density of complementary pairs is k/|X|
     f = field(2)
-    subs = tuple(linalg.enumerate_subspaces(4, 2, f))
+    subs = tuple(enumerate_subspaces(4, 2, f))
     hits = sum(
         1 for s1 in subs for s2 in subs if linalg.complementary(s1, s2, f)
     )
@@ -261,8 +263,8 @@ def test_biadjacency_examples():
 def test_biadjacency_index_order_gf2(e1, e2):
     # mixing-check seeds pick rows and columns by index in enumeration order
     f = field(2)
-    x1 = list(linalg.enumerate_subspaces(e1 + e2, e1, f))
-    x2 = list(linalg.enumerate_subspaces(e1 + e2, e2, f))
+    x1 = list(enumerate_subspaces(e1 + e2, e1, f))
+    x2 = list(enumerate_subspaces(e1 + e2, e2, f))
     want = tuple(tuple(int(linalg.complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
     assert biadjacency_rows(oracle.build_biadjacency(e1, e2, 2)) == want
 
@@ -315,8 +317,8 @@ def test_gram_popcounts_match_dense_product(e1, e2, q):
 @pytest.mark.parametrize("e1,e2,q", [(2, 1, 3), (2, 2, 3), (1, 2, 3)])
 def test_biadjacency_rows_from_masks_match_elimination(e1, e2, q):
     f = field(q)
-    x1 = list(linalg.enumerate_subspaces(e1 + e2, e1, f))
-    x2 = list(linalg.enumerate_subspaces(e1 + e2, e2, f))
+    x1 = list(enumerate_subspaces(e1 + e2, e1, f))
+    x2 = list(enumerate_subspaces(e1 + e2, e2, f))
     want = tuple(tuple(int(linalg.complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
     b = oracle.build_biadjacency(e1, e2, q)
     assert biadjacency_rows(b) == want

@@ -11,7 +11,9 @@ from oppmix import bounds, forms, linalg, oracle  # noqa: E402
 from oppmix.gf import FIXED_MODULI, field  # noqa: E402
 from reference import (  # noqa: E402
     dense_factor_product,
+    points,
     points_by_span,
+    radical_nondegenerate,
     rref_bits,
     singular_count_by_points,
     subspace_from_rows,
@@ -123,10 +125,10 @@ def test_points_of_random_spanning_sets(q, data):
     if q == 2:
         bits = [sum(v << j for j, v in enumerate(r)) for r in rows]
         assert rref_bits(bits)[0] == s.bit_rows()
-    pts = linalg.points(f, _member(f, s))
+    pts = points(f, _member(f, s))
     assert len(pts) == len(set(pts)) == (q**e - 1) // (q - 1)
     assert set(pts) == points_by_span(f, s)
-    assert sorted(linalg.points(f, _member(f, spanned))) == sorted(pts)
+    assert sorted(points(f, _member(f, spanned))) == sorted(pts)
 
 
 @st.composite
@@ -196,7 +198,7 @@ def test_rank_verdict_matches_radical_refinement(e, q, data):
     # non-degenerate iff its polar gram has full rank; the radical refinement
     # decides it from the singular vectors of the radical instead
     r = data.draw(restricted_quadratic_forms(e, q))
-    assert forms.is_nondegenerate(r) == forms._radical_nondegenerate(r)
+    assert forms.is_nondegenerate(r) == radical_nondegenerate(r)
 
 
 @pytest.mark.parametrize("q", sorted(FIXED_MODULI))
