@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .exactnum import HERMITIAN, ORTHOGONAL, SYMPLECTIC  # noqa: F401 (re-exported)
 from .gf import Field, field
-from .linalg import rank, rank_bits
+from .linalg import rank
 
 
 class ClassicalForm(NamedTuple):
@@ -235,101 +235,48 @@ def orthogonal_type(r: RestrictedForm) -> int:
     )
 
 
-# -- GF(2) fast paths --------------------------------------------------------
+# -- GF(2): one Q table and the verdict of a count ------------------------------
 #
-# The heavy oracle cases are over F_2 with d <= 8; there every vector is a
-# machine word and Q becomes one table lookup.
+# Over F_2 every vector is a bitmask and Q one table lookup.  A symplectic form
+# gets the quadratic form whose polar form it is, so one count of the vectors
+# with Q = 1 decides non-degeneracy of either kind (the oracle's byte lanes).
 
 
 @lru_cache(maxsize=None)
-def quad_table_gf2(form: ClassicalForm) -> tuple:
-    """Q on all 2^d bitmask vectors; requires q = 2 and orthogonal kind."""
-    if form.kind != ORTHOGONAL or form.q != 2:
-        raise ValueError("quad table needs an orthogonal form over F_2")
-    d = form.d
-    quad = form.quad
-    table = [0] * (1 << d)
-    for mask in range(1, 1 << d):
-        acc = 0
-        mi = mask
-        while mi:
-            i = (mi & -mi).bit_length() - 1
-            mi &= mi - 1
-            row = quad[i]
-            mj = mask >> i
-            jj = i
-            while mj:
-                if mj & 1 and row[jj]:
-                    acc ^= row[jj]
-                mj >>= 1
-                jj += 1
-        table[mask] = acc
-    return tuple(table)
+def quad_table_gf2(form: ClassicalForm) -> bytes:
+    """Q on all 2^d bitmask vectors of an orthogonal or symplectic form over F_2.
 
-
-@lru_cache(maxsize=None)
-def bilinear_masks_gf2(form: ClassicalForm) -> tuple:
-    """mask m(y) per vector y with B(x, y) = parity(x & m(y)); q = 2 only."""
-    if form.q != 2 or form.kind == HERMITIAN:
-        raise ValueError("bilinear masks need a bilinear form over F_2")
-    d = form.d
-    col_masks = [0] * d
-    for t in range(d):
-        for s_ in range(d):
-            if form.gram[t][s_]:
-                col_masks[s_] |= 1 << t
-    table = [0] * (1 << d)
-    for y in range(1, 1 << d):
-        acc = 0
-        my = y
-        while my:
-            acc ^= col_masks[(my & -my).bit_length() - 1]
-            my &= my - 1
-        table[y] = acc
-    return tuple(table)
-
-
-def classify_orthogonal_gf2(qt: tuple, rows: tuple) -> int | None:
-    """None if the spanned restriction is degenerate, else its type +-1.
-
-    `rows` are bitmask basis rows (even count), `qt` the ambient quad table.
+    A symplectic form with gram G gets Q(v) = sum_{i<j} G_ij v_i v_j, whose
+    polar form Q(x + y) + Q(x) + Q(y) is G.  With i the lowest coordinate of
+    v, Q(v) = Q(v - e_i) + sum_{j >= i} c_ij v_j for the coefficient grid c.
     """
-    e = len(rows)
-    qvals = [qt[r] for r in rows]
-    gram_rows = []
-    for i, ri in enumerate(rows):
-        g = 0
-        qi = qvals[i]
-        for j, rj in enumerate(rows):
-            if j != i and (qt[ri ^ rj] ^ qi ^ qvals[j]):
-                g |= 1 << j
-        gram_rows.append(g)
-    if rank_bits(gram_rows) != e:
-        return None
-    n = 1 << e
-    span = [0] * n
-    singular = 0
-    for idx in range(1, n):
-        low = idx & -idx
-        v = span[idx ^ low] ^ rows[low.bit_length() - 1]
-        span[idx] = v
-        if not qt[v]:
-            singular += 1
-    plus, minus = singular_point_counts(e // 2, 2)
-    if singular == plus:
-        return 1
-    if singular == minus:
-        return -1
-    raise ArithmeticError(f"bad singular count {singular} for e={e}, q=2")
+    if form.q != 2 or form.kind == HERMITIAN:
+        raise ValueError("quad table needs a bilinear form over F_2")
+    d = form.d
+    coeffs = form.quad or [[g * (j > i) for j, g in enumerate(row)] for i, row in enumerate(form.gram)]
+    masks = [sum(c << j for j, c in enumerate(row)) for row in coeffs]
+    table = bytearray(1 << d)
+    for v in range(1, 1 << d):
+        i = (v & -v).bit_length() - 1
+        table[v] = table[v ^ (1 << i)] ^ ((v & masks[i]).bit_count() & 1)
+    return bytes(table)
 
 
-def symplectic_nondeg_gf2(bil: tuple, rows: tuple) -> bool:
-    """Full-rank test of the restricted alternating gram, on bitmask rows."""
-    gram_rows = []
-    for ri in rows:
-        g = 0
-        for j, rj in enumerate(rows):
-            if (ri & bil[rj]).bit_count() & 1:
-                g |= 1 << j
-        gram_rows.append(g)
-    return rank_bits(gram_rows) == len(rows)
+@lru_cache(maxsize=None)
+def verdicts_by_count_gf2(e: int) -> dict:
+    """Nonzero v with Q(v) = 1, counted -> sigma if non-degenerate of type sigma, else 0.
+
+    For e >= 1.  An e-dimensional quadratic space over F_2 is W + R, with R
+    the polar radical and W non-degenerate of dimension 2m and type sigma
+    (+1 if m = 0).  If Q is not zero on R, half of the 2^e vectors have
+    Q = 1; otherwise 2^(e-1) - sigma 2^(e-1-m) do.  It is non-degenerate iff
+    R = 0, and every other count comes from no quadratic form.
+    """
+    verdicts = {}
+    for m in range(e // 2 + 1):
+        r = e - 2 * m
+        if r:
+            verdicts[1 << (e - 1)] = 0
+        for sigma in (1, -1) if m else (1,):
+            verdicts[(1 << (e - 1)) - sigma * (1 << (e - 1 - m))] = 0 if r else sigma
+    return verdicts

@@ -278,18 +278,3 @@ def complementary_bits(rows1, rows2) -> bool:
             return False
     return True
 
-
-def rank_bits(rows) -> int:
-    """Rank over F_2 of bitmask rows."""
-    basis = {}
-    rk = 0
-    for r in rows:
-        while r:
-            low = r & -r
-            piv = basis.get(low)
-            if piv is None:
-                basis[low] = r
-                rk += 1
-                break
-            r ^= piv
-    return rk

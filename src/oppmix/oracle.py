@@ -13,19 +13,24 @@ linalg.complement_rows (point incidence); an all-pairs count is the sum of
 those rows' popcounts, taken serially in one process.  The single-orbit
 count tests one S1 with linalg.pair_test.
 
-A partition build classifies each distinct restricted form (the form on the
-member's basis) once and reuses the verdict for every member that restricts
-to it.  It is one walk for every field over linalg.row_candidates, in the
-canonical order: pivot pattern, then prefix (every row but the last), then
-last row.  The key is one column per basis row: the row's entries against
-the earlier rows, then its own Q or diagonal value.  A prefix's columns are
-computed once, where the walk reaches it, and only the last column once per
-member; each prefix row's entries against the later rows' candidates are
-computed when the row joins the prefix.  Over other fields the entries come
-from a per-build memo of each distinct row's image under the ambient form,
-and a verdict decodes the whole restricted form from the key, then asks
-forms for non-degeneracy and the orthogonal type.  Over F_2 the verdict reads the
-member's bitmask rows.  A member object is built only if it is kept.
+A partition build takes each pivot pattern's members as the product of its
+rows' candidates (linalg.row_candidates), last row fastest.  Over F_2 it
+classifies a whole pattern at once, one byte lane of a big int per member
+(_lane_counts): a member's count of vectors with Q = 1 decides its verdict,
+and itertools.compress builds only the kept members, in the canonical order.
+
+Every other field walks the candidates, classifying each distinct
+restricted form (the form on the member's basis) once and reusing the
+verdict for every member that restricts to it: pivot pattern, then prefix
+(every row but the last), then last row.  The key is one column per basis
+row: the row's entries against the earlier rows, then its own Q or diagonal
+value.  A prefix's columns are computed once, where the walk reaches it, and
+only the last column once per member; each prefix row's entries against the
+later rows' candidates are computed when the row joins the prefix.  The
+entries come from a per-build memo of each distinct row's image under the
+ambient form, and a verdict decodes the whole restricted form from the key,
+then asks forms for non-degeneracy and the orthogonal type.  A member object
+is built only if it is kept.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -38,12 +43,14 @@ threshold in.
 from __future__ import annotations
 
 import random
+import struct
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import lcm
-from operator import mul
+from itertools import combinations, compress, product, repeat
+from math import lcm, prod
+from operator import mul, xor
 from typing import Callable, NamedTuple
 
 from . import exactnum, forms, linalg
@@ -76,16 +83,14 @@ class CountReport(NamedTuple):
 
 
 class _Classifier(NamedTuple):
-    """The restricted-form keys and verdicts of one partition build.
+    """The restricted-form keys and verdicts of one generic-field partition build.
 
     A key is one column per basis row b_j: the bytes B(b_i, b_j) for each
     earlier row b_i, then b_j's own entry (Q(b_j) if orthogonal, otherwise
-    the diagonal B(b_j, b_j)).  Over F_2 the orthogonal column holds
-    Q(b_i + b_j) for B(b_i, b_j); that with the Q values determines B.
-    prepare(rows) is the per-pattern part for a list of candidate rows,
-    pairs(b, prepared) the entries B(b, x) for each of them, and
-    verdict(rows, columns) is sigma (+-1) for orthogonal, True for plain
-    non-degenerate, None if degenerate.
+    the diagonal B(b_j, b_j)).  prepare(rows) is the per-pattern part for a
+    list of candidate rows, pairs(b, prepared) the entries B(b, x) for each
+    of them, and verdict(rows, columns) is sigma (+-1) for orthogonal, True
+    for plain non-degenerate, None if degenerate.
     """
 
     prepare: Callable
@@ -94,30 +99,12 @@ class _Classifier(NamedTuple):
 
 
 def _classifier(form: ClassicalForm) -> _Classifier:
-    """The keys and verdicts of partition builds over `form`.
+    """The keys and verdicts of partition builds over `form`, from the key alone.
 
-    Over F_2 the verdict reads the member's bitmask rows.  Over other fields
-    it reads the key alone: the decoded form must pass
-    forms.is_nondegenerate, and an orthogonal type comes from
-    forms.orthogonal_type.
+    The decoded form must pass forms.is_nondegenerate, and an orthogonal
+    type comes from forms.orthogonal_type.
     """
     fld = form.field
-    if fld.q == 2 and form.kind == forms.ORTHOGONAL:
-        qt = forms.quad_table_gf2(form)
-        return _Classifier(
-            lambda rows: (rows, [qt[x] for x in rows]),
-            lambda b, prepared: list(map(qt.__getitem__, map(b.__xor__, prepared[0]))),
-            lambda rows, _: forms.classify_orthogonal_gf2(qt, rows),
-        )
-    if fld.q == 2:  # symplectic: hermitian forms live over F_{q^2}
-        bil = forms.bilinear_masks_gf2(form)
-        return _Classifier(
-            # the alternating form's diagonal is 0
-            lambda rows: ([bil[x] for x in rows], [0] * len(rows)),
-            lambda b, prepared: [(b & m).bit_count() & 1 for m in prepared[0]],
-            lambda rows, _: True if forms.symplectic_nondeg_gf2(bil, rows) else None,
-        )
-
     images = _RowImages(form)
     if fld.k == 1:
         p = fld.p
@@ -259,17 +246,20 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
 def _partition(form: ClassicalForm, e: int) -> tuple:
     """classify_partition without the budget check.
 
-    One walk (_walk) serves every field.  Verdicts are memoized per prefix
-    key, then per last column, so each distinct restricted form is
-    classified once, on its first member; the member itself is built only
-    if it is kept.  The zero space has no last row to walk: it is the one
-    member at e = 0, with no rows and the empty key.
+    Over F_2 the lanes classify a whole pivot pattern at once
+    (_lane_partition).  Every other field walks it (_walk): verdicts are
+    memoized per prefix key, then per last column, so each distinct
+    restricted form is classified once, on its first member, and the member
+    itself is built only if it is kept.  The zero space has no last row: it
+    is the one member at e = 0, with no rows and the empty key.
     """
     cls = _classifier(form)
     fld, d = form.field, form.d
     if e == 0:
         c = cls.verdict((), ())
         return ({} if c is None else {c: (linalg.member(fld, d, (), ()),)}), int(c is None)
+    if fld.q == 2:
+        return _lane_partition(form, e)
     memo: dict = {}
     buckets = defaultdict(list)
     degenerate = 0
@@ -287,6 +277,83 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
             else:
                 buckets[c].append(linalg.member(fld, d, pattern, prefix + (last,)))
     return {c: tuple(v) for c, v in buckets.items()}, degenerate
+
+
+def _lane_partition(form: ClassicalForm, e: int) -> tuple:
+    """_partition over F_2 for e >= 1, one pivot pattern at a time.
+
+    forms.verdicts_by_count_gf2 turns the lane counts into codes: 0 if
+    degenerate, k for the k-th key (a symplectic form's of either sign is
+    True), 255 for a count that matches no verdict, which raises.
+    """
+    qt = forms.quad_table_gf2(form)
+    orthogonal = form.kind == forms.ORTHOGONAL
+    keys = (1, -1) if orthogonal else (True,)
+    code = {
+        count: sigma and (keys.index(sigma) + 1 if orthogonal else 1)
+        for count, sigma in forms.verdicts_by_count_gf2(e).items()
+    }
+    fmt = next(f for f in "BHIQ" if e <= 8 * struct.calcsize(f))  # a count is below 2^e
+    table = bytes(code.get(c, 255) for c in range(256))
+    buckets = defaultdict(list)
+    degenerate = 0
+    for pattern in combinations(range(form.d), e):
+        candidates = linalg.row_candidates(form.d, pattern, form.field)
+        counts = _lane_counts(qt, candidates, fmt)
+        if fmt == "B":
+            codes = counts.translate(table)
+        else:
+            codes = bytes(map(code.get, memoryview(counts).cast(fmt), repeat(255)))
+        if 255 in codes:
+            raise ArithmeticError(f"a Q = 1 count matches no verdict ({form.kind}, {pattern})")
+        degenerate += codes.count(0)
+        for k, key in enumerate(keys, 1):
+            select = codes.translate(bytes(c == k for c in range(256)))
+            buckets[key] += compress(product(*candidates), select)
+    return {c: tuple(v) for c, v in buckets.items() if v}, degenerate
+
+
+def _lane_counts(qt: bytes, candidates: list, fmt: str) -> bytes:
+    """Per member of product(*candidates), in that order, the count of nonzero
+    v in its span with Q(v) = 1, in one lane of struct format fmt.
+
+    Lanes of Q(b_i) and of B(b_i, b_j) = Q(b_i ^ b_j) ^ Q(b_i) ^ Q(b_j) are
+    laid out by bytes repetition.  Q of each nonempty sum s of rows follows
+    in Gray-code order, Q(s + b_k) = Q(s) + Q(b_k) + B(b_k, s), one XOR per
+    step, and the sum of those 2^e - 1 ints is the count in every lane: fmt
+    holds 2^e - 1, so no lane carries into the next.
+    """
+    size = struct.calcsize(fmt)
+    one, zero = (1).to_bytes(size, sys.byteorder), bytes(size)
+    e = len(candidates)
+    strides = [prod(map(len, candidates[i + 1 :])) for i in range(e)]  # lanes per candidate
+
+    def lanes(i, runs) -> int:  # runs[k]: the stretch where row i is its k-th candidate
+        block = b"".join(runs) * prod(map(len, candidates[:i]))
+        return int.from_bytes(block, sys.byteorder)
+
+    quad = []
+    for i, rows in enumerate(candidates):
+        hi, lo = one * strides[i], zero * strides[i]
+        quad.append(lanes(i, [hi if qt[x] else lo for x in rows]))
+    polar = [[0] * e for _ in range(e)]
+    for i, j in combinations(range(e), 2):
+        hi, lo = one * strides[j], zero * strides[j]
+        later = [(y, qt[y]) for y in candidates[j]]
+        between = strides[i] // strides[j] // len(later)
+        runs = [
+            b"".join([hi if qt[x ^ y] ^ qt[x] ^ qy else lo for y, qy in later]) * between
+            for x in candidates[i]
+        ]
+        polar[i][j] = polar[j][i] = lanes(i, runs)
+    total = value = 0
+    cross = [0] * e  # cross[j]: the lanes of B(b_j, s) for the current sum s
+    for step in range(1, 1 << e):
+        k = (step & -step).bit_length() - 1
+        value ^= quad[k] ^ cross[k]
+        cross = list(map(xor, cross, polar[k]))
+        total += value
+    return total.to_bytes(prod(map(len, candidates)) * size, sys.byteorder)
 
 
 def build_yset(

@@ -146,6 +146,71 @@ def nullspace_bits(rows, d: int) -> tuple:
     return rref_bits(basis)[0]
 
 
+def rank_bits(rows) -> int:
+    """Rank over F_2 of bitmask rows."""
+    basis = {}
+    rk = 0
+    for r in rows:
+        while r:
+            low = r & -r
+            piv = basis.get(low)
+            if piv is None:
+                basis[low] = r
+                rk += 1
+                break
+            r ^= piv
+    return rk
+
+
+def quad_values_gf2(form: ClassicalForm) -> tuple:
+    """Q on all 2^d bitmask vectors over F_2, one form.quad_value call each."""
+    return tuple(
+        form.quad_value([(v >> j) & 1 for j in range(form.d)]) for v in range(1 << form.d)
+    )
+
+
+def bilinear_masks_gf2(form: ClassicalForm) -> tuple:
+    """mask m(y) per vector y with B(x, y) = parity(x & m(y)); q = 2 only."""
+    d = form.d
+    col_masks = [sum(1 << t for t in range(d) if form.gram[t][s]) for s in range(d)]
+    table = [0] * (1 << d)
+    for y in range(1, 1 << d):
+        low = y & -y
+        table[y] = table[y ^ low] ^ col_masks[low.bit_length() - 1]
+    return tuple(table)
+
+
+def classify_orthogonal_gf2(qt, rows: tuple) -> int | None:
+    """None if the span of bitmask rows (even count) is degenerate under the
+    quadratic form with Q table qt, else its type +-1: full rank of the polar
+    gram, then the number of singular nonzero vectors of the span."""
+    e = len(rows)
+    gram_rows = [
+        sum(1 << j for j, rj in enumerate(rows) if qt[ri ^ rj] ^ qt[ri] ^ qt[rj])
+        for ri in rows
+    ]
+    if rank_bits(gram_rows) != e:
+        return None
+    span = [0] * (1 << e)
+    singular = 0
+    for idx in range(1, 1 << e):
+        low = idx & -idx
+        span[idx] = span[idx ^ low] ^ rows[low.bit_length() - 1]
+        singular += not qt[span[idx]]
+    plus, minus = forms.singular_point_counts(e // 2, 2)
+    if singular == plus:
+        return 1
+    if singular == minus:
+        return -1
+    raise ArithmeticError(f"bad singular count {singular} for e={e}, q=2")
+
+
+def symplectic_nondeg_gf2(bil: tuple, rows: tuple) -> bool:
+    """Full-rank test of the restricted alternating gram, on bitmask rows."""
+    gram_rows = [sum(1 << j for j, rj in enumerate(rows) if (ri & bil[rj]).bit_count() & 1) for ri in rows]
+    return rank_bits(gram_rows) == len(rows)
+
+
 def field_pow(fld: Field, x: int, n: int) -> int:
     """x^n in fld for n >= 0, by repeated multiplication."""
     out = 1

@@ -1,10 +1,14 @@
+import random
+from itertools import product
+
 import pytest
 
-from oppmix import forms, linalg
+from oppmix import forms, linalg, oracle
 from oppmix.gf import field
 from oppmix.linalg import Subspace
-from reference import bilinear, coord_subspace, enumerate_subspaces, nullspace_bits, perp
-from reference import radical_nondegenerate, restrict, subspace_from_rows
+from reference import bilinear, bilinear_masks_gf2, classify_orthogonal_gf2, coord_subspace
+from reference import enumerate_subspaces, nullspace_bits, perp, quad_values_gf2
+from reference import radical_nondegenerate, restrict, subspace_from_rows, symplectic_nondeg_gf2
 
 
 def test_standard_orthogonal_plus_d2():
@@ -173,39 +177,78 @@ def test_perp_type_is_eps_times_sigma(q, d):
 
 
 def test_perp_type_is_eps_times_sigma_d8_gf2():
-    # bit-path version of the same invariant at the heavy size
+    # bit-path version of the same invariant at the heavy size: perp maps the
+    # type-sigma e-spaces one to one onto the type eps*sigma (8 - e)-spaces
     for eps in (1, -1):
         form = forms.standard_form("orthogonal", 8, 2, eps)
-        qt = forms.quad_table_gf2(form)
-        bil = forms.bilinear_masks_gf2(form)
+        bil = bilinear_masks_gf2(form)
+        buckets = {e: oracle.classify_partition(form, e)[0] for e in (2, 4, 6)}
         for e in (2, 4, 6):
-            for s in enumerate_subspaces(8, e, field(2)):
-                rows = s.bit_rows()
-                sig = forms.classify_orthogonal_gf2(qt, rows)
-                if sig is None:
-                    continue
-                perp_rows = nullspace_bits([bil[r] for r in rows], 8)
-                assert len(perp_rows) == 8 - e
-                psig = forms.classify_orthogonal_gf2(qt, perp_rows)
-                assert psig == eps * sig
+            for sigma in (1, -1):
+                perps = {nullspace_bits([bil[r] for r in rows], 8) for rows in buckets[e][sigma]}
+                assert perps == set(buckets[8 - e][eps * sigma]), (eps, e, sigma)
 
 
 def test_gf2_fast_paths_agree_with_generic():
     for eps in (1, -1):
         form = forms.standard_form("orthogonal", 6, 2, eps)
-        qt = forms.quad_table_gf2(form)
+        qt = quad_values_gf2(form)
         for e in (2, 4):
             for s in enumerate_subspaces(6, e, field(2)):
                 r = restrict(form, s)
                 generic = (
                     forms.orthogonal_type(r) if forms.is_nondegenerate(r) else None
                 )
-                assert forms.classify_orthogonal_gf2(qt, s.bit_rows()) == generic
+                assert classify_orthogonal_gf2(qt, s.bit_rows()) == generic
     form = forms.standard_form("symplectic", 6, 2)
-    bil = forms.bilinear_masks_gf2(form)
+    bil = bilinear_masks_gf2(form)
     for s in enumerate_subspaces(6, 2, field(2)):
         r = restrict(form, s)
-        assert forms.symplectic_nondeg_gf2(bil, s.bit_rows()) == forms.is_nondegenerate(r)
+        assert symplectic_nondeg_gf2(bil, s.bit_rows()) == forms.is_nondegenerate(r)
+
+
+@pytest.mark.parametrize("kind,eps", [("orthogonal", 1), ("orthogonal", -1), ("symplectic", None)])
+def test_quad_table_gf2(kind, eps):
+    # the orthogonal table is Q; the symplectic one's polar form is the gram
+    for d in (2, 4, 6):
+        form = forms.standard_form(kind, d, 2, eps)
+        qt = forms.quad_table_gf2(form)
+        if kind == "orthogonal":
+            assert qt == bytes(quad_values_gf2(form))
+        bil = bilinear_masks_gf2(form)
+        for x in range(1 << d):
+            for y in range(1 << d):
+                assert qt[x ^ y] ^ qt[x] ^ qt[y] == (x & bil[y]).bit_count() & 1
+
+
+def test_quad_table_gf2_needs_a_bilinear_form_over_f2():
+    for form in (forms.standard_form("orthogonal", 4, 3, 1), forms.standard_form("hermitian", 2, 2)):
+        with pytest.raises(ValueError):
+            forms.quad_table_gf2(form)
+
+
+def test_verdicts_by_count_gf2_cover_every_quadratic_form():
+    # quadratic forms on (F_2)^e, as upper-triangular coefficient grids (all
+    # of them up to e = 4, a seeded sample at e = 5, 6): each one's count of
+    # nonzero v with Q(v) = 1 is a key, whose verdict is the reference's
+    rng = random.Random(0)
+    for e in range(1, 7):
+        cells = [(i, j) for i in range(e) for j in range(i, e)]
+        grids = product((0, 1), repeat=len(cells)) if e <= 4 else (
+            [rng.randrange(2) for _ in cells] for _ in range(300)
+        )
+        verdicts = forms.verdicts_by_count_gf2(e)
+        rows = tuple(1 << i for i in range(e))
+        for bits in grids:
+            grid = dict(zip(cells, bits))
+            qt = [0] * (1 << e)
+            for v in range(1, 1 << e):
+                qt[v] = sum(grid[i, j] for i, j in cells if (v >> i) & 1 and (v >> j) & 1) % 2
+            sigma = verdicts[sum(qt)]
+            if e % 2:
+                assert sigma == 0
+            else:
+                assert (sigma or None) == classify_orthogonal_gf2(qt, rows), (e, grid)
 
 
 def test_congruence_invariance_of_restriction():

@@ -7,7 +7,8 @@ from oppmix import linalg
 from oppmix.exactnum import gaussian_binomial
 from oppmix.gf import field
 from oppmix.linalg import Subspace
-from reference import coord_subspace, enumerate_subspaces, nullspace, nullspace_bits, rref_bits
+from reference import coord_subspace, enumerate_subspaces, nullspace, nullspace_bits, rank_bits
+from reference import rref_bits
 
 
 def test_rref_identity_and_zero():
@@ -188,7 +189,7 @@ def test_complement_count_regularity_d8():
 
 def test_rank_bits_and_rref_bits():
     rows = [0b1100, 0b0110, 0b1010]  # third is the sum of the first two
-    assert linalg.rank_bits(rows) == 2
+    assert rank_bits(rows) == 2
     red, piv = rref_bits(rows)
     assert piv == (1, 2)
     assert red == (0b1010, 0b1100)

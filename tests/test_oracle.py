@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -6,13 +8,17 @@ from oppmix import bounds, exactnum, forms, linalg, oracle, spectrum
 from oppmix.gf import field
 from reference import (
     biadjacency_rows,
+    bilinear_masks_gf2,
+    classify_orthogonal_gf2,
     col_sums,
     dense_factor_product,
     edges_by_compress,
     enumerate_subspaces,
     mixing_verdicts_by_fractions,
+    quad_values_gf2,
     restrict,
     row_sums,
+    symplectic_nondeg_gf2,
 )
 
 # Oracle-enumerable fixtures, keyed by ambient field size Q:
@@ -136,6 +142,80 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
         assert walked == list(linalg.members(d, e, form.field)), e
         # one key, and so one verdict, per distinct restricted form
         assert len(keys) == len({restrict(form, s) for s in walked}), e
+
+
+GF2_FORMS = [("orthogonal", 1), ("orthogonal", -1), ("symplectic", None)]
+
+
+def reference_verdict_gf2(form):
+    """Bitmask rows -> sigma, True or None, from tests/reference.py alone."""
+    if form.kind == "orthogonal":
+        qt = quad_values_gf2(form)
+        return lambda rows: classify_orthogonal_gf2(qt, rows)
+    bil = bilinear_masks_gf2(form)
+    return lambda rows: True if symplectic_nondeg_gf2(bil, rows) else None
+
+
+@pytest.mark.parametrize("d,e", [(4, 2), (6, 2), (6, 4), (8, 4)])
+@pytest.mark.parametrize("kind,eps", GF2_FORMS)
+def test_lane_partition_matches_reference_verdicts(kind, eps, d, e):
+    # every member's lane verdict is its reference verdict, and the buckets
+    # list the kept members in linalg.members' order
+    form = forms.standard_form(kind, d, 2, eps)
+    verdict = reference_verdict_gf2(form)
+    want: dict = {}
+    degenerate = 0
+    for rows in linalg.members(d, e, form.field):
+        c = verdict(rows)
+        if c is None:
+            degenerate += 1
+        else:
+            want.setdefault(c, []).append(rows)
+    assert oracle._partition(form, e) == ({c: tuple(v) for c, v in want.items()}, degenerate)
+
+
+@pytest.mark.parametrize("kind,eps", GF2_FORMS)
+def test_lane_partition_edge_dimensions(kind, eps):
+    # the zero space, the whole space (byte lanes at d = 8, wider lanes at
+    # d = 10), and the odd symplectic dimensions, all degenerate
+    zero, whole = (1, eps) if kind == "orthogonal" else (True, True)  # types, if orthogonal
+    for d in (8, 10):
+        form = forms.standard_form(kind, d, 2, eps)
+        assert oracle.classify_partition(form, 0) == ({zero: ((),)}, 0)
+        rows = tuple(1 << j for j in range(d))
+        assert oracle.classify_partition(form, d) == ({whole: (rows,)}, 0)
+    if kind == "symplectic":
+        for d, e in [(6, 1), (6, 3), (6, 5), (10, 9)]:
+            form = forms.standard_form(kind, d, 2)
+            assert oracle.classify_partition(form, e) == ({}, exactnum.gaussian_binomial(d, e, 2))
+
+
+@pytest.mark.parametrize("kind,eps", GF2_FORMS)
+def test_wide_lanes_hold_the_byte_lane_counts(kind, eps):
+    form = forms.standard_form(kind, 6, 2, eps)
+    qt = forms.quad_table_gf2(form)
+    for e in (1, 2, 3, 4):
+        for pattern in combinations(range(6), e):
+            candidates = linalg.row_candidates(6, pattern, form.field)
+            narrow = oracle._lane_counts(qt, candidates, "B")
+            for fmt in "HIQ":
+                wide = memoryview(oracle._lane_counts(qt, candidates, fmt)).cast(fmt)
+                assert list(wide) == list(narrow), (e, pattern, fmt)
+
+
+def test_lane_count_without_a_verdict_raises(monkeypatch):
+    # a count that no verdict lists is an internal error, never a bucket
+    form = forms.standard_form("orthogonal", 4, 2, 1)
+    verdicts = dict(forms.verdicts_by_count_gf2(2))
+    del verdicts[1]  # the hyperbolic plane's count
+    monkeypatch.setattr(forms, "verdicts_by_count_gf2", lambda e: verdicts)
+    monkeypatch.setattr(oracle, "_partition", lru_cache(oracle._partition.__wrapped__))
+    with pytest.raises(ArithmeticError, match="matches no verdict"):
+        oracle.classify_partition(form, 2)
+    from oppmix import cli
+
+    argv = "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 2 --q 2".split()
+    assert cli.main(argv) == 4
 
 
 def test_partition_budget_checked_after_cache_fill():
