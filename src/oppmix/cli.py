@@ -161,6 +161,7 @@ def _print_report(args, jsonable, table_lines, csv_records=()):
 def cmd_spectrum(args) -> int:
     from . import spectrum
 
+    _check_case(args)
     e1, e2 = max(args.e1, args.e2), min(args.e1, args.e2)
     closed = spectrum.eigen_exponents(e1, e2)
     via_chars = spectrum.eigen_exponents_via_characters(e1, e2)
@@ -186,8 +187,14 @@ def cmd_spectrum(args) -> int:
     return 0 if agree else 1
 
 
-def _check_case(args, fam: bounds.Family) -> None:
-    """Raise ValueError unless args have the signs and dimension parity fam needs."""
+def _check_case(args, fam: bounds.Family | None = None) -> None:
+    """Raise ValueError unless --e1 and --e2 are positive and args have the
+    signs and dimension parity fam needs, naming the flags at fault."""
+    for name in ("e1", "e2"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"need --{name} >= 1, got {getattr(args, name)}")
+    if fam is None:
+        return
     missing = [n for n in ("eps", "sigma1", "sigma2") if fam.signed and getattr(args, n) is None]
     if missing:
         raise ValueError(f"--{' --'.join(missing)} required for this family")

@@ -235,28 +235,25 @@ def orthogonal_type(r: RestrictedForm) -> int:
     )
 
 
-# -- GF(2): one Q table and the verdict of a count ------------------------------
+# -- GF(2): one Q table, and the verdict of a count ----------------------------
 #
-# Over F_2 every vector is a bitmask and Q one table lookup.  A symplectic form
-# gets the quadratic form whose polar form it is, so one count of the vectors
-# with Q = 1 decides non-degeneracy of either kind (the oracle's byte lanes).
+# A symplectic form gets the quadratic form whose polar form it is, so over F_2
+# one count of the vectors with Q = 1 classifies either kind (the oracle's lanes).
 
 
 @lru_cache(maxsize=None)
 def quad_table_gf2(form: ClassicalForm) -> bytes:
     """Q on all 2^d bitmask vectors of an orthogonal or symplectic form over F_2.
 
-    A symplectic form with gram G gets Q(v) = sum_{i<j} G_ij v_i v_j, whose
-    polar form Q(x + y) + Q(x) + Q(y) is G.  With i the lowest coordinate of
-    v, Q(v) = Q(v - e_i) + sum_{j >= i} c_ij v_j for the coefficient grid c.
+    The symplectic Q is sum_{i<j} G_ij v_i v_j for the gram G.  With i the
+    lowest coordinate of v, Q(v) = Q(v - e_i) + sum_{j >= i} c_ij v_j.
     """
     if form.q != 2 or form.kind == HERMITIAN:
         raise ValueError("quad table needs a bilinear form over F_2")
-    d = form.d
-    coeffs = form.quad or [[g * (j > i) for j, g in enumerate(row)] for i, row in enumerate(form.gram)]
+    coeffs = form.quad or [[g * (j > i) for j, g in enumerate(r)] for i, r in enumerate(form.gram)]
     masks = [sum(c << j for j, c in enumerate(row)) for row in coeffs]
-    table = bytearray(1 << d)
-    for v in range(1, 1 << d):
+    table = bytearray(1 << form.d)
+    for v in range(1, 1 << form.d):
         i = (v & -v).bit_length() - 1
         table[v] = table[v ^ (1 << i)] ^ ((v & masks[i]).bit_count() & 1)
     return bytes(table)
@@ -266,11 +263,10 @@ def quad_table_gf2(form: ClassicalForm) -> bytes:
 def verdicts_by_count_gf2(e: int) -> dict:
     """Nonzero v with Q(v) = 1, counted -> sigma if non-degenerate of type sigma, else 0.
 
-    For e >= 1.  An e-dimensional quadratic space over F_2 is W + R, with R
-    the polar radical and W non-degenerate of dimension 2m and type sigma
-    (+1 if m = 0).  If Q is not zero on R, half of the 2^e vectors have
-    Q = 1; otherwise 2^(e-1) - sigma 2^(e-1-m) do.  It is non-degenerate iff
-    R = 0, and every other count comes from no quadratic form.
+    For e >= 1.  An e-dimensional quadratic space over F_2 is W + R, R the
+    polar radical, W non-degenerate of dimension 2m and type sigma (+1 if
+    m = 0).  Half of its 2^e vectors have Q = 1 if Q is not zero on R, else
+    2^(e-1) - sigma 2^(e-1-m) do.  No quadratic form gives another count.
     """
     verdicts = {}
     for m in range(e // 2 + 1):

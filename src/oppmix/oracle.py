@@ -29,8 +29,7 @@ only the last column once per member; each prefix row's entries against the
 later rows' candidates are computed when the row joins the prefix.  The
 entries come from a per-build memo of each distinct row's image under the
 ambient form, and a verdict decodes the whole restricted form from the key,
-then asks forms for non-degeneracy and the orthogonal type.  A member object
-is built only if it is kept.
+then asks forms for non-degeneracy and the orthogonal type.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -246,20 +245,19 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
 def _partition(form: ClassicalForm, e: int) -> tuple:
     """classify_partition without the budget check.
 
-    Over F_2 the lanes classify a whole pivot pattern at once
-    (_lane_partition).  Every other field walks it (_walk): verdicts are
-    memoized per prefix key, then per last column, so each distinct
-    restricted form is classified once, on its first member, and the member
-    itself is built only if it is kept.  The zero space has no last row: it
-    is the one member at e = 0, with no rows and the empty key.
+    Over F_2 the lanes classify a whole pivot pattern at once.  Other fields
+    walk it (_walk): verdicts are memoized per prefix key, then per last
+    column, so each distinct restricted form is classified once, on its
+    first member, which is built only if it is kept.  The zero space has no
+    last row: it is the one member at e = 0, with no rows and the empty key.
     """
-    cls = _classifier(form)
     fld, d = form.field, form.d
+    if e and fld.q == 2:
+        return _lane_partition(form, e)
+    cls = _classifier(form)
     if e == 0:
         c = cls.verdict((), ())
         return ({} if c is None else {c: (linalg.member(fld, d, (), ()),)}), int(c is None)
-    if fld.q == 2:
-        return _lane_partition(form, e)
     memo: dict = {}
     buckets = defaultdict(list)
     degenerate = 0
@@ -282,9 +280,8 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
 def _lane_partition(form: ClassicalForm, e: int) -> tuple:
     """_partition over F_2 for e >= 1, one pivot pattern at a time.
 
-    forms.verdicts_by_count_gf2 turns the lane counts into codes: 0 if
-    degenerate, k for the k-th key (a symplectic form's of either sign is
-    True), 255 for a count that matches no verdict, which raises.
+    Lane counts become codes: 0 if degenerate, k for keys[k - 1] (True for
+    either sign if symplectic), 255 if no verdict matches, which raises.
     """
     qt = forms.quad_table_gf2(form)
     orthogonal = form.kind == forms.ORTHOGONAL
@@ -319,9 +316,9 @@ def _lane_counts(qt: bytes, candidates: list, fmt: str) -> bytes:
 
     Lanes of Q(b_i) and of B(b_i, b_j) = Q(b_i ^ b_j) ^ Q(b_i) ^ Q(b_j) are
     laid out by bytes repetition.  Q of each nonempty sum s of rows follows
-    in Gray-code order, Q(s + b_k) = Q(s) + Q(b_k) + B(b_k, s), one XOR per
-    step, and the sum of those 2^e - 1 ints is the count in every lane: fmt
-    holds 2^e - 1, so no lane carries into the next.
+    in Gray-code order, Q(s + b_k) = Q(s) + Q(b_k) + B(b_k, s), by XORs of
+    whole ints, and the sum of those 2^e - 1 ints is the count in every
+    lane: fmt holds 2^e - 1, so no lane carries into the next.
     """
     size = struct.calcsize(fmt)
     one, zero = (1).to_bytes(size, sys.byteorder), bytes(size)

@@ -112,23 +112,24 @@ def perp(form: ClassicalForm, s: Subspace) -> Subspace:
 
 
 def rref_bits(rows) -> tuple:
-    """(rref bitmask rows, pivot columns) over F_2; zero rows dropped."""
-    work = [r for r in rows if r]
-    out = []
-    pivots = []
-    col = 0
-    while work:
-        col_rows = [i for i, r in enumerate(work) if (r >> col) & 1]
-        if not col_rows:
-            col += 1
-            continue
-        piv = work.pop(col_rows[0])
-        work = [w for w in ((r ^ piv if (r >> col) & 1 else r) for r in work) if w]
-        out = [r ^ piv if (r >> col) & 1 else r for r in out]
-        out.append(piv)
-        pivots.append(col)
-        col += 1
-    return tuple(out), tuple(pivots)
+    """(rref bitmask rows, pivot columns) over F_2; zero rows dropped.
+
+    A row's pivot is its lowest set bit.  Each row is reduced against the
+    pivot rows found before it, then each pivot column is cleared from the
+    other rows, highest pivot first.
+    """
+    basis = {}  # lowest set bit -> row
+    for r in rows:
+        while r and (r & -r) in basis:
+            r ^= basis[r & -r]
+        if r:
+            basis[r & -r] = r
+    for a in sorted(basis, reverse=True):
+        for b in basis:
+            if b != a and basis[b] & a:
+                basis[b] ^= basis[a]
+    lows = sorted(basis)
+    return tuple(basis[b] for b in lows), tuple(b.bit_length() - 1 for b in lows)
 
 
 def nullspace_bits(rows, d: int) -> tuple:
@@ -207,7 +208,9 @@ def classify_orthogonal_gf2(qt, rows: tuple) -> int | None:
 
 def symplectic_nondeg_gf2(bil: tuple, rows: tuple) -> bool:
     """Full-rank test of the restricted alternating gram, on bitmask rows."""
-    gram_rows = [sum(1 << j for j, rj in enumerate(rows) if (ri & bil[rj]).bit_count() & 1) for ri in rows]
+    gram_rows = [
+        sum(1 << j for j, rj in enumerate(rows) if (ri & bil[rj]).bit_count() & 1) for ri in rows
+    ]
     return rank_bits(gram_rows) == len(rows)
 
 

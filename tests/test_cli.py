@@ -436,6 +436,23 @@ def test_case_errors_exit_2_with_one_line(capsys, argv, line):
 
 
 @pytest.mark.parametrize(
+    "argv,line",
+    [
+        # spectrum swaps the dimensions, which once made this "need e2 >= 1"
+        ("spectrum --e1 0 --e2 3 --q 2", "error: need --e1 >= 1, got 0"),
+        # the orthogonal bound halves them, which once made this "need m1, m2 >= 1, got 0, 2"
+        ("bound --family orthogonal --eps + --sigma1 + --sigma2 + --e1 0 --e2 4 --q 2",
+         "error: need --e1 >= 1, got 0"),
+        # the symplectic bound once passed with alpha = 1
+        ("bound --family symplectic --e1 4 --e2 0 --q 2", "error: need --e2 >= 1, got 0"),
+    ],
+    ids=["spectrum", "bound-orthogonal", "bound-symplectic"],
+)
+def test_dimension_errors_name_the_flag(capsys, argv, line):
+    assert run(capsys, *argv.split()) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--e1", "2", "--e2", "2", "--q", "6"],

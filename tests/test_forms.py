@@ -176,6 +176,9 @@ def test_perp_type_is_eps_times_sigma(q, d):
                 assert forms.orthogonal_type(rp) == eps * sig
 
 
+GF2_FORMS = [("orthogonal", 1), ("orthogonal", -1), ("symplectic", None)]
+
+
 def test_perp_type_is_eps_times_sigma_d8_gf2():
     # bit-path version of the same invariant at the heavy size: perp maps the
     # type-sigma e-spaces one to one onto the type eps*sigma (8 - e)-spaces
@@ -207,7 +210,7 @@ def test_gf2_fast_paths_agree_with_generic():
         assert symplectic_nondeg_gf2(bil, s.bit_rows()) == forms.is_nondegenerate(r)
 
 
-@pytest.mark.parametrize("kind,eps", [("orthogonal", 1), ("orthogonal", -1), ("symplectic", None)])
+@pytest.mark.parametrize("kind,eps", GF2_FORMS)
 def test_quad_table_gf2(kind, eps):
     # the orthogonal table is Q; the symplectic one's polar form is the gram
     for d in (2, 4, 6):
@@ -222,7 +225,8 @@ def test_quad_table_gf2(kind, eps):
 
 
 def test_quad_table_gf2_needs_a_bilinear_form_over_f2():
-    for form in (forms.standard_form("orthogonal", 4, 3, 1), forms.standard_form("hermitian", 2, 2)):
+    for kind, q, eps in [("orthogonal", 3, 1), ("hermitian", 2, None)]:
+        form = forms.standard_form(kind, 4, q, eps)
         with pytest.raises(ValueError):
             forms.quad_table_gf2(form)
 

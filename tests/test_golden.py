@@ -23,7 +23,8 @@ def test_corpus_entry_is_byte_identical(entry):
 def test_corpus_entry_under_another_hash_seed():
     (entry,) = [e for e in CORPUS if e["argv"] == golden.SUBPROCESS_ARGV]
     env = dict(os.environ, PYTHONHASHSEED="12345")
-    env["PYTHONPATH"] = os.pathsep.join([str(golden.HERE.parent / "src"), env.get("PYTHONPATH", "")])
+    src = str(golden.HERE.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-m", "oppmix.cli", *entry["argv"]],
         capture_output=True,
