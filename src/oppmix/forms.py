@@ -259,7 +259,6 @@ def quad_table_gf2(form: ClassicalForm) -> bytes:
     return bytes(table)
 
 
-@lru_cache(maxsize=None)
 def verdicts_by_count_gf2(e: int) -> dict:
     """Nonzero v with Q(v) = 1, counted -> sigma if non-degenerate of type sigma, else 0.
 

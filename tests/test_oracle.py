@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oppmix import bounds, exactnum, forms, linalg, oracle, spectrum
+from oppmix import bounds, cli, exactnum, forms, linalg, oracle, spectrum
 from oppmix.gf import field
 from reference import (
     biadjacency_rows,
@@ -212,8 +212,6 @@ def test_lane_count_without_a_verdict_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_partition", lru_cache(oracle._partition.__wrapped__))
     with pytest.raises(ArithmeticError, match="matches no verdict"):
         oracle.classify_partition(form, 2)
-    from oppmix import cli
-
     argv = "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 2 --q 2".split()
     assert cli.main(argv) == 4
 
