@@ -299,6 +299,7 @@ def cmd_verify(args) -> int:
 def cmd_mixing_check(args) -> int:
     from . import oracle
 
+    _check_case(args)
     reports = oracle.mixing_suite(args.e1, args.e2, args.q, args.trials, args.seed)
     bad = [r for r in reports if not r.holds or r.charpoly_ok is False]
     lines = [

@@ -34,9 +34,10 @@ from __future__ import annotations
 import struct
 import sys
 from functools import lru_cache
-from itertools import product
-from operator import mul
-from typing import NamedTuple
+from itertools import combinations, product, repeat
+from math import prod
+from operator import mul, xor
+from typing import Callable, NamedTuple
 
 from .exactnum import HERMITIAN, ORTHOGONAL, SYMPLECTIC  # noqa: F401 (re-exported)
 from .gf import Field, field
@@ -79,9 +80,7 @@ class RestrictedForm(NamedTuple):
 def anisotropic_delta(fld: Field) -> int:
     """Least c such that x^2 + xy + c y^2 has no nonzero root."""
     for c in fld.elements():
-        if all(
-            fld.add(fld.mul(t, t), fld.add(t, c)) != 0 for t in fld.elements()
-        ):
+        if all(fld.add(fld.mul(t, t), fld.add(t, c)) != 0 for t in fld.elements()):
             # t^2 + t + c != 0 for every t covers y != 0; y = 0 forces x = 0
             return c
     raise AssertionError(f"no anisotropic plane over F_{fld.q}")
@@ -89,13 +88,10 @@ def anisotropic_delta(fld: Field) -> int:
 
 def _polar_from_quad(quad, fld: Field, d: int) -> tuple:
     # gram = C + C^T for the upper-triangular coefficient grid C
-    gram = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            upper = quad[i][j] if j >= i else 0
-            lower = quad[j][i] if i >= j else 0
-            gram[i][j] = fld.add(upper, lower)
-    return tuple(tuple(r) for r in gram)
+    return tuple(
+        tuple(fld.add(quad[i][j] * (j >= i), quad[j][i] * (i >= j)) for j in range(d))
+        for i in range(d)
+    )
 
 
 def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> ClassicalForm:
@@ -235,10 +231,7 @@ def orthogonal_type(r: RestrictedForm) -> int:
     )
 
 
-# -- GF(2): one Q table, and the verdict of a count ----------------------------
-#
-# A symplectic form gets the quadratic form whose polar form it is, so over F_2
-# one count of the vectors with Q = 1 classifies either kind (the oracle's lanes).
+# -- GF(2): one count of the vectors with Q = 1 classifies either kind ---------
 
 
 @lru_cache(maxsize=None)
@@ -275,3 +268,73 @@ def verdicts_by_count_gf2(e: int) -> dict:
         for sigma in (1, -1) if m else (1,):
             verdicts[(1 << (e - 1)) - sigma * (1 << (e - 1 - m))] = 0 if r else sigma
     return verdicts
+
+
+def lane_classifier_gf2(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
+    """Verdicts over F_2 of every member with one pivot pattern, for e >= 1.
+
+    The function returned maps the pattern's row candidates to one code per
+    member of product(*candidates), in that order: 0 if degenerate, 1 if of
+    type +1 (or symplectic), 2 if of type -1.  A count with no verdict raises.
+    A symplectic member is non-degenerate iff quad_table_gf2's Q on it is.
+    """
+    orthogonal = form.kind == ORTHOGONAL
+    code = {c: s and 1 + (orthogonal and s < 0) for c, s in verdicts_by_count_gf2(e).items()}
+    qt = quad_table_gf2(form)
+    fmt = next(f for f in "BHIQ" if e <= 8 * struct.calcsize(f))  # a count is below 2^e
+    table = bytes(code.get(c, 255) for c in range(256))
+
+    def codes(candidates: list) -> bytes:
+        counts = _lane_counts(qt, candidates, fmt)
+        if fmt == "B":
+            out = counts.translate(table)
+        else:
+            out = bytes(map(code.get, memoryview(counts).cast(fmt), repeat(255)))
+        if 255 in out:
+            raise ArithmeticError(f"a Q = 1 count matches no verdict ({form.kind}, e = {e})")
+        return out
+
+    return codes
+
+
+def _lane_counts(qt: bytes, candidates: list, fmt: str) -> bytes:
+    """Per member of product(*candidates), in that order, the count of nonzero
+    v in its span with Q(v) = 1, in one lane of struct format fmt.
+
+    Lanes of Q(b_i) and of B(b_i, b_j) = Q(b_i ^ b_j) ^ Q(b_i) ^ Q(b_j) are
+    laid out by bytes repetition.  Q of each nonempty sum s of rows follows
+    in Gray-code order, Q(s + b_k) = Q(s) + Q(b_k) + B(b_k, s), by XORs of
+    whole ints, and the sum of those 2^e - 1 ints is the count in every
+    lane: fmt holds 2^e - 1, so no lane carries into the next.
+    """
+    size = struct.calcsize(fmt)
+    one, zero = (1).to_bytes(size, sys.byteorder), bytes(size)
+    e = len(candidates)
+    strides = [prod(map(len, candidates[i + 1 :])) for i in range(e)]  # lanes per candidate
+
+    def lanes(i, runs) -> int:  # runs[k]: the stretch where row i is its k-th candidate
+        block = b"".join(runs) * prod(map(len, candidates[:i]))
+        return int.from_bytes(block, sys.byteorder)
+
+    quad = []
+    for i, rows in enumerate(candidates):
+        hi, lo = one * strides[i], zero * strides[i]
+        quad.append(lanes(i, [hi if qt[x] else lo for x in rows]))
+    polar = [[0] * e for _ in range(e)]
+    for i, j in combinations(range(e), 2):
+        hi, lo = one * strides[j], zero * strides[j]
+        later = [(y, qt[y]) for y in candidates[j]]
+        between = strides[i] // strides[j] // len(later)
+        runs = [
+            b"".join([hi if qt[x ^ y] ^ qt[x] ^ qy else lo for y, qy in later]) * between
+            for x in candidates[i]
+        ]
+        polar[i][j] = polar[j][i] = lanes(i, runs)
+    total = value = 0
+    cross = [0] * e  # cross[j]: the lanes of B(b_j, s) for the current sum s
+    for step in range(1, 1 << e):
+        k = (step & -step).bit_length() - 1
+        value ^= quad[k] ^ cross[k]
+        cross = list(map(xor, cross, polar[k]))
+        total += value
+    return total.to_bytes(prod(map(len, candidates)) * size, sys.byteorder)

@@ -140,9 +140,14 @@ def members(d: int, e: int, fld: Field) -> Iterator:
     if not 0 <= e <= d:
         raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
     return chain.from_iterable(
-        map(partial(member, fld, d, p), product(*row_candidates(d, p, fld)))
+        pattern_members(fld, d, p, product(*row_candidates(d, p, fld)))
         for p in combinations(range(d), e)
     )
+
+
+def pattern_members(fld: Field, d: int, pattern, rows) -> Iterator:
+    """member for each of these RREF row tuples with pivots pattern, lazily."""
+    return rows if fld.q == 2 else map(partial(member, fld, d, pattern), rows)
 
 
 def _through(fld: Field, span: list, row) -> list:

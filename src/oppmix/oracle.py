@@ -14,10 +14,10 @@ those rows' popcounts, taken serially in one process.  The single-orbit
 count tests one S1 with linalg.pair_test.
 
 A partition build takes each pivot pattern's members as the product of its
-rows' candidates (linalg.row_candidates), last row fastest.  Over F_2 it
-classifies a whole pattern at once, one byte lane of a big int per member
-(_lane_counts): a member's count of vectors with Q = 1 decides its verdict,
-and itertools.compress builds only the kept members, in the canonical order.
+rows' candidates (linalg.row_candidates), last row fastest.  Over F_2
+forms.lane_classifier_gf2 classifies a whole pattern at once, one byte lane
+of a big int per member, and itertools.compress builds only the kept
+members, in the canonical order.
 
 Every other field walks the candidates, classifying each distinct
 restricted form (the form on the member's basis) once and reusing the
@@ -42,14 +42,12 @@ threshold in.
 from __future__ import annotations
 
 import random
-import struct
-import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, product, repeat
-from math import lcm, prod
-from operator import mul, xor
+from itertools import combinations, compress, product
+from math import lcm
+from operator import mul
 from typing import Callable, NamedTuple
 
 from . import exactnum, forms, linalg
@@ -278,79 +276,20 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
 
 
 def _lane_partition(form: ClassicalForm, e: int) -> tuple:
-    """_partition over F_2 for e >= 1, one pivot pattern at a time.
-
-    Lane counts become codes: 0 if degenerate, k for keys[k - 1] (True for
-    either sign if symplectic), 255 if no verdict matches, which raises.
-    """
-    qt = forms.quad_table_gf2(form)
-    orthogonal = form.kind == forms.ORTHOGONAL
-    keys = (1, -1) if orthogonal else (True,)
-    code = {
-        count: sigma and (keys.index(sigma) + 1 if orthogonal else 1)
-        for count, sigma in forms.verdicts_by_count_gf2(e).items()
-    }
-    fmt = next(f for f in "BHIQ" if e <= 8 * struct.calcsize(f))  # a count is below 2^e
-    table = bytes(code.get(c, 255) for c in range(256))
+    """_partition over F_2 for e >= 1: forms.lane_classifier_gf2's code k is bucket keys[k - 1]."""
+    fld, d = form.field, form.d
+    codes_of = forms.lane_classifier_gf2(form, e)
+    keys = (1, -1) if form.kind == forms.ORTHOGONAL else (True,)
     buckets = defaultdict(list)
     degenerate = 0
-    for pattern in combinations(range(form.d), e):
-        candidates = linalg.row_candidates(form.d, pattern, form.field)
-        counts = _lane_counts(qt, candidates, fmt)
-        if fmt == "B":
-            codes = counts.translate(table)
-        else:
-            codes = bytes(map(code.get, memoryview(counts).cast(fmt), repeat(255)))
-        if 255 in codes:
-            raise ArithmeticError(f"a Q = 1 count matches no verdict ({form.kind}, {pattern})")
+    for pattern in combinations(range(d), e):
+        candidates = linalg.row_candidates(d, pattern, fld)
+        codes = codes_of(candidates)
         degenerate += codes.count(0)
         for k, key in enumerate(keys, 1):
-            select = codes.translate(bytes(c == k for c in range(256)))
-            buckets[key] += compress(product(*candidates), select)
+            kept = compress(product(*candidates), codes.translate(bytes(map(k.__eq__, range(256)))))
+            buckets[key] += linalg.pattern_members(fld, d, pattern, kept)
     return {c: tuple(v) for c, v in buckets.items() if v}, degenerate
-
-
-def _lane_counts(qt: bytes, candidates: list, fmt: str) -> bytes:
-    """Per member of product(*candidates), in that order, the count of nonzero
-    v in its span with Q(v) = 1, in one lane of struct format fmt.
-
-    Lanes of Q(b_i) and of B(b_i, b_j) = Q(b_i ^ b_j) ^ Q(b_i) ^ Q(b_j) are
-    laid out by bytes repetition.  Q of each nonempty sum s of rows follows
-    in Gray-code order, Q(s + b_k) = Q(s) + Q(b_k) + B(b_k, s), by XORs of
-    whole ints, and the sum of those 2^e - 1 ints is the count in every
-    lane: fmt holds 2^e - 1, so no lane carries into the next.
-    """
-    size = struct.calcsize(fmt)
-    one, zero = (1).to_bytes(size, sys.byteorder), bytes(size)
-    e = len(candidates)
-    strides = [prod(map(len, candidates[i + 1 :])) for i in range(e)]  # lanes per candidate
-
-    def lanes(i, runs) -> int:  # runs[k]: the stretch where row i is its k-th candidate
-        block = b"".join(runs) * prod(map(len, candidates[:i]))
-        return int.from_bytes(block, sys.byteorder)
-
-    quad = []
-    for i, rows in enumerate(candidates):
-        hi, lo = one * strides[i], zero * strides[i]
-        quad.append(lanes(i, [hi if qt[x] else lo for x in rows]))
-    polar = [[0] * e for _ in range(e)]
-    for i, j in combinations(range(e), 2):
-        hi, lo = one * strides[j], zero * strides[j]
-        later = [(y, qt[y]) for y in candidates[j]]
-        between = strides[i] // strides[j] // len(later)
-        runs = [
-            b"".join([hi if qt[x ^ y] ^ qt[x] ^ qy else lo for y, qy in later]) * between
-            for x in candidates[i]
-        ]
-        polar[i][j] = polar[j][i] = lanes(i, runs)
-    total = value = 0
-    cross = [0] * e  # cross[j]: the lanes of B(b_j, s) for the current sum s
-    for step in range(1, 1 << e):
-        k = (step & -step).bit_length() - 1
-        value ^= quad[k] ^ cross[k]
-        cross = list(map(xor, cross, polar[k]))
-        total += value
-    return total.to_bytes(prod(map(len, candidates)) * size, sys.byteorder)
 
 
 def build_yset(
@@ -422,16 +361,7 @@ def _finish_report(y1, y2, pairs, proportion, method, threshold) -> CountReport:
     if y2.sigma is not None:
         case["sigma2"] = exactnum.sign_char(y2.sigma)
     passed = None if threshold is None else proportion >= threshold
-    return CountReport(
-        case=case,
-        y1_count=y1.count,
-        y2_count=y2.count,
-        pairs=pairs,
-        proportion=proportion,
-        method=method,
-        threshold=threshold,
-        passed=passed,
-    )
+    return CountReport(case, y1.count, y2.count, pairs, proportion, method, threshold, passed)
 
 
 def count_case(

@@ -445,8 +445,10 @@ def test_case_errors_exit_2_with_one_line(capsys, argv, line):
          "error: need --e1 >= 1, got 0"),
         # the symplectic bound once passed with alpha = 1
         ("bound --family symplectic --e1 4 --e2 0 --q 2", "error: need --e2 >= 1, got 0"),
+        # mixing-check once checked the lemma on a one-vertex side and printed PASS
+        ("mixing-check --e1 0 --e2 2 --q 2", "error: need --e1 >= 1, got 0"),
     ],
-    ids=["spectrum", "bound-orthogonal", "bound-symplectic"],
+    ids=["spectrum", "bound-orthogonal", "bound-symplectic", "mixing-check"],
 )
 def test_dimension_errors_name_the_flag(capsys, argv, line):
     assert run(capsys, *argv.split()) == (2, "", line + "\n")

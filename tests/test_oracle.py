@@ -197,9 +197,9 @@ def test_wide_lanes_hold_the_byte_lane_counts(kind, eps):
     for e in (1, 2, 3, 4):
         for pattern in combinations(range(6), e):
             candidates = linalg.row_candidates(6, pattern, form.field)
-            narrow = oracle._lane_counts(qt, candidates, "B")
+            narrow = forms._lane_counts(qt, candidates, "B")
             for fmt in "HIQ":
-                wide = memoryview(oracle._lane_counts(qt, candidates, fmt)).cast(fmt)
+                wide = memoryview(forms._lane_counts(qt, candidates, fmt)).cast(fmt)
                 assert list(wide) == list(narrow), (e, pattern, fmt)
 
 
