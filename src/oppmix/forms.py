@@ -80,7 +80,9 @@ class RestrictedForm(NamedTuple):
 def anisotropic_delta(fld: Field) -> int:
     """Least c such that x^2 + xy + c y^2 has no nonzero root."""
     for c in fld.elements():
-        if all(fld.add(fld.mul(t, t), fld.add(t, c)) != 0 for t in fld.elements()):
+        if all(
+            fld.add(fld.mul(t, t), fld.add(t, c)) != 0 for t in fld.elements()
+        ):
             # t^2 + t + c != 0 for every t covers y != 0; y = 0 forces x = 0
             return c
     raise AssertionError(f"no anisotropic plane over F_{fld.q}")
@@ -88,10 +90,13 @@ def anisotropic_delta(fld: Field) -> int:
 
 def _polar_from_quad(quad, fld: Field, d: int) -> tuple:
     # gram = C + C^T for the upper-triangular coefficient grid C
-    return tuple(
-        tuple(fld.add(quad[i][j] * (j >= i), quad[j][i] * (i >= j)) for j in range(d))
-        for i in range(d)
-    )
+    gram = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            upper = quad[i][j] if j >= i else 0
+            lower = quad[j][i] if i >= j else 0
+            gram[i][j] = fld.add(upper, lower)
+    return tuple(tuple(r) for r in gram)
 
 
 def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> ClassicalForm:

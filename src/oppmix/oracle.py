@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import combinations, compress, product
 from math import lcm
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import exactnum, forms, linalg
 from .forms import ClassicalForm
@@ -79,55 +79,13 @@ class CountReport(NamedTuple):
     passed: bool | None = None
 
 
-class _Classifier(NamedTuple):
-    """The restricted-form keys and verdicts of one generic-field partition build.
-
-    A key is one column per basis row b_j: the bytes B(b_i, b_j) for each
-    earlier row b_i, then b_j's own entry (Q(b_j) if orthogonal, otherwise
-    the diagonal B(b_j, b_j)).  prepare(rows) is the per-pattern part for a
-    list of candidate rows, pairs(b, prepared) the entries B(b, x) for each
-    of them, and verdict(rows, columns) is sigma (+-1) for orthogonal, True
-    for plain non-degenerate, None if degenerate.
-    """
-
-    prepare: Callable
-    pairs: Callable
-    verdict: Callable
-
-
-def _classifier(form: ClassicalForm) -> _Classifier:
-    """The keys and verdicts of partition builds over `form`, from the key alone.
-
-    The decoded form must pass forms.is_nondegenerate, and an orthogonal
-    type comes from forms.orthogonal_type.
-    """
-    fld = form.field
-    images = _RowImages(form)
-    if fld.k == 1:
-        p = fld.p
-
-        def pairs(b, prepared):
-            h = images[b][0]
-            return [sum(map(mul, h, x)) % p for x in prepared[0]]
-
-    else:
-        dot = fld.dot
-
-        def pairs(b, prepared):
-            h = images[b][0]
-            return [dot(h, x) for x in prepared[0]]
-
-    def prepare(rows):
-        info = [images[x] for x in rows]
-        return [cx for _, cx, _ in info], [own for _, _, own in info]
-
-    def verdict(_, columns):
-        r = _decode(form, columns)
-        if not forms.is_nondegenerate(r):
-            return None
-        return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
-
-    return _Classifier(prepare, pairs, verdict)
+def _verdict(form: ClassicalForm, columns):
+    """sigma (+-1) if orthogonal, True otherwise, for the restricted form a
+    generic-field key decodes to; None if that form is degenerate."""
+    r = _decode(form, columns)
+    if not forms.is_nondegenerate(r):
+        return None
+    return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
 
 
 def _decode(form: ClassicalForm, columns) -> forms.RestrictedForm:
@@ -178,18 +136,42 @@ class _RowImages(dict):
         return image
 
 
-def _walk(form: ClassicalForm, e: int, cls: _Classifier):
+def _walk(form: ClassicalForm, e: int):
     """Every e-subspace's rows and key, one prefix at a time, in the canonical order.
 
-    Per pivot pattern each row's candidates are prepared once.  Per prefix
-    (every row but the last) this yields (pattern, prefix, the last row's
+    A key is one column per basis row b_j: the bytes B(b_i, b_j) for each
+    earlier row b_i, then b_j's own entry (Q(b_j) if orthogonal, otherwise
+    the diagonal B(b_j, b_j)).  Per pivot pattern each row's candidates are
+    prepared once, as (their conjugates, their own entries), and pairs(b,
+    prepared) gives the entries B(b, x) for each of them.  Per prefix (every
+    row but the last) this yields (pattern, prefix, the last row's
     candidates, the prefix's columns, one last column per candidate).
     """
+    fld = form.field
+    images = _RowImages(form)
+    if fld.k == 1:
+        p = fld.p
+
+        def pairs(b, prepared):
+            h = images[b][0]
+            return [sum(map(mul, h, x)) % p for x in prepared[0]]
+
+    else:
+        dot = fld.dot
+
+        def pairs(b, prepared):
+            h = images[b][0]
+            return [dot(h, x) for x in prepared[0]]
+
+    def prepare(rows):
+        info = [images[x] for x in rows]
+        return [cx for _, cx, _ in info], [own for _, _, own in info]
+
     for pattern in combinations(range(form.d), e):
-        *heads, lasts = linalg.row_candidates(form.d, pattern, form.field)
-        prepared = [cls.prepare(rows) for rows in (*heads, lasts)]
+        *heads, lasts = linalg.row_candidates(form.d, pattern, fld)
+        prepared = [prepare(rows) for rows in (*heads, lasts)]
         owns = prepared[-1][1]
-        for prefix, columns, above in _prefixes(cls.pairs, heads, prepared, (), (), [[]] * e):
+        for prefix, columns, above in _prefixes(pairs, heads, prepared, (), (), [[]] * e):
             yield pattern, prefix, lasts, columns, list(map(bytes, zip(*above, owns)))
 
 
@@ -252,14 +234,13 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
     fld, d = form.field, form.d
     if e and fld.q == 2:
         return _lane_partition(form, e)
-    cls = _classifier(form)
     if e == 0:
-        c = cls.verdict((), ())
+        c = _verdict(form, ())
         return ({} if c is None else {c: (linalg.member(fld, d, (), ()),)}), int(c is None)
     memo: dict = {}
     buckets = defaultdict(list)
     degenerate = 0
-    for pattern, prefix, lasts, columns, tails in _walk(form, e, cls):
+    for pattern, prefix, lasts, columns, tails in _walk(form, e):
         seen = memo.get(columns)
         if seen is None:
             seen = memo[columns] = {}
@@ -267,7 +248,7 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
             try:
                 c = seen[tail]
             except KeyError:
-                c = seen[tail] = cls.verdict(prefix + (last,), (*columns, tail))
+                c = seen[tail] = _verdict(form, (*columns, tail))
             if c is None:
                 degenerate += 1
             else:
@@ -361,7 +342,16 @@ def _finish_report(y1, y2, pairs, proportion, method, threshold) -> CountReport:
     if y2.sigma is not None:
         case["sigma2"] = exactnum.sign_char(y2.sigma)
     passed = None if threshold is None else proportion >= threshold
-    return CountReport(case, y1.count, y2.count, pairs, proportion, method, threshold, passed)
+    return CountReport(
+        case=case,
+        y1_count=y1.count,
+        y2_count=y2.count,
+        pairs=pairs,
+        proportion=proportion,
+        method=method,
+        threshold=threshold,
+        passed=passed,
+    )
 
 
 def count_case(

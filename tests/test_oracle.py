@@ -124,7 +124,6 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
     # form, gram and Q values, of every member, and the walk lists every
     # member once in the canonical order
     form = forms.standard_form(kind, d, q, eps)
-    cls = oracle._classifier(form)
     step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
     for e in range(0, d + 1, step):
         walked, keys = [], set()
@@ -132,7 +131,7 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
             walked.append(linalg.Subspace(d, (), ()))
             keys.add(())
             assert oracle._decode(form, ()) == restrict(form, walked[0])
-        for pattern, prefix, lasts, columns, tails in oracle._walk(form, e, cls) if e else ():
+        for pattern, prefix, lasts, columns, tails in oracle._walk(form, e) if e else ():
             assert len(columns) == e - 1 and len(tails) == len(lasts)
             for last, tail in zip(lasts, tails):
                 s = linalg.Subspace(d, prefix + (last,), pattern)
