@@ -206,7 +206,9 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
 
     Returns (buckets, degenerate) where buckets maps sigma (or True) to the
     member tuple in enumeration order (bitmask-row tuples over F_2).  The
-    budget is checked on every call; the result is cached per (form, e).
+    budget is checked on every call.  The last two builds are cached: a case
+    needs two (Y1 and Y2), and a theorem sweep runs the cases of one form
+    and (e1, e2) one after another, so it never returns to an older build.
     """
     if form.kind == forms.ORTHOGONAL and e % 2:
         raise ValueError("orthogonal type classification needs even dimensions")
@@ -221,7 +223,7 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
     return _partition(form, e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _partition(form: ClassicalForm, e: int) -> tuple:
     """classify_partition without the budget check.
 
