@@ -10,8 +10,9 @@ regenerates the file and lists each changed entry in CHANGES.md:
 The invocations are every CLI job of the two benchmark workloads at seeds 0
 and 3 (perfbench/workloads.py, with its PINNED flags, read only here, when
 the corpus is regenerated), `verify --family all` in each format and with
---full-pairs, the symplectic F_2 counts that no verify run builds, a budget
-error and one usage error of each kind.
+--full-pairs, the symplectic F_2 counts that no verify run builds, the
+README's mixing-check example in the table format, a budget error and one
+usage error of each kind.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ EXTRA = [
     "verify --family all --format json --full-pairs",
     "count --family symplectic --e1 2 --e2 4 --q 2 --format json",
     "count --family symplectic --e1 4 --e2 4 --q 2 --format json",
+    # the README's mixing-check example: the table format pins the summary lines
+    "mixing-check --e1 2 --e2 1 --q 3 --trials 100 --seed 0",
     # exit 3
     "count --family symplectic --e1 2 --e2 2 --q 3 --budget 0",
     # exit 2: argparse type errors, a missing sign, odd dimensions, a zero dimension
