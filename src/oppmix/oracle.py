@@ -35,6 +35,12 @@ The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
 annihilator product is taken on rows packed into one int each.
 
+The mixing check is integer arithmetic throughout: the squared inequality
+and, for interior subset pairs, the two nonzero coefficients of the quotient
+matrix's characteristic polynomial, read off its block structure.  These
+hold for every pair of a square biadjacency; they still run because
+mixing-check reports their tally.
+
 The oracle knows no theorem: a caller that judges a proportion passes the
 threshold in.
 """
@@ -46,7 +52,6 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -423,11 +428,6 @@ def _biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     return Biadjacency(e1, e2, q, len(x2), tuple(linalg.complement_rows(fld, x1, x2)))
 
 
-def _mat_mul(a, b) -> list:
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
 def annihilator_check(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_CAP) -> bool:
     """Exact check of the spectrum of N N^T: annihilator and trace identities.
 
@@ -510,33 +510,6 @@ class MixingReport(NamedTuple):
     seed: int | None = None
 
 
-def _charpoly(mat) -> list:
-    """Characteristic polynomial coefficients [1, c1, ..., cn] of a rational matrix.
-
-    Faddeev-LeVerrier over the integers: with L the lcm of the entries'
-    denominators, A = L * mat is an integer matrix whose characteristic
-    polynomial has integer coefficients a_k, each found by an exact division
-    of a trace by k (a remainder raises ArithmeticError).  Then c_k = a_k / L^k.
-    """
-    n = len(mat)
-    frac = [[Fraction(v) for v in row] for row in mat]
-    scale = lcm(*(v.denominator for row in frac for v in row))
-    a = [[v.numerator * (scale // v.denominator) for v in row] for row in frac]
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in a]
-    for k in range(1, n + 1):
-        ak, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
-        if rem:
-            raise ArithmeticError(f"Faddeev-LeVerrier trace not divisible by {k}")
-        coeffs.append(Fraction(ak, scale**k))
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += ak
-        mk = _mat_mul(a, mk)
-    return coeffs
-
-
 def mixing_check(
     e1: int,
     e2: int,
@@ -548,14 +521,25 @@ def mixing_check(
 ) -> MixingReport:
     """Exact two-sided check of the mixing inequality for one subset pair.
 
-    The edge count between the two subsets is the sum of
+    The edge count E between the subsets (sizes s1, s2) is the sum of
     popcount(masks[i] & mask2) over the rows i in subset 1, with mask2 the
     bitmask of subset 2.  The inequality is squared to clear the radical
     (both sides are non-negative) and multiplied out of its denominators, so
-    holds and tight are integer comparisons.  When both densities are
-    interior the 4x4 quotient matrix's characteristic polynomial (_charpoly)
-    is compared against (t^2 - k^2)(t^2 - gamma^2/delta) coefficient by
-    coefficient.
+    holds and tight are integer comparisons.
+
+    For interior densities, charpoly_ok compares the characteristic
+    polynomial of the quotient matrix B = [[0, P], [R, 0]] of
+    {Y1, X1 - Y1, Y2, X2 - Y2} with (t^2 - k^2)(t^2 - c), where
+    sqrt(c) <= lambda_2 is the inequality itself (interlacing, Haemers 1995).
+    By the block identity det(tI - B) = t^4 - tr(PR) t^2 + det P det R, with
+    u_i = n_i - s_i, a = k s1 - E, b = k s2 - E, f = n1 k - a - b - E,
+    m = s1 s2 u1 u2, N = n1 n2, g = n1 (E n2 - k s1 s2) and
+    T = E^2 u1 u2 + a^2 s2 u1 + b^2 s1 u2 + f^2 s1 s2, it reads
+    T N = k^2 m N + g^2 and (E f - a b)^2 N = k^2 g^2 in integers
+    (tr(PR) = T/m, det P det R = (E f - a b)^2/m, c = g^2/(N m)).  These
+    hold for every pair when n1 = n2, so they check the biadjacency and its
+    edge bookkeeping, not the inequality; they run because mixing-check
+    reports how many pairs they covered (charpoly_checked).
     """
     bi = build_biadjacency(e1, e2, q, cap)
     n1, n2 = bi.n1, bi.n2
@@ -570,41 +554,26 @@ def mixing_check(
     mask2 = sum(1 << j for j in set2)
     masks = bi.masks
     edges = sum((masks[i] & mask2).bit_count() for i in set1)
-    big_d = n1 * k
     s1, s2 = len(set1), len(set2)
+    u1, u2 = n1 - s1, n2 - s2
     a1 = Fraction(s1, n1)
     a2 = Fraction(s2, n2)
     # the squared inequality times (n1 n2 k)^2 q^d, with dev = edges n2 - s1 s2 k
     dev = edges * n2 - s1 * s2 * k
+    m = s1 * s2 * u1 * u2
     lhs = dev * dev * q**d
-    rhs = k * k * s1 * s2 * (n1 - s1) * (n2 - s2)
+    rhs = k * k * m
     holds = lhs <= rhs
     tight = lhs == rhs
     charpoly_ok = None
-    if 0 < a1 < 1 and 0 < a2 < 1:
-        e_y1_x2 = k * s1
-        e_x1_y2 = k * s2
-        b = [
-            [0, 0, Fraction(edges, s1), Fraction(e_y1_x2 - edges, s1)],
-            [
-                0,
-                0,
-                Fraction(e_x1_y2 - edges, n1 - s1),
-                Fraction(big_d - e_y1_x2 - e_x1_y2 + edges, n1 - s1),
-            ],
-            [Fraction(edges, s2), Fraction(e_x1_y2 - edges, s2), 0, 0],
-            [
-                Fraction(e_y1_x2 - edges, n2 - s2),
-                Fraction(big_d - e_y1_x2 - e_x1_y2 + edges, n2 - s2),
-                0,
-                0,
-            ],
-        ]
-        gamma = edges - big_d * a1 * a2
-        delta = n1 * n2 * a1 * a2 * (1 - a1) * (1 - a2)
-        c = gamma * gamma / delta
-        expected = [Fraction(1), Fraction(0), -(k * k + c), Fraction(0), k * k * c]
-        charpoly_ok = _charpoly(b) == expected
+    if m:  # both densities interior
+        a, b = k * s1 - edges, k * s2 - edges
+        f = n1 * k - a - b - edges
+        big_n, g = n1 * n2, n1 * dev
+        big_t = edges * edges * u1 * u2 + a * a * s2 * u1 + b * b * s1 * u2 + f * f * s1 * s2
+        det = edges * f - a * b
+        trace_ok = big_t * big_n == k * k * m * big_n + g * g
+        charpoly_ok = trace_ok and det * det * big_n == k * k * g * g
     return MixingReport(e1, e2, q, a1, a2, edges, holds, tight, charpoly_ok, seed)
 
 

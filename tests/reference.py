@@ -3,8 +3,9 @@ package's fast paths are checked against."""
 
 from fractions import Fraction
 from itertools import combinations, compress, product
+from operator import mul
 
-from oppmix import forms, linalg, oracle
+from oppmix import forms, linalg
 from oppmix.forms import ClassicalForm, RestrictedForm
 from oppmix.gf import Field
 from oppmix.linalg import Subspace, rref
@@ -280,10 +281,16 @@ def mixing_verdicts_by_fractions(n1, n2, k, qd, edges, s1, s2) -> tuple:
     return lhs * lhs <= rhs_sq, lhs * lhs == rhs_sq
 
 
+def mat_mul(a, b) -> list:
+    """The dense product of two matrices given as lists of rows."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
 def dense_factor_product(m, lams) -> list:
-    """prod_j (m - lams[j] I) as a dense matrix, through oracle._mat_mul."""
+    """prod_j (m - lams[j] I) as a dense matrix, through mat_mul."""
     prod = None
     for lam in lams:
         factor = [[v - lam if r == c else v for c, v in enumerate(row)] for r, row in enumerate(m)]
-        prod = factor if prod is None else oracle._mat_mul(prod, factor)
+        prod = factor if prod is None else mat_mul(prod, factor)
     return prod

@@ -14,6 +14,7 @@ from reference import (
     dense_factor_product,
     edges_by_compress,
     enumerate_subspaces,
+    mat_mul,
     mixing_verdicts_by_fractions,
     quad_values_gf2,
     restrict,
@@ -380,7 +381,7 @@ def test_annihilator_square_example():
     # spot check the (1,1,2) identity by hand: M = (J - I)^2 = J + I
     b = oracle.build_biadjacency(1, 1, 2)
     rows = biadjacency_rows(b)
-    m = oracle._mat_mul(rows, list(zip(*rows)))
+    m = mat_mul(rows, list(zip(*rows)))
     assert m == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 
 
@@ -388,7 +389,7 @@ def test_annihilator_square_example():
 def test_gram_popcounts_match_dense_product(e1, e2, q):
     b = oracle.build_biadjacency(e1, e2, q)
     rows = biadjacency_rows(b)
-    assert b.gram() == oracle._mat_mul(rows, list(zip(*rows)))
+    assert b.gram() == mat_mul(rows, list(zip(*rows)))
 
 
 @pytest.mark.parametrize("e1,e2,q", [(2, 1, 3), (2, 2, 3), (1, 2, 3)])
@@ -532,6 +533,48 @@ def test_mixing_suite_gamma21_f3():
     reports = oracle.mixing_suite(2, 1, 3, trials=100, seed=0)
     assert all(r.holds for r in reports)
     assert all(r.charpoly_ok for r in reports if r.charpoly_ok is not None)
+
+
+def test_quotient_charpoly_block_identity_symbolic():
+    # mixing_check's two integer comparisons, from the quotient matrix itself
+    sympy = pytest.importorskip("sympy")
+    t, e, k, n1, n2, s1, s2 = sympy.symbols("t E k n1 n2 s1 s2")
+    u1, u2 = n1 - s1, n2 - s2
+    a, b = k * s1 - e, k * s2 - e
+    f = n1 * k - k * s1 - k * s2 + e
+    quotient = sympy.Matrix(
+        [
+            [0, 0, e / s1, a / s1],
+            [0, 0, b / u1, f / u1],
+            [e / s2, b / s2, 0, 0],
+            [a / u2, f / u2, 0, 0],
+        ]
+    )
+    m, big_n, g = s1 * s2 * u1 * u2, n1 * n2, n1 * (e * n2 - k * s1 * s2)
+    big_t = e**2 * u1 * u2 + a**2 * s2 * u1 + b**2 * s1 * u2 + f**2 * s1 * s2
+    want = [1, 0, -big_t / m, 0, (e * f - a * b) ** 2 / m]
+    coeffs = quotient.charpoly(t).all_coeffs()
+    assert [sympy.cancel(x - y) for x, y in zip(coeffs, want)] == [0] * 5
+    # c = gamma^2 / delta in the densities a_i = s_i / n_i
+    a1, a2 = s1 / n1, s2 / n2
+    gamma, delta = e - n1 * k * a1 * a2, n1 * n2 * a1 * a2 * (1 - a1) * (1 - a2)
+    assert sympy.cancel(gamma**2 / delta - g**2 / (big_n * m)) == 0
+    # tr(PR) = k^2 + c and det P det R = k^2 c, times N m; exact when n1 = n2
+    trace_diff = big_t * big_n - k**2 * m * big_n - g**2
+    det_diff = (e * f - a * b) ** 2 * big_n - k**2 * g**2
+    for diff in (trace_diff, det_diff):
+        assert sympy.expand(diff) != 0
+        assert sympy.expand(diff.subs(n2, n1)) == 0
+
+
+@pytest.mark.parametrize("n1,n2,s1,s2", [(2, 8, 1, 2), (3, 2, 2, 1)])
+def test_quotient_identity_fails_on_either_coefficient(monkeypatch, n1, n2, s1, s2):
+    # k = 2 and one edge between the subsets; with n1 != n2 only the t^2
+    # coefficient fails in the first case, only the constant one in the second
+    fake = oracle.Biadjacency(1, 1, 2, n2, (1,) + (0,) * (n1 - 1))
+    monkeypatch.setattr(oracle, "build_biadjacency", lambda *a: fake)
+    report = oracle.mixing_check(1, 1, 2, range(s1), range(s2))
+    assert (report.edges, report.charpoly_ok) == (1, False)
 
 
 def test_mixing_suite_seed_deterministic():

@@ -1,7 +1,5 @@
 """Property tests of the exact kernels against their reference implementations."""
 
-from fractions import Fraction
-
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -129,26 +127,6 @@ def test_points_of_random_spanning_sets(q, data):
     assert len(pts) == len(set(pts)) == (q**e - 1) // (q - 1)
     assert set(pts) == points_by_span(f, s)
     assert sorted(points(f, _member(f, spanned))) == sorted(pts)
-
-
-@st.composite
-def rational_matrices(draw):
-    """Square rational matrices up to 5 x 5 with at least one non-integer entry."""
-    n = draw(st.integers(1, 5))
-    entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    hypothesis.assume(any(v.denominator > 1 for row in mat for v in row))
-    return mat
-
-
-@hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(rational_matrices())
-def test_charpoly_matches_sympy(mat):
-    sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-    want = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in mat])
-    coeffs = want.charpoly(t).all_coeffs()
-    assert oracle._charpoly(mat) == [Fraction(int(c.p), int(c.q)) for c in coeffs]
 
 
 @st.composite
