@@ -99,7 +99,7 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     """Number of b-dimensional subspaces of an a-dimensional space over F_q.
 
     Computed as prod_{i=1}^{b} (q^(a-i+1) - 1) / (q^i - 1); the division is
-    exact and we assert so.
+    exact, and a remainder raises ArithmeticError.
     """
     if b < 0 or a < 0 or b > a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
@@ -113,7 +113,8 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
         g = gcd(num, den)
         num //= g
         den //= g
-    assert den == 1, "gaussian binomial did not reduce to an integer"
+    if den != 1:
+        raise ArithmeticError(f"[{a}, {b}]_{q} did not reduce to an integer")
     return num
 
 

@@ -121,7 +121,8 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
         quad = tuple(tuple(r) for r in quad)
         gram = _polar_from_quad(quad, fld, d)
         form = ClassicalForm(kind, d, q, fld, gram, quad, eps, delta)
-        assert rank(gram, fld) == d, "standard orthogonal polar form must be non-degenerate"
+        if rank(gram, fld) != d:
+            raise ArithmeticError(f"the standard orthogonal polar form on F_{q}^{d} is degenerate")
         return form
     if kind == SYMPLECTIC:
         if d % 2 or d < 2:

@@ -66,7 +66,8 @@ class Field:
             exp[i] = x
             log[x] = i
             x = self._mul[x][g]
-        assert x == 1, "generator order mismatch"
+        if x != 1:
+            raise ArithmeticError(f"generator {g} of F_{q}* does not have order {q - 1}")
         self.exp = tuple(exp)
         self.log = tuple(log)
         self._inv = tuple(

@@ -89,8 +89,8 @@ def eigen_exponents(e1: int, e2: int) -> SpectrumResult:
     _check_dims(e1, e2)
     d = e1 + e2
     exps = tuple(HalfInteger(2 * e1 * e2 - j * (d + 1 - j)) for j in range(e2 + 1))
-    for a, b in zip(exps, exps[1:]):
-        assert a > b, "exponents must be strictly decreasing"
+    if any(a <= b for a, b in zip(exps, exps[1:])):
+        raise ArithmeticError(f"exponents {exps} are not strictly decreasing")
     return SpectrumResult(e1, e2, exps)
 
 
@@ -138,7 +138,8 @@ def eigen_exponents_via_characters(e1: int, e2: int) -> SpectrumResult:
     exps = []
     for mu in pieri_constituents(e1, e2):
         e_mu = exponent_e_mu(d, mu.j)
-        assert e_mu == comb(d, 2) * (1 + char_ratio(mu))
+        if e_mu != comb(d, 2) * (1 + char_ratio(mu)):
+            raise ArithmeticError(f"e_mu = {e_mu} disagrees with the character ratio of {mu}")
         exps.append(HalfInteger(e_mu - 2 * ell))
     return SpectrumResult(e1, e2, tuple(exps))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -275,6 +276,19 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_spectrum_character_mismatch_exit_code(capsys, monkeypatch):
+    # the character route's self-check is an internal error, also under -O
+    from oppmix import spectrum
+
+    monkeypatch.setattr(spectrum, "char_ratio", lambda mu: Fraction(0))
+    code, out, err = run(capsys, "spectrum", "--e1", "2", "--e2", "2", "--q", "2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: e_mu = ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_collapse_mismatch_exit_code(capsys, monkeypatch):
     # the uniform-density mixing bound must equal its display exactly; a
     # mismatch is an internal error under `python -O` too, not an assert
@@ -402,6 +416,32 @@ def test_mixing_check(capsys):
     assert code == 0
     assert "seed=5" in out
     assert "PASS" in out
+
+
+def test_mixing_check_fails_on_the_quotient_identity_alone(capsys, monkeypatch):
+    # a pair whose inequality holds but whose quotient identity fails is a
+    # failed check, not a failed inequality
+    from oppmix import oracle
+
+    holds = oracle.MixingReport(2, 1, 2, Fraction(1, 7), Fraction(1, 7), 1, True, False, False)
+    monkeypatch.setattr(oracle, "mixing_suite", lambda *a: [holds] * 3)
+    code, out, _ = run(capsys, "mixing-check", "--e1", "2", "--e2", "1", "--q", "2")
+    assert code == 1
+    assert out.splitlines()[1:] == ["inequality held: 3/3, 0 with equality", "FAIL"]
+
+
+def test_mixing_check_quotient_identity_can_fail(capsys, monkeypatch):
+    # one all-zero column appended (n2 = n1 + 1): the identity, exact only
+    # for a square biadjacency, fails on an interior pair
+    from oppmix import oracle
+
+    bi = oracle.build_biadjacency(2, 2, 3)
+    monkeypatch.setattr(oracle, "build_biadjacency", lambda *a: bi._replace(n2=bi.n2 + 1))
+    report = oracle.mixing_check(2, 2, 3, range(5), range(7))
+    assert (report.alpha2, report.charpoly_ok) == (Fraction(7, 131), False)
+    code, out, _ = run(capsys, "mixing-check", "--e1", "2", "--e2", "2", "--q", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL"
 
 
 def test_usage_error_exit_code():

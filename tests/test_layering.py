@@ -119,6 +119,15 @@ def test_no_module_imports_dataclasses():
         assert "dataclasses" not in absolute_imports(path), path.name
 
 
+def test_no_module_asserts():
+    # `python -O` strips assert statements, and an AssertionError escapes
+    # cli.main as a traceback: a broken invariant raises ArithmeticError
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"
+
+
 def probe(code: str, *argv) -> str:
     """stdout of `code` run in a fresh interpreter, with argv as sys.argv[1:]."""
     out = subprocess.run(
