@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oppmix import bounds, cli, exactnum
+from oppmix import bounds, cli, exactnum, oracle, spectrum
 
 
 def run(capsys, *argv):
@@ -278,8 +278,6 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 def test_spectrum_character_mismatch_exit_code(capsys, monkeypatch):
     # the character route's self-check is an internal error, also under -O
-    from oppmix import spectrum
-
     monkeypatch.setattr(spectrum, "char_ratio", lambda mu: Fraction(0))
     code, out, err = run(capsys, "spectrum", "--e1", "2", "--e2", "2", "--q", "2")
     assert code == 4
@@ -421,9 +419,8 @@ def test_mixing_check(capsys):
 def test_mixing_check_fails_on_the_quotient_identity_alone(capsys, monkeypatch):
     # a pair whose inequality holds but whose quotient identity fails is a
     # failed check, not a failed inequality
-    from oppmix import oracle
-
-    holds = oracle.MixingReport(2, 1, 2, Fraction(1, 7), Fraction(1, 7), 1, True, False, False)
+    a = Fraction(1, 7)
+    holds = oracle.MixingReport(2, 1, 2, a, a, 1, holds=True, tight=False, charpoly_ok=False)
     monkeypatch.setattr(oracle, "mixing_suite", lambda *a: [holds] * 3)
     code, out, _ = run(capsys, "mixing-check", "--e1", "2", "--e2", "1", "--q", "2")
     assert code == 1
@@ -433,8 +430,6 @@ def test_mixing_check_fails_on_the_quotient_identity_alone(capsys, monkeypatch):
 def test_mixing_check_quotient_identity_can_fail(capsys, monkeypatch):
     # one all-zero column appended (n2 = n1 + 1): the identity, exact only
     # for a square biadjacency, fails on an interior pair
-    from oppmix import oracle
-
     bi = oracle.build_biadjacency(2, 2, 3)
     monkeypatch.setattr(oracle, "build_biadjacency", lambda *a: bi._replace(n2=bi.n2 + 1))
     report = oracle.mixing_check(2, 2, 3, range(5), range(7))
