@@ -419,8 +419,10 @@ def test_mixing_check(capsys):
 def test_mixing_check_fails_on_the_quotient_identity_alone(capsys, monkeypatch):
     # a pair whose inequality holds but whose quotient identity fails is a
     # failed check, not a failed inequality
-    a = Fraction(1, 7)
-    holds = oracle.MixingReport(2, 1, 2, a, a, 1, holds=True, tight=False, charpoly_ok=False)
+    alpha = Fraction(1, 7)
+    holds = oracle.MixingReport(
+        2, 1, 2, alpha, alpha, 1, holds=True, tight=False, charpoly_ok=False
+    )
     monkeypatch.setattr(oracle, "mixing_suite", lambda *a: [holds] * 3)
     code, out, _ = run(capsys, "mixing-check", "--e1", "2", "--e2", "1", "--q", "2")
     assert code == 1
