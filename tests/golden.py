@@ -10,8 +10,8 @@ regenerates the file and lists each changed entry in CHANGES.md:
 The invocations are every CLI job of the two benchmark workloads at seeds 0
 and 3 (perfbench/workloads.py, with its PINNED flags, read only here, when
 the corpus is regenerated), `verify --family all` in each format and with
---full-pairs, the symplectic F_2 counts that no verify run builds, the
-README's mixing-check example in the table format, a budget error and one
+--full-pairs, the symplectic F_2 counts that no verify run builds, two
+orthogonal counts with e1 < e2 (over F_2 and F_4), the README's mixing-check example in the table format, a budget error and one
 usage error of each kind.
 """
 
@@ -34,6 +34,9 @@ EXTRA = [
     "verify --family all --format json --full-pairs",
     "count --family symplectic --e1 2 --e2 4 --q 2 --format json",
     "count --family symplectic --e1 4 --e2 4 --q 2 --format json",
+    # orthogonal counts with e1 < e2, over F_2 and over an extension field
+    "count --family orthogonal --eps + --sigma1 + --sigma2 - --e1 2 --e2 6 --q 2",
+    "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 4 --q 4",
     # the README's mixing-check example: the table format pins the summary lines
     "mixing-check --e1 2 --e2 1 --q 3 --trials 100 --seed 0",
     # exit 3
