@@ -390,44 +390,22 @@ def _tail(name, q, value, threshold) -> TailCheck:
 def orthogonal_tail_checks() -> list:
     """The displays that settle the orthogonal theorem off the swept range."""
     threshold = THEOREM["orthogonal"].cases[-1].threshold
-    checks = []
-    for q in prime_powers_upto(TAIL_Q_LIMIT):
-        # the infinite-product lower bound the tail displays substitute in
-        checks.append(
-            _tail(
-                "omega-inf-lower",
-                q,
-                omega_tail_lower(q, 64),
-                1 - Fraction(1, q) - Fraction(1, q**2) + Fraction(1, q**5),
-            )
-        )
-    for q in prime_powers_upto(TAIL_Q_LIMIT):
-        if q < 7:
-            continue
-        one_q = Fraction(1, q)
-        val = 1 / ((1 + one_q + one_q**2) * (1 + one_q**2)) - 2 * one_q**2 / (1 - one_q) ** 2
+
+    def lead(q):  # the infinite-product lower bound the tail displays substitute in
+        return 1 - Fraction(1, q) - Fraction(1, q**2) + Fraction(1, q**5)
+
+    def tail(q, m):  # lead minus the cross term of the dimensions d >= 2(m + 1)
+        x = Fraction(1, q)
+        return lead(q) - 2 * (1 + x**m * x) / ((1 - x) * (1 - x**m)) * bq(q * q, 1, m) * x**m * x
+
+    qs = prime_powers_upto(TAIL_Q_LIMIT)
+    checks = [_tail("omega-inf-lower", q, omega_tail_lower(q, 64), lead(q)) for q in qs]
+    for q in qs[qs.index(7) :]:
+        x = Fraction(1, q)
+        val = 1 / ((1 + x + x**2) * (1 + x**2)) - 2 * x**2 / (1 - x) ** 2
         checks.append(_tail("orthogonal-q>=7-m1=m2=1", q, val, threshold(q)))
-        tail = (
-            1
-            - Fraction(1, q)
-            - Fraction(1, q**2)
-            + Fraction(1, q**5)
-            - (2 * (1 + Fraction(1, q**3)) / ((1 - Fraction(1, q)) * (1 - Fraction(1, q**2))))
-            * bq(q * q, 1, 2)
-            * Fraction(1, q**3)
-        )
-        checks.append(_tail("orthogonal-q>=7-d>=6", q, tail, threshold(q)))
-    for q in (2, 3, 4, 5):
-        tail = (
-            1
-            - Fraction(1, q)
-            - Fraction(1, q**2)
-            + Fraction(1, q**5)
-            - (2 * (1 + Fraction(1, q**7)) / ((1 - Fraction(1, q)) * (1 - Fraction(1, q**6))))
-            * bq(q * q, 1, 6)
-            * Fraction(1, q**7)
-        )
-        checks.append(_tail("orthogonal-q<=5-d>=14", q, tail, threshold(q)))
+        checks.append(_tail("orthogonal-q>=7-d>=6", q, tail(q, 2), threshold(q)))
+    checks += [_tail("orthogonal-q<=5-d>=14", q, tail(q, 6), threshold(q)) for q in (2, 3, 4, 5)]
     return checks
 
 

@@ -3,10 +3,11 @@
 Commands: spectrum | bound | count | verify | mixing-check.  Output formats:
 table (default) and json everywhere; csv only on bound, count and verify, whose
 reports have rows.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 usage error (argparse's own), 3 enumeration budget exceeded, 4
-internal error (an ArithmeticError: an exact result contradicted itself, such
-as an enumerated count that disagrees with its closed form), reported as one
-"internal error:" line on stderr.
+failed, 2 usage error (argparse's own, or a UsageError, which only the
+checks of the parsed arguments raise), 3 enumeration budget exceeded, 4
+internal error (an ArithmeticError: an exact result contradicted itself,
+such as an enumerated count that disagrees with its closed form, or any
+other ValueError), reported as one "internal error:" line on stderr.
 
 JSON is canonical: keys sorted, rationals as {"num": "...", "den": "..."}
 decimal strings plus a non-authoritative float "approx"; parsing and
@@ -187,19 +188,30 @@ def cmd_spectrum(args) -> int:
     return 0 if agree else 1
 
 
-def _check_case(args, fam: bounds.Family | None = None) -> None:
-    """Raise ValueError unless --e1 and --e2 are positive and args have the
-    signs and dimension parity fam needs, naming the flags at fault."""
+class UsageError(ValueError):
+    """Arguments that parse but do not describe a case: exit 2."""
+
+
+def _check_case(args, fam: bounds.Family | None = None, field_size: int | None = None) -> None:
+    """Raise UsageError unless --e1 and --e2 are positive, args have the
+    signs and dimension parity fam needs, naming the flags at fault, and
+    F_field_size, when given, is in the field inventory."""
     for name in ("e1", "e2"):
         if getattr(args, name) < 1:
-            raise ValueError(f"need --{name} >= 1, got {getattr(args, name)}")
-    if fam is None:
-        return
-    missing = [n for n in ("eps", "sigma1", "sigma2") if fam.signed and getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"--{' --'.join(missing)} required for this family")
-    if fam.even and (args.e1 % 2 or args.e2 % 2):
-        raise ValueError(f"{args.family} dimensions must be even")
+            raise UsageError(f"need --{name} >= 1, got {getattr(args, name)}")
+    if fam is not None:
+        missing = [n for n in ("eps", "sigma1", "sigma2") if getattr(args, n) is None]
+        if missing and fam.signed:
+            raise UsageError(f"--{' --'.join(missing)} required for this family")
+        if fam.even and (args.e1 % 2 or args.e2 % 2):
+            raise UsageError(f"{args.family} dimensions must be even")
+    if field_size is not None:
+        from .gf import FIXED_MODULI
+
+        if field_size not in FIXED_MODULI:
+            raise UsageError(
+                f"unsupported field size {field_size}; inventory: {sorted(FIXED_MODULI)}"
+            )
 
 
 def cmd_bound(args) -> int:
@@ -226,7 +238,7 @@ def cmd_count(args) -> int:
     from . import forms, oracle
 
     fam = bounds.THEOREM[args.family]
-    _check_case(args, fam)
+    _check_case(args, fam, args.q**2 if fam.kind == forms.HERMITIAN else args.q)
     eps, sigma1, sigma2 = (args.eps, args.sigma1, args.sigma2) if fam.signed else (None,) * 3
     e1, e2, q = args.e1, args.e2, args.q
     form = forms.standard_form(fam.kind, e1 + e2, q, eps)
@@ -299,7 +311,7 @@ def cmd_verify(args) -> int:
 def cmd_mixing_check(args) -> int:
     from . import oracle
 
-    _check_case(args)
+    _check_case(args, field_size=args.q)
     reports = oracle.mixing_suite(args.e1, args.e2, args.q, args.trials, args.seed)
     bad = [r for r in reports if not r.holds or r.charpoly_ok is False]
     lines = [
@@ -413,12 +425,12 @@ def main(argv=None) -> int:
     except exactnum.BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, ValueError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

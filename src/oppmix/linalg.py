@@ -10,13 +10,13 @@ product over pivot rows, last row fastest, of each row's candidates
 Consecutive subspaces therefore share every row but the last, which the
 partition build and complement_rows exploit.
 
-row_candidates, member(s), pair_test and complement_rows are the one place
-that picks a field's representation: tuples of bitmask rows (bit j =
+row_candidates, member(s), complement_rows and complement_hits are the one
+place that picks a field's representation: tuples of bitmask rows (bit j =
 coordinate j) over F_2, Subspace objects over every other field.  Callers
-never branch on q.  pair_test is one elimination per pair (complementary_bits
-on bitmask rows), for scans of one S1.  Two subspaces meet trivially iff they
-share no projective point, so complement_rows decides all of Y1 x Y2 by point
-incidence, one bitmask row per S1, with no elimination per pair.
+never branch on q.  Two subspaces meet trivially iff they share no
+projective point, so complement_rows decides all of Y1 x Y2 by point
+incidence, with no elimination per pair.  complement_hits scans one fixed
+member against many by projection modulo it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import partial
 from itertools import chain, combinations, product
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exactnum import BudgetError  # noqa: F401 (re-exported)
 from .gf import Field
@@ -134,8 +134,7 @@ def members(d: int, e: int, fld: Field) -> Iterator:
     """Every e-subspace in the canonical order, in the field's representation.
 
     Over F_2 each member is a tuple of bitmask rows; over other fields it is
-    a Subspace.  pair_test and complement_rows are the matching
-    complementarity tests.
+    a Subspace.
     """
     if not 0 <= e <= d:
         raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
@@ -199,44 +198,6 @@ def _split_points(fld: Field, members) -> Iterator[tuple]:
 # -- complementarity -------------------------------------------------------
 
 
-def complementary(s1: Subspace, s2: Subspace, fld: Field) -> bool:
-    """True iff s1 + s2 has dimension e1 + e2 (trivial intersection)."""
-    if s1.d != s2.d:
-        raise ValueError(f"ambient mismatch: {s1.d} != {s2.d}")
-    if s1.e + s2.e > s1.d:
-        return False
-    # Seed elimination with s1, already in RREF.
-    by_pivot = dict(zip(s1.pivots, s1.basis))
-    d = s1.d
-    for r in s2.basis:
-        lead = None
-        for j in range(d):
-            if not r[j]:
-                continue
-            piv = by_pivot.get(j)
-            if piv is None:
-                lead = j
-                break
-            r = fld.sub_scaled(r, r[j], piv)  # piv is zero before column j
-        if lead is None:
-            return False
-        inv = fld.inv(r[lead])
-        if inv != 1:
-            r = fld.scale(inv, r)
-        by_pivot[lead] = r
-    return True
-
-
-def pair_test(fld: Field) -> Callable:
-    """Complementarity of members(..., fld), curried: pair_test(fld)(s1)(s2).
-
-    complementary_bits over F_2, complementary over other fields.
-    """
-    if fld.q == 2:
-        return lambda rows1: partial(complementary_bits, rows1)
-    return lambda s1: lambda s2: complementary(s1, s2, fld)
-
-
 def complement_rows(fld: Field, members1, members2) -> Iterator[int]:
     """Per S1 in members1, the bitmask whose bit j says S1 + members2[j] is direct.
 
@@ -266,20 +227,75 @@ def complement_rows(fld: Field, members1, members2) -> Iterator[int]:
         yield full ^ hit  # hit has no bit at or above len(members2)
 
 
-def complementary_bits(rows1, rows2) -> bool:
-    """GF(2) complementarity on bitmask rows.  Hot loop: no Subspace objects."""
-    basis = {}
-    for r in rows1:
-        basis[r & -r] = r
-    for r in rows2:
-        while r:
-            low = r & -r
-            piv = basis.get(low)
-            if piv is None:
-                basis[low] = r
-                break
-            r ^= piv
-        else:
-            return False
-    return True
+def complement_hits(fld: Field, d: int, s, members) -> int:
+    """How many of members, a sequence of one dimension r, meet member s trivially.
 
+    Each vector maps to its image modulo s: its reduction by s's RREF rows,
+    read at s's m = d - dim s non-pivot columns.  s + T is direct iff the
+    images of T's rows are independent, so no member costs an elimination.
+    Over F_2 the images of all 2^d vectors are one list; over other fields
+    each distinct row's image is computed once, and at r = m = 2 the verdict
+    is one 2 x 2 determinant.
+    """
+    if not members:
+        return 0
+    if fld.q == 2:
+        proj, m = _projection_gf2(d, s)
+        return sum(_independent_gf2(m, proj, members))
+    free = [j for j in range(d) if j not in s.pivots]
+    images: dict = {}
+    for row in {row for t in members for row in t.basis}:
+        v = row
+        for p, b in zip(s.pivots, s.basis):  # b is 0 at every other pivot
+            v = fld.sub_scaled(v, row[p], b) if row[p] else v
+        images[row] = tuple(v[j] for j in free)
+    if len(free) == 2 and members[0].e == 2:
+        mul, pairs = fld.mul, (map(images.get, t.basis) for t in members)
+        return sum(mul(a, e) != mul(b, c) for (a, b), (c, e) in pairs)
+    return sum(rank(list(map(images.get, t.basis)), fld) == t.e for t in members)
+
+
+def _projection_gf2(d: int, s) -> tuple:
+    """(proj, m): proj[v] is the image of bitmask v modulo bitmask member s, in m bits.
+
+    Bit t of an image is its entry at s's t-th non-pivot column.  The image
+    of the unit vector at a pivot is the non-pivot part of that pivot's row.
+    """
+    by_pivot = {r & -r: r for r in s}
+    free = [1 << j for j in range(d) if 1 << j not in by_pivot]
+    proj = [0]
+    for j in range(d):
+        x = by_pivot.get(1 << j, 1 << j)
+        unit = sum(1 << t for t, b in enumerate(free) if x & b)
+        proj += [v ^ unit for v in proj]
+    return proj, len(free)
+
+
+def _independent_gf2(m: int, proj: list, members) -> Iterator[bool]:
+    """Per member (a tuple of bitmask rows x), whether the images proj[x] are independent.
+
+    Images a, b are independent iff a·b·(a ^ b) != 0.  For members of
+    dimension m = 2 or 4 (the only ones an even split over F_2 leaves) a
+    list of 2^(2m) entries indexed by a | b << m decides: at m = 2 it holds
+    that verdict, at m = 4 the span of the pair as a 16-bit set of vectors
+    (every bit if dependent), and (a, b, c, e) is independent iff span(a, b)
+    and span(c, e) meet in bit 0 (the zero vector) alone.  Otherwise the
+    span of the images is counted.
+    """
+    if m not in (2, 4) or len(members[0]) != m:
+        return (_independent_bits([proj[x] for x in t]) for t in members)
+    pairs = [(a, b) for b in range(1 << m) for a in range(1 << m)]
+    lo, hi = proj, [v << m for v in proj]
+    if m == 2:
+        independent = [a * b * (a ^ b) != 0 for a, b in pairs]
+        return (independent[lo[a] | hi[b]] for a, b in members)
+    span = [1 | 1 << a | 1 << b | 1 << (a ^ b) if a * b * (a ^ b) else 0xFFFF for a, b in pairs]
+    return (span[lo[a] | hi[b]] & span[lo[c] | hi[e]] == 1 for a, b, c, e in members)
+
+
+def _independent_bits(rows) -> bool:
+    """Whether bitmask vectors over F_2 are independent: their span has 2^len(rows) vectors."""
+    span = {0}
+    for x in rows:
+        span |= {v ^ x for v in span}
+    return len(span) == 1 << len(rows)

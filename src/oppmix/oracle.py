@@ -3,33 +3,25 @@
 Everything here is exact.  Y-sets are enumerated in the canonical subspace
 order and hard-checked against the closed-form counts at construction time;
 complementary-pair counting comes in two flavours (all pairs, and the
-single-orbit shortcut that fixes one subspace), which must agree wherever
-both run.
+single-orbit shortcut that fixes one subspace and checks itself on a
+second), which must agree wherever both run.
 
 Members come from linalg.members, so the representation (bitmask-row tuples
 over F_2, Subspace objects over other fields) is chosen in linalg.
 All-pairs counts and the biadjacency matrix take their rows from
 linalg.complement_rows (point incidence); an all-pairs count is the sum of
 those rows' popcounts, taken serially in one process.  The single-orbit
-count tests one S1 with linalg.pair_test.
+count fixes one member of the side of larger dimension and counts its
+complements with linalg.complement_hits, a projection scan; the same scan
+of that side's last member checks the shortcut.
 
 A partition build takes each pivot pattern's members as the product of its
 rows' candidates (linalg.row_candidates), last row fastest.  Over F_2
-forms.lane_classifier_gf2 classifies a whole pattern at once, one byte lane
-of a big int per member, and itertools.compress builds only the kept
-members, in the canonical order.
-
-Every other field walks the candidates, classifying each distinct
-restricted form (the form on the member's basis) once and reusing the
-verdict for every member that restricts to it: pivot pattern, then prefix
-(every row but the last), then last row.  The key is one column per basis
-row: the row's entries against the earlier rows, then its own Q or diagonal
-value.  A prefix's columns are computed once, where the walk reaches it, and
-only the last column once per member; each prefix row's entries against the
-later rows' candidates are computed when the row joins the prefix.  The
-entries come from a per-build memo of each distinct row's image under the
-ambient form, and a verdict decodes the whole restricted form from the key,
-then asks forms for non-degeneracy and the orthogonal type.
+forms.lane_classifier_gf2 classifies a whole pattern at once, and
+itertools.compress builds only the kept members.  Every other field walks
+the candidates (_walk), classifying each distinct restricted form once,
+keyed by one column per basis row, and reusing the verdict for every member
+that restricts to it.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -325,40 +317,39 @@ def count_complementary(y1: YSet, y2: YSet, threshold: Fraction | None = None) -
 def count_complementary_transitive(
     y1: YSet, y2: YSet, threshold: Fraction | None = None
 ) -> CountReport:
-    """Single-orbit shortcut: fix the first member of Y1 and scan Y2.
+    """Single-orbit shortcut: fix one member of one side and scan the other.
 
-    Valid because the isometry group is transitive on Y1 and preserves both
-    Y2 and complementarity, so the complementary count per S1 is constant.
+    Valid because the isometry group is transitive on each Y-set (Witt's
+    theorem) and preserves the other and complementarity, so every member
+    of a side has the same number of complements in the other side:
+    hits(S1 -> Y2)·|Y1| = hits(S2 -> Y1)·|Y2|.  The fixed side is the one of
+    larger dimension (Y1 on a tie), which leaves linalg.complement_hits the
+    smaller quotient.  Its last member is scanned too, as a check of the
+    shortcut: a different count raises ArithmeticError.
     """
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
-    against = linalg.pair_test(y1.form.field)
-    hits = sum(map(against(y1.members[0]), y2.members))
-    pairs = hits * y1.count
-    proportion = Fraction(hits, y2.count)
+    fixed, other = (y2, y1) if y2.e > y1.e else (y1, y2)
+    fld, d = y1.form.field, y1.form.d
+    hits = linalg.complement_hits(fld, d, fixed.members[0], other.members)
+    again = linalg.complement_hits(fld, d, fixed.members[-1], other.members)
+    if again != hits:
+        raise ArithmeticError(
+            f"single-orbit count: the first {fixed.e}-space has {hits} complements, "
+            f"the last has {again}"
+        )
+    pairs = hits * fixed.count
+    proportion = Fraction(hits, other.count)
     return _finish_report(y1, y2, pairs, proportion, "transitivity-fast-path", threshold)
 
 
 def _finish_report(y1, y2, pairs, proportion, method, threshold) -> CountReport:
     form = y1.form
     case = {"kind": form.kind, "q": form.q, "d": form.d, "e1": y1.e, "e2": y2.e}
-    if form.eps is not None:
-        case["eps"] = exactnum.sign_char(form.eps)
-    if y1.sigma is not None:
-        case["sigma1"] = exactnum.sign_char(y1.sigma)
-    if y2.sigma is not None:
-        case["sigma2"] = exactnum.sign_char(y2.sigma)
+    signs = {"eps": form.eps, "sigma1": y1.sigma, "sigma2": y2.sigma}
+    case.update((k, exactnum.sign_char(v)) for k, v in signs.items() if v is not None)
     passed = None if threshold is None else proportion >= threshold
-    return CountReport(
-        case=case,
-        y1_count=y1.count,
-        y2_count=y2.count,
-        pairs=pairs,
-        proportion=proportion,
-        method=method,
-        threshold=threshold,
-        passed=passed,
-    )
+    return CountReport(case, y1.count, y2.count, pairs, proportion, method, threshold, passed)
 
 
 def count_case(

@@ -11,8 +11,9 @@ The invocations are every CLI job of the two benchmark workloads at seeds 0
 and 3 (perfbench/workloads.py, with its PINNED flags, read only here, when
 the corpus is regenerated), `verify --family all` in each format and with
 --full-pairs, the symplectic F_2 counts that no verify run builds, two
-orthogonal counts with e1 < e2 (over F_2 and F_4), the README's mixing-check example in the table format, a budget error and one
-usage error of each kind.
+orthogonal counts with e1 < e2 (over F_2 and F_4), the README's
+mixing-check example in the table format, a budget error and one usage
+error of each kind.
 """
 
 from __future__ import annotations

@@ -96,6 +96,56 @@ def radical_nondegenerate(r: RestrictedForm) -> bool:
     return True
 
 
+def complementary(s1: Subspace, s2: Subspace, fld: Field) -> bool:
+    """True iff s1 + s2 has dimension e1 + e2 (trivial intersection), by
+    eliminating s2's rows against s1's RREF rows."""
+    if s1.d != s2.d:
+        raise ValueError(f"ambient mismatch: {s1.d} != {s2.d}")
+    if s1.e + s2.e > s1.d:
+        return False
+    by_pivot = dict(zip(s1.pivots, s1.basis))
+    for r in s2.basis:
+        lead = None
+        for j in range(s1.d):
+            if not r[j]:
+                continue
+            piv = by_pivot.get(j)
+            if piv is None:
+                lead = j
+                break
+            r = fld.sub_scaled(r, r[j], piv)  # piv is zero before column j
+        if lead is None:
+            return False
+        inv = fld.inv(r[lead])
+        by_pivot[lead] = fld.scale(inv, r) if inv != 1 else r
+    return True
+
+
+def complementary_bits(rows1, rows2) -> bool:
+    """complementary over F_2, on bitmask rows: rows2 eliminated against rows1."""
+    basis = {}
+    for r in rows1:
+        basis[r & -r] = r
+    for r in rows2:
+        while r:
+            low = r & -r
+            piv = basis.get(low)
+            if piv is None:
+                basis[low] = r
+                break
+            r ^= piv
+        else:
+            return False
+    return True
+
+
+def pair_test(fld: Field):
+    """Complementarity of members(..., fld), curried: pair_test(fld)(s1)(s2)."""
+    if fld.q == 2:
+        return lambda rows1: lambda rows2: complementary_bits(rows1, rows2)
+    return lambda s1: lambda s2: complementary(s1, s2, fld)
+
+
 def coord_subspace(d: int, cols) -> Subspace:
     """The span of the unit vectors e_c, c in cols (increasing), in (F_q)^d."""
     return Subspace(d, tuple(tuple(int(j == c) for j in range(d)) for c in cols), tuple(cols))

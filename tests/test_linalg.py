@@ -1,5 +1,7 @@
 import random
+from functools import partial
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -7,8 +9,8 @@ from oppmix import linalg
 from oppmix.exactnum import gaussian_binomial
 from oppmix.gf import field
 from oppmix.linalg import Subspace
-from reference import coord_subspace, enumerate_subspaces, nullspace, nullspace_bits, rank_bits
-from reference import rref_bits
+from reference import complementary, complementary_bits, coord_subspace, enumerate_subspaces
+from reference import nullspace, nullspace_bits, pair_test, rank_bits, rref_bits
 
 
 def test_rref_identity_and_zero():
@@ -97,16 +99,16 @@ def test_complementary_examples():
     f = field(2)
     s12 = coord_subspace(4, (0, 1))
     s34 = coord_subspace(4, (2, 3))
-    assert linalg.complementary(s12, s34, f)
-    assert not linalg.complementary(s12, s12, f)
+    assert complementary(s12, s34, f)
+    assert not complementary(s12, s12, f)
     other = Subspace(4, ((0, 1, 1, 0), (0, 0, 0, 1)), (1, 3))
-    assert linalg.complementary(s12, other, f)
+    assert complementary(s12, other, f)
 
 
 def test_complementary_ambient_mismatch():
     f = field(2)
     with pytest.raises(ValueError):
-        linalg.complementary(coord_subspace(4, (0,)), coord_subspace(3, (0,)), f)
+        complementary(coord_subspace(4, (0,)), coord_subspace(3, (0,)), f)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -115,7 +117,7 @@ def test_complementary_symmetric(q):
     subs = list(enumerate_subspaces(4, 2, f))
     for s1 in subs[::5]:
         for s2 in subs[::7]:
-            assert linalg.complementary(s1, s2, f) == linalg.complementary(s2, s1, f)
+            assert complementary(s1, s2, f) == complementary(s2, s1, f)
 
 
 def test_complementary_general_q_matches_bits():
@@ -123,29 +125,56 @@ def test_complementary_general_q_matches_bits():
     subs = list(enumerate_subspaces(4, 2, f2))
     for s1 in subs:
         for s2 in subs:
-            bit = linalg.complementary_bits(s1.bit_rows(), s2.bit_rows())
+            bit = complementary_bits(s1.bit_rows(), s2.bit_rows())
             # complementary() runs the generic elimination over every field
-            by_pivot = linalg.complementary(s1, s2, f2)
+            by_pivot = complementary(s1, s2, f2)
             assert bit == by_pivot
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def _member(f, s):
+    """s in the representation of linalg.members over f."""
+    return s.bit_rows() if f.q == 2 else s
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_pair_test_matches_complementary(q):
-    # Every pair where |X_e1| |X_e2| <= 20,000; beyond that (q = 4, 5, 9 at
-    # d = 4) every S2 against a seeded sample of S1.
+    # The projection scan of S1 against every e2-subspace counts what the
+    # reference's per-pair eliminations count, for every (e1, e2), e1 + e2
+    # above, at and below d included: every S1 where |X_e1| |X_e2| <= 20,000;
+    # beyond that (q = 4, 5, 9 at d = 4) a seeded sample of S1.
     f = field(q)
     rng = random.Random(q)
+    against = pair_test(f)
     for d in range(1, 5):
         x = [list(enumerate_subspaces(d, e, f)) for e in range(d + 1)]
         for e1, e2 in product(range(d + 1), repeat=2):
-            x1, x2 = x[e1], x[e2]
+            x1, x2 = x[e1], [_member(f, s) for s in x[e2]]
             if len(x1) * len(x2) > 20_000:
                 x1 = rng.sample(x1, max(1, 20_000 // len(x2)))
-            against = linalg.pair_test(f)
-            for s1 in x1:
-                test = against(s1)
-                for s2 in x2:
-                    assert test(s2) == linalg.complementary(s1, s2, f), (d, s1, s2)
+            for s1 in map(partial(_member, f), x1):
+                want = sum(map(against(s1), x2))
+                assert linalg.complement_hits(f, d, s1, x2) == want, (d, s1, e2)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_gf2_independence_decider_accepts_exactly_the_bases(m):
+    # with the identity as its projection the decider judges m-tuples of
+    # vectors of F_2^m: it accepts the prod (2^m - 2^i) ordered bases, and
+    # agrees with the reference elimination on every tuple
+    tuples = list(product(range(1 << m), repeat=m))
+    flags = list(linalg._independent_gf2(m, list(range(1 << m)), tuples))
+    assert sum(flags) == prod((1 << m) - (1 << i) for i in range(m))
+    assert flags == [complementary_bits((), t) for t in tuples]
+
+
+@pytest.mark.parametrize("m,r", [(4, 2), (4, 3), (2, 1), (3, 4), (5, 2), (5, 5), (6, 4)])
+def test_gf2_independence_of_other_shapes(m, r):
+    # r rows in F_2^m with r != m, or m > 4: the span count, not the tables
+    rng = random.Random(m * 10 + r)
+    tuples = [tuple(rng.randrange(1 << m) for _ in range(r)) for _ in range(400)]
+    flags = list(linalg._independent_gf2(m, list(range(1 << m)), tuples))
+    assert flags == [complementary_bits((), t) for t in tuples]
+    assert any(flags) == (r <= m) and not all(flags)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -163,16 +192,16 @@ def test_complement_rows_match_complementary(q):
                 rows = list(linalg.complement_rows(f, m1, m2))
                 assert len(rows) == len(x[e1])
                 for s1, row in zip(x[e1], rows):
-                    want = [linalg.complementary(s1, s2, f) for s2 in x2]
+                    want = [complementary(s1, s2, f) for s2 in x2]
                     assert [bool(row >> j & 1) for j in range(len(x2))] == want
                     assert row >> len(x2) == 0
 
 
 def _complement_count(d, e1, q):
+    # the scan of the span of the first e1 unit vectors against every complement dimension
     f = field(q)
-    s1 = coord_subspace(d, tuple(range(e1)))
-    e2 = d - e1
-    return sum(1 for s2 in enumerate_subspaces(d, e2, f) if linalg.complementary(s1, s2, f))
+    s1 = _member(f, coord_subspace(d, tuple(range(e1))))
+    return linalg.complement_hits(f, d, s1, list(linalg.members(d, d - e1, f)))
 
 
 @pytest.mark.parametrize("q", [2, 3])

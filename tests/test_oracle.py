@@ -1,6 +1,7 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,11 +12,13 @@ from reference import (
     bilinear_masks_gf2,
     classify_orthogonal_gf2,
     col_sums,
+    complementary,
     dense_factor_product,
     edges_by_compress,
     enumerate_subspaces,
     mat_mul,
     mixing_verdicts_by_fractions,
+    pair_test,
     quad_values_gf2,
     restrict,
     row_sums,
@@ -268,7 +271,7 @@ def test_full_pairs_no_form_filter_regularity():
     f = field(2)
     subs = tuple(enumerate_subspaces(4, 2, f))
     hits = sum(
-        1 for s1 in subs for s2 in subs if linalg.complementary(s1, s2, f)
+        1 for s1 in subs for s2 in subs if complementary(s1, s2, f)
     )
     assert Fraction(hits, len(subs) ** 2) == Fraction(2 ** (2 * 2), len(subs))
 
@@ -325,6 +328,94 @@ def test_full_pairs_count_matches_transitive_general_q():
     assert full.pairs == oracle.count_complementary_transitive(y, y).pairs == 328_250
 
 
+# (kind, d, q, eps): every split of these is scanned from every member of
+# both sides; hermitian q = 2 lives over F_4
+SCAN_FORMS = [
+    *[("orthogonal", d, q, eps) for q, d in [(2, 4), (2, 6), (3, 4), (4, 4)] for eps in (1, -1)],
+    *[("symplectic", d, q, None) for q, d in [(2, 4), (2, 6), (3, 4), (4, 4)]],
+    *[("hermitian", d, 2, None) for d in (2, 3, 4)],
+]
+
+
+@pytest.mark.parametrize("kind,d,q,eps", SCAN_FORMS, ids=lambda v: str(v))
+def test_scan_matches_reference_from_every_member(kind, d, q, eps):
+    # the scan of each member of either side against the other counts what
+    # the reference's per-pair eliminations count: row and column sums
+    form = forms.standard_form(kind, d, q, eps)
+    f = form.field
+    against = pair_test(f)
+    even = kind != "hermitian"
+    signs = (1, -1) if kind == "orthogonal" else (None,)
+    for e1 in range(2 if even else 1, d, 2 if even else 1):
+        if e1 < d - e1:
+            continue
+        for s1, s2 in product(signs, repeat=2):
+            y1, y2 = oracle.build_yset(form, e1, s1), oracle.build_yset(form, d - e1, s2)
+            rows = [[against(a)(b) for b in y2.members] for a in y1.members]
+            hits1 = [linalg.complement_hits(f, d, a, y2.members) for a in y1.members]
+            hits2 = [linalg.complement_hits(f, d, b, y1.members) for b in y2.members]
+            assert hits1 == [sum(r) for r in rows], (e1, s1, s2)
+            assert hits2 == [sum(c) for c in zip(*rows)], (e1, s1, s2)
+
+
+def test_scan_matches_reference_on_sampled_members_o8_gf2():
+    # O(8, 2) at e1 = e2 = 4, every sign: the first, the last and a seeded
+    # member of Y1, each scanned against all of Y2
+    rng = random.Random(8)
+    against = pair_test(field(2))
+    for eps in (1, -1):
+        form = forms.standard_form("orthogonal", 8, 2, eps)
+        ys = {sigma: oracle.build_yset(form, 4, sigma) for sigma in (1, -1)}
+        for s1, s2 in product((1, -1), repeat=2):
+            y1, y2 = ys[s1], ys[s2]
+            for i in (0, y1.count - 1, rng.randrange(1, y1.count - 1)):
+                s = y1.members[i]
+                want = sum(map(against(s), y2.members))
+                assert linalg.complement_hits(form.field, 8, s, y2.members) == want, (eps, i)
+
+
+def _outsider_first(y):
+    """y with its first member replaced by the first degenerate subspace of its dimension."""
+    buckets, _ = oracle.classify_partition(y.form, y.e)
+    kept = {s for bucket in buckets.values() for s in bucket}
+    outsider = next(s for s in linalg.members(y.form.d, y.e, y.form.field) if s not in kept)
+    return y._replace(members=(outsider, *y.members[1:]))
+
+
+def test_transitive_count_checks_its_orbit():
+    # the single-orbit count scans the first and the last member of the
+    # fixed side; a first member outside the orbit has other complements
+    y = oracle.build_yset(forms.standard_form("symplectic", 4, 2), 2)
+    bad = _outsider_first(y)
+    against = pair_test(field(2))
+    first, last = (sum(map(against(s), y.members)) for s in (bad.members[0], y.members[-1]))
+    assert first != last
+    with pytest.raises(ArithmeticError, match="single-orbit count"):
+        oracle.count_complementary_transitive(bad, y)
+    # the fixed side is the one of larger dimension: here Y2
+    form = forms.standard_form("orthogonal", 6, 2, 1)
+    y1, y2 = oracle.build_yset(form, 2, 1), oracle.build_yset(form, 4, 1)
+    with pytest.raises(ArithmeticError, match="the first 4-space has"):
+        oracle.count_complementary_transitive(y1, _outsider_first(y2))
+
+
+def test_transitive_count_outside_the_orbit_exits_4(capsys, monkeypatch):
+    build = oracle.build_yset
+    built = []
+
+    def outsider_in_y1(*args):
+        built.append(build(*args))
+        return _outsider_first(built[-1]) if len(built) == 1 else built[-1]
+
+    monkeypatch.setattr(oracle, "build_yset", outsider_in_y1)
+    code = cli.main(["count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "2"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: single-orbit count: ")
+    assert err.count("\n") == 1
+
+
 def test_biadjacency_examples():
     b = oracle.build_biadjacency(1, 1, 2)
     assert biadjacency_rows(b) == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -343,7 +434,7 @@ def test_biadjacency_index_order_gf2(e1, e2):
     f = field(2)
     x1 = list(enumerate_subspaces(e1 + e2, e1, f))
     x2 = list(enumerate_subspaces(e1 + e2, e2, f))
-    want = tuple(tuple(int(linalg.complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
+    want = tuple(tuple(int(complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
     assert biadjacency_rows(oracle.build_biadjacency(e1, e2, 2)) == want
 
 
@@ -397,7 +488,7 @@ def test_biadjacency_rows_from_masks_match_elimination(e1, e2, q):
     f = field(q)
     x1 = list(enumerate_subspaces(e1 + e2, e1, f))
     x2 = list(enumerate_subspaces(e1 + e2, e2, f))
-    want = tuple(tuple(int(linalg.complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
+    want = tuple(tuple(int(complementary(s1, s2, f)) for s2 in x2) for s1 in x1)
     b = oracle.build_biadjacency(e1, e2, q)
     assert biadjacency_rows(b) == want
     assert row_sums(b) == [sum(r) for r in want]

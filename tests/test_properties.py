@@ -8,6 +8,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from oppmix import bounds, forms, linalg, oracle  # noqa: E402
 from oppmix.gf import FIXED_MODULI, field  # noqa: E402
 from reference import (  # noqa: E402
+    complementary,
     dense_factor_product,
     points,
     points_by_span,
@@ -21,7 +22,7 @@ from reference import (  # noqa: E402
 @st.composite
 def spanning_pairs(draw):
     """(field, S1, S2): two subspaces of F_q^d, each the span of random rows."""
-    q = draw(st.sampled_from([3, 4]))
+    q = draw(st.sampled_from([2, 3, 4]))
     d = draw(st.sampled_from([5, 6]))
     f = field(q)
     row = st.tuples(*[st.integers(0, q - 1)] * d)
@@ -36,8 +37,11 @@ def spanning_pairs(draw):
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(spanning_pairs())
 def test_pair_test_matches_complementary_on_random_spans(case):
+    # the projection scan modulo s1, of dimension e1, on a one-member list;
+    # e1 + e2 may be above, at or below d
     f, s1, s2 = case
-    assert linalg.pair_test(f)(s1)(s2) == linalg.complementary(s1, s2, f)
+    hits = linalg.complement_hits(f, s1.d, _member(f, s1), [_member(f, s2)])
+    assert hits == complementary(s1, s2, f)
 
 
 def _max_d(q):
@@ -95,7 +99,7 @@ def test_complement_rows_match_complementary(q, regime, data):
     for s1, row in zip(s1s, rows):
         assert row >> len(s2s) == 0
         for j, s2 in enumerate(s2s):
-            assert bool(row >> j & 1) == linalg.complementary(s1, s2, f), (s1, s2)
+            assert bool(row >> j & 1) == complementary(s1, s2, f), (s1, s2)
 
 
 @pytest.mark.parametrize("q", sorted(FIXED_MODULI))
