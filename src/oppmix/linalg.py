@@ -277,10 +277,10 @@ def _independent_gf2(m: int, proj: list, members) -> Iterator[bool]:
     Images a, b are independent iff a·b·(a ^ b) != 0.  For members of
     dimension m = 2 or 4 (the only ones an even split over F_2 leaves) a
     list of 2^(2m) entries indexed by a | b << m decides: at m = 2 it holds
-    that verdict, at m = 4 the span of the pair as a 16-bit set of vectors
-    (every bit if dependent), and (a, b, c, e) is independent iff span(a, b)
-    and span(c, e) meet in bit 0 (the zero vector) alone.  Otherwise the
-    span of the images is counted.
+    that verdict, at m = 4 the span of an independent pair as a 16-bit set
+    of vectors (0 for a dependent one), and (a, b, c, e) is independent iff
+    span(a, b) and span(c, e) meet in bit 0 (the zero vector) alone.
+    Otherwise the span of the images is counted.
     """
     if m not in (2, 4) or len(members[0]) != m:
         return (_independent_bits([proj[x] for x in t]) for t in members)
@@ -289,7 +289,7 @@ def _independent_gf2(m: int, proj: list, members) -> Iterator[bool]:
     if m == 2:
         independent = [a * b * (a ^ b) != 0 for a, b in pairs]
         return (independent[lo[a] | hi[b]] for a, b in members)
-    span = [1 | 1 << a | 1 << b | 1 << (a ^ b) if a * b * (a ^ b) else 0xFFFF for a, b in pairs]
+    span = [1 | 1 << a | 1 << b | 1 << (a ^ b) if a * b * (a ^ b) else 0 for a, b in pairs]
     return (span[lo[a] | hi[b]] & span[lo[c] | hi[e]] == 1 for a, b, c, e in members)
 
 

@@ -169,7 +169,7 @@ def test_gf2_independence_decider_accepts_exactly_the_bases(m):
 
 @pytest.mark.parametrize("m,r", [(4, 2), (4, 3), (2, 1), (3, 4), (5, 2), (5, 5), (6, 4)])
 def test_gf2_independence_of_other_shapes(m, r):
-    # r rows in F_2^m with r != m, or m > 4: the span count, not the tables
+    # r rows in F_2^m with r != m, or m outside {2, 4}: the span count, not a table
     rng = random.Random(m * 10 + r)
     tuples = [tuple(rng.randrange(1 << m) for _ in range(r)) for _ in range(400)]
     flags = list(linalg._independent_gf2(m, list(range(1 << m)), tuples))
