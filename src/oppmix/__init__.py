@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "bounds": "THEOREM Surd alpha_orthogonal alpha_symplectic alpha_unitary bound_orthogonal "
-    "bound_symplectic bound_unitary corollary_bound compare mixing_lower_bound surd",
-    "exactnum": "bq count_nondegenerate gaussian_binomial group_order_go group_order_gu "
-    "group_order_sp lambda_factor omega prime_power",
+    "bounds": "THEOREM alpha_orthogonal alpha_symplectic alpha_unitary bound_orthogonal "
+    "bound_symplectic bound_unitary corollary_bound mixing_lower_bound",
+    "exactnum": "Surd bq compare count_nondegenerate gaussian_binomial group_order_go "
+    "group_order_gu group_order_sp lambda_factor omega prime_power surd",
     "forms": "standard_form",
     "oracle": "annihilator_check build_biadjacency build_yset count_complementary "
     "count_complementary_transitive mixing_check",

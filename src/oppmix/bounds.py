@@ -4,12 +4,10 @@ THEOREM is the one table of the theorem's cases: per family, its form kind,
 the signs and parity a case needs, each branch's threshold 1 - c/q^k with
 its formula id, and the exception tuples the oracle must count exactly.
 
-The mixing-lemma lower bound contains a square root; its values are Surds,
-an exact a + b*sqrt(n) with rational a, b and integer n >= 0.  Each verdict on
-one is compare(x, t), the sign of x - t for a rational threshold t, decided by
-sign bookkeeping and one comparison of (a - t)^2 against b^2 n, never by
-floating point: the margins at q = 2 are thin enough that a rounding error
-could flip a verdict.
+The mixing-lemma lower bound contains a square root; its values are
+exactnum's Surds, and each verdict on one is exactnum.compare, never floating
+point: the margins at q = 2 are thin enough that a rounding error could flip
+a verdict.
 
 Analytic tail facts about the infinite products omega_q(inf) are replaced by
 finite rational certificates: omega_tail_lower(q, e) is a rational lower
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exactnum import (
@@ -34,13 +32,16 @@ from .exactnum import (
     ORTHOGONAL,
     PLUS,
     SYMPLECTIC,
+    Surd,
     bq,
+    compare,
     lambda_factor,
     omega,
     parse_sign,
     prime_power,
     prime_powers_upto,
     sign_char,
+    surd,
 )
 
 CONTAINMENT = "unitary-e2-1-containment"
@@ -112,63 +113,6 @@ THEOREM = {
 }
 
 
-class Surd(NamedTuple):
-    """Exact a + b*sqrt(base): rational a, b and an integer base >= 0.
-
-    Build one with surd(), which keeps the canonical form: b == 0 exactly
-    when the value is rational, and then base == 0.
-    """
-
-    a: Fraction
-    b: Fraction
-    base: int
-
-    # tuple order is lexicographic, not by value: order a surd with compare()
-    __lt__ = __le__ = __gt__ = __ge__ = None
-
-    def approx(self) -> float:
-        x = self.a
-        if self.b:
-            scale = 10**40
-            x += self.b * Fraction(isqrt(self.base * scale * scale), scale)
-        try:
-            return x.numerator / x.denominator
-        except OverflowError:
-            return float("inf") if x > 0 else float("-inf")
-
-    def __str__(self):
-        return f"{self.a} + {self.b}*sqrt({self.base})" if self.b else str(self.a)
-
-
-def surd(a, b=0, rad=0) -> Surd:
-    """a + b*sqrt(rad) for a rational radicand rad >= 0, in canonical form.
-
-    rad = num/den becomes b/den * sqrt(num*den); a square radicand folds into a.
-    """
-    a, b, rad = Fraction(a), Fraction(b), Fraction(rad)
-    if rad < 0:
-        raise ValueError(f"negative radicand {rad}")
-    b, base = b / rad.denominator, rad.numerator * rad.denominator
-    root = isqrt(base)
-    if b == 0 or root * root == base:
-        return Surd(a + b * root, Fraction(0), 0)
-    return Surd(a, b, base)
-
-
-def compare(x: Surd, t) -> int:
-    """The sign of x - t for a rational t: -1, 0 or 1, decided exactly.
-
-    With a' = a - t, a' + b*sqrt(base) takes the common sign of a' and b when
-    they agree; otherwise the sign of whichever of a'^2 and b^2*base is larger.
-    """
-    a, b = x.a - t, x.b
-    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-    if sa * sb >= 0:
-        return sa or sb
-    gap = a * a - b * b * x.base
-    return sa if gap > 0 else sb if gap < 0 else 0
-
-
 def omega_tail_lower(base: int, e: int) -> Fraction:
     """Rational lower bound for omega_base(e') valid for every e' >= e.
 
@@ -204,6 +148,7 @@ def corollary_bound(alpha: Fraction, d: int, q: int) -> Surd:
     return surd(lead, -lead * (1 / alpha - 1), Fraction(1, q**d))
 
 
+@lru_cache(maxsize=None)
 def alpha_orthogonal(eps: int, sigma: int, m1: int, m2: int, q: int) -> Fraction:
     """Density of type-sigma non-degenerate 2m1-spaces among all 2m1-spaces.
 
@@ -213,10 +158,12 @@ def alpha_orthogonal(eps: int, sigma: int, m1: int, m2: int, q: int) -> Fraction
     return lambda_factor(sigma, eps, m1, m2, q) * bq(q, 2 * m1, 2 * m2) / bq(q * q, m1, m2)
 
 
+@lru_cache(maxsize=None)
 def alpha_symplectic(m1: int, m2: int, q: int) -> Fraction:
     return bq(q, 2 * m1, 2 * m2) / bq(q * q, m1, m2)
 
 
+@lru_cache(maxsize=None)
 def alpha_unitary(e1: int, e2: int, q: int) -> Fraction:
     if e1 < 1 or e2 < 1:
         raise ValueError(f"need e1, e2 >= 1, got {e1}, {e2}")
@@ -260,7 +207,7 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     the tail analysis wants, and is reported alongside for reference.
     """
     eps, sigma1, sigma2 = parse_sign(eps), parse_sign(sigma1), parse_sign(sigma2)
-    e1, e2, d = 2 * m1, 2 * m2, 2 * (m1 + m2)
+    e1, e2 = 2 * m1, 2 * m2
     orthogonal = THEOREM["orthogonal"]
     case = orthogonal.case(e1, e2, q)
     threshold = case.threshold(q)
@@ -268,9 +215,6 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     a2 = alpha_orthogonal(eps, sigma2, m2, m1, q)
     exact = mixing_lower_bound(a1, a2, e1, e2, q)
     verdict = compare(exact, threshold)
-    lam = lambda_factor(MINUS, PLUS, m1, m2, q)
-    qd = Fraction(q) ** (-(d // 2))
-    relaxed = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd / lam
     note = None
     if orthogonal.is_exception(e1, e2, q):
         note = "exception tuple: dispatch to the enumeration oracle (`count`)"
@@ -289,9 +233,17 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
         passed=verdict >= 0,
         tight=verdict == 0,
         formula_id=case.formula_id,
-        relaxed_bound=relaxed,
+        relaxed_bound=_relaxed_orthogonal(m1, m2, q),
         note=note,
     )
+
+
+@lru_cache(maxsize=None)
+def _relaxed_orthogonal(m1: int, m2: int, q: int) -> Fraction:
+    """bound_orthogonal's relaxed value, computed once per (m1, m2, q): no sign enters it."""
+    qd = Fraction(q) ** -(m1 + m2)
+    lam = lambda_factor(MINUS, PLUS, m1, m2, q)
+    return bq(q, 2 * m1, 2 * m2) * (1 + qd) - bq(q * q, m1, m2) * qd / lam
 
 
 def _collapse(exact: Surd, display: Fraction) -> None:

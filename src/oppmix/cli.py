@@ -14,9 +14,10 @@ decimal strings plus a non-authoritative float "approx"; parsing and
 re-serializing a report is byte-identical.  A CSV row is one JSON report
 record read through CSV_COLUMNS, so the two formats cannot drift apart.
 
-Start-up loads only exactnum, bounds and this module.  The enumeration,
-form, brute-force and spectral layers (gf, linalg, forms, oracle, spectrum,
-sweep) and csv are imported inside the commands that run them.
+Start-up loads only exactnum and this module.  The closed-form, enumeration,
+form, brute-force and spectral layers (bounds, gf, linalg, forms, oracle,
+spectrum, sweep) and csv are imported inside the commands that run them;
+FAMILIES names the theorem's families for argparse without loading bounds.
 
 Every count runs serially in one process.  spectrum, count, verify and
 mixing-check still accept --workers N and ignore it, so that existing
@@ -31,8 +32,10 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bounds, exactnum
-from .bounds import Surd
+from . import exactnum
+from .exactnum import Surd
+
+FAMILIES = ("orthogonal", "symplectic", "unitary")  # tuple(bounds.THEOREM), pinned by a test
 
 # CSV column -> the JSON keys it reads, first key present wins; a count
 # report's `case` fields count as its own.
@@ -79,7 +82,8 @@ def _sign_str(s) -> str:
     return "" if s is None else exactnum.sign_char(s)
 
 
-def bound_report_jsonable(rep: bounds.BoundReport) -> dict:
+def bound_report_jsonable(rep) -> dict:
+    """A bounds.BoundReport as its JSON record."""
     return {
         "family": rep.family,
         "q": rep.q,
@@ -192,10 +196,10 @@ class UsageError(ValueError):
     """Arguments that parse but do not describe a case: exit 2."""
 
 
-def _check_case(args, fam: bounds.Family | None = None, field_size: int | None = None) -> None:
+def _check_case(args, fam=None, field_size: int | None = None) -> None:
     """Raise UsageError unless --e1 and --e2 are positive, args have the
-    signs and dimension parity fam needs, naming the flags at fault, and
-    F_field_size, when given, is in the field inventory."""
+    signs and dimension parity the bounds.Family fam needs, naming the flags
+    at fault, and F_field_size, when given, is in the field inventory."""
     for name in ("e1", "e2"):
         if getattr(args, name) < 1:
             raise UsageError(f"need --{name} >= 1, got {getattr(args, name)}")
@@ -215,6 +219,8 @@ def _check_case(args, fam: bounds.Family | None = None, field_size: int | None =
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
+
     _check_case(args, bounds.THEOREM[args.family])
     rep = bounds.bound_case(
         args.family, args.e1, args.e2, args.q, args.eps, args.sigma1, args.sigma2
@@ -235,7 +241,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from . import forms, oracle
+    from . import bounds, forms, oracle
 
     fam = bounds.THEOREM[args.family]
     _check_case(args, fam, args.q**2 if fam.kind == forms.HERMITIAN else args.q)
@@ -260,7 +266,7 @@ def cmd_count(args) -> int:
 def cmd_verify(args) -> int:
     from . import sweep
 
-    families = list(bounds.THEOREM) if args.family == "all" else [args.family]
+    families = FAMILIES if args.family == "all" else [args.family]
     overall_failures = []
     records = []
     all_jsonable = {}
@@ -376,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1, help="ignored: every count runs serially")
 
     def family_case(p):
-        p.add_argument("--family", choices=list(bounds.THEOREM), required=True)
+        p.add_argument("--family", choices=FAMILIES, required=True)
         for sign in ("--eps", "--sigma1", "--sigma2"):
             p.add_argument(sign, type=exactnum.parse_sign, default=None)
 
@@ -402,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, rows=True, with_case=False)
     budget(p)
     workers(p)
-    p.add_argument("--family", choices=[*bounds.THEOREM, "all"], required=True)
+    p.add_argument("--family", choices=[*FAMILIES, "all"], required=True)
     p.add_argument("--full-pairs", action="store_true", help="cross-check d=4 exceptions with all pairs")
     p.add_argument("--skip-oracle", action="store_true", help="closed-form sweep only")
     p.set_defaults(func=cmd_verify)

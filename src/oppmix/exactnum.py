@@ -1,15 +1,16 @@
-"""Exact arithmetic kernel: q-analogs, classical group orders, subspace counts.
+"""Exact arithmetic kernel: q-analogs, classical group orders, subspace counts,
+and surds a + b*sqrt(n) with their exact comparison against a rational.
 
 Everything here is integer or Fraction arithmetic on arbitrary-precision
-values; no floats anywhere.  Signs (the +/- type markers) are carried as
-the integers +1 and -1 so they can be multiplied.
+values; no floats, apart from Surd.approx's display value.  Signs (the +/-
+type markers) are carried as the integers +1 and -1 so they can be multiplied.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 # the classical form kinds; forms re-exports them
@@ -120,29 +121,29 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def omega(base: int, e: int) -> Fraction:
-    """prod_{i=1}^{e} (1 - base^(-i)), exact.
+    """prod_{i=1}^{e} (1 - base^(-i)) = prod (base^i - 1) / base^(e(e+1)/2), one Fraction.
 
     base may be negative (|base| >= 2); the signed-base variant shows up in
     the unitary counts, where consecutive factors pair up to stay positive.
     """
-    if abs(base) < 2:
-        raise ValueError(f"need |base| >= 2, got {base}")
-    if e < 0:
-        raise ValueError(f"need e >= 0, got {e}")
-    out = Fraction(1)
-    for i in range(1, e + 1):
-        out *= 1 - Fraction(1, base**i)
-    return out
+    if abs(base) < 2 or e < 0:
+        raise ValueError(f"need |base| >= 2 and e >= 0, got base {base}, e = {e}")
+    return Fraction(prod(base**i - 1 for i in range(1, e + 1)), base ** (e * (e + 1) // 2))
 
 
+@lru_cache(maxsize=None)
 def bq(base: int, e1: int, e2: int) -> Fraction:
-    """omega(base, e1) * omega(base, e2) / omega(base, e1 + e2).
+    """omega(base, e1) * omega(base, e2) / omega(base, e1 + e2), one Fraction.
 
-    For base q >= 2 this satisfies [e1+e2 choose e1]_q = q^(e1*e2) / bq.
+    That is base^(e1 e2) prod_{i<=k} (base^i - 1) / prod_{i<=k} (base^(e1+e2-i+1) - 1)
+    with k = min(e1, e2), for negative bases too; for base q >= 2 it
+    satisfies [e1+e2 choose e1]_q = q^(e1*e2) / bq.
     """
-    if e1 < 0 or e2 < 0:
-        raise ValueError(f"need e1, e2 >= 0, got {e1}, {e2}")
-    return omega(base, e1) * omega(base, e2) / omega(base, e1 + e2)
+    if abs(base) < 2 or min(e1, e2) < 0:
+        raise ValueError(f"need |base| >= 2 and e1, e2 >= 0, got base {base}, {e1}, {e2}")
+    k, n = min(e1, e2), e1 + e2
+    num = base ** (e1 * e2) * prod(base**i - 1 for i in range(1, k + 1))
+    return Fraction(num, prod(base ** (n - i + 1) - 1 for i in range(1, k + 1)))
 
 
 def group_order_go(m: int, sigma: int, q: int) -> int:
@@ -150,30 +151,21 @@ def group_order_go(m: int, sigma: int, q: int) -> int:
     sigma = parse_sign(sigma)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    out = 2 * q ** (m * (m - 1)) * (q**m - sigma)
-    for i in range(1, m):
-        out *= q ** (2 * i) - 1
-    return out
+    return 2 * q ** (m * (m - 1)) * (q**m - sigma) * prod(q ** (2 * i) - 1 for i in range(1, m))
 
 
 def group_order_sp(m: int, q: int) -> int:
     """|Sp_{2m}(q)| = q^(m^2) prod_{i=1}^{m} (q^2i - 1)."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    out = q ** (m * m)
-    for i in range(1, m + 1):
-        out *= q ** (2 * i) - 1
-    return out
+    return q ** (m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
 
 
 def group_order_gu(d: int, q: int) -> int:
     """|GU_d(q)| = q^(d(d-1)/2) prod_{i=1}^{d} (q^i - (-1)^i)."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    out = q ** (d * (d - 1) // 2)
-    for i in range(1, d + 1):
-        out *= q**i - (-1) ** i
-    return out
+    return q ** (d * (d - 1) // 2) * prod(q**i - (-1) ** i for i in range(1, d + 1))
 
 
 class InexactDivisionError(ArithmeticError):
@@ -224,6 +216,7 @@ def count_nondegenerate(
     raise ValueError(f"unknown kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
 def lambda_factor(sigma1: int, eps: int, m1: int, m2: int, q: int) -> Fraction:
     """(1 + sigma1 q^-m1)(1 + eps*sigma1 q^-m2) / (2 (1 + eps q^-(m1+m2)))."""
     sigma1 = parse_sign(sigma1)
@@ -233,3 +226,60 @@ def lambda_factor(sigma1: int, eps: int, m1: int, m2: int, q: int) -> Fraction:
     num = (1 + Fraction(sigma1, q**m1)) * (1 + Fraction(eps * sigma1, q**m2))
     den = 2 * (1 + Fraction(eps, q ** (m1 + m2)))
     return num / den
+
+
+class Surd(NamedTuple):
+    """Exact a + b*sqrt(base): rational a, b and an integer base >= 0.
+
+    Build one with surd(), which keeps the canonical form: b == 0 exactly
+    when the value is rational, and then base == 0.
+    """
+
+    a: Fraction
+    b: Fraction
+    base: int
+
+    # tuple order is lexicographic, not by value: order a surd with compare()
+    __lt__ = __le__ = __gt__ = __ge__ = None
+
+    def approx(self) -> float:
+        x = self.a
+        if self.b:
+            scale = 10**40
+            x += self.b * Fraction(isqrt(self.base * scale * scale), scale)
+        try:
+            return x.numerator / x.denominator
+        except OverflowError:
+            return float("inf") if x > 0 else float("-inf")
+
+    def __str__(self):
+        return f"{self.a} + {self.b}*sqrt({self.base})" if self.b else str(self.a)
+
+
+def surd(a, b=0, rad=0) -> Surd:
+    """a + b*sqrt(rad) for a rational radicand rad >= 0, in canonical form.
+
+    rad = num/den becomes b/den * sqrt(num*den); a square radicand folds into a.
+    """
+    a, b, rad = Fraction(a), Fraction(b), Fraction(rad)
+    if rad < 0:
+        raise ValueError(f"negative radicand {rad}")
+    b, base = b / rad.denominator, rad.numerator * rad.denominator
+    root = isqrt(base)
+    if b == 0 or root * root == base:
+        return Surd(a + b * root, Fraction(0), 0)
+    return Surd(a, b, base)
+
+
+def compare(x: Surd, t) -> int:
+    """The sign of x - t for a rational t: -1, 0 or 1, decided exactly.
+
+    With a' = a - t, a' + b*sqrt(base) takes the common sign of a' and b when
+    they agree; otherwise the sign of whichever of a'^2 and b^2*base is larger.
+    """
+    a, b = x.a - t, x.b
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    gap = a * a - b * b * x.base
+    return sa if gap > 0 else sb if gap < 0 else 0

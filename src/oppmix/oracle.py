@@ -206,6 +206,8 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
     budget is checked on every call.  The last two builds are cached: a case
     needs two (Y1 and Y2), and a theorem sweep runs the cases of one form
     and (e1, e2) one after another, so it never returns to an older build.
+    A new form empties the cache first, so that no old build is held while
+    the new form's are built.
     """
     if form.kind == forms.ORTHOGONAL and e % 2:
         raise ValueError("orthogonal type classification needs even dimensions")
@@ -217,7 +219,13 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
         raise linalg.BudgetError(
             f"{total} {e}-subspaces of dim {form.d} over F_{q} exceed budget {budget}"
         )
+    if form != _cached_form[0]:
+        _partition.cache_clear()
+        _cached_form[0] = form
     return _partition(form, e)
+
+
+_cached_form = [None]  # the form of the builds in _partition's cache
 
 
 @lru_cache(maxsize=2)

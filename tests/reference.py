@@ -344,3 +344,16 @@ def dense_factor_product(m, lams) -> list:
         factor = [[v - lam if r == c else v for c, v in enumerate(row)] for r, row in enumerate(m)]
         prod = factor if prod is None else mat_mul(prod, factor)
     return prod
+
+
+def omega_product(base: int, e: int) -> Fraction:
+    """prod_{i=1}^{e} (1 - base^(-i)), one Fraction factor at a time."""
+    out = Fraction(1)
+    for i in range(1, e + 1):
+        out *= 1 - Fraction(1, base**i)
+    return out
+
+
+def bq_product(base: int, e1: int, e2: int) -> Fraction:
+    """omega(base, e1) * omega(base, e2) / omega(base, e1 + e2) from the product form."""
+    return omega_product(base, e1) * omega_product(base, e2) / omega_product(base, e1 + e2)

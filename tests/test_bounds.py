@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from oppmix import bounds, exactnum, forms, oracle, sweep
-from oppmix.bounds import compare, surd
+from oppmix.exactnum import compare, surd
 
 
 def interval_sign(a: Fraction, b: Fraction, base: int) -> int:
@@ -318,3 +318,27 @@ def test_verify_orthogonal_closed_form_only():
     assert len(rep.bound_reports) == 4 * 21 * 8
     with pytest.raises(ValueError):
         sweep.verify_theorem("elliptic")
+
+
+# the memo caches of the closed-form sweep: the kernels and the sign-free terms
+SWEEP_CACHES = (
+    exactnum.omega,
+    exactnum.bq,
+    exactnum.lambda_factor,
+    bounds.alpha_orthogonal,
+    bounds.alpha_symplectic,
+    bounds.alpha_unitary,
+    bounds._relaxed_orthogonal,
+)
+
+
+@pytest.mark.parametrize("family", sweep.GRIDS)
+def test_sweep_reports_equal_with_cold_and_warm_caches(family):
+    for cache in SWEEP_CACHES:
+        cache.cache_clear()
+    cold = sweep.verify_theorem(family, run_oracle=False)
+    filled = exactnum.bq.cache_info()
+    warm = sweep.verify_theorem(family, run_oracle=False)
+    assert exactnum.bq.cache_info().hits > filled.hits  # the warm sweep read the cache
+    assert warm == cold
+    assert warm.passed

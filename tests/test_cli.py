@@ -554,10 +554,15 @@ def test_q_not_prime_power_exit_code(capsys, argv):
 def test_frac_str():
     from fractions import Fraction
 
-    from oppmix.bounds import surd
+    from oppmix.exactnum import surd
 
     assert cli.frac_str(Fraction(3, 7)) == "3/7"
     assert cli.frac_str(Fraction(4)) == "4"
     assert cli.frac_str(None) == ""
     assert cli.frac_str(surd(Fraction(1, 2))) == "1/2"
     assert cli.frac_str(surd(1, -1, 2)) == "1 + -1*sqrt(2)"
+
+
+def test_family_choices_are_the_theorem_families():
+    # argparse reads the names from cli.FAMILIES, so that start-up need not load bounds
+    assert cli.FAMILIES == tuple(bounds.THEOREM)

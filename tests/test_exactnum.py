@@ -85,6 +85,17 @@ def test_bq_examples():
     assert en.bq(-2, 1, 1) == 2
 
 
+def test_kernel_errors():
+    for bad in ((1, 2), (-1, 0), (0, 3), (2, -1), (-3, -1)):
+        with pytest.raises(ValueError):
+            en.omega(*bad)
+    for bad in ((1, 1, 1), (-1, 0, 0), (2, -1, 0), (-3, 0, -2)):
+        with pytest.raises(ValueError):
+            en.bq(*bad)
+    with pytest.raises(ValueError):
+        en.lambda_factor(1, 1, 0, 1, 2)
+
+
 def test_bq_gaussian_identity():
     for q in (2, 3, 4, 5):
         for e1 in range(0, 7):

@@ -152,11 +152,11 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_cli_import_loads_only_what_commands_use():
-    # every layer but exactnum and bounds loads inside the commands that run
-    # it, and the package resolves its public names on first access
+    # every layer but exactnum loads inside the commands that run it, and the
+    # package resolves its public names on first access
     code = (
         "import sys, oppmix, oppmix.cli; "
-        "layers = ('gf', 'linalg', 'forms', 'spectrum', 'oracle', 'sweep'); "
+        "layers = ('gf', 'linalg', 'forms', 'spectrum', 'bounds', 'oracle', 'sweep'); "
         "heavy = {'oppmix.' + m for m in layers}; "
         "print(sorted((heavy | {'dataclasses'}) & set(sys.modules))); "
         "print(all(getattr(oppmix, name) is not None for name in oppmix.__all__)); "
@@ -181,6 +181,15 @@ def test_spectrum_command_loads_no_forms_or_oracle():
     loaded = modules_after_command("spectrum", "--e1", "3", "--e2", "2", "--q", "2")
     assert "oppmix.spectrum" in loaded
     assert not {"oppmix.linalg", "oppmix.forms", "oppmix.oracle", "dataclasses"} & loaded
+    assert "oppmix.bounds" not in loaded
+
+
+def test_mixing_check_command_loads_no_bounds():
+    loaded = modules_after_command(
+        "mixing-check", "--e1", "2", "--e2", "2", "--q", "3", "--trials", "10"
+    )
+    assert "oppmix.oracle" in loaded
+    assert not {"oppmix.bounds", "oppmix.sweep", "dataclasses"} & loaded
 
 
 def test_count_command_loads_no_spectrum():

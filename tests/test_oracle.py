@@ -226,6 +226,20 @@ def test_partition_budget_checked_after_cache_fill():
         oracle.classify_partition(form, 2, budget=10)
 
 
+def test_partition_cache_keeps_only_the_current_forms_builds():
+    # a new form frees the old form's builds before its own are built; one
+    # form keeps its last two, which a case with e1 != e2 needs
+    plus, minus = (forms.standard_form("orthogonal", 6, 2, eps) for eps in (1, -1))
+    oracle.classify_partition(plus, 2)
+    oracle.classify_partition(plus, 4)
+    assert oracle._partition.cache_info().currsize == 2
+    oracle.classify_partition(minus, 2)
+    assert oracle._partition.cache_info().currsize == 1
+    hits = oracle._partition.cache_info().hits
+    oracle.classify_partition(minus, 2)
+    assert oracle._partition.cache_info().hits == hits + 1
+
+
 def test_build_yset_validation():
     form = forms.standard_form("orthogonal", 4, 2, 1)
     with pytest.raises(ValueError):

@@ -5,11 +5,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from oppmix import bounds, forms, linalg, oracle  # noqa: E402
+from oppmix import exactnum, forms, linalg, oracle  # noqa: E402
 from oppmix.gf import FIXED_MODULI, field  # noqa: E402
 from reference import (  # noqa: E402
+    bq_product,
     complementary,
     dense_factor_product,
+    omega_product,
     points,
     points_by_span,
     radical_nondegenerate,
@@ -216,13 +218,13 @@ def test_field_axioms(q, data):
 )
 def test_compare_matches_sympy_sign(a, b, rad, t, exact):
     sympy = pytest.importorskip("sympy")
-    x = bounds.surd(a, b, rad)
+    x = exactnum.surd(a, b, rad)
     if exact and x.b == 0:
         t = x.a  # the equal case, which sign-by-interval checks cannot decide
     r = sympy.Rational
     value = r(x.a.numerator, x.a.denominator) - r(t.numerator, t.denominator)
     value += r(x.b.numerator, x.b.denominator) * sympy.sqrt(x.base)
-    assert bounds.compare(x, t) == int(sympy.sign(value))
+    assert exactnum.compare(x, t) == int(sympy.sign(value))
 
 
 @st.composite
@@ -255,3 +257,24 @@ def test_packed_annihilator_matches_dense_product(case):
     m, lams = case
     prod = dense_factor_product(m, lams)
     assert oracle._annihilates(m, lams) == all(v == 0 for row in prod for v in row)
+
+
+KERNEL_BASES = [s * b for b in (2, 3, 4, 5, 7, 8, 9, 16, 81) for s in (1, -1)]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    base=st.sampled_from(KERNEL_BASES),
+    e1=st.integers(0, 41),
+    e2=st.integers(0, 41),
+)
+@hypothesis.example(base=81, e1=41, e2=41)
+@hypothesis.example(base=-81, e1=41, e2=0)
+def test_one_fraction_kernels_match_their_product_forms(base, e1, e2):
+    # the uncached bodies, so that every example computes afresh
+    assert exactnum.omega.__wrapped__(base, e1) == omega_product(base, e1)
+    assert exactnum.bq.__wrapped__(base, e1, e2) == bq_product(base, e1, e2)
+    if base >= 2:
+        assert exactnum.bq(base, e1, e2) * exactnum.gaussian_binomial(e1 + e2, e1, base) == (
+            base ** (e1 * e2)
+        )
