@@ -11,7 +11,9 @@ The invocations are every CLI job of the two benchmark workloads at seeds 0
 and 3 (perfbench/workloads.py, with its PINNED flags, read only here, when
 the corpus is regenerated), `verify --family all` in each format and with
 --full-pairs, the symplectic F_2 counts that no verify run builds, two
-orthogonal counts with e1 < e2 (over F_2 and F_4), the README's
+orthogonal counts with e1 < e2 (over F_2 and F_4), one orthogonal count
+over F_8 and one over F_9 (so every branch of the type classifier has an
+entry: odd and even characteristic, prime and extension fields), the README's
 mixing-check example in the table format, a budget error and one usage
 error of each kind.
 """
@@ -38,6 +40,9 @@ EXTRA = [
     # orthogonal counts with e1 < e2, over F_2 and over an extension field
     "count --family orthogonal --eps + --sigma1 + --sigma2 - --e1 2 --e2 6 --q 2",
     "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 4 --q 4",
+    # orthogonal counts over an even and an odd extension field
+    "count --family orthogonal --eps - --sigma1 + --sigma2 + --e1 2 --e2 2 --q 8",
+    "count --family orthogonal --eps - --sigma1 + --sigma2 + --e1 2 --e2 2 --q 9",
     # the README's mixing-check example: the table format pins the summary lines
     "mixing-check --e1 2 --e2 1 --q 3 --trials 100 --seed 0",
     # exit 3
