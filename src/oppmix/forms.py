@@ -13,7 +13,8 @@ standard models, fixed here once and for all:
   hermitian         identity gram over F_{q^2}, B(x,y) = sum x_i conj(y_i)
 
 A RestrictedForm is the form on a subspace's basis: its gram (polar, if
-orthogonal) and Q on each basis row.  Non-degeneracy is a full-rank gram.
+orthogonal) and Q on each basis row.  Non-degeneracy is a nonzero gram
+determinant (a full-rank gram).
 For an even-dimensional quadratic restriction that agrees with the radical
 refinement (degenerate iff some nonzero vector of the polar radical is
 singular) in every characteristic: in characteristic 2 the polar form is
@@ -22,11 +23,13 @@ Q has a nonzero zero.  There an odd-dimensional polar gram is always
 singular, so is_nondegenerate refuses odd quadratic restrictions; the
 theorems have none.
 
-Type classification of a non-degenerate even restriction counts singular
-projective points exhaustively (scaling preserves singularity), then matches
-the count against the two closed-form totals.  Over a prime field the count
-is a packed kernel (singular_count): one int per monomial column, one field
-per projective representative.
+The type of a non-degenerate even restriction is one invariant.  For odd
+q it is the discriminant's square class: type +1 iff (-1)^(e/2) det(gram)
+is a square, since the polar gram is twice Q's symmetric matrix and 2^e is
+a square.  For even q it is the Arf invariant: symplectic elimination
+(_arf) splits the basis into pairs (a, b) with B(a, b) = 1, each orthogonal
+to the rest, and sums Q(a) Q(b); type +1 iff the sum is x^2 + x for some x.
+A degenerate restriction reaching orthogonal_type raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ from __future__ import annotations
 import struct
 import sys
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 from math import prod
-from operator import mul, xor
+from operator import xor
 from typing import Callable, NamedTuple
 
 from .exactnum import HERMITIAN, ORTHOGONAL, SYMPLECTIC  # noqa: F401 (re-exported)
 from .gf import Field, field
-from .linalg import rank
+from .linalg import det
 
 
 class ClassicalForm(NamedTuple):
@@ -85,7 +88,7 @@ def anisotropic_delta(fld: Field) -> int:
         ):
             # t^2 + t + c != 0 for every t covers y != 0; y = 0 forces x = 0
             return c
-    raise AssertionError(f"no anisotropic plane over F_{fld.q}")
+    raise ArithmeticError(f"no anisotropic plane over F_{fld.q}")
 
 
 def _polar_from_quad(quad, fld: Field, d: int) -> tuple:
@@ -121,7 +124,7 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
         quad = tuple(tuple(r) for r in quad)
         gram = _polar_from_quad(quad, fld, d)
         form = ClassicalForm(kind, d, q, fld, gram, quad, eps, delta)
-        if rank(gram, fld) != d:
+        if not det(gram, fld):
             raise ArithmeticError(f"the standard orthogonal polar form on F_{q}^{d} is degenerate")
         return form
     if kind == SYMPLECTIC:
@@ -145,96 +148,56 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
 
 
 def is_nondegenerate(r: RestrictedForm) -> bool:
-    """Full rank of the gram; an odd quadratic restriction raises ValueError."""
+    """Nonzero gram determinant; an odd quadratic restriction raises ValueError."""
     if r.kind == ORTHOGONAL and r.e % 2:
         raise ValueError(f"rank decides quadratic restrictions of even dimension, got {r.e}")
-    return rank(r.gram, r.field) == r.e
-
-
-@lru_cache(maxsize=None)
-def _projective_reps(e: int, q: int) -> tuple:
-    """One representative per 1-space: first nonzero coordinate scaled to 1."""
-    reps = []
-    for t in range(e):
-        for tail in product(range(q), repeat=e - 1 - t):
-            reps.append((0,) * t + (1,) + tail)
-    return tuple(reps)
-
-
-def singular_point_counts(m: int, q: int) -> tuple:
-    """(plus, minus) totals of nonzero singular vectors in dimension 2m."""
-    return (q**m - 1) * (q ** (m - 1) + 1), (q**m + 1) * (q ** (m - 1) - 1)
-
-
-def singular_count(r: RestrictedForm) -> int:
-    """Number of nonzero singular vectors of the restricted quadratic form.
-
-    Q(v) = sum_i qdiag_i v_i^2 + sum_{i<j} gram_ij v_i v_j is one dot product
-    of those coefficients with v's monomials, one per projective
-    representative v.  Over a prime field the monomial table's columns are
-    packed (_packed_monomials), so all the dot products come from
-    e(e+1)/2 small-int times big-int steps, and the count is the number of
-    packed fields that are 0 mod p.  Extension fields read the table row by
-    row.
-    """
-    if r.kind != ORTHOGONAL:
-        raise ValueError("singular_count is for quadratic restrictions")
-    fld = r.field
-    coeffs = (*r.qdiag, *(r.gram[i][j] for i in range(r.e) for j in range(i + 1, r.e)))
-    if fld.k == 1:
-        columns, fmt, size, zero = _packed_monomials(r.e, fld)
-        fields = memoryview(sum(map(mul, coeffs, columns)).to_bytes(size, sys.byteorder))
-        hits = sum(map(zero.__getitem__, fields.cast(fmt)))
-    else:
-        dot = fld.dot
-        hits = sum(not dot(coeffs, m) for m in _monomials(r.e, fld))
-    return hits * (fld.q - 1)
-
-
-@lru_cache(maxsize=None)
-def _monomials(e: int, fld: Field) -> tuple:
-    """(v_i^2 for each i, then v_i v_j for i < j) per projective representative v."""
-    pairs = [(i, i) for i in range(e)] + [(i, j) for i in range(e) for j in range(i + 1, e)]
-    return tuple(
-        tuple(fld.mul(v[i], v[j]) for i, j in pairs) for v in _projective_reps(e, fld.q)
-    )
-
-
-@lru_cache(maxsize=None)
-def _packed_monomials(e: int, fld: Field) -> tuple:
-    """(columns, fmt, size, zero): _monomials(e, fld) packed for a prime field.
-
-    Column t is sum_r m_r[t] 2^(w r) over the representatives r, in fields of
-    w bits.  A field of sum_t c_t column_t, with every c_t and m_r[t] in
-    [0, p), is at most bound = e(e+1)/2 (p - 1)^2, so w is the width of the
-    narrowest unsigned machine format fmt above the bound: the fields never
-    carry into each other, and the sum is `size` bytes long.  zero[v] is 1
-    iff v = 0 mod p, for v up to the bound.
-    """
-    table = _monomials(e, fld)
-    terms = e * (e + 1) // 2
-    bound = terms * (fld.p - 1) ** 2
-    fmt = next(c for c in "BHIQ" if bound < 1 << 8 * struct.calcsize(c))
-    w = 8 * struct.calcsize(fmt)
-    columns = tuple(sum(m[t] << (w * r) for r, m in enumerate(table)) for t in range(terms))
-    zero = bytes(v % fld.p == 0 for v in range(bound + 1))
-    return columns, fmt, len(table) * w // 8, zero
+    return det(r.gram, r.field) != 0
 
 
 def orthogonal_type(r: RestrictedForm) -> int:
-    """+1 or -1 from the singular-vector count of a non-degenerate restriction."""
+    """+1 or -1, the type of a non-degenerate even quadratic restriction."""
     if r.e % 2:
         raise ValueError(f"type is defined for even dimensions, got {r.e}")
-    n = singular_count(r)
-    plus, minus = singular_point_counts(r.e // 2, r.field.q)
-    if n == plus:
-        return 1
-    if n == minus:
-        return -1
-    raise ArithmeticError(
-        f"singular count {n} matches neither type (dim {r.e}, q {r.field.q}); "
-        "a degenerate restriction slipped through"
-    )
+    fld = r.field
+    if fld.p == 2:
+        arf = _arf(r)
+        return 1 if any(fld.add(fld.mul(x, x), x) == arf for x in fld.elements()) else -1
+    disc = det(r.gram, fld)
+    if not disc:
+        raise ArithmeticError(f"degenerate restriction (dim {r.e}, q {fld.q})")
+    if r.e % 4:
+        disc = fld.neg(disc)
+    return 1 if fld.log[disc] % 2 == 0 else -1
+
+
+def _arf(r: RestrictedForm) -> int:
+    """The Arf invariant sum Q(a) Q(b) of a restriction in characteristic 2.
+
+    Take a pair (a, b), b scaled so that B(a, b) = 1, and replace each other
+    basis vector v by v + lam a + mu b, lam = B(v, b) and mu = B(v, a), which
+    is orthogonal to both: Q(v) gains lam^2 Q(a) + mu^2 Q(b) + lam mu, and
+    B(v, w) gains lam B(a, w) + mu B(b, w).  Repeat on the rest.
+    """
+    fld = r.field
+    add, mul = fld.add, fld.mul
+    gram, quad = [list(row) for row in r.gram], list(r.qdiag)
+    rest, arf = list(range(r.e)), 0
+    while rest:
+        a = rest.pop()
+        b = next((v for v in rest if gram[a][v]), None)
+        if b is None:
+            raise ArithmeticError(f"degenerate restriction (dim {r.e}, q {fld.q})")
+        rest.remove(b)
+        c = fld.inv(gram[a][b])
+        quad[b], gram[b] = mul(mul(c, c), quad[b]), fld.scale(c, gram[b])
+        arf = add(arf, mul(quad[a], quad[b]))
+        for v in rest:
+            lam, mu = mul(c, gram[v][b]), gram[v][a]
+            lift = add(add(mul(mul(lam, lam), quad[a]), mul(mul(mu, mu), quad[b])), mul(lam, mu))
+            quad[v] = add(quad[v], lift)
+            pairs = zip(gram[v], gram[a], gram[b])
+            gram[v] = [add(x, add(mul(lam, y), mul(mu, z))) for x, y, z in pairs]
+    return arf
 
 
 # -- GF(2): one count of the vectors with Q = 1 classifies either kind ---------

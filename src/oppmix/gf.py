@@ -121,7 +121,7 @@ class Field:
                 order += 1
             if order == n:
                 return g
-        raise AssertionError("no generator found")
+        raise ArithmeticError(f"no generator of F_{self.q}* found")
 
     # -- element operations ------------------------------------------------
 

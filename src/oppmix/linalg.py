@@ -93,6 +93,29 @@ def rank(rows, fld: Field) -> int:
     return len(rref(rows, fld)[1])
 
 
+def det(rows, fld: Field) -> int:
+    """Determinant of a square matrix, by elimination below the diagonal.
+
+    Each row swap negates it; the empty matrix's is 1.
+    """
+    work = [list(r) for r in rows]
+    out = 1
+    for c in range(len(work)):
+        pr = next((i for i in range(c, len(work)) if work[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            work[c], work[pr] = work[pr], work[c]
+            out = fld.neg(out)
+        row_c = work[c]
+        out = fld.mul(out, row_c[c])
+        inv = fld.inv(row_c[c])
+        for i in range(c + 1, len(work)):
+            if work[i][c]:
+                work[i] = fld.sub_scaled(work[i], fld.mul(work[i][c], inv), row_c)
+    return out
+
+
 # -- enumeration -----------------------------------------------------------
 
 
@@ -276,20 +299,19 @@ def _independent_gf2(m: int, proj: list, members) -> Iterator[bool]:
 
     Images a, b are independent iff a·b·(a ^ b) != 0.  For members of
     dimension m = 2 or 4 (the only ones an even split over F_2 leaves) a
-    list of 2^(2m) entries indexed by a | b << m decides: at m = 2 it holds
-    that verdict, at m = 4 the span of an independent pair as a 16-bit set
-    of vectors (0 for a dependent one), and (a, b, c, e) is independent iff
-    span(a, b) and span(c, e) meet in bit 0 (the zero vector) alone.
-    Otherwise the span of the images is counted.
+    list of 2^(2m) entries indexed by a | b << m decides: it holds the span
+    of an independent pair as a 2^m-bit set of vectors, 0 for a dependent
+    one.  At m = 2 a member is independent iff its entry is not 0, at m = 4
+    (a, b, c, e) is independent iff span(a, b) and span(c, e) meet in bit 0
+    (the zero vector) alone.  Otherwise the span of the images is counted.
     """
     if m not in (2, 4) or len(members[0]) != m:
         return (_independent_bits([proj[x] for x in t]) for t in members)
     pairs = [(a, b) for b in range(1 << m) for a in range(1 << m)]
     lo, hi = proj, [v << m for v in proj]
-    if m == 2:
-        independent = [a * b * (a ^ b) != 0 for a, b in pairs]
-        return (independent[lo[a] | hi[b]] for a, b in members)
     span = [1 | 1 << a | 1 << b | 1 << (a ^ b) if a * b * (a ^ b) else 0 for a, b in pairs]
+    if m == 2:
+        return (span[lo[a] | hi[b]] != 0 for a, b in members)
     return (span[lo[a] | hi[b]] & span[lo[c] | hi[e]] == 1 for a, b, c, e in members)
 
 

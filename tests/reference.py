@@ -2,7 +2,7 @@
 package's fast paths are checked against."""
 
 from fractions import Fraction
-from itertools import combinations, compress, product
+from itertools import combinations, compress, permutations, product
 from operator import mul
 
 from oppmix import forms, linalg
@@ -89,7 +89,7 @@ def radical_nondegenerate(r: RestrictedForm) -> bool:
     degenerate iff some point of the polar radical is singular."""
     fld = r.field
     radical = nullspace(r.gram, fld, r.e)
-    for rep in forms._projective_reps(radical.e, fld.q):
+    for rep in projective_reps(radical.e, fld.q):
         v = [fld.dot(rep, col) for col in zip(*radical.basis)]
         if restricted_quad_value(r, v) == 0:
             return False
@@ -249,12 +249,7 @@ def classify_orthogonal_gf2(qt, rows: tuple) -> int | None:
         low = idx & -idx
         span[idx] = span[idx ^ low] ^ rows[low.bit_length() - 1]
         singular += not qt[span[idx]]
-    plus, minus = forms.singular_point_counts(e // 2, 2)
-    if singular == plus:
-        return 1
-    if singular == minus:
-        return -1
-    raise ArithmeticError(f"bad singular count {singular} for e={e}, q=2")
+    return type_by_count(singular, e, 2)
 
 
 def symplectic_nondeg_gf2(bil: tuple, rows: tuple) -> bool:
@@ -304,11 +299,50 @@ def points_by_span(fld: Field, s: Subspace) -> set:
     return ids
 
 
-def singular_count_by_points(r) -> int:
-    """forms.singular_count evaluated point by point through restricted_quad_value."""
+def projective_reps(e: int, q: int) -> list:
+    """One representative per 1-space of (F_q)^e: first nonzero coordinate 1."""
+    return [(0,) * t + (1,) + tail for t in range(e) for tail in product(range(q), repeat=e - 1 - t)]
+
+
+def singular_count(r: RestrictedForm) -> int:
+    """Nonzero singular vectors of a quadratic restriction, point by point
+    (Q(c v) = c^2 Q(v), so each singular point has q - 1 of them)."""
     q = r.field.q
-    hits = sum(1 for rep in forms._projective_reps(r.e, q) if restricted_quad_value(r, rep) == 0)
-    return hits * (q - 1)
+    return (q - 1) * sum(restricted_quad_value(r, rep) == 0 for rep in projective_reps(r.e, q))
+
+
+def singular_point_counts(m: int, q: int) -> tuple:
+    """(plus, minus) totals of nonzero singular vectors of a non-degenerate
+    quadratic form of type +1, -1 in dimension 2m."""
+    return (q**m - 1) * (q ** (m - 1) + 1), (q**m + 1) * (q ** (m - 1) - 1)
+
+
+def type_by_count(singular: int, e: int, q: int) -> int:
+    """The type whose closed-form total is `singular`; ArithmeticError if neither's is."""
+    plus, minus = singular_point_counts(e // 2, q)
+    if singular == plus:
+        return 1
+    if singular == minus:
+        return -1
+    raise ArithmeticError(f"singular count {singular} matches neither type (e {e}, q {q})")
+
+
+def orthogonal_type_by_count(r: RestrictedForm) -> int:
+    """forms.orthogonal_type by exhaustion: the singular count against the
+    two closed-form totals."""
+    return type_by_count(singular_count(r), r.e, r.field.q)
+
+
+def det_by_permutations(rows, fld: Field) -> int:
+    """The Leibniz sum over permutations p of sign(p) prod_i rows[i][p(i)]."""
+    n, acc = len(rows), 0
+    for perm in permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = fld.mul(term, rows[i][j])
+        odd = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2)) % 2
+        acc = fld.add(acc, fld.neg(term) if odd else term)
+    return acc
 
 
 def edges_by_compress(rows, idx1, idx2) -> int:

@@ -9,13 +9,14 @@ from oppmix.linalg import Subspace
 from reference import bilinear, bilinear_masks_gf2, classify_orthogonal_gf2, complementary
 from reference import coord_subspace
 from reference import enumerate_subspaces, nullspace_bits, perp, quad_values_gf2
-from reference import radical_nondegenerate, restrict, subspace_from_rows, symplectic_nondeg_gf2
+from reference import radical_nondegenerate, restrict, singular_count, singular_point_counts
+from reference import subspace_from_rows, symplectic_nondeg_gf2
 
 
 def test_standard_orthogonal_plus_d2():
     form = forms.standard_form("orthogonal", 2, 2, 1)
     r = restrict(form, coord_subspace(2, range(2)))
-    assert forms.singular_count(r) == 2
+    assert singular_count(r) == 2
     assert forms.is_nondegenerate(r)
     assert forms.orthogonal_type(r) == 1
 
@@ -24,7 +25,7 @@ def test_standard_orthogonal_minus_d2():
     form = forms.standard_form("orthogonal", 2, 2, -1)
     assert form.delta == 1  # x^2 + xy + y^2 is anisotropic over F_2
     r = restrict(form, coord_subspace(2, range(2)))
-    assert forms.singular_count(r) == 0
+    assert singular_count(r) == 0
     assert forms.orthogonal_type(r) == -1
 
 
@@ -48,7 +49,7 @@ def test_standard_form_validation():
 
 def test_singular_o4_plus():
     form = forms.standard_form("orthogonal", 4, 2, 1)
-    assert forms.singular_count(restrict(form, coord_subspace(4, range(4)))) == 9
+    assert singular_count(restrict(form, coord_subspace(4, range(4)))) == 9
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -57,9 +58,10 @@ def test_singular_counts_match_formulas(q):
         for eps in (1, -1):
             form = forms.standard_form("orthogonal", 2 * m, q, eps)
             r = restrict(form, coord_subspace(2 * m, range(2 * m)))
-            plus, minus = forms.singular_point_counts(m, q)
+            plus, minus = singular_point_counts(m, q)
             expected = plus if eps == 1 else minus
-            assert forms.singular_count(r) == expected
+            assert singular_count(r) == expected
+            assert forms.orthogonal_type(r) == eps
 
 
 def test_anisotropic_delta_choices():
@@ -278,7 +280,7 @@ def test_congruence_invariance_of_restriction():
         ),
         tuple(form.quad_value(u) for u in alt_rows),
     )
-    assert forms.singular_count(r) == forms.singular_count(r_direct)
+    assert singular_count(r) == singular_count(r_direct)
     assert forms.is_nondegenerate(r) == forms.is_nondegenerate(r_direct)
 
 

@@ -11,12 +11,15 @@ from reference import (  # noqa: E402
     bq_product,
     complementary,
     dense_factor_product,
+    det_by_permutations,
     omega_product,
+    orthogonal_type_by_count,
     points,
     points_by_span,
     radical_nondegenerate,
     rref_bits,
-    singular_count_by_points,
+    singular_count,
+    singular_point_counts,
     subspace_from_rows,
 )
 
@@ -152,25 +155,64 @@ def restricted_quadratic_forms(draw, e, q):
     return forms.RestrictedForm(forms.ORTHOGONAL, e, f, gram, qdiag)
 
 
-# (4, 7): the packed fields need more than one byte (10 * 6^2 = 360)
+def _closed_form_total(r) -> int:
+    """Nonzero singular vectors of a non-degenerate quadratic restriction:
+    q^(e-1) - 1 in odd dimension, else the total of forms.orthogonal_type's type."""
+    q = r.field.q
+    if r.e % 2:
+        return q ** (r.e - 1) - 1
+    plus, minus = singular_point_counts(r.e // 2, q)
+    return plus if forms.orthogonal_type(r) == 1 else minus
+
+
 @pytest.mark.parametrize(
     "e,q", [(e, q) for e in (1, 2, 3, 4) for q in (3, 4, 5, 9)] + [(4, 7), (6, 3)]
 )
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(data=st.data())
 def test_singular_count_matches_point_loop(e, q, data):
+    # the point loop that orthogonal_type_by_count rests on, against the
+    # closed-form totals, odd dimensions included
     r = data.draw(restricted_quadratic_forms(e, q))
-    assert forms.singular_count(r) == singular_count_by_points(r)
+    hypothesis.assume(radical_nondegenerate(r))
+    assert singular_count(r) == _closed_form_total(r)
 
 
 @pytest.mark.parametrize("e,q", [(4, 7), (6, 5)])
 def test_singular_count_with_every_coefficient_p_minus_1(e, q):
-    # random forms at (4, 7) keep every packed field below 247; every
-    # coefficient p - 1 at (6, 5) fills one to 304, past a byte
+    # every coefficient the largest residue; both forms are non-degenerate
     f = field(q)
     gram = tuple(tuple(f.add(q - 1, q - 1) if i == j else q - 1 for j in range(e)) for i in range(e))
     r = forms.RestrictedForm(forms.ORTHOGONAL, e, f, gram, (q - 1,) * e)
-    assert forms.singular_count(r) == singular_count_by_points(r)
+    assert singular_count(r) == _closed_form_total(r)
+
+
+@pytest.mark.parametrize("q", sorted(FIXED_MODULI))
+@pytest.mark.parametrize("e", [2, 4])
+@hypothesis.settings(max_examples=10, deadline=None)
+@hypothesis.given(data=st.data())
+def test_orthogonal_type_matches_count(e, q, data):
+    # the invariant (discriminant or Arf) against the exhaustive count; a
+    # degenerate form has neither count and raises
+    r = data.draw(restricted_quadratic_forms(e, q))
+    if forms.is_nondegenerate(r):
+        assert forms.orthogonal_type(r) == orthogonal_type_by_count(r)
+    else:
+        with pytest.raises(ArithmeticError):
+            forms.orthogonal_type(r)
+
+
+@pytest.mark.parametrize("q", sorted(FIXED_MODULI))
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_det_matches_leibniz_sum(q, data):
+    f = field(q)
+    n = data.draw(st.integers(0, 4))
+    element = st.integers(0, q - 1)
+    rows = [[data.draw(element) for _ in range(n)] for _ in range(n)]
+    det = linalg.det(rows, f)
+    assert det == det_by_permutations(rows, f)
+    assert (det != 0) == (linalg.rank(rows, f) == n)
 
 
 @pytest.mark.parametrize("q", sorted(FIXED_MODULI))
