@@ -12,10 +12,13 @@ and 3 (perfbench/workloads.py, with its PINNED flags, read only here, when
 the corpus is regenerated), `verify --family all` in each format and with
 --full-pairs, the symplectic F_2 counts that no verify run builds, two
 orthogonal counts with e1 < e2 (over F_2 and F_4), one orthogonal count
-over F_8 and one over F_9 (so every branch of the type classifier has an
-entry: odd and even characteristic, prime and extension fields), the README's
-mixing-check example in the table format, a budget error and one usage
-error of each kind.
+over F_8, one over F_9 and one over F_16 with both sides of type - (so
+every branch of the type classifier has an entry: odd and even
+characteristic, prime and extension fields), a symplectic count over F_4
+(a determinant in characteristic 2 for a form that is not orthogonal), a
+unitary count with e1 = 1 over F_9 (complement_hits by rank rather than
+by the 2 x 2 determinant), the README's mixing-check example in the table
+format, a budget error and one usage error of each kind.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ EXTRA = [
     # orthogonal counts over an even and an odd extension field
     "count --family orthogonal --eps - --sigma1 + --sigma2 + --e1 2 --e2 2 --q 8",
     "count --family orthogonal --eps - --sigma1 + --sigma2 + --e1 2 --e2 2 --q 9",
+    "count --family orthogonal --eps + --sigma1 - --sigma2 - --e1 2 --e2 2 --q 16",
+    # a symplectic count in characteristic 2 off F_2, and a unitary count whose
+    # single-orbit scan has quotient dimension 1
+    "count --family symplectic --e1 2 --e2 2 --q 4",
+    "count --family unitary --e1 1 --e2 2 --q 3",
     # the README's mixing-check example: the table format pins the summary lines
     "mixing-check --e1 2 --e2 1 --q 3 --trials 100 --seed 0",
     # exit 3
