@@ -13,23 +13,27 @@ standard models, fixed here once and for all:
   hermitian         identity gram over F_{q^2}, B(x,y) = sum x_i conj(y_i)
 
 A RestrictedForm is the form on a subspace's basis: its gram (polar, if
-orthogonal) and Q on each basis row.  Non-degeneracy is a nonzero gram
-determinant (a full-rank gram).
+orthogonal) and Q on each basis row.  classify gives one verdict per
+restriction: None if it is degenerate, else True, or its type +1 or -1 if
+it is orthogonal.  Non-degeneracy is a nonzero gram determinant (a
+full-rank gram).
 For an even-dimensional quadratic restriction that agrees with the radical
 refinement (degenerate iff some nonzero vector of the polar radical is
 singular) in every characteristic: in characteristic 2 the polar form is
 alternating, so a degenerate one has a radical of dimension >= 2, on which
 Q has a nonzero zero.  There an odd-dimensional polar gram is always
-singular, so is_nondegenerate refuses odd quadratic restrictions; the
-theorems have none.
+singular, so classify refuses odd quadratic restrictions; the theorems
+have none.
 
 The type of a non-degenerate even restriction is one invariant.  For odd
 q it is the discriminant's square class: type +1 iff (-1)^(e/2) det(gram)
 is a square, since the polar gram is twice Q's symmetric matrix and 2^e is
-a square.  For even q it is the Arf invariant: symplectic elimination
-(_arf) splits the basis into pairs (a, b) with B(a, b) = 1, each orthogonal
-to the rest, and sums Q(a) Q(b); type +1 iff the sum is x^2 + x for some x.
-A degenerate restriction reaching orthogonal_type raises ArithmeticError.
+a square; one determinant decides both questions.  For even q it is the
+Arf invariant: symplectic elimination (_arf) splits the basis into pairs
+(a, b) with B(a, b) = 1, each orthogonal to the rest, and sums Q(a) Q(b);
+type +1 iff the sum is x^2 + x for some x.  A basis vector left with no
+partner lies in the polar radical, so the same elimination finds a
+degenerate restriction.
 """
 
 from __future__ import annotations
@@ -147,36 +151,38 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def is_nondegenerate(r: RestrictedForm) -> bool:
-    """Nonzero gram determinant; an odd quadratic restriction raises ValueError."""
-    if r.kind == ORTHOGONAL and r.e % 2:
-        raise ValueError(f"rank decides quadratic restrictions of even dimension, got {r.e}")
-    return det(r.gram, r.field) != 0
+def classify(r: RestrictedForm):
+    """None if r is degenerate, else its type: +1 or -1 if orthogonal, True otherwise.
 
-
-def orthogonal_type(r: RestrictedForm) -> int:
-    """+1 or -1, the type of a non-degenerate even quadratic restriction."""
-    if r.e % 2:
-        raise ValueError(f"type is defined for even dimensions, got {r.e}")
+    An odd quadratic restriction raises ValueError.
+    """
     fld = r.field
+    if r.kind != ORTHOGONAL:
+        return True if det(r.gram, fld) else None
+    if r.e % 2:
+        raise ValueError(f"classify decides quadratic restrictions of even dimension, got {r.e}")
     if fld.p == 2:
         arf = _arf(r)
+        if arf is None:
+            return None
         return 1 if any(fld.add(fld.mul(x, x), x) == arf for x in fld.elements()) else -1
     disc = det(r.gram, fld)
     if not disc:
-        raise ArithmeticError(f"degenerate restriction (dim {r.e}, q {fld.q})")
+        return None
     if r.e % 4:
         disc = fld.neg(disc)
     return 1 if fld.log[disc] % 2 == 0 else -1
 
 
-def _arf(r: RestrictedForm) -> int:
-    """The Arf invariant sum Q(a) Q(b) of a restriction in characteristic 2.
+def _arf(r: RestrictedForm) -> int | None:
+    """The Arf invariant sum Q(a) Q(b) of a restriction in characteristic 2,
+    or None if it is degenerate.
 
     Take a pair (a, b), b scaled so that B(a, b) = 1, and replace each other
     basis vector v by v + lam a + mu b, lam = B(v, b) and mu = B(v, a), which
     is orthogonal to both: Q(v) gains lam^2 Q(a) + mu^2 Q(b) + lam mu, and
-    B(v, w) gains lam B(a, w) + mu B(b, w).  Repeat on the rest.
+    B(v, w) gains lam B(a, w) + mu B(b, w).  Repeat on the rest.  A vector
+    a with no partner b lies in the polar radical.
     """
     fld = r.field
     add, mul = fld.add, fld.mul
@@ -186,7 +192,7 @@ def _arf(r: RestrictedForm) -> int:
         a = rest.pop()
         b = next((v for v in rest if gram[a][v]), None)
         if b is None:
-            raise ArithmeticError(f"degenerate restriction (dim {r.e}, q {fld.q})")
+            return None
         rest.remove(b)
         c = fld.inv(gram[a][b])
         quad[b], gram[b] = mul(mul(c, c), quad[b]), fld.scale(c, gram[b])

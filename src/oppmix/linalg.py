@@ -16,7 +16,8 @@ coordinate j) over F_2, Subspace objects over every other field.  Callers
 never branch on q.  Two subspaces meet trivially iff they share no
 projective point, so complement_rows decides all of Y1 x Y2 by point
 incidence, with no elimination per pair.  complement_hits scans one fixed
-member against many by projection modulo it.
+member against many by projection modulo it.  rank and det are two reads
+of one forward elimination (_eliminate).
 """
 
 from __future__ import annotations
@@ -58,62 +59,43 @@ def _row_to_bits(row) -> int:
 # -- reduction -------------------------------------------------------------
 
 
-def rref(rows, fld: Field):
-    """Reduced row echelon form.
+def _eliminate(rows, fld: Field) -> tuple:
+    """(rank, det) of rows, by one forward elimination.
 
-    Returns (rref_rows, pivot_cols); the rank is len(pivot_cols).  Zero rows
-    are dropped.
+    Column by column, the first remaining row that is nonzero there becomes
+    the next pivot row and clears the column below it.  The running product
+    of the pivots is the determinant of a square matrix: a row swap negates
+    it and a column without a pivot zeroes it.  The empty matrix's is 1.
     """
     work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for pr in range(r, len(work)):
-            if work[pr][c]:
-                break
-        else:
+    r, out = 0, 1
+    for c in range(len(work[0]) if work else 0):
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            out = 0
             continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = fld.inv(work[r][c])
-        if inv != 1:
-            work[r] = fld.scale(inv, work[r])
-        row_r = work[r]  # zero before column c
-        for i, row_i in enumerate(work):
-            if i != r and row_i[c]:
-                work[i] = fld.sub_scaled(row_i, row_i[c], row_r)
-        pivots.append(c)
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+            out = fld.neg(out)
+        row_r = work[r]
+        out = fld.mul(out, row_r[c])
+        inv = fld.inv(row_r[c])
+        for i in range(r + 1, len(work)):
+            if work[i][c]:
+                work[i] = fld.sub_scaled(work[i], fld.mul(work[i][c], inv), row_r)
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(work[i]) for i in range(r)), tuple(pivots)
+    return r, out
 
 
 def rank(rows, fld: Field) -> int:
-    return len(rref(rows, fld)[1])
+    return _eliminate(rows, fld)[0]
 
 
 def det(rows, fld: Field) -> int:
-    """Determinant of a square matrix, by elimination below the diagonal.
-
-    Each row swap negates it; the empty matrix's is 1.
-    """
-    work = [list(r) for r in rows]
-    out = 1
-    for c in range(len(work)):
-        pr = next((i for i in range(c, len(work)) if work[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            out = fld.neg(out)
-        row_c = work[c]
-        out = fld.mul(out, row_c[c])
-        inv = fld.inv(row_c[c])
-        for i in range(c + 1, len(work)):
-            if work[i][c]:
-                work[i] = fld.sub_scaled(work[i], fld.mul(work[i][c], inv), row_c)
-    return out
+    """Determinant of a square matrix."""
+    return _eliminate(rows, fld)[1]
 
 
 # -- enumeration -----------------------------------------------------------

@@ -20,8 +20,8 @@ rows' candidates (linalg.row_candidates), last row fastest.  Over F_2
 forms.lane_classifier_gf2 classifies a whole pattern at once, and
 itertools.compress builds only the kept members.  Every other field walks
 the candidates (_walk), classifying each distinct restricted form once,
-keyed by one column per basis row, and reusing the verdict for every member
-that restricts to it.
+keyed by one column per basis row, with one forms.classify call, and
+reusing the verdict for every member that restricts to it.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -74,15 +74,6 @@ class CountReport(NamedTuple):
     method: str
     threshold: Fraction | None = None
     passed: bool | None = None
-
-
-def _verdict(form: ClassicalForm, columns):
-    """sigma (+-1) if orthogonal, True otherwise, for the restricted form a
-    generic-field key decodes to; None if that form is degenerate."""
-    r = _decode(form, columns)
-    if not forms.is_nondegenerate(r):
-        return None
-    return forms.orthogonal_type(r) if form.kind == forms.ORTHOGONAL else True
 
 
 def _decode(form: ClassicalForm, columns) -> forms.RestrictedForm:
@@ -146,19 +137,13 @@ def _walk(form: ClassicalForm, e: int):
     """
     fld = form.field
     images = _RowImages(form)
-    if fld.k == 1:
-        p = fld.p
+    dot, p = fld.dot, fld.p
 
-        def pairs(b, prepared):
-            h = images[b][0]
+    def pairs(b, prepared):
+        h = images[b][0]
+        if fld.k == 1:  # one C-level sum per entry, not a Field.dot loop
             return [sum(map(mul, h, x)) % p for x in prepared[0]]
-
-    else:
-        dot = fld.dot
-
-        def pairs(b, prepared):
-            h = images[b][0]
-            return [dot(h, x) for x in prepared[0]]
+        return [dot(h, x) for x in prepared[0]]
 
     def prepare(rows):
         info = [images[x] for x in rows]
@@ -242,7 +227,7 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
     if e and fld.q == 2:
         return _lane_partition(form, e)
     if e == 0:
-        c = _verdict(form, ())
+        c = forms.classify(_decode(form, ()))
         return ({} if c is None else {c: (linalg.member(fld, d, (), ()),)}), int(c is None)
     memo: dict = {}
     buckets = defaultdict(list)
@@ -255,7 +240,7 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
             try:
                 c = seen[tail]
             except KeyError:
-                c = seen[tail] = _verdict(form, (*columns, tail))
+                c = seen[tail] = forms.classify(_decode(form, (*columns, tail)))
             if c is None:
                 degenerate += 1
             else:
@@ -427,7 +412,7 @@ def _biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     return Biadjacency(e1, e2, q, len(x2), tuple(linalg.complement_rows(fld, x1, x2)))
 
 
-def annihilator_check(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_CAP) -> bool:
+def annihilator_check(e1: int, e2: int, q: int) -> bool:
     """Exact check of the spectrum of N N^T: annihilator and trace identities.
 
     With d = e1 + e2 and mult_j = [d, j]_q - [d, j-1]_q, the eigenvalue
@@ -445,7 +430,7 @@ def annihilator_check(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_C
     """
     from . import spectrum
 
-    bi = build_biadjacency(e1, e2, q, cap)
+    bi = build_biadjacency(e1, e2, q)
     spec = spectrum.eigen_exponents(max(e1, e2), min(e1, e2))
     lams = [spec.eigenvalue_squared(q, j) for j in range(len(spec.exponents))]
     m = bi.gram()
@@ -506,18 +491,9 @@ class MixingReport(NamedTuple):
     holds: bool
     tight: bool
     charpoly_ok: bool | None  # None when some alpha is 0 or 1
-    seed: int | None = None
 
 
-def mixing_check(
-    e1: int,
-    e2: int,
-    q: int,
-    idx1,
-    idx2,
-    cap: int = DEFAULT_BIADJACENCY_CAP,
-    seed: int | None = None,
-) -> MixingReport:
+def mixing_check(e1: int, e2: int, q: int, idx1, idx2) -> MixingReport:
     """Exact two-sided check of the mixing inequality for one subset pair.
 
     The edge count E between the subsets (sizes s1, s2) is the sum of
@@ -540,7 +516,7 @@ def mixing_check(
     edge bookkeeping, not the inequality; they run because mixing-check
     reports how many pairs they covered (charpoly_checked).
     """
-    bi = build_biadjacency(e1, e2, q, cap)
+    bi = build_biadjacency(e1, e2, q)
     n1, n2 = bi.n1, bi.n2
     set1 = sorted(set(idx1))
     set2 = sorted(set(idx2))
@@ -573,7 +549,7 @@ def mixing_check(
         det = edges * f - a * b
         trace_ok = big_t * big_n == k * k * m * big_n + g * g
         charpoly_ok = trace_ok and det * det * big_n == k * k * g * g
-    return MixingReport(e1, e2, q, a1, a2, edges, holds, tight, charpoly_ok, seed)
+    return MixingReport(e1, e2, q, a1, a2, edges, holds, tight, charpoly_ok)
 
 
 def random_subset_pairs(e1: int, e2: int, q: int, trials: int, seed: int):
@@ -605,7 +581,5 @@ def mixing_suite(e1: int, e2: int, q: int, trials: int = 100, seed: int = 0):
         (full1, nbr2),
         (nbr1, nbr2),
     ]
-    reports = [mixing_check(e1, e2, q, s1, s2) for s1, s2 in cases]
-    for s1, s2 in random_subset_pairs(e1, e2, q, trials, seed):
-        reports.append(mixing_check(e1, e2, q, s1, s2, seed=seed))
-    return reports
+    cases += random_subset_pairs(e1, e2, q, trials, seed)
+    return [mixing_check(e1, e2, q, s1, s2) for s1, s2 in cases]

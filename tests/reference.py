@@ -8,7 +8,7 @@ from operator import mul
 from oppmix import forms, linalg
 from oppmix.forms import ClassicalForm, RestrictedForm
 from oppmix.gf import Field
-from oppmix.linalg import Subspace, rref
+from oppmix.linalg import Subspace
 
 
 def enumerate_subspaces(d: int, e: int, fld: Field):
@@ -26,6 +26,37 @@ def enumerate_subspaces(d: int, e: int, fld: Field):
             for (i, j), v in zip(free, values):  # every free entry is overwritten
                 rows[i][j] = v
             yield Subspace(d, tuple(map(tuple, rows)), pattern)
+
+
+def rref(rows, fld: Field):
+    """Reduced row echelon form: (rref_rows, pivot_cols), zero rows dropped.
+
+    The rank is len(pivot_cols).  Each pivot row is scaled to lead with 1
+    and clears its column in every other row.
+    """
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for pr in range(r, len(work)):
+            if work[pr][c]:
+                break
+        else:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = fld.inv(work[r][c])
+        if inv != 1:
+            work[r] = fld.scale(inv, work[r])
+        row_r = work[r]  # zero before column c
+        for i, row_i in enumerate(work):
+            if i != r and row_i[c]:
+                work[i] = fld.sub_scaled(row_i, row_i[c], row_r)
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(work[i]) for i in range(r)), tuple(pivots)
 
 
 def nullspace(rows, fld: Field, ncols: int) -> Subspace:
@@ -328,8 +359,9 @@ def type_by_count(singular: int, e: int, q: int) -> int:
 
 
 def orthogonal_type_by_count(r: RestrictedForm) -> int:
-    """forms.orthogonal_type by exhaustion: the singular count against the
-    two closed-form totals."""
+    """The type forms.classify gives a non-degenerate even quadratic
+    restriction, by exhaustion: the singular count against the two
+    closed-form totals."""
     return type_by_count(singular_count(r), r.e, r.field.q)
 
 

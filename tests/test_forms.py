@@ -9,7 +9,7 @@ from oppmix.linalg import Subspace
 from reference import bilinear, bilinear_masks_gf2, classify_orthogonal_gf2, complementary
 from reference import coord_subspace
 from reference import enumerate_subspaces, nullspace_bits, perp, quad_values_gf2
-from reference import radical_nondegenerate, restrict, singular_count, singular_point_counts
+from reference import radical_nondegenerate, restrict, rref, singular_count, singular_point_counts
 from reference import subspace_from_rows, symplectic_nondeg_gf2
 
 
@@ -17,8 +17,7 @@ def test_standard_orthogonal_plus_d2():
     form = forms.standard_form("orthogonal", 2, 2, 1)
     r = restrict(form, coord_subspace(2, range(2)))
     assert singular_count(r) == 2
-    assert forms.is_nondegenerate(r)
-    assert forms.orthogonal_type(r) == 1
+    assert forms.classify(r) == 1
 
 
 def test_standard_orthogonal_minus_d2():
@@ -26,7 +25,7 @@ def test_standard_orthogonal_minus_d2():
     assert form.delta == 1  # x^2 + xy + y^2 is anisotropic over F_2
     r = restrict(form, coord_subspace(2, range(2)))
     assert singular_count(r) == 0
-    assert forms.orthogonal_type(r) == -1
+    assert forms.classify(r) == -1
 
 
 def test_standard_symplectic_gram():
@@ -61,7 +60,7 @@ def test_singular_counts_match_formulas(q):
             plus, minus = singular_point_counts(m, q)
             expected = plus if eps == 1 else minus
             assert singular_count(r) == expected
-            assert forms.orthogonal_type(r) == eps
+            assert forms.classify(r) == eps
 
 
 def test_anisotropic_delta_choices():
@@ -84,7 +83,7 @@ def test_restrict_full_space_is_congruent():
         form = forms.standard_form(kind, 4, q, eps)
         r = restrict(form, coord_subspace(4, range(4)))
         assert r.gram == form.gram
-        assert forms.is_nondegenerate(r)
+        assert forms.classify(r) is not None
 
 
 def test_restrict_singular_line_of_hyperbolic_plane():
@@ -93,29 +92,29 @@ def test_restrict_singular_line_of_hyperbolic_plane():
     r = restrict(form, line)
     assert r.gram == ((0,),)
     assert r.qdiag == (0,)
-    # rank decides even dimensions only; the radical refinement sees Q(e0) = 0
+    # classify decides even dimensions only; the radical refinement sees Q(e0) = 0
     with pytest.raises(ValueError, match="even dimension"):
-        forms.is_nondegenerate(r)
+        forms.classify(r)
     assert not radical_nondegenerate(r)
 
 
 def test_odd_quadratic_restrictions_in_characteristic_2():
     # the polar gram of an odd-dimensional restriction is singular in
-    # characteristic 2, so rank cannot decide it and is_nondegenerate
-    # refuses; only the radical refinement sees that Q = x^2 on a line and
-    # Q = ab + c^2 on a 3-space are non-degenerate
+    # characteristic 2, so rank cannot decide it and classify refuses; only
+    # the radical refinement sees that Q = x^2 on a line and Q = ab + c^2 on
+    # a 3-space are non-degenerate
     form = forms.standard_form("orthogonal", 4, 2, 1)  # Q = x0 x1 + x2 x3
     line = Subspace(4, ((1, 1, 0, 0),), (0,))
     r = restrict(form, line)
     assert r.gram == ((0,),) and r.qdiag == (1,)
     with pytest.raises(ValueError, match="even dimension"):
-        forms.is_nondegenerate(r)
+        forms.classify(r)
     assert radical_nondegenerate(r)
     solid = Subspace(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)), (0, 1, 2))
     r = restrict(form, solid)
     assert linalg.rank(r.gram, form.field) == 2
     with pytest.raises(ValueError, match="even dimension"):
-        forms.is_nondegenerate(r)
+        forms.classify(r)
     assert radical_nondegenerate(r)
 
 
@@ -124,7 +123,7 @@ def test_restrict_totally_isotropic_symplectic():
     s = coord_subspace(4, (0, 1))  # split pairing: e0 pairs with e2, e1 with e3
     r = restrict(form, s)
     assert r.gram == ((0, 0), (0, 0))
-    assert not forms.is_nondegenerate(r)
+    assert forms.classify(r) is None
 
 
 def test_hermitian_points_f4():
@@ -132,7 +131,7 @@ def test_hermitian_points_f4():
     assert form.field.q == 4
     points = list(enumerate_subspaces(2, 1, form.field))
     assert len(points) == 5
-    nondeg = [p for p in points if forms.is_nondegenerate(restrict(form, p))]
+    nondeg = [p for p in points if forms.classify(restrict(form, p)) is not None]
     assert len(nondeg) == 2
 
 
@@ -159,7 +158,7 @@ def test_perp_dimension_and_direct_sum():
         p = perp(form, s)
         r = restrict(form, s)
         assert p.e == 2
-        full_rank = len(linalg.rref(r.gram, f)[1]) == 2
+        full_rank = len(rref(r.gram, f)[1]) == 2
         assert complementary(s, p, f) == full_rank
 
 
@@ -170,13 +169,10 @@ def test_perp_type_is_eps_times_sigma(q, d):
         form = forms.standard_form("orthogonal", d, q, eps)
         for e in range(2, d - 1, 2):
             for s in enumerate_subspaces(d, e, f):
-                r = restrict(form, s)
-                if not forms.is_nondegenerate(r):
+                sig = forms.classify(restrict(form, s))
+                if sig is None:
                     continue
-                sig = forms.orthogonal_type(r)
-                rp = restrict(form, perp(form, s))
-                assert forms.is_nondegenerate(rp)
-                assert forms.orthogonal_type(rp) == eps * sig
+                assert forms.classify(restrict(form, perp(form, s))) == eps * sig
 
 
 GF2_FORMS = [("orthogonal", 1), ("orthogonal", -1), ("symplectic", None)]
@@ -201,16 +197,13 @@ def test_gf2_fast_paths_agree_with_generic():
         qt = quad_values_gf2(form)
         for e in (2, 4):
             for s in enumerate_subspaces(6, e, field(2)):
-                r = restrict(form, s)
-                generic = (
-                    forms.orthogonal_type(r) if forms.is_nondegenerate(r) else None
-                )
+                generic = forms.classify(restrict(form, s))
                 assert classify_orthogonal_gf2(qt, s.bit_rows()) == generic
     form = forms.standard_form("symplectic", 6, 2)
     bil = bilinear_masks_gf2(form)
     for s in enumerate_subspaces(6, 2, field(2)):
         r = restrict(form, s)
-        assert symplectic_nondeg_gf2(bil, s.bit_rows()) == forms.is_nondegenerate(r)
+        assert symplectic_nondeg_gf2(bil, s.bit_rows()) == (forms.classify(r) is not None)
 
 
 @pytest.mark.parametrize("kind,eps", GF2_FORMS)
@@ -281,7 +274,7 @@ def test_congruence_invariance_of_restriction():
         tuple(form.quad_value(u) for u in alt_rows),
     )
     assert singular_count(r) == singular_count(r_direct)
-    assert forms.is_nondegenerate(r) == forms.is_nondegenerate(r_direct)
+    assert forms.classify(r) == forms.classify(r_direct)
 
 
 def test_quad_value_identity():

@@ -17,6 +17,7 @@ from reference import (  # noqa: E402
     points,
     points_by_span,
     radical_nondegenerate,
+    rref,
     rref_bits,
     singular_count,
     singular_point_counts,
@@ -157,12 +158,12 @@ def restricted_quadratic_forms(draw, e, q):
 
 def _closed_form_total(r) -> int:
     """Nonzero singular vectors of a non-degenerate quadratic restriction:
-    q^(e-1) - 1 in odd dimension, else the total of forms.orthogonal_type's type."""
+    q^(e-1) - 1 in odd dimension, else the total of forms.classify's type."""
     q = r.field.q
     if r.e % 2:
         return q ** (r.e - 1) - 1
     plus, minus = singular_point_counts(r.e // 2, q)
-    return plus if forms.orthogonal_type(r) == 1 else minus
+    return plus if forms.classify(r) == 1 else minus
 
 
 @pytest.mark.parametrize(
@@ -193,26 +194,30 @@ def test_singular_count_with_every_coefficient_p_minus_1(e, q):
 @hypothesis.given(data=st.data())
 def test_orthogonal_type_matches_count(e, q, data):
     # the invariant (discriminant or Arf) against the exhaustive count; a
-    # degenerate form has neither count and raises
+    # degenerate form has neither count and classifies as None
     r = data.draw(restricted_quadratic_forms(e, q))
-    if forms.is_nondegenerate(r):
-        assert forms.orthogonal_type(r) == orthogonal_type_by_count(r)
-    else:
-        with pytest.raises(ArithmeticError):
-            forms.orthogonal_type(r)
+    want = orthogonal_type_by_count(r) if radical_nondegenerate(r) else None
+    assert forms.classify(r) == want
 
 
 @pytest.mark.parametrize("q", sorted(FIXED_MODULI))
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(data=st.data())
 def test_det_matches_leibniz_sum(q, data):
+    # det and rank share one elimination, so each is checked against a
+    # reference of its own: the Leibniz sum, and the rank of the reference
+    # rref, on square and on non-square matrices
     f = field(q)
     n = data.draw(st.integers(0, 4))
     element = st.integers(0, q - 1)
     rows = [[data.draw(element) for _ in range(n)] for _ in range(n)]
     det = linalg.det(rows, f)
     assert det == det_by_permutations(rows, f)
-    assert (det != 0) == (linalg.rank(rows, f) == n)
+    assert (det != 0) == (len(rref(rows, f)[1]) == n)
+    assert linalg.rank(rows, f) == len(rref(rows, f)[1])
+    nrows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    rows = [[data.draw(element) for _ in range(ncols)] for _ in range(nrows)]
+    assert linalg.rank(rows, f) == len(rref(rows, f)[1])
 
 
 @pytest.mark.parametrize("q", sorted(FIXED_MODULI))
@@ -220,11 +225,12 @@ def test_det_matches_leibniz_sum(q, data):
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(data=st.data())
 def test_rank_verdict_matches_radical_refinement(e, q, data):
-    # forms.is_nondegenerate calls an even-dimensional quadratic restriction
-    # non-degenerate iff its polar gram has full rank; the radical refinement
+    # forms.classify calls an even-dimensional quadratic restriction
+    # non-degenerate iff its polar gram has full rank (odd q) or its Arf
+    # elimination pairs every basis vector (even q); the radical refinement
     # decides it from the singular vectors of the radical instead
     r = data.draw(restricted_quadratic_forms(e, q))
-    assert forms.is_nondegenerate(r) == radical_nondegenerate(r)
+    assert (forms.classify(r) is not None) == radical_nondegenerate(r)
 
 
 @pytest.mark.parametrize("q", sorted(FIXED_MODULI))
