@@ -17,8 +17,10 @@ every branch of the type classifier has an entry: odd and even
 characteristic, prime and extension fields), a symplectic count over F_4
 (a determinant in characteristic 2 for a form that is not orthogonal), a
 unitary count with e1 = 1 over F_9 (complement_hits by rank rather than
-by the 2 x 2 determinant), the README's mixing-check example in the table
-format, a budget error and one usage error of each kind.
+by the 2 x 2 determinant), symplectic and orthogonal counts over F_7 (a
+prime field past F_5, where -1 is a non-square), unitary counts over F_16
+and over F_25 (e1 = 2, so a prefix row), the README's mixing-check example
+in the table format, a budget error and one usage error of each kind.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ EXTRA = [
     # single-orbit scan has quotient dimension 1
     "count --family symplectic --e1 2 --e2 2 --q 4",
     "count --family unitary --e1 1 --e2 2 --q 3",
+    # a prime field above F_5 (symplectic, and orthogonal with -1 a non-square
+    # mod 7), and hermitian counts over F_16 and over F_25 with a prefix row
+    "count --family symplectic --e1 2 --e2 2 --q 7",
+    "count --family orthogonal --eps - --sigma1 - --sigma2 + --e1 2 --e2 2 --q 7",
+    "count --family unitary --e1 1 --e2 2 --q 4",
+    "count --family unitary --e1 2 --e2 1 --q 5",
     # the README's mixing-check example: the table format pins the summary lines
     "mixing-check --e1 2 --e2 1 --q 3 --trials 100 --seed 0",
     # exit 3
