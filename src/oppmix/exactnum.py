@@ -65,22 +65,22 @@ def _is_prime(n: int) -> bool:
 
 
 def prime_power(q: int) -> PrimePower:
-    """Factor q as p^k or raise ValueError."""
+    """Factor q as p^k or raise ValueError.  p is q's least factor above 1:
+    trial division up to isqrt(q) finds it, or else it is q, a prime."""
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
-    for p in range(2, q + 1):
+    for p in range(2, isqrt(q) + 1):
         if q % p == 0:
-            if not _is_prime(p):
-                break
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n != 1:
-                break
-            return PrimePower(p, k, q)
-    raise ValueError(f"q = {q} is not a prime power")
+            break
+    else:
+        p = q
+    k, n = 0, q
+    while n % p == 0:
+        n //= p
+        k += 1
+    if n != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return PrimePower(p, k, q)
 
 
 def is_prime_power(q: int) -> bool:

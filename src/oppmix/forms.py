@@ -151,6 +151,12 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def verdicts(kind: str) -> tuple:
+    """The verdict of member code k, in both partition classifiers: 0 degenerate
+    (None), 1 type +1 (True unless orthogonal), 2 type -1; k > 0 keys a bucket."""
+    return (None, 1, -1) if kind == ORTHOGONAL else (None, True)
+
+
 def classify(r: RestrictedForm):
     """None if r is degenerate, else its type: +1 or -1 if orthogonal, True otherwise.
 
@@ -249,12 +255,12 @@ def lane_classifier_gf2(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
     """Verdicts over F_2 of every member with one pivot pattern, for e >= 1.
 
     The function returned maps the pattern's row candidates to one code per
-    member of product(*candidates), in that order: 0 if degenerate, 1 if of
-    type +1 (or symplectic), 2 if of type -1.  A count with no verdict raises.
-    A symplectic member is non-degenerate iff quad_table_gf2's Q on it is.
+    member of product(*candidates), in that order, as verdicts(form.kind)
+    spells them out.  A count with no verdict raises.  A symplectic member
+    is non-degenerate iff quad_table_gf2's Q on it is, whatever its type.
     """
-    orthogonal = form.kind == ORTHOGONAL
-    code = {c: s and 1 + (orthogonal and s < 0) for c, s in verdicts_by_count_gf2(e).items()}
+    keys, orthogonal = verdicts(form.kind), form.kind == ORTHOGONAL
+    code = {c: s and keys.index(s if orthogonal else True) for c, s in verdicts_by_count_gf2(e).items()}
     qt = quad_table_gf2(form)
     fmt = next(f for f in "BHIQ" if e <= 8 * struct.calcsize(f))  # a count is below 2^e
     table = bytes(code.get(c, 255) for c in range(256))

@@ -1,29 +1,28 @@
 """Matrices and canonical subspaces over the gf fields.
 
-A subspace is held as its reduced-row-echelon basis plus the pivot columns,
-which makes equality structural and the enumeration duplicate-free.  The
-enumeration order is fixed: pivot-column patterns lexicographically, then an
-odometer over the free entries (row-major positions, rightmost digit fastest,
-field values ascending).  members is the one enumerator, for every field: the
-product over pivot rows, last row fastest, of each row's candidates
-(row_candidates) in odometer order over that row's own free entries.
-Consecutive subspaces therefore share every row but the last, which the
-partition build and complement_rows exploit.
+A subspace is held as the tuple of its reduced-row-echelon rows, which makes
+equality structural and the enumeration duplicate-free; each row's pivot is
+its leading 1.  The enumeration order is fixed: pivot-column patterns
+lexicographically, then an odometer over the free entries (row-major
+positions, rightmost digit fastest, field values ascending).  members is the
+one enumerator, for every field: the product over pivot rows, last row
+fastest, of each row's candidates (row_candidates) in odometer order over
+that row's own free entries.  Consecutive subspaces therefore share every
+row but the last, which the partition build and complement_rows exploit.
 
-row_candidates, member(s), complement_rows and complement_hits are the one
-place that picks a field's representation: tuples of bitmask rows (bit j =
-coordinate j) over F_2, Subspace objects over every other field.  Callers
-never branch on q.  Two subspaces meet trivially iff they share no
-projective point, so complement_rows decides all of Y1 x Y2 by point
-incidence, with no elimination per pair.  complement_hits scans one fixed
-member against many by projection modulo it.  rank and det are two reads
-of one forward elimination (_eliminate).
+row_candidates is the one place that picks a field's row representation:
+bitmask ints (bit j = coordinate j) over F_2, tuples of d field values over
+every other field.  Callers never branch on q.  Two subspaces meet trivially
+iff they share no projective point, so complement_rows decides all of
+Y1 x Y2 by point incidence, with no elimination per pair.  complement_hits
+scans one fixed member against many by projection modulo it.  rank and det
+are two reads of one forward elimination (_eliminate).  Subspace spells out
+the dimension and pivots of RREF rows; the package makes none.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from itertools import chain, combinations, product
 from typing import Iterator, NamedTuple
 
@@ -101,9 +100,9 @@ def det(rows, fld: Field) -> int:
 # -- enumeration -----------------------------------------------------------
 
 
-def _row_tuples(d: int, pattern, fld: Field) -> list:
-    """Per pivot row, its candidates (tuples of d field values) in odometer
-    order over the row's own free entries.
+def row_candidates(d: int, pattern, fld: Field) -> list:
+    """Per pivot row, its candidates in odometer order over the row's own
+    free entries: int bitmasks over F_2, tuples of d field values otherwise.
 
     The free entries of one row are consecutive in the row-major odometer,
     so the product over rows, last row fastest, lists the subspaces with
@@ -120,38 +119,20 @@ def _row_tuples(d: int, pattern, fld: Field) -> list:
             for j, v in zip(free, values):
                 row[j] = v
             rows.append(tuple(row))
-        out.append(rows)
+        out.append(list(map(_row_to_bits, rows)) if fld.q == 2 else rows)
     return out
 
 
-def row_candidates(d: int, pattern, fld: Field) -> list:
-    """_row_tuples in the representation of members: int bitmasks over F_2."""
-    rows = _row_tuples(d, pattern, fld)
-    return [list(map(_row_to_bits, c)) for c in rows] if fld.q == 2 else rows
-
-
-def member(fld: Field, d: int, pattern, rows):
-    """The member of members(d, len(rows), fld) with these RREF rows and pivots."""
-    return rows if fld.q == 2 else Subspace(d, rows, pattern)
-
-
 def members(d: int, e: int, fld: Field) -> Iterator:
-    """Every e-subspace in the canonical order, in the field's representation.
+    """Every e-subspace in the canonical order, as the tuple of its RREF rows.
 
-    Over F_2 each member is a tuple of bitmask rows; over other fields it is
-    a Subspace.
+    A row is a bitmask over F_2 and a tuple of field values otherwise.
     """
     if not 0 <= e <= d:
         raise ValueError(f"need 0 <= e <= d, got e={e}, d={d}")
     return chain.from_iterable(
-        pattern_members(fld, d, p, product(*row_candidates(d, p, fld)))
-        for p in combinations(range(d), e)
+        product(*row_candidates(d, p, fld)) for p in combinations(range(d), e)
     )
-
-
-def pattern_members(fld: Field, d: int, pattern, rows) -> Iterator:
-    """member for each of these RREF row tuples with pivots pattern, lazily."""
-    return rows if fld.q == 2 else map(partial(member, fld, d, pattern), rows)
 
 
 def _through(fld: Field, span: list, row) -> list:
@@ -189,8 +170,7 @@ def _split_points(fld: Field, members) -> Iterator[tuple]:
     neighbours, so the span of those rows is built once per run of members.
     """
     prefix = span = None
-    for s in members:
-        rows = s if fld.q == 2 else s.basis
+    for rows in members:
         head = None
         if rows[:-1] != prefix:
             prefix, span = rows[:-1], []
@@ -247,17 +227,18 @@ def complement_hits(fld: Field, d: int, s, members) -> int:
     if fld.q == 2:
         proj, m = _projection_gf2(d, s)
         return sum(_independent_gf2(m, proj, members))
-    free = [j for j in range(d) if j not in s.pivots]
+    by_pivot = {b.index(1): b for b in s}  # b is 0 at every other pivot
+    free = [j for j in range(d) if j not in by_pivot]
     images: dict = {}
-    for row in {row for t in members for row in t.basis}:
+    for row in {row for t in members for row in t}:
         v = row
-        for p, b in zip(s.pivots, s.basis):  # b is 0 at every other pivot
+        for p, b in by_pivot.items():
             v = fld.sub_scaled(v, row[p], b) if row[p] else v
         images[row] = tuple(v[j] for j in free)
-    if len(free) == 2 and members[0].e == 2:
-        mul, pairs = fld.mul, (map(images.get, t.basis) for t in members)
+    if len(free) == 2 and len(members[0]) == 2:
+        mul, pairs = fld.mul, (map(images.get, t) for t in members)
         return sum(mul(a, e) != mul(b, c) for (a, b), (c, e) in pairs)
-    return sum(rank(list(map(images.get, t.basis)), fld) == t.e for t in members)
+    return sum(rank(list(map(images.get, t)), fld) == len(t) for t in members)
 
 
 def _projection_gf2(d: int, s) -> tuple:

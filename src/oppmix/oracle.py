@@ -6,8 +6,8 @@ complementary-pair counting comes in two flavours (all pairs, and the
 single-orbit shortcut that fixes one subspace and checks itself on a
 second), which must agree wherever both run.
 
-Members come from linalg.members, so the representation (bitmask-row tuples
-over F_2, Subspace objects over other fields) is chosen in linalg.
+Members are the tuples of their RREF rows, as linalg.members lists them:
+bitmask rows over F_2, rows of field values over other fields.
 All-pairs counts and the biadjacency matrix take their rows from
 linalg.complement_rows (point incidence); an all-pairs count is the sum of
 those rows' popcounts, taken serially in one process.  The single-orbit
@@ -15,13 +15,15 @@ count fixes one member of the side of larger dimension and counts its
 complements with linalg.complement_hits, a projection scan; the same scan
 of that side's last member checks the shortcut.
 
-A partition build takes each pivot pattern's members as the product of its
-rows' candidates (linalg.row_candidates), last row fastest.  Over F_2
-forms.lane_classifier_gf2 classifies a whole pattern at once, and
-itertools.compress builds only the kept members.  Every other field walks
-the candidates (_walk), classifying each distinct restricted form once,
-keyed by one column per basis row, with one forms.classify call, and
-reusing the verdict for every member that restricts to it.
+A partition build is one loop for every field.  Each pivot pattern's
+members are the product of its rows' candidates (linalg.row_candidates),
+last row fastest; a classifier gives each member one code (forms.verdicts),
+and itertools.compress builds only the kept members.  Over F_2 the
+classifier is forms.lane_classifier_gf2, which decides a whole pattern at
+once.  Every other field walks the candidates (_walk), classifying each
+distinct restricted form once, keyed by one column per basis row, with one
+forms.classify call, and reusing the code for every member that restricts
+to it.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -45,20 +47,20 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
 from operator import mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import exactnum, forms, linalg
 from .forms import ClassicalForm
 from .gf import field
 
-DEFAULT_BIADJACENCY_CAP = 5000
+BIADJACENCY_CAP = 5000
 
 
 class YSet(NamedTuple):
     form: ClassicalForm
     e: int
     sigma: int | None  # orthogonal subspace type; None for symplectic/hermitian
-    members: tuple  # bitmask-row tuples over F_2, Subspace objects otherwise
+    members: tuple  # each the tuple of its RREF rows, bitmasks over F_2
 
     @property
     def count(self) -> int:
@@ -124,20 +126,35 @@ class _RowImages(dict):
         return image
 
 
-def _walk(form: ClassicalForm, e: int):
-    """Every e-subspace's rows and key, one prefix at a time, in the canonical order.
+class _Verdicts(dict):
+    """Last column -> member code (forms.verdicts) under one prefix's columns,
+    classified on its first lookup: once per distinct restricted form."""
 
-    A key is one column per basis row b_j: the bytes B(b_i, b_j) for each
-    earlier row b_i, then b_j's own entry (Q(b_j) if orthogonal, otherwise
-    the diagonal B(b_j, b_j)).  Per pivot pattern each row's candidates are
-    prepared once, as (their conjugates, their own entries), and pairs(b,
-    prepared) gives the entries B(b, x) for each of them.  Per prefix (every
-    row but the last) this yields (pattern, prefix, the last row's
-    candidates, the prefix's columns, one last column per candidate).
+    def __init__(self, form: ClassicalForm, columns: tuple):
+        super().__init__()
+        self.form, self.columns = form, columns
+
+    def __missing__(self, tail) -> int:
+        verdict = forms.classify(_decode(self.form, (*self.columns, tail)))
+        code = self[tail] = forms.verdicts(self.form.kind).index(verdict)
+        return code
+
+
+def _walk(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
+    """The classifier of e-subspaces off F_2, with forms.lane_classifier_gf2's contract.
+
+    It walks a pattern's members, prefix (every row but the last) then last
+    row, keyed by one column per basis row b_j: the bytes B(b_i, b_j) for
+    each earlier row b_i, then Q(b_j) if orthogonal, else B(b_j, b_j).  Per
+    pattern each row's candidates are prepared once, as (their conjugates,
+    their own entries), and pairs(b, prepared) gives the entries B(b, x) for
+    each.  Codes are memoized across patterns per prefix's columns, then per
+    last column (_Verdicts).
     """
     fld = form.field
     images = _RowImages(form)
     dot, p = fld.dot, fld.p
+    memo: dict = {}
 
     def pairs(b, prepared):
         h = images[b][0]
@@ -149,26 +166,34 @@ def _walk(form: ClassicalForm, e: int):
         info = [images[x] for x in rows]
         return [cx for _, cx, _ in info], [own for _, _, own in info]
 
-    for pattern in combinations(range(form.d), e):
-        *heads, lasts = linalg.row_candidates(form.d, pattern, fld)
-        prepared = [prepare(rows) for rows in (*heads, lasts)]
+    def codes(candidates: list) -> bytes:
+        if not candidates:  # the zero space: non-degenerate, of type +1
+            return b"\x01"
+        prepared = [prepare(rows) for rows in candidates]
         owns = prepared[-1][1]
-        for prefix, columns, above in _prefixes(pairs, heads, prepared, (), (), [[]] * e):
-            yield pattern, prefix, lasts, columns, list(map(bytes, zip(*above, owns)))
+        out = bytearray()
+        for columns, above in _prefixes(pairs, candidates[:-1], prepared, (), [[]] * e):
+            seen = memo.get(columns)
+            if seen is None:
+                seen = memo[columns] = _Verdicts(form, columns)
+            out.extend(map(seen.__getitem__, map(bytes, zip(*above, owns))))
+        return bytes(out)
+
+    return codes
 
 
-def _prefixes(pairs, heads, prepared, prefix, columns, above):
-    """(prefix, its columns, its entries against the last row) below one odometer node.
+def _prefixes(pairs, heads, prepared, columns, above):
+    """(a prefix's columns, its entries against the last row) below one odometer node.
 
     heads are the prefix rows still to choose, prepared the (candidates,
     own entries) of those rows and of the last row, and above[k] holds the
-    entries of the rows in prefix against prepared[k]'s candidates.  A row's
-    entries against every later row's candidates are computed once, where
-    it joins the prefix, so each column is a zip of lists already made.  The
-    last prefix row yields directly rather than through one more level.
+    entries of the rows in the prefix against prepared[k]'s candidates.  A
+    row's entries against every later row's candidates are computed once,
+    where it joins the prefix, so each column is a zip of lists already
+    made.  The last prefix row yields directly rather than through one more level.
     """
     if not heads:  # e = 1: the empty prefix
-        yield prefix, columns, above[0]
+        yield columns, above[0]
         return
     rows, *rest = heads
     (_, owns), *later = prepared
@@ -176,18 +201,18 @@ def _prefixes(pairs, heads, prepared, prefix, columns, above):
     if rest:
         for b, key in zip(rows, keys):
             deeper = [[*a, pairs(b, p)] for a, p in zip(above[1:], later)]
-            yield from _prefixes(pairs, rest, later, prefix + (b,), columns + (key,), deeper)
+            yield from _prefixes(pairs, rest, later, columns + (key,), deeper)
     else:  # later is the last row alone
         (last,), (over_last,) = later, above[1:]
         for b, key in zip(rows, keys):
-            yield prefix + (b,), columns + (key,), [*over_last, pairs(b, last)]
+            yield columns + (key,), [*over_last, pairs(b, last)]
 
 
 def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
     """Split all e-subspaces into non-degenerate buckets plus a degenerate count.
 
     Returns (buckets, degenerate) where buckets maps sigma (or True) to the
-    member tuple in enumeration order (bitmask-row tuples over F_2).  The
+    member tuple in enumeration order (each member its RREF rows).  The
     budget is checked on every call.  The last two builds are cached: a case
     needs two (Y1 and Y2), and a theorem sweep runs the cases of one form
     and (e1, e2) one after another, so it never returns to an older build.
@@ -217,51 +242,22 @@ _cached_form = [None]  # the form of the builds in _partition's cache
 def _partition(form: ClassicalForm, e: int) -> tuple:
     """classify_partition without the budget check.
 
-    Over F_2 the lanes classify a whole pivot pattern at once.  Other fields
-    walk it (_walk): verdicts are memoized per prefix key, then per last
-    column, so each distinct restricted form is classified once, on its
-    first member, which is built only if it is kept.  The zero space has no
-    last row: it is the one member at e = 0, with no rows and the empty key.
+    One loop for every field: per pivot pattern a classifier (the lanes over
+    F_2 if e > 0, else _walk) codes each member of the product of its rows'
+    candidates, and compress keeps each bucket's members.
     """
     fld, d = form.field, form.d
-    if e and fld.q == 2:
-        return _lane_partition(form, e)
-    if e == 0:
-        c = forms.classify(_decode(form, ()))
-        return ({} if c is None else {c: (linalg.member(fld, d, (), ()),)}), int(c is None)
-    memo: dict = {}
-    buckets = defaultdict(list)
-    degenerate = 0
-    for pattern, prefix, lasts, columns, tails in _walk(form, e):
-        seen = memo.get(columns)
-        if seen is None:
-            seen = memo[columns] = {}
-        for last, tail in zip(lasts, tails):
-            try:
-                c = seen[tail]
-            except KeyError:
-                c = seen[tail] = forms.classify(_decode(form, (*columns, tail)))
-            if c is None:
-                degenerate += 1
-            else:
-                buckets[c].append(linalg.member(fld, d, pattern, prefix + (last,)))
-    return {c: tuple(v) for c, v in buckets.items()}, degenerate
-
-
-def _lane_partition(form: ClassicalForm, e: int) -> tuple:
-    """_partition over F_2 for e >= 1: forms.lane_classifier_gf2's code k is bucket keys[k - 1]."""
-    fld, d = form.field, form.d
-    codes_of = forms.lane_classifier_gf2(form, e)
-    keys = (1, -1) if form.kind == forms.ORTHOGONAL else (True,)
+    codes_of = forms.lane_classifier_gf2(form, e) if e and fld.q == 2 else _walk(form, e)
+    keys = forms.verdicts(form.kind)
     buckets = defaultdict(list)
     degenerate = 0
     for pattern in combinations(range(d), e):
         candidates = linalg.row_candidates(d, pattern, fld)
         codes = codes_of(candidates)
         degenerate += codes.count(0)
-        for k, key in enumerate(keys, 1):
-            kept = compress(product(*candidates), codes.translate(bytes(map(k.__eq__, range(256)))))
-            buckets[key] += linalg.pattern_members(fld, d, pattern, kept)
+        for k in range(1, len(keys)):
+            kept = codes.translate(bytes(map(k.__eq__, range(256))))
+            buckets[keys[k]] += compress(product(*candidates), kept)
     return {c: tuple(v) for c, v in buckets.items() if v}, degenerate
 
 
@@ -392,15 +388,16 @@ class Biadjacency(NamedTuple):
         return [[(mi & mj).bit_count() for mj in self.masks] for mi in self.masks]
 
 
-def build_biadjacency(e1: int, e2: int, q: int, cap: int = DEFAULT_BIADJACENCY_CAP) -> Biadjacency:
+def build_biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     """0/1 matrix of the complementarity relation in enumeration order.
 
-    The cap is checked on every call, before the cache.
+    BIADJACENCY_CAP bounds its rows; it is checked on every call, before the
+    cache.
     """
     d = e1 + e2
     n1 = exactnum.gaussian_binomial(d, e1, q)
-    if n1 > cap:
-        raise linalg.BudgetError(f"[{d} choose {e1}]_{q} = {n1} exceeds the cap {cap}")
+    if n1 > BIADJACENCY_CAP:
+        raise linalg.BudgetError(f"[{d} choose {e1}]_{q} = {n1} exceeds the cap {BIADJACENCY_CAP}")
     return _biadjacency(e1, e2, q)
 
 

@@ -171,10 +171,14 @@ def complementary_bits(rows1, rows2) -> bool:
 
 
 def pair_test(fld: Field):
-    """Complementarity of members(..., fld), curried: pair_test(fld)(s1)(s2)."""
+    """Complementarity of members(..., fld), curried: pair_test(fld)(rows1)(rows2).
+
+    Members are tuples of RREF rows; two meet trivially iff all their rows
+    together are independent.
+    """
     if fld.q == 2:
         return lambda rows1: lambda rows2: complementary_bits(rows1, rows2)
-    return lambda s1: lambda s2: complementary(s1, s2, fld)
+    return lambda rows1: lambda rows2: len(rref(rows1 + rows2, fld)[1]) == len(rows1) + len(rows2)
 
 
 def coord_subspace(d: int, cols) -> Subspace:

@@ -17,6 +17,15 @@ def test_prime_power_parsing():
     assert en.prime_powers_upto(10) == [2, 3, 4, 5, 7, 8, 9]
 
 
+def test_prime_power_of_large_q():
+    # trial division stops at isqrt(q): a large prime, a large prime power,
+    # and a large composite with two distinct prime factors
+    assert en.prime_power(1_000_000_007) == en.PrimePower(1_000_000_007, 1, 1_000_000_007)
+    assert en.prime_power(10_007**2) == en.PrimePower(10_007, 2, 10_007**2)
+    assert not en.is_prime_power(10_007 * 10_009)
+    assert not en.is_prime_power(2 * 1_000_000_007)
+
+
 def test_prime_power_record_checks_its_fields():
     assert en.PrimePower(3, 2, 9) == en.prime_power(9)
     for bad in ((4, 1, 4), (2, 2, 5), (2, 0, 1)):

@@ -82,6 +82,7 @@ TRACED_ONLY = {
     "orthogonal_tail_checks",  # tracer: bounds.tail_checks (sweep calls it by getattr)
     "symplectic_tail_checks",  # tracer: bounds.tail_checks (sweep calls it by getattr)
     "unitary_tail_checks",  # tracer: bounds.tail_checks (sweep calls it by getattr)
+    "Subspace",  # tracer: install() wraps Subspace.bit_rows (tests build references from it)
     "bit_rows",  # tracer: install() wraps Subspace.bit_rows (tests call it too)
 }
 

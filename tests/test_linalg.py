@@ -62,7 +62,7 @@ def test_members_match_reference_enumeration(q, max_d):
     f = field(q)
     for d in range(1, max_d + 1):
         for e in range(0, d + 1):
-            want = [s.bit_rows() if q == 2 else s for s in enumerate_subspaces(d, e, f)]
+            want = [_member(f, s) for s in enumerate_subspaces(d, e, f)]
             assert list(linalg.members(d, e, f)) == want, (d, e)
 
 
@@ -77,13 +77,15 @@ def test_enumeration_unique_and_canonical():
     for s in linalg.members(4, 2, field(3)):
         assert s not in seen
         seen.add(s)
-        # RREF shape: pivot entries 1, zeros above/below pivots
-        for i, p in enumerate(s.pivots):
-            assert s.basis[i][p] == 1
-            for i2 in range(len(s.basis)):
+        # RREF shape: each row leads with 1, at increasing pivots, zero
+        # elsewhere in its pivot column
+        pivots = [next(j for j, v in enumerate(row) if v) for row in s]
+        assert pivots == sorted(set(pivots))
+        for i, p in enumerate(pivots):
+            assert s[i][p] == 1
+            for i2 in range(len(s)):
                 if i2 != i:
-                    assert s.basis[i2][p] == 0
-            assert all(v == 0 for v in s.basis[i][:p])
+                    assert s[i2][p] == 0
     assert len(seen) == gaussian_binomial(4, 2, 3)
 
 
@@ -132,8 +134,8 @@ def test_complementary_general_q_matches_bits():
 
 
 def _member(f, s):
-    """s in the representation of linalg.members over f."""
-    return s.bit_rows() if f.q == 2 else s
+    """s in the representation of linalg.members over f: its RREF rows."""
+    return s.bit_rows() if f.q == 2 else s.basis
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -186,9 +188,7 @@ def test_complement_rows_match_complementary(q):
         x = [list(enumerate_subspaces(d, e, f)) for e in range(d + 1)]
         for e1, e2 in product(range(d + 1), repeat=2):
             for x2 in (x[e2], []):
-                m1, m2 = x[e1], x2
-                if q == 2:
-                    m1, m2 = [s.bit_rows() for s in m1], [s.bit_rows() for s in m2]
+                m1, m2 = [_member(f, s) for s in x[e1]], [_member(f, s) for s in x2]
                 rows = list(linalg.complement_rows(f, m1, m2))
                 assert len(rows) == len(x[e1])
                 for s1, row in zip(x[e1], rows):

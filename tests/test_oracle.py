@@ -94,6 +94,11 @@ def test_hermitian_counts_match_closed_form(q, d):
         ("symplectic", 4, 3, None),
         ("hermitian", 3, 2, None),
         ("hermitian", 4, 2, None),
+        *[("orthogonal", 4, q, eps) for q in (7, 8, 9) for eps in (1, -1)],
+        ("symplectic", 4, 4, None),
+        ("symplectic", 4, 7, None),
+        ("hermitian", 3, 4, None),
+        ("hermitian", 2, 5, None),
     ],
 )
 def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
@@ -106,7 +111,7 @@ def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
             if c is None:
                 degenerate += 1
                 continue
-            want.setdefault(c, []).append(s.bit_rows() if form.field.q == 2 else s)
+            want.setdefault(c, []).append(s.bit_rows() if form.field.q == 2 else s.basis)
         want = {c: tuple(members) for c, members in want.items()}
         assert oracle.classify_partition(form, e) == (want, degenerate), e
 
@@ -122,28 +127,32 @@ GENERIC_KEY_CASES = (
 
 
 @pytest.mark.parametrize("kind,d,q,eps", GENERIC_KEY_CASES)
-def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
+def test_generic_key_matches_restrict_bytes(kind, d, q, eps, monkeypatch):
     # the key keeps part of the gram; decoded, it is the whole restricted
-    # form, gram and Q values, of every member, and the walk lists every
-    # member once in the canonical order
+    # form, gram and Q values, of every member, and a partition build looks
+    # up one key per member in the canonical order
     form = forms.standard_form(kind, d, q, eps)
+    keys = []
+
+    class RecordingVerdicts(oracle._Verdicts):
+        def __getitem__(self, tail):
+            keys.append((*self.columns, tail))
+            return super().__getitem__(tail)
+
+    monkeypatch.setattr(oracle, "_Verdicts", RecordingVerdicts)
     step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
     for e in range(0, d + 1, step):
-        walked, keys = [], set()
-        if e == 0:  # not walked: the zero space has no last row, and the empty key
-            walked.append(linalg.Subspace(d, (), ()))
-            keys.add(())
-            assert oracle._decode(form, ()) == restrict(form, walked[0])
-        for pattern, prefix, lasts, columns, tails in oracle._walk(form, e) if e else ():
-            assert len(columns) == e - 1 and len(tails) == len(lasts)
-            for last, tail in zip(lasts, tails):
-                s = linalg.Subspace(d, prefix + (last,), pattern)
-                assert oracle._decode(form, (*columns, tail)) == restrict(form, s), (e, s)
-                walked.append(s)
-                keys.add((*columns, tail))
-        assert walked == list(linalg.members(d, e, form.field)), e
+        keys.clear()
+        oracle._partition.__wrapped__(form, e)
+        if e == 0:  # the zero space has no last row: its key is empty, and not looked up
+            assert keys == []
+            keys.append(())
+        subspaces = list(enumerate_subspaces(d, e, form.field))
+        assert len(keys) == len(subspaces), e
+        for key, s in zip(keys, subspaces):
+            assert oracle._decode(form, key) == restrict(form, s), (e, s)
         # one key, and so one verdict, per distinct restricted form
-        assert len(keys) == len({restrict(form, s) for s in walked}), e
+        assert len(set(keys)) == len({restrict(form, s) for s in subspaces}), e
 
 
 GF2_FORMS = [("orthogonal", 1), ("orthogonal", -1), ("symplectic", None)]
@@ -452,14 +461,17 @@ def test_biadjacency_index_order_gf2(e1, e2):
 
 
 def test_biadjacency_cap():
-    with pytest.raises(linalg.BudgetError):
-        oracle.build_biadjacency(3, 3, 3, cap=100)
+    # [6, 3]_3 = 33,880 rows, above the cap
+    assert exactnum.gaussian_binomial(6, 3, 3) > oracle.BIADJACENCY_CAP
+    with pytest.raises(linalg.BudgetError, match="exceeds the cap"):
+        oracle.build_biadjacency(3, 3, 3)
 
 
-def test_biadjacency_cap_checked_after_cache_fill():
+def test_biadjacency_cap_checked_after_cache_fill(monkeypatch):
     oracle.build_biadjacency(2, 1, 2)
+    monkeypatch.setattr(oracle, "BIADJACENCY_CAP", 3)
     with pytest.raises(linalg.BudgetError):
-        oracle.build_biadjacency(2, 1, 2, cap=3)
+        oracle.build_biadjacency(2, 1, 2)
 
 
 @pytest.mark.parametrize(

@@ -71,8 +71,8 @@ def rref_subspaces(draw, f, d, e):
 
 
 def _member(f, s):
-    """s in the representation of linalg.members over f."""
-    return s.bit_rows() if f.q == 2 else s
+    """s in the representation of linalg.members over f: its RREF rows."""
+    return s.bit_rows() if f.q == 2 else s.basis
 
 
 @st.composite
