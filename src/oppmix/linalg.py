@@ -15,15 +15,20 @@ bitmask ints (bit j = coordinate j) over F_2, tuples of d field values over
 every other field.  Callers never branch on q.  Two subspaces meet trivially
 iff they share no projective point, so complement_rows decides all of
 Y1 x Y2 by point incidence, with no elimination per pair.  complement_hits
-scans one fixed member against many by projection modulo it.  rank and det
-are two reads of one forward elimination (_eliminate).  Subspace spells out
+scans many members from each of a few fixed ones by projection modulo the
+fixed member.  Over F_2 it packs the scanned side into bytes once and
+decides a whole side per fixed member with bytes.translate and big-int
+operations, a determinant being the parity of a product of minor tables.
+rank and det are two reads of one forward elimination (_eliminate).  Subspace spells out
 the dimension and pivots of RREF rows; the package makes none.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import defaultdict
-from itertools import chain, combinations, product
+from functools import lru_cache
+from itertools import chain, combinations, islice, product
 from typing import Iterator, NamedTuple
 
 from .exactnum import BudgetError  # noqa: F401 (re-exported)
@@ -212,21 +217,25 @@ def complement_rows(fld: Field, members1, members2) -> Iterator[int]:
         yield full ^ hit  # hit has no bit at or above len(members2)
 
 
-def complement_hits(fld: Field, d: int, s, members) -> int:
-    """How many of members, a sequence of one dimension r, meet member s trivially.
+def complement_hits(fld: Field, d: int, fixed, members) -> list:
+    """Per member s of fixed, how many of members, a sequence of one dimension r, meet s trivially.
 
     Each vector maps to its image modulo s: its reduction by s's RREF rows,
     read at s's m = d - dim s non-pivot columns.  s + T is direct iff the
     images of T's rows are independent, so no member costs an elimination.
-    Over F_2 the images of all 2^d vectors are one list; over other fields
-    each distinct row's image is computed once, and at r = m = 2 the verdict
-    is one 2 x 2 determinant.
+    Over F_2, members are packed once and each s scans them all at once
+    (_independent_gf2); over other fields each distinct row's image is
+    computed once per s, and at r = m = 2 the verdict is one 2 x 2
+    determinant.
     """
     if not members:
-        return 0
+        return [0] * len(fixed)
     if fld.q == 2:
-        proj, m = _projection_gf2(d, s)
-        return sum(_independent_gf2(m, proj, members))
+        return [sum(f.count(1) for f in flags) for flags in _independent_gf2(d, fixed, members)]
+    return [_generic_hits(fld, d, s, members) for s in fixed]
+
+
+def _generic_hits(fld: Field, d: int, s, members) -> int:
     by_pivot = {b.index(1): b for b in s}  # b is 0 at every other pivot
     free = [j for j in range(d) if j not in by_pivot]
     images: dict = {}
@@ -241,41 +250,135 @@ def complement_hits(fld: Field, d: int, s, members) -> int:
     return sum(rank(list(map(images.get, t)), fld) == len(t) for t in members)
 
 
-def _projection_gf2(d: int, s) -> tuple:
-    """(proj, m): proj[v] is the image of bitmask v modulo bitmask member s, in m bits.
+_PARITY = bytes(v.bit_count() & 1 for v in range(256))
+_SLICE = 8192  # members per packed block
+
+
+def _independent_gf2(d: int, fixed, members) -> Iterator[list]:
+    """Per bitmask member s of fixed, one byte per member T of members, in
+    blocks of bytes: 1 if the images of T's rows modulo s are independent,
+    else 0.
+
+    When T has m = d - dim s <= 4 rows, the byte is the determinant of the
+    m x m matrix of images, expanded along its first k = ceil(m/2) rows.
+    Over F_2 the signs vanish, so it is the parity of P(top) & P*(bottom):
+    bit t of P(top) is the top rows' minor at the t-th k-subset of columns,
+    bit t of P*(bottom) the bottom rows' minor at its complement
+    (_minor_tables).  members are packed once (_pack).  An image is linear
+    in a row's bits, so one 256-entry table per row byte maps a lane of row
+    bytes to their images, already shifted to their place in the minor
+    tables' index; the byte positions are XORed as big ints.  No member
+    takes a Python step.  Other shapes count each member's span.
+    """
+    r = len(members[0])
+    blocks = None
+    for s in fixed:
+        units, m = _unit_images(d, s), d - len(s)
+        if r != m or m > 4 or d > 64:  # not square, too large, or rows past 8 bytes
+            proj = _span(units)
+            yield [bytes(_independent_bits([proj[x] for x in t]) for t in members)]
+            continue
+        if blocks is None:
+            blocks, width = _pack(d, r, members)
+            stride = r * width  # bytes per member
+        k = (m + 1) // 2
+        bases = [_span(units[j : j + 8] + [0] * (j + 8 - d)) for j in range(0, d, 8)]
+        tables = [  # per row and row byte: the images, shifted into the minor tables' index
+            (i, j, bytes([v << m * (i if i < k else i - k) for v in base]))
+            for i in range(r)
+            for j, base in enumerate(bases)
+        ]
+        top, bottom = _minor_tables(m)
+        flags = []
+        for block, size in blocks:
+            index = [0, 0]  # the top rows' images, the bottom rows'
+            for i, j, table in tables:
+                lane = block[i * width + j :: stride].translate(table)
+                index[i >= k] ^= int.from_bytes(lane, "little")
+            p, p_star = (
+                int.from_bytes(v.to_bytes(size, "little").translate(t), "little")
+                for v, t in zip(index, (top, bottom))
+            )
+            flags.append((p & p_star).to_bytes(size, "little").translate(_PARITY))
+        yield flags
+
+
+def _pack(d: int, r: int, members) -> tuple:
+    """(blocks, width): members of r rows, _SLICE at a time, as (bytes, member count) pairs.
+
+    A block holds every row of its members in order, width bytes each,
+    little-endian: width is 1 for d <= 8, else 2, 4 or 8, of which the scan
+    reads the first ceil(d/8).  Blocks keep the scan's temporaries, and the
+    packing's own, small beside the packed side.
+    """
+    code = "B" if d <= 8 else "H" if d <= 16 else "I" if d <= 32 else "Q"
+    blocks, it = [], iter(members)
+    for a in range(0, len(members), _SLICE):
+        size = min(_SLICE, len(members) - a)
+        rows = chain.from_iterable(islice(it, size))
+        block = bytes(rows) if code == "B" else struct.pack(f"<{size * r}{code}", *rows)
+        blocks.append((block, size))
+    return blocks, struct.calcsize(code)
+
+
+def _unit_images(d: int, s) -> list:
+    """The image modulo bitmask member s of each unit vector, as an int of d - dim s bits.
 
     Bit t of an image is its entry at s's t-th non-pivot column.  The image
     of the unit vector at a pivot is the non-pivot part of that pivot's row.
     """
     by_pivot = {r & -r: r for r in s}
     free = [1 << j for j in range(d) if 1 << j not in by_pivot]
-    proj = [0]
-    for j in range(d):
-        x = by_pivot.get(1 << j, 1 << j)
-        unit = sum(1 << t for t, b in enumerate(free) if x & b)
-        proj += [v ^ unit for v in proj]
-    return proj, len(free)
+    return [
+        sum(1 << t for t, b in enumerate(free) if by_pivot.get(1 << j, 1 << j) & b)
+        for j in range(d)
+    ]
 
 
-def _independent_gf2(m: int, proj: list, members) -> Iterator[bool]:
-    """Per member (a tuple of bitmask rows x), whether the images proj[x] are independent.
+def _span(vectors: list) -> list:
+    """The table of 2^len(vectors) entries whose entry v is the XOR of the vectors at v's bits."""
+    out = [0]
+    for x in vectors:
+        out += [v ^ x for v in out]
+    return out
 
-    Images a, b are independent iff a·b·(a ^ b) != 0.  For members of
-    dimension m = 2 or 4 (the only ones an even split over F_2 leaves) a
-    list of 2^(2m) entries indexed by a | b << m decides: it holds the span
-    of an independent pair as a 2^m-bit set of vectors, 0 for a dependent
-    one.  At m = 2 a member is independent iff its entry is not 0, at m = 4
-    (a, b, c, e) is independent iff span(a, b) and span(c, e) meet in bit 0
-    (the zero vector) alone.  Otherwise the span of the images is counted.
+
+@lru_cache(maxsize=None)
+def _minor_tables(m: int) -> tuple:
+    """(top, bottom): 256-entry tables of the minors of an m x m matrix over F_2, m <= 4.
+
+    An index holds the first k = ceil(m/2) rows (top) or the other m - k
+    (bottom), row i at bits m*i up.  Bit t of top[index] is the minor of
+    those rows at the t-th k-subset of the m columns, in combinations order;
+    bit t of bottom[index] is the minor of the bottom rows at that subset's
+    complement.
     """
-    if m not in (2, 4) or len(members[0]) != m:
-        return (_independent_bits([proj[x] for x in t]) for t in members)
-    pairs = [(a, b) for b in range(1 << m) for a in range(1 << m)]
-    lo, hi = proj, [v << m for v in proj]
-    span = [1 | 1 << a | 1 << b | 1 << (a ^ b) if a * b * (a ^ b) else 0 for a, b in pairs]
-    if m == 2:
-        return (span[lo[a] | hi[b]] != 0 for a, b in members)
-    return (span[lo[a] | hi[b]] & span[lo[c] | hi[e]] == 1 for a, b, c, e in members)
+    top = list(combinations(range(m), (m + 1) // 2))
+    bottom = [tuple(j for j in range(m) if j not in c) for c in top]
+    return tuple(bytes(_minors(m, family)).ljust(256, b"\0") for family in (top, bottom))
+
+
+def _minors(m: int, family: list) -> list:
+    """Per index of len(family[0]) rows of m bits, row i at bits m*i up, the
+    bitmask whose bit t is the minor of those rows at the columns family[t].
+
+    A minor is linear in the first row: expanded along it, column c adds the
+    minor of the other rows at family[t] without c.  So the entries for one
+    choice of the other rows are the span of one vector per column.
+    """
+    if not family[0]:
+        return [1]  # the family is the empty subset alone, whose minor is 1
+    drops = sorted({f[:i] + f[i + 1 :] for f in family for i in range(len(f))})
+    at = {g: 1 << i for i, g in enumerate(drops)}  # a dropped subset's bit in rest
+    out = []
+    for rest in _minors(m, drops):
+        units = [0] * m
+        for t, f in enumerate(family):
+            for i, c in enumerate(f):
+                if rest & at[f[:i] + f[i + 1 :]]:
+                    units[c] |= 1 << t
+        out += _span(units)
+    return out
 
 
 def _independent_bits(rows) -> bool:

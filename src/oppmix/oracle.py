@@ -11,9 +11,9 @@ bitmask rows over F_2, rows of field values over other fields.
 All-pairs counts and the biadjacency matrix take their rows from
 linalg.complement_rows (point incidence); an all-pairs count is the sum of
 those rows' popcounts, taken serially in one process.  The single-orbit
-count fixes one member of the side of larger dimension and counts its
-complements with linalg.complement_hits, a projection scan; the same scan
-of that side's last member checks the shortcut.
+count fixes the first and the last member of the side of larger dimension
+and counts the complements of each in one linalg.complement_hits call, a
+projection scan of the other side; the second count checks the shortcut.
 
 A partition build is one loop for every field.  Each pivot pattern's
 members are the product of its rows' candidates (linalg.row_candidates),
@@ -313,15 +313,16 @@ def count_complementary_transitive(
     of a side has the same number of complements in the other side:
     hits(S1 -> Y2)·|Y1| = hits(S2 -> Y1)·|Y2|.  The fixed side is the one of
     larger dimension (Y1 on a tie), which leaves linalg.complement_hits the
-    smaller quotient.  Its last member is scanned too, as a check of the
-    shortcut: a different count raises ArithmeticError.
+    smaller quotient.  One call scans the other side from the fixed side's
+    first and last members, so that side is packed once; the second count
+    checks the shortcut, and a different count raises ArithmeticError.
     """
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
     fixed, other = (y2, y1) if y2.e > y1.e else (y1, y2)
     fld, d = y1.form.field, y1.form.d
-    hits = linalg.complement_hits(fld, d, fixed.members[0], other.members)
-    again = linalg.complement_hits(fld, d, fixed.members[-1], other.members)
+    ends = (fixed.members[0], fixed.members[-1])
+    hits, again = linalg.complement_hits(fld, d, ends, other.members)
     if again != hits:
         raise ArithmeticError(
             f"single-orbit count: the first {fixed.e}-space has {hits} complements, "

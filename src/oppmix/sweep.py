@@ -63,8 +63,9 @@ def verify_theorem(
     """Sweep the family's grid over every sign triple it needs, then its tails.
 
     A tuple that is not an exception must clear its threshold in closed form;
-    an exception tuple goes to the enumeration oracle (unless `run_oracle` is
-    off), whose exact proportion must clear the same threshold.  The d = 4
+    an exception tuple must miss it for some sign triple, or the list is
+    stale, and goes to the enumeration oracle (unless `run_oracle` is off),
+    whose exact proportion must clear the same threshold.  The d = 4
     exceptions count every pair with `full_pairs_d4`; `budget` caps each
     oracle enumeration.
     """
@@ -75,11 +76,14 @@ def verify_theorem(
     bound_reports, count_reports, failures = [], [], []
     for e1, e2, q in GRIDS[family]:
         exception = fam.is_exception(e1, e2, q)
-        for eps, s1, s2 in signs:
-            rep = bounds.bound_case(family, e1, e2, q, eps, s1, s2)
-            bound_reports.append(rep)
-            if not rep.passed and not exception:
-                failures.append(f"closed-form bound failed: {rep.label()}")
+        reps = [bounds.bound_case(family, e1, e2, q, eps, s1, s2) for eps, s1, s2 in signs]
+        bound_reports += reps
+        if not exception:
+            failures += [f"closed-form bound failed: {r.label()}" for r in reps if not r.passed]
+        elif all(r.passed for r in reps):
+            failures.append(
+                f"listed exception passes in closed form: {family} q={q} e1={e1} e2={e2}"
+            )
         if not (exception and run_oracle):
             continue
         threshold = fam.threshold(e1, e2, q)

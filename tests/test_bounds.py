@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -318,6 +319,26 @@ def test_verify_orthogonal_closed_form_only():
     assert len(rep.bound_reports) == 4 * 21 * 8
     with pytest.raises(ValueError):
         sweep.verify_theorem("elliptic")
+
+
+def test_verify_fails_a_listed_exception_that_passes_in_closed_form(monkeypatch):
+    # each listed orthogonal tuple (q, m2, m1) misses its closed form for
+    # some of its 8 sign triples, so the list is not stale ...
+    misses = Counter(
+        (r.q, r.e2 // 2, r.e1 // 2)
+        for r in sweep.verify_theorem("orthogonal", run_oracle=False).bound_reports
+        if not r.passed
+    )
+    assert misses == {
+        (2, 1, 1): 7, (2, 1, 2): 6, (2, 2, 2): 3, (2, 1, 3): 2,
+        (3, 1, 1): 7, (4, 1, 1): 1, (5, 1, 1): 1,
+    }
+    # ... and listing (2, 2, 3), which passes for every sign, fails the sweep
+    fam = bounds.THEOREM["orthogonal"]
+    stale = fam._replace(exceptions=(*fam.exceptions, (2, 2, 3)))
+    monkeypatch.setitem(bounds.THEOREM, "orthogonal", stale)
+    rep = sweep.verify_theorem("orthogonal", run_oracle=False)
+    assert rep.failures == ["listed exception passes in closed form: orthogonal q=2 e1=6 e2=4"]
 
 
 # the memo caches of the closed-form sweep: the kernels and the sign-free terms

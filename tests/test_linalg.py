@@ -1,5 +1,4 @@
 import random
-from functools import partial
 from itertools import product
 from math import prod
 
@@ -153,30 +152,59 @@ def test_pair_test_matches_complementary(q):
             x1, x2 = x[e1], [_member(f, s) for s in x[e2]]
             if len(x1) * len(x2) > 20_000:
                 x1 = rng.sample(x1, max(1, 20_000 // len(x2)))
-            for s1 in map(partial(_member, f), x1):
-                want = sum(map(against(s1), x2))
-                assert linalg.complement_hits(f, d, s1, x2) == want, (d, s1, e2)
+            fixed = [_member(f, s) for s in x1]
+            want = [sum(map(against(s1), x2)) for s1 in fixed]
+            assert linalg.complement_hits(f, d, fixed, x2) == want, (d, e1, e2)
 
 
 @pytest.mark.parametrize("m", range(5))
 def test_gf2_independence_decider_accepts_exactly_the_bases(m):
-    # with the identity as its projection the decider judges m-tuples of
-    # vectors of F_2^m: it accepts the prod (2^m - 2^i) ordered bases, and
-    # agrees with the reference elimination on every tuple
+    # modulo the zero space the projection is the identity, so the decider
+    # judges m-tuples of vectors of F_2^m by their minors: it accepts the
+    # prod (2^m - 2^i) ordered bases, and agrees with the reference
+    # elimination on every tuple
     tuples = list(product(range(1 << m), repeat=m))
-    flags = list(linalg._independent_gf2(m, list(range(1 << m)), tuples))
+    (flags,) = (list(b"".join(f)) for f in linalg._independent_gf2(m, [()], tuples))
     assert sum(flags) == prod((1 << m) - (1 << i) for i in range(m))
     assert flags == [complementary_bits((), t) for t in tuples]
 
 
 @pytest.mark.parametrize("m,r", [(4, 2), (4, 3), (2, 1), (3, 4), (5, 2), (5, 5), (6, 4)])
 def test_gf2_independence_of_other_shapes(m, r):
-    # r rows in F_2^m with r != m, or m outside {2, 4}: the span count, not a table
+    # r rows in F_2^m with r != m, or m above 4: the span count, not the minors
     rng = random.Random(m * 10 + r)
     tuples = [tuple(rng.randrange(1 << m) for _ in range(r)) for _ in range(400)]
-    flags = list(linalg._independent_gf2(m, list(range(1 << m)), tuples))
+    (flags,) = (list(b"".join(f)) for f in linalg._independent_gf2(m, [()], tuples))
     assert flags == [complementary_bits((), t) for t in tuples]
     assert any(flags) == (r <= m) and not all(flags)
+
+
+def _random_subspace_bits(rng, d, e):
+    """A seeded random e-subspace of F_2^d, as its RREF bitmask rows."""
+    while True:
+        red, _ = rref_bits([rng.randrange(1 << d) for _ in range(e)])
+        if len(red) == e:
+            return red
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_scan_matches_reference_on_two_byte_rows(d):
+    # rows of two bytes: for m = 1..4 the first, the last and a seeded
+    # (d - m)-subspace, each scanned against every 2-subspace at m = 2 and
+    # against 3,000 seeded random m-subspaces otherwise
+    f = field(2)
+    rng = random.Random(d)
+    against = pair_test(f)
+    for m in range(1, 5):
+        first = next(linalg.members(d, d - m, f))
+        last = tuple(1 << c for c in range(m, d))  # the last pattern has no free entry
+        fixed = [first, last, _random_subspace_bits(rng, d, d - m)]
+        if m == 2:
+            scanned = list(linalg.members(d, m, f))
+        else:
+            scanned = [_random_subspace_bits(rng, d, m) for _ in range(3000)]
+        want = [sum(map(against(s), scanned)) for s in fixed]
+        assert linalg.complement_hits(f, d, fixed, scanned) == want, m
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -201,7 +229,8 @@ def _complement_count(d, e1, q):
     # the scan of the span of the first e1 unit vectors against every complement dimension
     f = field(q)
     s1 = _member(f, coord_subspace(d, tuple(range(e1))))
-    return linalg.complement_hits(f, d, s1, list(linalg.members(d, d - e1, f)))
+    (hits,) = linalg.complement_hits(f, d, [s1], list(linalg.members(d, d - e1, f)))
+    return hits
 
 
 @pytest.mark.parametrize("q", [2, 3])

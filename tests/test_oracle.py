@@ -374,8 +374,8 @@ def test_scan_matches_reference_from_every_member(kind, d, q, eps):
         for s1, s2 in product(signs, repeat=2):
             y1, y2 = oracle.build_yset(form, e1, s1), oracle.build_yset(form, d - e1, s2)
             rows = [[against(a)(b) for b in y2.members] for a in y1.members]
-            hits1 = [linalg.complement_hits(f, d, a, y2.members) for a in y1.members]
-            hits2 = [linalg.complement_hits(f, d, b, y1.members) for b in y2.members]
+            hits1 = linalg.complement_hits(f, d, y1.members, y2.members)
+            hits2 = linalg.complement_hits(f, d, y2.members, y1.members)
             assert hits1 == [sum(r) for r in rows], (e1, s1, s2)
             assert hits2 == [sum(c) for c in zip(*rows)], (e1, s1, s2)
 
@@ -390,10 +390,9 @@ def test_scan_matches_reference_on_sampled_members_o8_gf2():
         ys = {sigma: oracle.build_yset(form, 4, sigma) for sigma in (1, -1)}
         for s1, s2 in product((1, -1), repeat=2):
             y1, y2 = ys[s1], ys[s2]
-            for i in (0, y1.count - 1, rng.randrange(1, y1.count - 1)):
-                s = y1.members[i]
-                want = sum(map(against(s), y2.members))
-                assert linalg.complement_hits(form.field, 8, s, y2.members) == want, (eps, i)
+            fixed = [y1.members[i] for i in (0, y1.count - 1, rng.randrange(1, y1.count - 1))]
+            want = [sum(map(against(s), y2.members)) for s in fixed]
+            assert linalg.complement_hits(form.field, 8, fixed, y2.members) == want, eps
 
 
 def _outsider_first(y):

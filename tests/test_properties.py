@@ -46,8 +46,8 @@ def test_pair_test_matches_complementary_on_random_spans(case):
     # the projection scan modulo s1, of dimension e1, on a one-member list;
     # e1 + e2 may be above, at or below d
     f, s1, s2 = case
-    hits = linalg.complement_hits(f, s1.d, _member(f, s1), [_member(f, s2)])
-    assert hits == complementary(s1, s2, f)
+    hits = linalg.complement_hits(f, s1.d, [_member(f, s1)], [_member(f, s2)])
+    assert hits == [complementary(s1, s2, f)]
 
 
 def _max_d(q):
