@@ -259,27 +259,27 @@ def _independent_gf2(d: int, fixed, members) -> Iterator[list]:
     blocks of bytes: 1 if the images of T's rows modulo s are independent,
     else 0.
 
-    When T has m = d - dim s <= 4 rows, the byte is the determinant of the
-    m x m matrix of images, expanded along its first k = ceil(m/2) rows.
-    Over F_2 the signs vanish, so it is the parity of P(top) & P*(bottom):
-    bit t of P(top) is the top rows' minor at the t-th k-subset of columns,
-    bit t of P*(bottom) the bottom rows' minor at its complement
-    (_minor_tables).  members are packed once (_pack).  An image is linear
-    in a row's bits, so one 256-entry table per row byte maps a lane of row
-    bytes to their images, already shifted to their place in the minor
-    tables' index; the byte positions are XORed as big ints.  No member
-    takes a Python step.  Other shapes count each member's span.
+    When T has m = d - dim s <= 4 rows and d <= 16, the byte is the
+    determinant of the m x m matrix of images, expanded along its first
+    k = ceil(m/2) rows.  Over F_2 the signs vanish, so it is the parity of
+    P(top) & P*(bottom): bit t of P(top) is the top rows' minor at the t-th
+    k-subset of columns, bit t of P*(bottom) the bottom rows' minor at its
+    complement (_minor_tables).  members are packed once (_pack).  An image
+    is linear in a row's bits, so one 256-entry table per row byte maps a
+    lane of row bytes to their images, already shifted to their place in
+    the minor tables' index; the byte positions are XORed as big ints.  No
+    member takes a Python step.  Other shapes count each member's span.
     """
     r = len(members[0])
     blocks = None
     for s in fixed:
         units, m = _unit_images(d, s), d - len(s)
-        if r != m or m > 4 or d > 64:  # not square, too large, or rows past 8 bytes
+        if r != m or m > 4 or d > 16:  # not square, too large, or rows past two bytes
             proj = _span(units)
             yield [bytes(_independent_bits([proj[x] for x in t]) for t in members)]
             continue
         if blocks is None:
-            blocks, width = _pack(d, r, members)
+            blocks, width = _pack(d, r, members), (d + 7) // 8  # bytes per row
             stride = r * width  # bytes per member
         k = (m + 1) // 2
         bases = [_span(units[j : j + 8] + [0] * (j + 8 - d)) for j in range(0, d, 8)]
@@ -303,22 +303,19 @@ def _independent_gf2(d: int, fixed, members) -> Iterator[list]:
         yield flags
 
 
-def _pack(d: int, r: int, members) -> tuple:
-    """(blocks, width): members of r rows, _SLICE at a time, as (bytes, member count) pairs.
+def _pack(d: int, r: int, members) -> list:
+    """Members of r rows, _SLICE at a time, as (bytes, member count) pairs.
 
-    A block holds every row of its members in order, width bytes each,
-    little-endian: width is 1 for d <= 8, else 2, 4 or 8, of which the scan
-    reads the first ceil(d/8).  Blocks keep the scan's temporaries, and the
+    A block holds every row of its members in order, ceil(d/8) <= 2 bytes
+    each, little-endian.  Blocks keep the scan's temporaries, and the
     packing's own, small beside the packed side.
     """
-    code = "B" if d <= 8 else "H" if d <= 16 else "I" if d <= 32 else "Q"
     blocks, it = [], iter(members)
     for a in range(0, len(members), _SLICE):
         size = min(_SLICE, len(members) - a)
         rows = chain.from_iterable(islice(it, size))
-        block = bytes(rows) if code == "B" else struct.pack(f"<{size * r}{code}", *rows)
-        blocks.append((block, size))
-    return blocks, struct.calcsize(code)
+        blocks.append((bytes(rows) if d <= 8 else struct.pack(f"<{size * r}H", *rows), size))
+    return blocks
 
 
 def _unit_images(d: int, s) -> list:
