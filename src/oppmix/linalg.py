@@ -19,8 +19,9 @@ scans many members from each of a few fixed ones by projection modulo the
 fixed member.  Over F_2 it packs the scanned side into bytes once and
 decides a whole side per fixed member with bytes.translate and big-int
 operations, a determinant being the parity of a product of minor tables.
-rank and det are two reads of one forward elimination (_eliminate).  Subspace spells out
-the dimension and pivots of RREF rows; the package makes none.
+rank and det are two reads of one forward elimination (_eliminate).
+Subspace spells out the dimension and pivots of RREF rows; the package
+makes none.
 """
 
 from __future__ import annotations
