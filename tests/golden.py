@@ -19,7 +19,9 @@ characteristic, prime and extension fields), a symplectic count over F_4
 unitary count with e1 = 1 over F_9 (complement_hits by rank rather than
 by the 2 x 2 determinant), symplectic and orthogonal counts over F_7 (a
 prime field past F_5, where -1 is a non-square), unitary counts over F_16
-and over F_25 (e1 = 2, so a prefix row), symplectic and orthogonal F_2
+and over F_25 (e1 = 2, so a prefix row), a unitary count over F_4 with
+e2 = 4 (a prefix of three rows, whose entries take the conjugating dot
+product of an extension field), symplectic and orthogonal F_2
 counts at d = 10 (rows of two bytes in the single-orbit scan), the README's mixing-check example
 in the table format, a budget error and one usage error of each kind.
 """
@@ -60,6 +62,8 @@ EXTRA = [
     "count --family orthogonal --eps - --sigma1 - --sigma2 + --e1 2 --e2 2 --q 7",
     "count --family unitary --e1 1 --e2 2 --q 4",
     "count --family unitary --e1 2 --e2 1 --q 5",
+    # a hermitian walk with a prefix of three rows
+    "count --family unitary --e1 1 --e2 4 --q 2",
     # F_2 counts at d = 10, whose scanned rows take two bytes each
     "count --family symplectic --e1 8 --e2 2 --q 2",
     "count --family orthogonal --eps - --sigma1 + --sigma2 - --e1 8 --e2 2 --q 2",
