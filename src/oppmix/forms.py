@@ -1,4 +1,5 @@
-"""Classical forms on (F_q)^d: standard models and restricted-form classification.
+"""Classical forms on (F_q)^d: standard models, restricted-form classification
+and the member classifiers of partition builds.
 
 Quadratic forms are stored as upper-triangular coefficient grids and the
 polar bilinear form is *derived* (gram = C + C^T); in characteristic 2 the
@@ -34,6 +35,10 @@ Arf invariant: symplectic elimination (_arf) splits the basis into pairs
 type +1 iff the sum is x^2 + x for some x.  A basis vector left with no
 partner lies in the polar radical, so the same elimination finds a
 degenerate restriction.
+
+A partition build codes every member of a pivot pattern (verdicts) through
+classifier: over F_2 the lanes (lane_classifier_gf2), elsewhere the walk
+(_walk), which classifies each distinct restricted form once.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import sys
 from functools import lru_cache
 from itertools import combinations, repeat
 from math import prod
-from operator import xor
+from operator import itemgetter, mul, xor
 from typing import Callable, NamedTuple
 
 from .exactnum import HERMITIAN, ORTHOGONAL, SYMPLECTIC  # noqa: F401 (re-exported)
@@ -210,6 +215,134 @@ def _arf(r: RestrictedForm) -> int | None:
             pairs = zip(gram[v], gram[a], gram[b])
             gram[v] = [add(x, add(mul(lam, y), mul(mu, z))) for x, y, z in pairs]
     return arf
+
+
+# -- member classifiers: one code per member of a pivot pattern -------------
+
+
+def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
+    """The function that maps a pivot pattern's row candidates to one code per
+    member of product(*candidates), in that order, as verdicts(form.kind)
+    spells them out, for the e-subspaces of every field."""
+    if not e:
+        return lambda candidates: b"\x01"  # the zero space: non-degenerate, of type +1
+    if form.field.q == 2:
+        return lane_classifier_gf2(form, e)
+    return _walk(form, e)
+
+
+def _decode(form: ClassicalForm, columns) -> RestrictedForm:
+    """The form restricted to a member's basis, from its generic-field key.
+
+    Column j holds B(b_i, b_j) for i < j, then Q(b_j) if orthogonal, else
+    B(b_j, b_j).  Below the diagonal the gram is the transpose, negative
+    (symplectic) or conjugate (hermitian) of the upper triangle; the
+    orthogonal (polar) diagonal is 2 Q(b_j).
+    """
+    fld = form.field
+    mirror = {SYMPLECTIC: fld.neg, HERMITIAN: fld.conj}.get(form.kind, lambda v: v)
+    e = len(columns)
+    gram = [[0] * e for _ in range(e)]
+    qdiag = []
+    for j, (*above, own) in enumerate(columns):
+        for i, v in enumerate(above):
+            gram[i][j] = v
+            gram[j][i] = mirror(v)
+        if form.kind == ORTHOGONAL:
+            qdiag.append(own)
+            own = fld.add(own, own)
+        gram[j][j] = own
+    qdiag = tuple(qdiag) if form.kind == ORTHOGONAL else None
+    return RestrictedForm(form.kind, e, fld, tuple(map(tuple, gram)), qdiag)
+
+
+class _RowImages(dict):
+    """Row b -> (b^T G, conj(b), own entry) for one partition build's generic keys.
+
+    With h = b^T G (G the ambient gram), B(b, x) = dot(h, conj(x)), where
+    conj is the identity unless the form is hermitian.  The own entry is
+    Q(b) if the form is orthogonal and B(b, b) otherwise.  It holds one
+    entry per distinct row, at most (q^d - 1)/(q - 1).
+    """
+
+    def __init__(self, form: ClassicalForm):
+        super().__init__()
+        self.form = form
+        self.columns = tuple(zip(*form.gram))
+
+    def __missing__(self, b) -> tuple:
+        form, fld = self.form, self.form.field
+        h = tuple(fld.dot(col, b) for col in self.columns)
+        cb = tuple(map(fld.conj, b)) if form.kind == HERMITIAN else b
+        own = form.quad_value(b) if form.kind == ORTHOGONAL else fld.dot(h, cb)
+        image = self[b] = (h, cb, own)
+        return image
+
+
+class _Verdicts(dict):
+    """Last column -> member code (verdicts) under one prefix's columns,
+    classified on its first lookup: once per distinct restricted form."""
+
+    def __init__(self, form: ClassicalForm, columns: tuple):
+        super().__init__()
+        self.form, self.columns = form, columns
+
+    def __missing__(self, tail) -> int:
+        verdict = classify(_decode(self.form, (*self.columns, tail)))
+        code = self[tail] = verdicts(self.form.kind).index(verdict)
+        return code
+
+
+def _walk(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
+    """The classifier of e-subspaces off F_2, for e >= 1.
+
+    A member is keyed by one column per basis row b_j: the bytes B(b_i, b_j)
+    for each earlier row b_i, then Q(b_j) if orthogonal, else B(b_j, b_j).
+    Per pattern, the entries B(b, x) of each candidate b of row i against the
+    candidates x of each later row j are computed once, into b's table row
+    at index j.  Prefixes (every row but the last) extend lazily, one row at
+    a time (_extend).  Codes are memoized per prefix's columns, then per
+    last column (_Verdicts).
+    """
+    fld = form.field
+    images = _RowImages(form)
+    dot, p = fld.dot, fld.p
+    memo: dict = {}
+
+    def pairs(b, conjugates) -> list:
+        h = images[b][0]
+        if fld.k == 1:  # one C-level sum per entry, not a Field.dot loop
+            return [sum(map(mul, h, x)) % p for x in conjugates]
+        return [dot(h, x) for x in conjugates]
+
+    def codes(candidates: list) -> bytes:
+        conjugates = [[images[x][1] for x in rows] for rows in candidates]
+        owns = [[images[x][2] for x in rows] for rows in candidates]
+        prefixes = [((), ())]
+        for i in range(e - 1):
+            table = [[pairs(b, conjugates[j]) for b in candidates[i]] for j in range(i + 1, e)]
+            rows = list(zip(*[repeat(None)] * (i + 1), *table))  # one table row per candidate
+            prefixes = _extend(prefixes, i, owns[i], rows)
+        last = itemgetter(e - 1)
+        out = bytearray()
+        for columns, path in prefixes:
+            seen = memo.get(columns)
+            if seen is None:
+                seen = memo[columns] = _Verdicts(form, columns)
+            out.extend(map(seen.__getitem__, map(bytes, zip(*map(last, path), owns[-1]))))
+        return bytes(out)
+
+    return codes
+
+
+def _extend(prefixes, i: int, owns: list, rows: list):
+    """Each prefix, as (its columns, path), followed by each candidate of row
+    i, in odometer order.  path holds the table rows of the prefix's
+    candidates, rows those of row i's candidates, and owns their own entries."""
+    against = itemgetter(i)
+    for columns, path in prefixes:
+        for key, row in zip(map(bytes, zip(*map(against, path), owns)), rows):
+            yield columns + (key,), path + (row,)
 
 
 # -- GF(2): one count of the vectors with Q = 1 classifies either kind ---------

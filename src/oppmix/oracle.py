@@ -1,29 +1,25 @@
-"""Brute-force ground truth: enumerate, count, and spectrally check.
+"""Brute-force ground truth: Y-sets, pair counts, and the graph checks.
 
 Everything here is exact.  Y-sets are enumerated in the canonical subspace
 order and hard-checked against the closed-form counts at construction time;
 complementary-pair counting comes in two flavours (all pairs, and the
-single-orbit shortcut that fixes one subspace and checks itself on a
-second), which must agree wherever both run.
+single-orbit shortcut that fixes one subspace and checks itself on two
+more), which must agree wherever both run.
 
 Members are the tuples of their RREF rows, as linalg.members lists them:
 bitmask rows over F_2, rows of field values over other fields.
 All-pairs counts and the biadjacency matrix take their rows from
 linalg.complement_rows (point incidence); an all-pairs count is the sum of
 those rows' popcounts, taken serially in one process.  The single-orbit
-count fixes the first and the last member of the side of larger dimension
-and counts the complements of each in one linalg.complement_hits call, a
-projection scan of the other side; the second count checks the shortcut.
+count fixes the first, the middle and the last member of one side (the one
+of larger dimension, else the one with more members) and counts the
+complements of each in one linalg.complement_hits call, a projection scan
+of the other side; the second and third counts check the shortcut.
 
 A partition build is one loop for every field.  Each pivot pattern's
 members are the product of its rows' candidates (linalg.row_candidates),
-last row fastest; a classifier gives each member one code (forms.verdicts),
-and itertools.compress builds only the kept members.  Over F_2 the
-classifier is forms.lane_classifier_gf2, which decides a whole pattern at
-once.  Every other field walks the candidates (_walk), classifying each
-distinct restricted form once, keyed by one column per basis row, with one
-forms.classify call, and reusing the code for every member that restricts
-to it.
+last row fastest; forms.classifier gives each member one code
+(forms.verdicts), and itertools.compress builds only the kept members.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -47,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import exactnum, forms, linalg
 from .forms import ClassicalForm
@@ -76,136 +72,6 @@ class CountReport(NamedTuple):
     method: str
     threshold: Fraction | None = None
     passed: bool | None = None
-
-
-def _decode(form: ClassicalForm, columns) -> forms.RestrictedForm:
-    """The form restricted to a member's basis, from its generic-field key.
-
-    Column j holds B(b_i, b_j) for i < j, then Q(b_j) if orthogonal, else
-    B(b_j, b_j).  Below the diagonal the gram is the transpose, negative
-    (symplectic) or conjugate (hermitian) of the upper triangle; the
-    orthogonal (polar) diagonal is 2 Q(b_j).
-    """
-    fld = form.field
-    mirror = {forms.SYMPLECTIC: fld.neg, forms.HERMITIAN: fld.conj}.get(form.kind, lambda v: v)
-    e = len(columns)
-    gram = [[0] * e for _ in range(e)]
-    qdiag = []
-    for j, (*above, own) in enumerate(columns):
-        for i, v in enumerate(above):
-            gram[i][j] = v
-            gram[j][i] = mirror(v)
-        if form.kind == forms.ORTHOGONAL:
-            qdiag.append(own)
-            own = fld.add(own, own)
-        gram[j][j] = own
-    qdiag = tuple(qdiag) if form.kind == forms.ORTHOGONAL else None
-    return forms.RestrictedForm(form.kind, e, fld, tuple(map(tuple, gram)), qdiag)
-
-
-class _RowImages(dict):
-    """Row b -> (b^T G, conj(b), own entry) for one partition build's generic keys.
-
-    With h = b^T G (G the ambient gram), B(b, x) = dot(h, conj(x)), where
-    conj is the identity unless the form is hermitian.  The own entry is
-    Q(b) if the form is orthogonal and B(b, b) otherwise.  It holds one
-    entry per distinct row, at most (q^d - 1)/(q - 1).
-    """
-
-    def __init__(self, form: ClassicalForm):
-        super().__init__()
-        self.form = form
-        self.columns = tuple(zip(*form.gram))
-
-    def __missing__(self, b) -> tuple:
-        form, fld = self.form, self.form.field
-        h = tuple(fld.dot(col, b) for col in self.columns)
-        cb = tuple(map(fld.conj, b)) if form.kind == forms.HERMITIAN else b
-        own = form.quad_value(b) if form.kind == forms.ORTHOGONAL else fld.dot(h, cb)
-        image = self[b] = (h, cb, own)
-        return image
-
-
-class _Verdicts(dict):
-    """Last column -> member code (forms.verdicts) under one prefix's columns,
-    classified on its first lookup: once per distinct restricted form."""
-
-    def __init__(self, form: ClassicalForm, columns: tuple):
-        super().__init__()
-        self.form, self.columns = form, columns
-
-    def __missing__(self, tail) -> int:
-        verdict = forms.classify(_decode(self.form, (*self.columns, tail)))
-        code = self[tail] = forms.verdicts(self.form.kind).index(verdict)
-        return code
-
-
-def _walk(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
-    """The classifier of e-subspaces off F_2, with forms.lane_classifier_gf2's contract.
-
-    It walks a pattern's members, prefix (every row but the last) then last
-    row, keyed by one column per basis row b_j: the bytes B(b_i, b_j) for
-    each earlier row b_i, then Q(b_j) if orthogonal, else B(b_j, b_j).  Per
-    pattern each row's candidates are prepared once, as (their conjugates,
-    their own entries), and pairs(b, prepared) gives the entries B(b, x) for
-    each.  Codes are memoized across patterns per prefix's columns, then per
-    last column (_Verdicts).
-    """
-    fld = form.field
-    images = _RowImages(form)
-    dot, p = fld.dot, fld.p
-    memo: dict = {}
-
-    def pairs(b, prepared):
-        h = images[b][0]
-        if fld.k == 1:  # one C-level sum per entry, not a Field.dot loop
-            return [sum(map(mul, h, x)) % p for x in prepared[0]]
-        return [dot(h, x) for x in prepared[0]]
-
-    def prepare(rows):
-        info = [images[x] for x in rows]
-        return [cx for _, cx, _ in info], [own for _, _, own in info]
-
-    def codes(candidates: list) -> bytes:
-        if not candidates:  # the zero space: non-degenerate, of type +1
-            return b"\x01"
-        prepared = [prepare(rows) for rows in candidates]
-        owns = prepared[-1][1]
-        out = bytearray()
-        for columns, above in _prefixes(pairs, candidates[:-1], prepared, (), [[]] * e):
-            seen = memo.get(columns)
-            if seen is None:
-                seen = memo[columns] = _Verdicts(form, columns)
-            out.extend(map(seen.__getitem__, map(bytes, zip(*above, owns))))
-        return bytes(out)
-
-    return codes
-
-
-def _prefixes(pairs, heads, prepared, columns, above):
-    """(a prefix's columns, its entries against the last row) below one odometer node.
-
-    heads are the prefix rows still to choose, prepared the (candidates,
-    own entries) of those rows and of the last row, and above[k] holds the
-    entries of the rows in the prefix against prepared[k]'s candidates.  A
-    row's entries against every later row's candidates are computed once,
-    where it joins the prefix, so each column is a zip of lists already
-    made.  The last prefix row yields directly rather than through one more level.
-    """
-    if not heads:  # e = 1: the empty prefix
-        yield columns, above[0]
-        return
-    rows, *rest = heads
-    (_, owns), *later = prepared
-    keys = map(bytes, zip(*above[0], owns))
-    if rest:
-        for b, key in zip(rows, keys):
-            deeper = [[*a, pairs(b, p)] for a, p in zip(above[1:], later)]
-            yield from _prefixes(pairs, rest, later, columns + (key,), deeper)
-    else:  # later is the last row alone
-        (last,), (over_last,) = later, above[1:]
-        for b, key in zip(rows, keys):
-            yield columns + (key,), [*over_last, pairs(b, last)]
 
 
 def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
@@ -242,12 +108,12 @@ _cached_form = [None]  # the form of the builds in _partition's cache
 def _partition(form: ClassicalForm, e: int) -> tuple:
     """classify_partition without the budget check.
 
-    One loop for every field: per pivot pattern a classifier (the lanes over
-    F_2 if e > 0, else _walk) codes each member of the product of its rows'
-    candidates, and compress keeps each bucket's members.
+    One loop for every field: per pivot pattern forms.classifier codes each
+    member of the product of its rows' candidates, and compress keeps each
+    bucket's members.
     """
     fld, d = form.field, form.d
-    codes_of = forms.lane_classifier_gf2(form, e) if e and fld.q == 2 else _walk(form, e)
+    codes_of = forms.classifier(form, e)
     keys = forms.verdicts(form.kind)
     buckets = defaultdict(list)
     degenerate = 0
@@ -312,22 +178,22 @@ def count_complementary_transitive(
     theorem) and preserves the other and complementarity, so every member
     of a side has the same number of complements in the other side:
     hits(S1 -> Y2)·|Y1| = hits(S2 -> Y1)·|Y2|.  The fixed side is the one of
-    larger dimension (Y1 on a tie), which leaves linalg.complement_hits the
-    smaller quotient.  One call scans the other side from the fixed side's
-    first and last members, so that side is packed once; the second count
-    checks the shortcut, and a different count raises ArithmeticError.
+    larger dimension, which leaves linalg.complement_hits the smaller
+    quotient, else the one with more members (Y1 if both tie).  One call
+    scans the other side from the fixed side's first, middle and last
+    members, packing it once; a count unlike the first raises ArithmeticError.
     """
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
-    fixed, other = (y2, y1) if y2.e > y1.e else (y1, y2)
-    fld, d = y1.form.field, y1.form.d
-    ends = (fixed.members[0], fixed.members[-1])
-    hits, again = linalg.complement_hits(fld, d, ends, other.members)
-    if again != hits:
-        raise ArithmeticError(
-            f"single-orbit count: the first {fixed.e}-space has {hits} complements, "
-            f"the last has {again}"
-        )
+    fixed, other = (y2, y1) if (y2.e, y2.count) > (y1.e, y1.count) else (y1, y2)
+    probes = [fixed.members[i] for i in (0, fixed.count // 2, -1)]
+    hits, *checks = linalg.complement_hits(y1.form.field, y1.form.d, probes, other.members)
+    for name, again in zip(("middle", "last"), checks):
+        if again != hits:
+            raise ArithmeticError(
+                f"single-orbit count: the first {fixed.e}-space has {hits} complements, "
+                f"the {name} has {again}"
+            )
     pairs = hits * fixed.count
     proportion = Fraction(hits, other.count)
     return _finish_report(y1, y2, pairs, proportion, "transitivity-fast-path", threshold)

@@ -35,39 +35,50 @@ def test_imports_point_downward():
 
 
 def definitions(tree: ast.Module):
-    """The module- and class-level def and class nodes, dunders exempt."""
+    """(node, is_method) for the module- and class-level def and class nodes,
+    dunders exempt."""
     defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
         for node in scope.body:
             name = getattr(node, "name", "")
             dunder = name.startswith("__") and name.endswith("__")
             if isinstance(node, defines) and not dunder:
-                yield node
+                yield node, scope is not tree
 
 
-def referenced_names(node: ast.AST) -> list:
-    """Every name read under node, as a bare name, an attribute or an import."""
+def referenced_names(node: ast.AST, attributes_only: bool = False) -> list:
+    """Every name read under node, as a bare name, an attribute or an import;
+    with attributes_only, as an attribute only (x.name)."""
     names = []
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.append(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             names.append(sub.attr)
+        elif attributes_only:
+            continue
+        elif isinstance(sub, ast.Name):
+            names.append(sub.id)
         elif isinstance(sub, ast.alias):
             names.append(sub.name)
     return names
 
 
 def unreferenced_definitions() -> list:
-    """Names of the definitions that nothing in the package references."""
+    """Names of the definitions that nothing in the package references.
+
+    A method counts as referenced only by an attribute read, so that a local
+    variable of the same name elsewhere does not keep it alive.
+    """
     trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
-    everywhere = [name for tree in trees for name in referenced_names(tree)]
+    reads = {
+        attributes_only: [n for tree in trees for n in referenced_names(tree, attributes_only)]
+        for attributes_only in (False, True)
+    }
     return [
         node.name
         for tree in trees
-        for node in definitions(tree)
+        for node, method in definitions(tree)
         # a use inside its own body, such as a recursive call, does not count
-        if everywhere.count(node.name) == referenced_names(node).count(node.name)
+        if reads[method].count(node.name) == referenced_names(node, method).count(node.name)
     ]
 
 
@@ -84,6 +95,7 @@ TRACED_ONLY = {
     "unitary_tail_checks",  # tracer: bounds.tail_checks (sweep calls it by getattr)
     "Subspace",  # tracer: install() wraps Subspace.bit_rows (tests build references from it)
     "bit_rows",  # tracer: install() wraps Subspace.bit_rows (tests call it too)
+    "sub",  # tracer: FIELD_OPS folds Field.sub, so every traced run would break without it
 }
 
 

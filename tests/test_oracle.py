@@ -134,12 +134,12 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps, monkeypatch):
     form = forms.standard_form(kind, d, q, eps)
     keys = []
 
-    class RecordingVerdicts(oracle._Verdicts):
+    class RecordingVerdicts(forms._Verdicts):
         def __getitem__(self, tail):
             keys.append((*self.columns, tail))
             return super().__getitem__(tail)
 
-    monkeypatch.setattr(oracle, "_Verdicts", RecordingVerdicts)
+    monkeypatch.setattr(forms, "_Verdicts", RecordingVerdicts)
     step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
     for e in range(0, d + 1, step):
         keys.clear()
@@ -150,7 +150,7 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps, monkeypatch):
         subspaces = list(enumerate_subspaces(d, e, form.field))
         assert len(keys) == len(subspaces), e
         for key, s in zip(keys, subspaces):
-            assert oracle._decode(form, key) == restrict(form, s), (e, s)
+            assert forms._decode(form, key) == restrict(form, s), (e, s)
         # one key, and so one verdict, per distinct restricted form
         assert len(set(keys)) == len({restrict(form, s) for s in subspaces}), e
 
@@ -418,6 +418,38 @@ def test_transitive_count_checks_its_orbit():
     y1, y2 = oracle.build_yset(form, 2, 1), oracle.build_yset(form, 4, 1)
     with pytest.raises(ArithmeticError, match="the first 4-space has"):
         oracle.count_complementary_transitive(y1, _outsider_first(y2))
+
+
+def test_transitive_count_checks_a_middle_member():
+    # an outsider halfway along the fixed side (Y1, the larger one) has other
+    # complements than the first member; scanning only the ends misses it
+    form = forms.standard_form("orthogonal", 4, 3, 1)
+    y1, y2 = oracle.build_yset(form, 2, 1), oracle.build_yset(form, 2, -1)
+    assert oracle.count_complementary_transitive(y1, y2).pairs == 864
+    outsider = _outsider_first(y1).members[0]
+    middle = y1.count // 2
+    bad = y1._replace(members=(*y1.members[:middle], outsider, *y1.members[middle + 1 :]))
+    with pytest.raises(ArithmeticError, match="^single-orbit count: the first 2-space has .* the middle has"):
+        oracle.count_complementary_transitive(bad, y2)
+
+
+def test_transitive_count_fixes_the_larger_side_on_a_tie(monkeypatch):
+    # O+(4, 2) at (2, 2) with signs (-, +): |Y1| = 2 and |Y2| = 18, so the
+    # count fixes Y2 and scans the two members of Y1
+    form = forms.standard_form("orthogonal", 4, 2, 1)
+    y1, y2 = oracle.build_yset(form, 2, -1), oracle.build_yset(form, 2, 1)
+    scanned = []
+    hits = linalg.complement_hits
+
+    def recording(fld, d, fixed, members):
+        scanned.append(members)
+        return hits(fld, d, fixed, members)
+
+    monkeypatch.setattr(linalg, "complement_hits", recording)
+    report = oracle.count_complementary_transitive(y1, y2)
+    assert [len(m) for m in scanned] == [y1.count] == [2]
+    against = pair_test(form.field)
+    assert report.pairs == sum(sum(map(against(a), y2.members)) for a in y1.members)
 
 
 def test_transitive_count_outside_the_orbit_exits_4(capsys, monkeypatch):
