@@ -22,8 +22,12 @@ prime field past F_5, where -1 is a non-square), unitary counts over F_16
 and over F_25 (e1 = 2, so a prefix row), a unitary count over F_4 with
 e2 = 4 (a prefix of three rows, whose entries take the conjugating dot
 product of an extension field), symplectic and orthogonal F_2
-counts at d = 10 (rows of two bytes in the single-orbit scan), the README's mixing-check example
-in the table format, a budget error and one usage error of each kind.
+counts at d = 10 (rows of two bytes in the single-orbit scan), five single
+`bound` reports (an orthogonal exception tuple that fails with a note on
+stderr, an orthogonal table with a surd, a symplectic report as csv, a
+unitary equality and the unitary mixing display as json), the README's
+mixing-check example in the table format, a budget error and one usage
+error of each kind.
 """
 
 from __future__ import annotations
@@ -67,6 +71,13 @@ EXTRA = [
     # F_2 counts at d = 10, whose scanned rows take two bytes each
     "count --family symplectic --e1 8 --e2 2 --q 2",
     "count --family orthogonal --eps - --sigma1 + --sigma2 - --e1 8 --e2 2 --q 2",
+    # single bound reports: an exception tuple that fails with a note, a table
+    # with a surd, csv, a unitary equality and the unitary mixing display
+    "bound --family orthogonal --eps + --sigma1 - --sigma2 - --e1 2 --e2 2 --q 2",
+    "bound --family orthogonal --eps + --sigma1 + --sigma2 - --e1 4 --e2 2 --q 3",
+    "bound --family symplectic --e1 4 --e2 2 --q 2 --format csv",
+    "bound --family unitary --e1 1 --e2 1 --q 2",
+    "bound --family unitary --e1 3 --e2 2 --q 3 --format json",
     # the README's mixing-check example: the table format pins the summary lines
     "mixing-check --e1 2 --e2 1 --q 3 --trials 100 --seed 0",
     # exit 3
