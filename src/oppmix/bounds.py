@@ -3,11 +3,12 @@
 THEOREM is the one table of the theorem's cases: per family, its form kind,
 the signs and parity a case needs, each branch's threshold 1 - c/q^k with
 its formula id, and the exception tuples the oracle must count exactly.
+One builder, _report, reads the case from it and makes every BoundReport;
+each family's function supplies only its densities, value and extra fields.
 
-The mixing-lemma lower bound contains a square root; its values are
-exactnum's Surds, and each verdict on one is exactnum.compare, never floating
-point: the margins at q = 2 are thin enough that a rounding error could flip
-a verdict.
+Each value is an exactnum Surd (the mixing-lemma bound has a square root),
+and every verdict is one exactnum.compare, never floating point: the margins
+at q = 2 are thin enough that a rounding error could flip a verdict.
 
 Analytic tail facts about the infinite products omega_q(inf) are replaced by
 finite rational certificates: omega_tail_lower(q, e) is a rational lower
@@ -199,6 +200,18 @@ class BoundReport(NamedTuple):
         return " ".join(bits)
 
 
+def _report(family, e1, e2, q, alphas, value: Surd, **extra) -> BoundReport:
+    """The one BoundReport builder: THEOREM's case for (e1, e2, q) gives the threshold
+    and formula id, compare(value, threshold) the verdict; extra the optional fields."""
+    case = THEOREM[family].case(e1, e2, q)
+    threshold = case.threshold(q)
+    verdict = compare(value, threshold)
+    passed, tight = verdict >= 0, verdict == 0
+    return BoundReport(
+        family, q, e1, e2, *alphas, value, threshold, passed, tight, case.formula_id, **extra
+    )
+
+
 def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: int) -> BoundReport:
     """Two-density mixing bound vs 1 - 3/(2q), plus the relaxed uniform form.
 
@@ -208,34 +221,15 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     """
     eps, sigma1, sigma2 = parse_sign(eps), parse_sign(sigma1), parse_sign(sigma2)
     e1, e2 = 2 * m1, 2 * m2
-    orthogonal = THEOREM["orthogonal"]
-    case = orthogonal.case(e1, e2, q)
-    threshold = case.threshold(q)
+    prime_power(q)  # raises ValueError unless q is a prime power
     a1 = alpha_orthogonal(eps, sigma1, m1, m2, q)
     a2 = alpha_orthogonal(eps, sigma2, m2, m1, q)
     exact = mixing_lower_bound(a1, a2, e1, e2, q)
-    verdict = compare(exact, threshold)
-    note = None
-    if orthogonal.is_exception(e1, e2, q):
-        note = "exception tuple: dispatch to the enumeration oracle (`count`)"
-    return BoundReport(
-        family="orthogonal",
-        q=q,
-        e1=e1,
-        e2=e2,
-        eps=eps,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        alpha1=a1,
-        alpha2=a2,
-        lower_bound=exact,
-        threshold=threshold,
-        passed=verdict >= 0,
-        tight=verdict == 0,
-        formula_id=case.formula_id,
-        relaxed_bound=_relaxed_orthogonal(m1, m2, q),
-        note=note,
-    )
+    relaxed = _relaxed_orthogonal(m1, m2, q)
+    extra = dict(eps=eps, sigma1=sigma1, sigma2=sigma2, relaxed_bound=relaxed)
+    if THEOREM["orthogonal"].is_exception(e1, e2, q):
+        extra["note"] = "exception tuple: dispatch to the enumeration oracle (`count`)"
+    return _report("orthogonal", e1, e2, q, (a1, a2), exact, **extra)
 
 
 @lru_cache(maxsize=None)
@@ -246,34 +240,22 @@ def _relaxed_orthogonal(m1: int, m2: int, q: int) -> Fraction:
     return bq(q, 2 * m1, 2 * m2) * (1 + qd) - bq(q * q, m1, m2) * qd / lam
 
 
-def _collapse(exact: Surd, display: Fraction) -> None:
-    """With equal densities the mixing bound loses its radical and equals the display."""
+def _collapse(exact: Surd, display: Fraction) -> Surd:
+    """exact, once checked to equal the display: equal densities drop the radical."""
     if exact != surd(display):
         raise ArithmeticError(f"uniform-density bound {exact} does not collapse to {display}")
+    return exact
 
 
 def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
     """B_q(e1,e2)(1 + q^(-d/2)) - B_{q^2}(m1,m2) q^(-d/2) vs 1 - 10/(7q)."""
-    e1, e2, d = 2 * m1, 2 * m2, 2 * (m1 + m2)
-    case = THEOREM["symplectic"].case(e1, e2, q)
-    threshold = case.threshold(q)
+    e1, e2 = 2 * m1, 2 * m2
+    prime_power(q)  # raises ValueError unless q is a prime power
     a = alpha_symplectic(m1, m2, q)
-    qd = Fraction(q) ** (-(d // 2))
+    qd = Fraction(q) ** -(m1 + m2)
     display = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd
-    _collapse(mixing_lower_bound(a, a, e1, e2, q), display)
-    return BoundReport(
-        family="symplectic",
-        q=q,
-        e1=e1,
-        e2=e2,
-        alpha1=a,
-        alpha2=a,
-        lower_bound=surd(display),
-        threshold=threshold,
-        passed=display >= threshold,
-        tight=display == threshold,
-        formula_id=case.formula_id,
-    )
+    exact = _collapse(mixing_lower_bound(a, a, e1, e2, q), display)
+    return _report("symplectic", e1, e2, q, (a, a), exact)
 
 
 def unitary_c1(e1: int, q: int) -> Fraction:
@@ -287,30 +269,16 @@ def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
     e2 >= 2 uses the mixing display over F_{q^2}; e2 = 1 uses the
     containment overestimate 1 - c1/q^2, because the mixing route is weak there.
     """
-    if e2 > e1:
-        e1, e2 = e2, e1
-    case = THEOREM["unitary"].case(e1, e2, q)
-    threshold = case.threshold(q)
+    e1, e2 = max(e1, e2), min(e1, e2)
+    containment = THEOREM["unitary"].case(e1, e2, q).formula_id == CONTAINMENT
     a = alpha_unitary(e1, e2, q)
-    if case.formula_id == CONTAINMENT:
-        value = 1 - unitary_c1(e1, q) / q**2
+    if containment:
+        value = surd(1 - unitary_c1(e1, q) / q**2)
     else:
-        qd = Fraction(q) ** (-(e1 + e2))
-        value = bq(q * q, e1, e2) * (1 + qd) - bq(-q, e1, e2) * qd
-        _collapse(mixing_lower_bound(a, a, e1, e2, q * q), value)
-    return BoundReport(
-        family="unitary",
-        q=q,
-        e1=e1,
-        e2=e2,
-        alpha1=a,
-        alpha2=a,
-        lower_bound=surd(value),
-        threshold=threshold,
-        passed=value >= threshold,
-        tight=value == threshold,
-        formula_id=case.formula_id,
-    )
+        qd = Fraction(q) ** -(e1 + e2)
+        display = bq(q * q, e1, e2) * (1 + qd) - bq(-q, e1, e2) * qd
+        value = _collapse(mixing_lower_bound(a, a, e1, e2, q * q), display)
+    return _report("unitary", e1, e2, q, (a, a), value)
 
 
 def bound_case(
@@ -376,14 +344,16 @@ def symplectic_tail_checks() -> list:
 
 def unitary_tail_checks() -> list:
     threshold = THEOREM["unitary"].cases[-1].threshold
+
+    def bneg(q):  # the B_{-q} factor that both tail displays subtract
+        return (1 + Fraction(1, q)) / ((1 - Fraction(1, q**4)) * (1 - Fraction(1, q**6)))
+
     checks = []
     for q in prime_powers_upto(TAIL_Q_LIMIT):
-        bneg = (1 + Fraction(1, q)) / ((1 - Fraction(1, q**4)) * (1 - Fraction(1, q**6)))
         if q >= 4:
-            val = 1 - Fraction(1, q**2) - Fraction(1, q**4) - bneg * Fraction(1, q**4)
+            val = 1 - Fraction(1, q**2) - Fraction(1, q**4) - bneg(q) * Fraction(1, q**4)
             checks.append(_tail("unitary-q>=4", q, val, threshold(q)))
     for q in (2, 3):
-        bneg = (1 + Fraction(1, q)) / ((1 - Fraction(1, q**4)) * (1 - Fraction(1, q**6)))
-        val = omega_tail_lower(q * q, 64) - bneg * Fraction(1, q**10)
+        val = omega_tail_lower(q * q, 64) - bneg(q) * Fraction(1, q**10)
         checks.append(_tail("unitary-q<=3-d>=10", q, val, threshold(q)))
     return checks

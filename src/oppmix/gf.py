@@ -58,7 +58,6 @@ class Field:
 
         # exp/log for the multiplicative group, from the least generator.
         g = self._find_generator()
-        self.generator = g
         exp = [1] * (q - 1)
         log = [0] * q
         x = 1

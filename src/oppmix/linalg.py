@@ -226,21 +226,22 @@ def complement_hits(fld: Field, d: int, fixed, members) -> list:
     images of T's rows are independent, so no member costs an elimination.
     Over F_2, members are packed once and each s scans them all at once
     (_independent_gf2); over other fields each distinct row's image is
-    computed once per s, and at r = m = 2 the verdict is one 2 x 2
-    determinant.
+    computed once per s (the set of distinct rows is built once per call),
+    and at r = m = 2 the verdict is one 2 x 2 determinant.
     """
     if not members:
         return [0] * len(fixed)
     if fld.q == 2:
         return [sum(f.count(1) for f in flags) for flags in _independent_gf2(d, fixed, members)]
-    return [_generic_hits(fld, d, s, members) for s in fixed]
+    rows = {row for t in members for row in t}
+    return [_generic_hits(fld, d, s, members, rows) for s in fixed]
 
 
-def _generic_hits(fld: Field, d: int, s, members) -> int:
+def _generic_hits(fld: Field, d: int, s, members, rows) -> int:
     by_pivot = {b.index(1): b for b in s}  # b is 0 at every other pivot
     free = [j for j in range(d) if j not in by_pivot]
     images: dict = {}
-    for row in {row for t in members for row in t}:
+    for row in rows:
         v = row
         for p, b in by_pivot.items():
             v = fld.sub_scaled(v, row[p], b) if row[p] else v

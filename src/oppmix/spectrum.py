@@ -64,10 +64,6 @@ class SpectrumResult(NamedTuple):
     e2: int
     exponents: tuple  # HalfInteger m_0 > m_1 > ... > m_{e2}
 
-    @property
-    def d(self) -> int:
-        return self.e1 + self.e2
-
     def eigenvalue_squared(self, q: int, j: int) -> int:
         """q^(2 m_j), always a positive integer."""
         return q ** self.exponents[j].twice

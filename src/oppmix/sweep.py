@@ -65,9 +65,9 @@ def verify_theorem(
     A tuple that is not an exception must clear its threshold in closed form;
     an exception tuple must miss it for some sign triple, or the list is
     stale, and goes to the enumeration oracle (unless `run_oracle` is off),
-    whose exact proportion must clear the same threshold.  The d = 4
-    exceptions count every pair with `full_pairs_d4`; `budget` caps each
-    oracle enumeration.
+    whose exact proportion must clear the threshold in that sign triple's
+    bound report.  The d = 4 exceptions count every pair with
+    `full_pairs_d4`; `budget` caps each oracle enumeration.
     """
     if family not in bounds.THEOREM:
         raise ValueError(f"unknown family {family!r}")
@@ -86,11 +86,10 @@ def verify_theorem(
             )
         if not (exception and run_oracle):
             continue
-        threshold = fam.threshold(e1, e2, q)
-        for eps, s1, s2 in signs:
+        for (eps, s1, s2), rep in zip(signs, reps):
             form = forms.standard_form(fam.kind, e1 + e2, q, eps)
             crep = oracle.count_case(
-                form, e1, e2, s1, s2, threshold, full_pairs_d4 and e1 + e2 == 4, budget
+                form, e1, e2, s1, s2, rep.threshold, full_pairs_d4 and e1 + e2 == 4, budget
             )
             count_reports.append(crep)
             if not crep.passed:

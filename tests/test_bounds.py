@@ -363,3 +363,25 @@ def test_sweep_reports_equal_with_cold_and_warm_caches(family):
     assert exactnum.bq.cache_info().hits > filled.hits  # the warm sweep read the cache
     assert warm == cold
     assert warm.passed
+
+
+def test_sweep_calls_each_public_bound_once_per_tuple_and_sign_triple(monkeypatch):
+    # the benchmark tracer counts bounds.closed_form_tuples by wrapping these
+    # three module attributes, so every closed-form report must pass through
+    # one of them by its module name
+    calls = Counter()
+    for name in ("bound_orthogonal", "bound_symplectic", "bound_unitary"):
+        fn = getattr(bounds, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+    reports = {f: sweep.verify_theorem(f, run_oracle=False).bound_reports for f in sweep.GRIDS}
+    assert calls == {
+        "bound_orthogonal": 8 * len(sweep.GRIDS["orthogonal"]),
+        "bound_symplectic": len(sweep.GRIDS["symplectic"]),
+        "bound_unitary": len(sweep.GRIDS["unitary"]),
+    }
+    assert sum(calls.values()) == sum(map(len, reports.values())) == 1036
