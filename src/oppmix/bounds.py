@@ -200,10 +200,9 @@ class BoundReport(NamedTuple):
         return " ".join(bits)
 
 
-def _report(family, e1, e2, q, alphas, value: Surd, **extra) -> BoundReport:
-    """The one BoundReport builder: THEOREM's case for (e1, e2, q) gives the threshold
+def _report(family, case: Case, e1, e2, q, alphas, value: Surd, **extra) -> BoundReport:
+    """The one BoundReport builder: case (THEOREM's for e1, e2, q) gives the threshold
     and formula id, compare(value, threshold) the verdict; extra the optional fields."""
-    case = THEOREM[family].case(e1, e2, q)
     threshold = case.threshold(q)
     verdict = compare(value, threshold)
     passed, tight = verdict >= 0, verdict == 0
@@ -221,7 +220,7 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     """
     eps, sigma1, sigma2 = parse_sign(eps), parse_sign(sigma1), parse_sign(sigma2)
     e1, e2 = 2 * m1, 2 * m2
-    prime_power(q)  # raises ValueError unless q is a prime power
+    case = THEOREM["orthogonal"].case(e1, e2, q)
     a1 = alpha_orthogonal(eps, sigma1, m1, m2, q)
     a2 = alpha_orthogonal(eps, sigma2, m2, m1, q)
     exact = mixing_lower_bound(a1, a2, e1, e2, q)
@@ -229,7 +228,7 @@ def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: in
     extra = dict(eps=eps, sigma1=sigma1, sigma2=sigma2, relaxed_bound=relaxed)
     if THEOREM["orthogonal"].is_exception(e1, e2, q):
         extra["note"] = "exception tuple: dispatch to the enumeration oracle (`count`)"
-    return _report("orthogonal", e1, e2, q, (a1, a2), exact, **extra)
+    return _report("orthogonal", case, e1, e2, q, (a1, a2), exact, **extra)
 
 
 @lru_cache(maxsize=None)
@@ -250,12 +249,12 @@ def _collapse(exact: Surd, display: Fraction) -> Surd:
 def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
     """B_q(e1,e2)(1 + q^(-d/2)) - B_{q^2}(m1,m2) q^(-d/2) vs 1 - 10/(7q)."""
     e1, e2 = 2 * m1, 2 * m2
-    prime_power(q)  # raises ValueError unless q is a prime power
+    case = THEOREM["symplectic"].case(e1, e2, q)
     a = alpha_symplectic(m1, m2, q)
     qd = Fraction(q) ** -(m1 + m2)
     display = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd
     exact = _collapse(mixing_lower_bound(a, a, e1, e2, q), display)
-    return _report("symplectic", e1, e2, q, (a, a), exact)
+    return _report("symplectic", case, e1, e2, q, (a, a), exact)
 
 
 def unitary_c1(e1: int, q: int) -> Fraction:
@@ -270,15 +269,15 @@ def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
     containment overestimate 1 - c1/q^2, because the mixing route is weak there.
     """
     e1, e2 = max(e1, e2), min(e1, e2)
-    containment = THEOREM["unitary"].case(e1, e2, q).formula_id == CONTAINMENT
+    case = THEOREM["unitary"].case(e1, e2, q)
     a = alpha_unitary(e1, e2, q)
-    if containment:
+    if case.formula_id == CONTAINMENT:
         value = surd(1 - unitary_c1(e1, q) / q**2)
     else:
         qd = Fraction(q) ** -(e1 + e2)
         display = bq(q * q, e1, e2) * (1 + qd) - bq(-q, e1, e2) * qd
         value = _collapse(mixing_lower_bound(a, a, e1, e2, q * q), display)
-    return _report("unitary", e1, e2, q, (a, a), value)
+    return _report("unitary", case, e1, e2, q, (a, a), value)
 
 
 def bound_case(

@@ -248,8 +248,8 @@ def cmd_count(args) -> int:
     eps, sigma1, sigma2 = (args.eps, args.sigma1, args.sigma2) if fam.signed else (None,) * 3
     e1, e2, q = args.e1, args.e2, args.q
     form = forms.standard_form(fam.kind, e1 + e2, q, eps)
-    threshold = fam.threshold(e1, e2, q)
-    rep = oracle.count_case(form, e1, e2, sigma1, sigma2, threshold, args.full_pairs, args.budget)
+    case = sigma1, sigma2, fam.threshold(e1, e2, q)
+    [rep] = oracle.count_case(form, e1, e2, [case], args.full_pairs, args.budget)
     lines = [
         f"case: {rep.case}",
         f"|Y1| = {rep.y1_count}, |Y2| = {rep.y2_count}, complementary pairs = {rep.pairs}",

@@ -1,7 +1,8 @@
 """Brute-force ground truth: Y-sets, pair counts, and the graph checks.
 
 Everything here is exact.  Y-sets are enumerated in the canonical subspace
-order and hard-checked against the closed-form counts at construction time;
+order, and every bucket of a build is hard-checked against its closed-form
+count at construction time, whether or not a caller asks for it;
 complementary-pair counting comes in two flavours (all pairs, and the
 single-orbit shortcut that fixes one subspace and checks itself on two
 more), which must agree wherever both run.
@@ -20,6 +21,8 @@ A partition build is one loop for every field.  Each pivot pattern's
 members are the product of its rows' candidates (linalg.row_candidates),
 last row fastest; forms.classifier gives each member one code
 (forms.verdicts), and itertools.compress builds only the kept members.
+No module state caches a build: count_case builds each distinct e of one
+form once for a list of sign cases and drops the builds when it returns.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  The
@@ -79,40 +82,19 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
 
     Returns (buckets, degenerate) where buckets maps sigma (or True) to the
     member tuple in enumeration order (each member its RREF rows).  The
-    budget is checked on every call.  The last two builds are cached: a case
-    needs two (Y1 and Y2), and a theorem sweep runs the cases of one form
-    and (e1, e2) one after another, so it never returns to an older build.
-    A new form empties the cache first, so that no old build is held while
-    the new form's are built.
+    budget is checked before any member is enumerated.  Nothing is cached: a
+    caller that needs a build more than once holds it.
     """
     if form.kind == forms.ORTHOGONAL and e % 2:
         raise ValueError("orthogonal type classification needs even dimensions")
-    q = form.field.q
-    total = exactnum.gaussian_binomial(form.d, e, q)
+    fld, d = form.field, form.d
+    total = exactnum.gaussian_binomial(d, e, fld.q)
     if budget is None:
         budget = linalg.DEFAULT_ENUM_BUDGET
     if total > budget:
         raise linalg.BudgetError(
-            f"{total} {e}-subspaces of dim {form.d} over F_{q} exceed budget {budget}"
+            f"{total} {e}-subspaces of dim {d} over F_{fld.q} exceed budget {budget}"
         )
-    if form != _cached_form[0]:
-        _partition.cache_clear()
-        _cached_form[0] = form
-    return _partition(form, e)
-
-
-_cached_form = [None]  # the form of the builds in _partition's cache
-
-
-@lru_cache(maxsize=2)
-def _partition(form: ClassicalForm, e: int) -> tuple:
-    """classify_partition without the budget check.
-
-    One loop for every field: per pivot pattern forms.classifier codes each
-    member of the product of its rows' candidates, and compress keeps each
-    bucket's members.
-    """
-    fld, d = form.field, form.d
     codes_of = forms.classifier(form, e)
     keys = forms.verdicts(form.kind)
     buckets = defaultdict(list)
@@ -127,33 +109,41 @@ def _partition(form: ClassicalForm, e: int) -> tuple:
     return {c: tuple(v) for c, v in buckets.items() if v}, degenerate
 
 
-def build_yset(
-    form: ClassicalForm,
-    e: int,
-    sigma: int | None = None,
-    budget: int | None = None,
-) -> YSet:
-    """Enumerate the non-degenerate e-subspaces (of type sigma, if orthogonal).
+def build_ysets(form: ClassicalForm, e: int, budget: int | None = None) -> dict:
+    """Every non-degenerate bucket of one e-subspace build, as a YSet keyed by
+    sigma (None unless the form is orthogonal).
 
-    The enumerated count must equal the orbit-stabilizer closed form; a
-    mismatch raises instead of returning bad data.
+    Each bucket's count must equal the orbit-stabilizer closed form, the
+    buckets no caller asks for included; a mismatch raises instead of
+    returning bad data.
     """
+    buckets, _ = classify_partition(form, e, budget)
+    orthogonal = form.kind == forms.ORTHOGONAL
+    ysets = {}
+    for sigma in (1, -1) if orthogonal else (None,):
+        members = buckets.get(sigma if orthogonal else True, ())
+        expected = exactnum.count_nondegenerate(
+            form.kind, e, form.d - e, form.q, eps=form.eps, sigma1=sigma
+        )
+        if len(members) != expected:
+            raise ArithmeticError(
+                f"enumerated {len(members)} non-degenerate {e}-spaces, closed form says "
+                f"{expected} ({form.kind}, q={form.q}, d={form.d}, sigma={sigma})"
+            )
+        ysets[sigma] = YSet(form, e, sigma, members)
+    return ysets
+
+
+def build_yset(
+    form: ClassicalForm, e: int, sigma: int | None = None, budget: int | None = None
+) -> YSet:
+    """The non-degenerate e-subspaces (of type sigma, if orthogonal): one
+    bucket of build_ysets."""
     if form.kind == forms.ORTHOGONAL and sigma not in (1, -1):
         raise ValueError("orthogonal Y-sets need sigma = +1 or -1")
     if form.kind != forms.ORTHOGONAL and sigma is not None:
         raise ValueError(f"sigma applies only to orthogonal spaces, not {form.kind}")
-    buckets, _ = classify_partition(form, e, budget)
-    key = sigma if form.kind == forms.ORTHOGONAL else True
-    members = buckets.get(key, ())
-    expected = exactnum.count_nondegenerate(
-        form.kind, e, form.d - e, form.q, eps=form.eps, sigma1=sigma
-    )
-    if len(members) != expected:
-        raise ArithmeticError(
-            f"enumerated {len(members)} non-degenerate {e}-spaces, closed form says "
-            f"{expected} ({form.kind}, q={form.q}, d={form.d}, sigma={sigma})"
-        )
-    return YSet(form, e, sigma, members)
+    return build_ysets(form, e, budget)[sigma]
 
 
 # -- pair counting -----------------------------------------------------------
@@ -212,22 +202,22 @@ def count_case(
     form: ClassicalForm,
     e1: int,
     e2: int,
-    sigma1: int | None = None,
-    sigma2: int | None = None,
-    threshold: Fraction | None = None,
+    cases: list,
     full_pairs: bool = False,
     budget: int | None = None,
-) -> CountReport:
-    """Exact proportion of complementary pairs between the two Y-sets of a case.
+) -> list:
+    """Exact proportions of complementary pairs, one CountReport per case.
 
-    Counts all pairs with `full_pairs`, otherwise one orbit; the report is
-    judged against `threshold` when one is given.
+    Each case is (sigma1, sigma2, threshold), the signs as build_ysets keys
+    them: Y1 is the type-sigma1 bucket of the e1-spaces, Y2 the type-sigma2
+    bucket of the e2-spaces, and the report is judged against threshold
+    unless it is None.  Each distinct e is built once, and the builds are
+    freed when the call returns.  Counts all pairs with `full_pairs`,
+    otherwise one orbit.
     """
-    y1 = build_yset(form, e1, sigma1, budget)
-    y2 = build_yset(form, e2, sigma2, budget)
-    if full_pairs:
-        return count_complementary(y1, y2, threshold)
-    return count_complementary_transitive(y1, y2, threshold)
+    ysets = {e: build_ysets(form, e, budget) for e in dict.fromkeys((e1, e2))}
+    count = count_complementary if full_pairs else count_complementary_transitive
+    return [count(ysets[e1][s1], ysets[e2][s2], threshold) for s1, s2, threshold in cases]
 
 
 # -- biadjacency and spectral checks ------------------------------------------

@@ -66,7 +66,9 @@ def verify_theorem(
     an exception tuple must miss it for some sign triple, or the list is
     stale, and goes to the enumeration oracle (unless `run_oracle` is off),
     whose exact proportion must clear the threshold in that sign triple's
-    bound report.  The d = 4 exceptions count every pair with
+    bound report.  One oracle.count_case call takes all of an exception
+    form's sign triples, so each of its partitions is built once and freed
+    before the next form's.  The d = 4 exceptions count every pair with
     `full_pairs_d4`; `budget` caps each oracle enumeration.
     """
     if family not in bounds.THEOREM:
@@ -86,14 +88,12 @@ def verify_theorem(
             )
         if not (exception and run_oracle):
             continue
-        for (eps, s1, s2), rep in zip(signs, reps):
+        for eps in dict.fromkeys(eps for eps, _, _ in signs):
             form = forms.standard_form(fam.kind, e1 + e2, q, eps)
-            crep = oracle.count_case(
-                form, e1, e2, s1, s2, rep.threshold, full_pairs_d4 and e1 + e2 == 4, budget
-            )
-            count_reports.append(crep)
-            if not crep.passed:
-                failures.append(f"oracle proportion failed: {crep.case}")
+            cases = [(s1, s2, r.threshold) for (x, s1, s2), r in zip(signs, reps) if x == eps]
+            creps = oracle.count_case(form, e1, e2, cases, full_pairs_d4 and e1 + e2 == 4, budget)
+            count_reports += creps
+            failures += [f"oracle proportion failed: {c.case}" for c in creps if not c.passed]
     tails = getattr(bounds, f"{family}_tail_checks")()
     failures.extend(f"tail check failed: {t.name} q={t.q}" for t in tails if not t.passed)
     return FamilyReport(family, bound_reports, count_reports, tails, failures)

@@ -130,19 +130,17 @@ def test_criterion_6_orthogonal_sweep_and_exceptions():
     oracle_t0 = time.perf_counter()
     for q, m2, m1 in bounds.THEOREM["orthogonal"].exceptions:
         threshold = 1 - Fraction(3, 2 * q)
-        d4 = m1 + m2 == 2
+        cases = [(s1, s2, threshold) for s1 in (1, -1) for s2 in (1, -1)]
         for eps in (1, -1):
             form = forms.standard_form("orthogonal", 2 * (m1 + m2), q, eps)
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    rep = oracle.count_case(form, 2 * m1, 2 * m2, s1, s2, threshold)
-                    assert rep.proportion >= threshold, rep.case
-                    if d4:
-                        full = oracle.count_case(
-                            form, 2 * m1, 2 * m2, s1, s2, threshold, full_pairs=True
-                        )
-                        assert full.proportion == rep.proportion
-                        assert full.pairs == rep.pairs
+            reps = oracle.count_case(form, 2 * m1, 2 * m2, cases)
+            for rep in reps:
+                assert rep.proportion >= threshold, rep.case
+            if m1 + m2 == 2:
+                fulls = oracle.count_case(form, 2 * m1, 2 * m2, cases, full_pairs=True)
+                for full, rep in zip(fulls, reps):
+                    assert full.proportion == rep.proportion
+                    assert full.pairs == rep.pairs
     dt = time.perf_counter() - t0
     _ok(
         6,
@@ -223,12 +221,13 @@ def test_criterion_10_alpha_cross_validation():
             checked += 1
             for eps in (1, -1):
                 oform = forms.standard_form("orthogonal", d, q, eps)
+                ys = {e: oracle.build_ysets(oform, e) for e in {e1, e2}}
                 for sigma in (1, -1):
                     assert bounds.alpha_orthogonal(eps, sigma, m1, m2, q) == Fraction(
-                        oracle.build_yset(oform, e1, sigma).count, n1
+                        ys[e1][sigma].count, n1
                     )
                     assert bounds.alpha_orthogonal(eps, sigma, m2, m1, q) == Fraction(
-                        oracle.build_yset(oform, e2, sigma).count, n2
+                        ys[e2][sigma].count, n2
                     )
                     checked += 2
     for q, d in HERMITIAN_CASES:

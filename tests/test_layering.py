@@ -62,24 +62,39 @@ def referenced_names(node: ast.AST, attributes_only: bool = False) -> list:
     return names
 
 
-def unreferenced_definitions() -> list:
-    """Names of the definitions that nothing in the package references.
+def attribute_stores(tree: ast.Module) -> set:
+    """Names that the module's classes store on an instance: self.<name> = ..."""
+    return {
+        sub.attr
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for sub in ast.walk(cls)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+    }
 
-    A method counts as referenced only by an attribute read, so that a local
-    variable of the same name elsewhere does not keep it alive.
+
+def unreferenced_definitions() -> list:
+    """Names of the definitions, and of the attributes stored on self, that
+    nothing in the package references.
+
+    A method or a stored attribute counts as referenced only by an attribute
+    read, so that a local variable of the same name elsewhere does not keep
+    it alive.
     """
     trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
     reads = {
         attributes_only: [n for tree in trees for n in referenced_names(tree, attributes_only)]
         for attributes_only in (False, True)
     }
+    stored = set().union(*map(attribute_stores, trees))
     return [
         node.name
         for tree in trees
         for node, method in definitions(tree)
         # a use inside its own body, such as a recursive call, does not count
         if reads[method].count(node.name) == referenced_names(node, method).count(node.name)
-    ]
+    ] + sorted(stored - set(reads[True]))
 
 
 def test_every_private_helper_is_referenced():

@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
-from oppmix import bounds, cli, exactnum, forms, linalg, oracle, spectrum
+from oppmix import bounds, cli, exactnum, forms, linalg, oracle, spectrum, sweep
 from oppmix.gf import field
 from reference import (
     biadjacency_rows,
@@ -143,7 +142,7 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps, monkeypatch):
     step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
     for e in range(0, d + 1, step):
         keys.clear()
-        oracle._partition.__wrapped__(form, e)
+        oracle.classify_partition(form, e)
         if e == 0:  # the zero space has no last row: its key is empty, and not looked up
             assert keys == []
             keys.append(())
@@ -182,7 +181,8 @@ def test_lane_partition_matches_reference_verdicts(kind, eps, d, e):
             degenerate += 1
         else:
             want.setdefault(c, []).append(rows)
-    assert oracle._partition(form, e) == ({c: tuple(v) for c, v in want.items()}, degenerate)
+    want = {c: tuple(v) for c, v in want.items()}
+    assert oracle.classify_partition(form, e) == (want, degenerate)
 
 
 @pytest.mark.parametrize("kind,eps", GF2_FORMS)
@@ -220,7 +220,6 @@ def test_lane_count_without_a_verdict_raises(monkeypatch):
     verdicts = dict(forms.verdicts_by_count_gf2(2))
     del verdicts[1]  # the hyperbolic plane's count
     monkeypatch.setattr(forms, "verdicts_by_count_gf2", lambda e: verdicts)
-    monkeypatch.setattr(oracle, "_partition", lru_cache(oracle._partition.__wrapped__))
     with pytest.raises(ArithmeticError, match="matches no verdict"):
         oracle.classify_partition(form, 2)
     argv = "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 2 --q 2".split()
@@ -234,18 +233,41 @@ def test_partition_budget_checked_after_cache_fill():
         oracle.classify_partition(form, 2, budget=10)
 
 
-def test_partition_cache_keeps_only_the_current_forms_builds():
-    # a new form frees the old form's builds before its own are built; one
-    # form keeps its last two, which a case with e1 != e2 needs
-    plus, minus = (forms.standard_form("orthogonal", 6, 2, eps) for eps in (1, -1))
-    oracle.classify_partition(plus, 2)
-    oracle.classify_partition(plus, 4)
-    assert oracle._partition.cache_info().currsize == 2
-    oracle.classify_partition(minus, 2)
-    assert oracle._partition.cache_info().currsize == 1
-    hits = oracle._partition.cache_info().hits
-    oracle.classify_partition(minus, 2)
-    assert oracle._partition.cache_info().hits == hits + 1
+def test_one_build_per_form_and_dimension(monkeypatch):
+    # one count_case call per exception form serves all its sign triples: the
+    # orthogonal sweep's 56 count reports take 18 builds, and a count with
+    # e1 = e2 builds once
+    classify = oracle.classify_partition
+    calls = []
+
+    def counting(form, e, budget=None):
+        calls.append((form, e))
+        return classify(form, e, budget)
+
+    monkeypatch.setattr(oracle, "classify_partition", counting)
+    rep = sweep.verify_theorem("orthogonal")
+    assert (len(calls), len(set(calls)), len(rep.count_reports)) == (18, 18, 56)
+    calls.clear()
+    assert cli.main("count --family symplectic --e1 2 --e2 2 --q 5".split()) == 0
+    assert len(calls) == 1
+
+
+def test_every_bucket_is_checked_at_build_time(capsys, monkeypatch):
+    # a sigma = -1 bucket one member short fails its closed form, even in a
+    # case that counts only sigma = +1 spaces
+    classify = oracle.classify_partition
+
+    def short_minus(*args):
+        buckets, degenerate = classify(*args)
+        return {**buckets, -1: buckets[-1][1:]}, degenerate + 1
+
+    monkeypatch.setattr(oracle, "classify_partition", short_minus)
+    argv = "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 2 --q 2"
+    code = cli.main(argv.split())
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: enumerated 1 non-degenerate 2-spaces")
+    assert err.count("\n") == 1
 
 
 def test_build_yset_validation():
@@ -453,14 +475,13 @@ def test_transitive_count_fixes_the_larger_side_on_a_tie(monkeypatch):
 
 
 def test_transitive_count_outside_the_orbit_exits_4(capsys, monkeypatch):
-    build = oracle.build_yset
-    built = []
+    # e1 = e2: one build serves both sides, and its first member is an outsider
+    build = oracle.build_ysets
 
-    def outsider_in_y1(*args):
-        built.append(build(*args))
-        return _outsider_first(built[-1]) if len(built) == 1 else built[-1]
+    def outsider_first(*args):
+        return {sigma: _outsider_first(y) for sigma, y in build(*args).items()}
 
-    monkeypatch.setattr(oracle, "build_yset", outsider_in_y1)
+    monkeypatch.setattr(oracle, "build_ysets", outsider_first)
     code = cli.main(["count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "2"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -746,10 +767,10 @@ def test_double_counting_identity_d8_exception():
     # (q, m2, m1) = (2, 1, 3): hits(S1 -> Y2) |Y1| = hits(S2 -> Y1) |Y2|
     for eps in (1, -1):
         form = forms.standard_form("orthogonal", 8, 2, eps)
+        ys6, ys2 = oracle.build_ysets(form, 6), oracle.build_ysets(form, 2)
         for sigma1 in (1, -1):
             for sigma2 in (1, -1):
-                y1 = oracle.build_yset(form, 6, sigma1)
-                y2 = oracle.build_yset(form, 2, sigma2)
+                y1, y2 = ys6[sigma1], ys2[sigma2]
                 forward = oracle.count_complementary_transitive(y1, y2)
                 backward = oracle.count_complementary_transitive(y2, y1)
                 assert forward.pairs == backward.pairs > 0, (eps, sigma1, sigma2)
@@ -758,10 +779,10 @@ def test_double_counting_identity_d8_exception():
 def test_exception_report_small():
     form = forms.standard_form("orthogonal", 4, 2, 1)
     threshold = bounds.THEOREM["orthogonal"].threshold(2, 2, 2)
-    rep = oracle.count_case(form, 2, 2, -1, -1, threshold, full_pairs=True)
+    [rep] = oracle.count_case(form, 2, 2, [(-1, -1, threshold)], full_pairs=True)
     assert rep.y1_count == rep.y2_count == 2
     assert rep.proportion == Fraction(1, 2)
     assert rep.threshold == Fraction(1, 4)
     assert rep.passed
-    fast = oracle.count_case(form, 2, 2, -1, -1, threshold)
+    [fast] = oracle.count_case(form, 2, 2, [(-1, -1, threshold)])
     assert fast.proportion == rep.proportion
