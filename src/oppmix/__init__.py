@@ -16,7 +16,7 @@ _EXPORTS = {
     "exactnum": "Surd bq compare count_nondegenerate gaussian_binomial group_order_go "
     "group_order_gu group_order_sp lambda_factor omega prime_power surd",
     "forms": "standard_form",
-    "oracle": "annihilator_check build_biadjacency build_yset count_complementary "
+    "oracle": "annihilator_check build_biadjacency build_ysets count_complementary "
     "count_complementary_transitive mixing_check",
     "spectrum": "eigen_exponents eigen_exponents_via_characters",
     "sweep": "verify_theorem",

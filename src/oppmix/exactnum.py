@@ -274,9 +274,12 @@ def surd(a, b=0, rad=0) -> Surd:
 def compare(x: Surd, t) -> int:
     """The sign of x - t for a rational t: -1, 0 or 1, decided exactly.
 
-    With a' = a - t, a' + b*sqrt(base) takes the common sign of a' and b when
-    they agree; otherwise the sign of whichever of a'^2 and b^2*base is larger.
+    A rational x (b = 0) compares a with t.  Otherwise, with a' = a - t,
+    a' + b*sqrt(base) takes the common sign of a' and b when they agree, and
+    else the sign of whichever of a'^2 and b^2*base is larger.
     """
+    if not x.b:
+        return (x.a > t) - (x.a < t)
     a, b = x.a - t, x.b
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa * sb >= 0:

@@ -37,15 +37,15 @@ partner lies in the polar radical, so the same elimination finds a
 degenerate restriction.
 
 A partition build codes every member of a pivot pattern (verdicts) through
-classifier: over F_2 the lanes (lane_classifier_gf2), elsewhere the walk
-(_walk), which classifies each distinct restricted form once.
+classifier, made once per build: over F_2 the lanes (lane_classifier_gf2)
+on the build's own Q table, elsewhere the walk (_walk), which classifies
+each distinct restricted form once.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from functools import lru_cache
 from itertools import combinations, repeat
 from math import prod
 from operator import itemgetter, mul, xor
@@ -223,9 +223,7 @@ def _arf(r: RestrictedForm) -> int | None:
 def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
     """The function that maps a pivot pattern's row candidates to one code per
     member of product(*candidates), in that order, as verdicts(form.kind)
-    spells them out, for the e-subspaces of every field."""
-    if not e:
-        return lambda candidates: b"\x01"  # the zero space: non-degenerate, of type +1
+    spells them out, for the e-subspaces of every field, 1 <= e <= d."""
     if form.field.q == 2:
         return lane_classifier_gf2(form, e)
     return _walk(form, e)
@@ -348,7 +346,6 @@ def _extend(prefixes, i: int, owns: list, rows: list):
 # -- GF(2): one count of the vectors with Q = 1 classifies either kind ---------
 
 
-@lru_cache(maxsize=None)
 def quad_table_gf2(form: ClassicalForm) -> bytes:
     """Q on all 2^d bitmask vectors of an orthogonal or symplectic form over F_2.
 

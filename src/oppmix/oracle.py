@@ -1,8 +1,8 @@
 """Brute-force ground truth: Y-sets, pair counts, and the graph checks.
 
-Everything here is exact.  Y-sets are enumerated in the canonical subspace
-order, and every bucket of a build is hard-checked against its closed-form
-count at construction time, whether or not a caller asks for it;
+Everything here is exact.  build_ysets enumerates Y-sets in the canonical
+subspace order, sized before it enumerates, and hard-checks every bucket
+against its closed-form count, whether or not a caller asks for it;
 complementary-pair counting comes in two flavours (all pairs, and the
 single-orbit shortcut that fixes one subspace and checks itself on two
 more), which must agree wherever both run.
@@ -25,8 +25,9 @@ No module state caches a build: count_case builds each distinct e of one
 form once for a list of sign cases and drops the builds when it returns.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
-bitmask, so edge counts and the entries of N N^T are popcounts.  The
-annihilator product is taken on rows packed into one int each.
+bitmask, so edge counts and the entries of N N^T are popcounts.  Callers
+build it once and pass it on; nothing caches it.  The annihilator product
+is taken on rows packed into one int each.
 
 The mixing check is integer arithmetic throughout: the squared inequality
 and, for interior subset pairs, the two nonzero coefficients of the quotient
@@ -41,9 +42,7 @@ threshold in.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, compress, product
 from operator import mul
 from typing import NamedTuple
@@ -77,17 +76,18 @@ class CountReport(NamedTuple):
     passed: bool | None = None
 
 
-def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
-    """Split all e-subspaces into non-degenerate buckets plus a degenerate count.
+def build_ysets(form: ClassicalForm, e: int, budget: int | None = None) -> dict:
+    """Every non-degenerate bucket of the e-subspaces, as a YSet keyed by sigma
+    (None unless the form is orthogonal).
 
-    Returns (buckets, degenerate) where buckets maps sigma (or True) to the
-    member tuple in enumeration order (each member its RREF rows).  The
-    budget is checked before any member is enumerated.  Nothing is cached: a
-    caller that needs a build more than once holds it.
+    Sized first: the buckets' closed-form counts (count_nondegenerate rejects
+    an e with nothing to count: 0, d, or odd if orthogonal or symplectic),
+    then [d, e]_q against the budget.  Every bucket, asked for or not, must
+    hold its count, or the build raises.  Nothing is cached.
     """
-    if form.kind == forms.ORTHOGONAL and e % 2:
-        raise ValueError("orthogonal type classification needs even dimensions")
     fld, d = form.field, form.d
+    signs = (1, -1) if form.kind == forms.ORTHOGONAL else (None,)  # codes 1, 2 (forms.verdicts)
+    sizes = [exactnum.count_nondegenerate(form.kind, e, d - e, form.q, form.eps, s) for s in signs]
     total = exactnum.gaussian_binomial(d, e, fld.q)
     if budget is None:
         budget = linalg.DEFAULT_ENUM_BUDGET
@@ -96,54 +96,20 @@ def classify_partition(form: ClassicalForm, e: int, budget: int | None = None):
             f"{total} {e}-subspaces of dim {d} over F_{fld.q} exceed budget {budget}"
         )
     codes_of = forms.classifier(form, e)
-    keys = forms.verdicts(form.kind)
-    buckets = defaultdict(list)
-    degenerate = 0
+    keeps = [bytes(map(k.__eq__, range(256))) for k in range(1, len(signs) + 1)]
+    buckets = [[] for _ in signs]
     for pattern in combinations(range(d), e):
         candidates = linalg.row_candidates(d, pattern, fld)
         codes = codes_of(candidates)
-        degenerate += codes.count(0)
-        for k in range(1, len(keys)):
-            kept = codes.translate(bytes(map(k.__eq__, range(256))))
-            buckets[keys[k]] += compress(product(*candidates), kept)
-    return {c: tuple(v) for c, v in buckets.items() if v}, degenerate
-
-
-def build_ysets(form: ClassicalForm, e: int, budget: int | None = None) -> dict:
-    """Every non-degenerate bucket of one e-subspace build, as a YSet keyed by
-    sigma (None unless the form is orthogonal).
-
-    Each bucket's count must equal the orbit-stabilizer closed form, the
-    buckets no caller asks for included; a mismatch raises instead of
-    returning bad data.
-    """
-    buckets, _ = classify_partition(form, e, budget)
-    orthogonal = form.kind == forms.ORTHOGONAL
-    ysets = {}
-    for sigma in (1, -1) if orthogonal else (None,):
-        members = buckets.get(sigma if orthogonal else True, ())
-        expected = exactnum.count_nondegenerate(
-            form.kind, e, form.d - e, form.q, eps=form.eps, sigma1=sigma
-        )
-        if len(members) != expected:
+        for bucket, keep in zip(buckets, keeps):
+            bucket += compress(product(*candidates), codes.translate(keep))
+    for sigma, size, members in zip(signs, sizes, buckets):
+        if len(members) != size:
             raise ArithmeticError(
                 f"enumerated {len(members)} non-degenerate {e}-spaces, closed form says "
-                f"{expected} ({form.kind}, q={form.q}, d={form.d}, sigma={sigma})"
+                f"{size} ({form.kind}, q={form.q}, d={form.d}, sigma={sigma})"
             )
-        ysets[sigma] = YSet(form, e, sigma, members)
-    return ysets
-
-
-def build_yset(
-    form: ClassicalForm, e: int, sigma: int | None = None, budget: int | None = None
-) -> YSet:
-    """The non-degenerate e-subspaces (of type sigma, if orthogonal): one
-    bucket of build_ysets."""
-    if form.kind == forms.ORTHOGONAL and sigma not in (1, -1):
-        raise ValueError("orthogonal Y-sets need sigma = +1 or -1")
-    if form.kind != forms.ORTHOGONAL and sigma is not None:
-        raise ValueError(f"sigma applies only to orthogonal spaces, not {form.kind}")
-    return build_ysets(form, e, budget)[sigma]
+    return {sigma: YSet(form, e, sigma, tuple(members)) for sigma, members in zip(signs, buckets)}
 
 
 # -- pair counting -----------------------------------------------------------
@@ -248,21 +214,16 @@ class Biadjacency(NamedTuple):
 def build_biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     """0/1 matrix of the complementarity relation in enumeration order.
 
-    BIADJACENCY_CAP bounds its rows; it is checked on every call, before the
-    cache.
+    BIADJACENCY_CAP bounds its rows, checked before anything is enumerated.
+    Nothing is cached: a caller that uses the matrix twice holds it.
     """
     d = e1 + e2
     n1 = exactnum.gaussian_binomial(d, e1, q)
     if n1 > BIADJACENCY_CAP:
         raise linalg.BudgetError(f"[{d} choose {e1}]_{q} = {n1} exceeds the cap {BIADJACENCY_CAP}")
-    return _biadjacency(e1, e2, q)
-
-
-@lru_cache(maxsize=None)
-def _biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     fld = field(q)
-    x1 = list(linalg.members(e1 + e2, e1, fld))
-    x2 = list(linalg.members(e1 + e2, e2, fld)) if e1 != e2 else x1
+    x1 = list(linalg.members(d, e1, fld))
+    x2 = list(linalg.members(d, e2, fld)) if e1 != e2 else x1
     return Biadjacency(e1, e2, q, len(x2), tuple(linalg.complement_rows(fld, x1, x2)))
 
 
@@ -347,8 +308,8 @@ class MixingReport(NamedTuple):
     charpoly_ok: bool | None  # None when some alpha is 0 or 1
 
 
-def mixing_check(e1: int, e2: int, q: int, idx1, idx2) -> MixingReport:
-    """Exact two-sided check of the mixing inequality for one subset pair.
+def mixing_check(bi: Biadjacency, idx1, idx2) -> MixingReport:
+    """Exact two-sided check of the mixing inequality for one subset pair of bi.
 
     The edge count E between the subsets (sizes s1, s2) is the sum of
     popcount(masks[i] & mask2) over the rows i in subset 1, with mask2 the
@@ -370,7 +331,7 @@ def mixing_check(e1: int, e2: int, q: int, idx1, idx2) -> MixingReport:
     edge bookkeeping, not the inequality; they run because mixing-check
     reports how many pairs they covered (charpoly_checked).
     """
-    bi = build_biadjacency(e1, e2, q)
+    e1, e2, q = bi.e1, bi.e2, bi.q
     n1, n2 = bi.n1, bi.n2
     set1 = sorted(set(idx1))
     set2 = sorted(set(idx2))
@@ -406,9 +367,8 @@ def mixing_check(e1: int, e2: int, q: int, idx1, idx2) -> MixingReport:
     return MixingReport(e1, e2, q, a1, a2, edges, holds, tight, charpoly_ok)
 
 
-def random_subset_pairs(e1: int, e2: int, q: int, trials: int, seed: int):
-    """Deterministic pseudo-random nonempty-subset pairs for the mixing suite."""
-    bi = build_biadjacency(e1, e2, q)
+def random_subset_pairs(bi: Biadjacency, trials: int, seed: int):
+    """Deterministic pseudo-random nonempty-subset pairs of bi's rows and columns."""
     rng = random.Random(seed)
     for _ in range(trials):
         k1 = rng.randint(1, bi.n1)
@@ -417,7 +377,7 @@ def random_subset_pairs(e1: int, e2: int, q: int, trials: int, seed: int):
 
 
 def mixing_suite(e1: int, e2: int, q: int, trials: int = 100, seed: int = 0):
-    """Boundary cases, neighborhood cases, and seeded random pairs."""
+    """Boundary cases, neighborhood cases, and seeded random pairs, on one build."""
     bi = build_biadjacency(e1, e2, q)
     full1 = list(range(bi.n1))
     full2 = list(range(bi.n2))
@@ -435,5 +395,5 @@ def mixing_suite(e1: int, e2: int, q: int, trials: int = 100, seed: int = 0):
         (full1, nbr2),
         (nbr1, nbr2),
     ]
-    cases += random_subset_pairs(e1, e2, q, trials, seed)
-    return [mixing_check(e1, e2, q, s1, s2) for s1, s2 in cases]
+    cases += random_subset_pairs(bi, trials, seed)
+    return [mixing_check(bi, s1, s2) for s1, s2 in cases]

@@ -68,8 +68,11 @@ def verify_theorem(
     whose exact proportion must clear the threshold in that sign triple's
     bound report.  One oracle.count_case call takes all of an exception
     form's sign triples, so each of its partitions is built once and freed
-    before the next form's.  The d = 4 exceptions count every pair with
-    `full_pairs_d4`; `budget` caps each oracle enumeration.
+    before the next form's.  Perp duality, (S1, S2) -> (S2^perp, S1^perp),
+    maps Y(e1, s1) x Y(e2, s2) onto Y(e1, eps s2) x Y(e2, eps s1), keeping
+    complements, so their proportions must agree.  The d = 4 exceptions
+    count every pair with `full_pairs_d4`; `budget` caps each oracle
+    enumeration.
     """
     if family not in bounds.THEOREM:
         raise ValueError(f"unknown family {family!r}")
@@ -94,6 +97,12 @@ def verify_theorem(
             creps = oracle.count_case(form, e1, e2, cases, full_pairs_d4 and e1 + e2 == 4, budget)
             count_reports += creps
             failures += [f"oracle proportion failed: {c.case}" for c in creps if not c.passed]
+            if fam.signed:  # perp duality: P(s1, s2) = P(eps s2, eps s1), each pair once
+                by_signs = {(s1, s2): c for (s1, s2, _), c in zip(cases, creps)}
+                for (s1, s2), c in by_signs.items():
+                    dual = by_signs[eps * s2, eps * s1]
+                    if (s1, s2) < (eps * s2, eps * s1) and c.proportion != dual.proportion:
+                        failures.append(f"oracle duality failed: {c.case} against {dual.case}")
     tails = getattr(bounds, f"{family}_tail_checks")()
     failures.extend(f"tail check failed: {t.name} q={t.q}" for t in tails if not t.passed)
     return FamilyReport(family, bound_reports, count_reports, tails, failures)

@@ -427,3 +427,15 @@ def omega_product(base: int, e: int) -> Fraction:
 def bq_product(base: int, e1: int, e2: int) -> Fraction:
     """omega(base, e1) * omega(base, e2) / omega(base, e1 + e2) from the product form."""
     return omega_product(base, e1) * omega_product(base, e2) / omega_product(base, e1 + e2)
+
+
+def compare_by_subtraction(x, t) -> int:
+    """exactnum.compare's general rule for any surd x: with a' = a - t, the
+    common sign of a' and b when they agree, else the sign of the larger of
+    a'^2 and b^2*base."""
+    a, b = x.a - t, x.b
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    gap = a * a - b * b * x.base
+    return sa if gap > 0 else sb if gap < 0 else 0

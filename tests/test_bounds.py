@@ -5,8 +5,9 @@ from math import isqrt
 
 import pytest
 
-from oppmix import bounds, exactnum, forms, oracle, sweep
+from oppmix import bounds, cli, exactnum, forms, oracle, sweep
 from oppmix.exactnum import compare, surd
+from reference import enumerate_subspaces, restrict
 
 
 def interval_sign(a: Fraction, b: Fraction, base: int) -> int:
@@ -155,8 +156,11 @@ def test_alpha_partition_sums_to_one():
     for q in (2, 3):
         for eps in (1, -1):
             form = forms.standard_form("orthogonal", 4, q, eps)
-            _, degenerate = oracle.classify_partition(form, 2)
+            subspaces = enumerate_subspaces(4, 2, form.field)
+            degenerate = sum(forms.classify(restrict(form, s)) is None for s in subspaces)
             n = exactnum.gaussian_binomial(4, 2, q)
+            kept = sum(y.count for y in oracle.build_ysets(form, 2).values())
+            assert n - kept == degenerate
             a_plus = bounds.alpha_orthogonal(eps, 1, 1, 1, q)
             a_minus = bounds.alpha_orthogonal(eps, -1, 1, 1, q)
             assert a_plus + a_minus + Fraction(degenerate, n) == 1
@@ -167,14 +171,15 @@ def test_alpha_matches_oracle_density():
         for eps in (1, -1):
             form = forms.standard_form("orthogonal", 6, q, eps)
             n = exactnum.gaussian_binomial(6, 4, q)
+            ysets = oracle.build_ysets(form, 4)
             for sigma in (1, -1):
-                y = oracle.build_yset(form, 4, sigma)
+                y = ysets[sigma]
                 assert bounds.alpha_orthogonal(eps, sigma, 2, 1, q) == Fraction(y.count, n)
     spform = forms.standard_form("symplectic", 4, 3)
-    y = oracle.build_yset(spform, 2)
+    y = oracle.build_ysets(spform, 2)[None]
     assert bounds.alpha_symplectic(1, 1, 3) == Fraction(y.count, exactnum.gaussian_binomial(4, 2, 3))
     hform = forms.standard_form("hermitian", 3, 2)
-    y = oracle.build_yset(hform, 2)
+    y = oracle.build_ysets(hform, 2)[None]
     assert bounds.alpha_unitary(2, 1, 2) == Fraction(y.count, exactnum.gaussian_binomial(3, 2, 4))
 
 
@@ -251,7 +256,7 @@ def test_bounds_reject_q_not_prime_power():
 
 def test_symplectic_oracle_beats_bound():
     spform = forms.standard_form("symplectic", 4, 2)
-    y = oracle.build_yset(spform, 2)
+    y = oracle.build_ysets(spform, 2)[None]
     rep = oracle.count_complementary(y, y)
     formula = bounds.bound_symplectic(1, 1, 2)
     assert compare(formula.lower_bound, rep.proportion) <= 0
@@ -339,6 +344,30 @@ def test_verify_fails_a_listed_exception_that_passes_in_closed_form(monkeypatch)
     monkeypatch.setitem(bounds.THEOREM, "orthogonal", stale)
     rep = sweep.verify_theorem("orthogonal", run_oracle=False)
     assert rep.failures == ["listed exception passes in closed form: orthogonal q=2 e1=6 e2=4"]
+
+
+def test_verify_fails_a_count_that_disagrees_with_its_perp_dual(capsys, monkeypatch):
+    # perp duality: P(e1, e2; s1, s2) = P(e1, e2; eps s2, eps s1).  One count of
+    # O+(8, 2) at (6, 2), signs (+, -), nudged off its dual (-, +) but kept
+    # above its threshold, fails verify on the duality check alone
+    count_case = oracle.count_case
+
+    def nudged(form, e1, e2, cases, *args):
+        reps = count_case(form, e1, e2, cases, *args)
+        if (form.d, form.q, form.eps, e1) == (8, 2, 1, 6):
+            assert cases[1][:2] == (1, -1)
+            reps[1] = reps[1]._replace(proportion=reps[1].proportion + Fraction(1, 10**9))
+        return reps
+
+    monkeypatch.setattr(oracle, "count_case", nudged)
+    code = cli.main(["verify", "--family", "orthogonal"])
+    lines = capsys.readouterr().out.splitlines()
+    case = "{'kind': 'orthogonal', 'q': 2, 'd': 8, 'e1': 6, 'e2': 2, 'eps': '+', "
+    minus_plus, plus_minus = (case + f"'sigma1': '{a}', 'sigma2': '{b}'}}" for a, b in ("-+", "+-"))
+    assert code == 1
+    assert [line for line in lines if "FAILURE" in line] == [
+        f"  FAILURE: oracle duality failed: {minus_plus} against {plus_minus}"
+    ]
 
 
 # the memo caches of the closed-form sweep: the kernels and the sign-free terms

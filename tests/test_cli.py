@@ -433,9 +433,10 @@ def test_mixing_check_quotient_identity_can_fail(capsys, monkeypatch):
     # one all-zero column appended (n2 = n1 + 1): the identity, exact only
     # for a square biadjacency, fails on an interior pair
     bi = oracle.build_biadjacency(2, 2, 3)
-    monkeypatch.setattr(oracle, "build_biadjacency", lambda *a: bi._replace(n2=bi.n2 + 1))
-    report = oracle.mixing_check(2, 2, 3, range(5), range(7))
+    wide = bi._replace(n2=bi.n2 + 1)
+    report = oracle.mixing_check(wide, range(5), range(7))
     assert (report.alpha2, report.charpoly_ok) == (Fraction(7, 131), False)
+    monkeypatch.setattr(oracle, "build_biadjacency", lambda *a: wide)
     code, out, _ = run(capsys, "mixing-check", "--e1", "2", "--e2", "2", "--q", "3")
     assert code == 1
     assert out.splitlines()[-1] == "FAIL"

@@ -184,11 +184,12 @@ def test_perp_type_is_eps_times_sigma_d8_gf2():
     for eps in (1, -1):
         form = forms.standard_form("orthogonal", 8, 2, eps)
         bil = bilinear_masks_gf2(form)
-        buckets = {e: oracle.classify_partition(form, e)[0] for e in (2, 4, 6)}
+        ysets = {e: oracle.build_ysets(form, e) for e in (2, 4, 6)}
         for e in (2, 4, 6):
             for sigma in (1, -1):
-                perps = {nullspace_bits([bil[r] for r in rows], 8) for rows in buckets[e][sigma]}
-                assert perps == set(buckets[8 - e][eps * sigma]), (eps, e, sigma)
+                members = ysets[e][sigma].members
+                perps = {nullspace_bits([bil[r] for r in rows], 8) for rows in members}
+                assert perps == set(ysets[8 - e][eps * sigma].members), (eps, e, sigma)
 
 
 def test_gf2_fast_paths_agree_with_generic():

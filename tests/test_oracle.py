@@ -42,22 +42,25 @@ def all_splits(d):
     return [(e1, d - e1) for e1 in range(1, d) if e1 >= d - e1]
 
 
+def classify_every_member(form, e):
+    """The codes of all e-subspaces in enumeration order, from forms.classifier alone."""
+    codes_of = forms.classifier(form, e)
+    patterns = combinations(range(form.d), e)
+    return b"".join(codes_of(linalg.row_candidates(form.d, p, form.field)) for p in patterns)
+
+
 @pytest.mark.parametrize("q,d", ORTHOGONAL_CASES)
 def test_orthogonal_counts_match_closed_form(q, d):
     for eps in (1, -1):
         form = forms.standard_form("orthogonal", d, q, eps)
         for e1, e2 in even_splits(d):
             for e in {e1, e2}:
-                buckets, degenerate = oracle.classify_partition(form, e)
-                total = 0
+                ysets = oracle.build_ysets(form, e)
                 for sigma in (1, -1):
-                    got = len(buckets.get(sigma, ()))
                     want = exactnum.count_nondegenerate(
                         "orthogonal", e, d - e, q, eps=eps, sigma1=sigma
                     )
-                    assert got == want, (q, d, eps, e, sigma)
-                    total += got
-                assert total + degenerate == exactnum.gaussian_binomial(d, e, q)
+                    assert ysets[sigma].count == want, (q, d, eps, e, sigma)
 
 
 @pytest.mark.parametrize("q,d", SYMPLECTIC_CASES)
@@ -65,7 +68,7 @@ def test_symplectic_counts_match_closed_form(q, d):
     form = forms.standard_form("symplectic", d, q)
     for e1, e2 in even_splits(d):
         for e in {e1, e2}:
-            y = oracle.build_yset(form, e)
+            y = oracle.build_ysets(form, e)[None]
             assert y.count == exactnum.count_nondegenerate("symplectic", e, d - e, q)
 
 
@@ -74,7 +77,7 @@ def test_hermitian_counts_match_closed_form(q, d):
     form = forms.standard_form("hermitian", d, q)
     for e1, e2 in all_splits(d):
         for e in {e1, e2}:
-            y = oracle.build_yset(form, e)
+            y = oracle.build_ysets(form, e)[None]
             assert y.count == exactnum.count_nondegenerate("hermitian", e, d - e, q)
 
 
@@ -102,7 +105,7 @@ def test_hermitian_counts_match_closed_form(q, d):
 )
 def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
     form = forms.standard_form(kind, d, q, eps)
-    for e in range(0, d) if kind == "hermitian" else range(0, d - 1, 2):
+    for e in range(1, d) if kind == "hermitian" else range(2, d - 1, 2):
         want: dict = {}
         degenerate = 0
         for s in enumerate_subspaces(d, e, form.field):
@@ -110,9 +113,14 @@ def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
             if c is None:
                 degenerate += 1
                 continue
-            want.setdefault(c, []).append(s.bit_rows() if form.field.q == 2 else s.basis)
-        want = {c: tuple(members) for c, members in want.items()}
-        assert oracle.classify_partition(form, e) == (want, degenerate), e
+            sigma = None if c is True else c
+            want.setdefault(sigma, []).append(s.bit_rows() if form.field.q == 2 else s.basis)
+        ysets = oracle.build_ysets(form, e)
+        assert {sigma: y.members for sigma, y in ysets.items()} == {
+            sigma: tuple(members) for sigma, members in want.items()
+        }, e
+        kept = sum(y.count for y in ysets.values())
+        assert exactnum.gaussian_binomial(d, e, form.field.q) - kept == degenerate, e
 
 
 # (kind, d, q, eps): every generic-field (q != 2) fixture family, with the
@@ -139,13 +147,10 @@ def test_generic_key_matches_restrict_bytes(kind, d, q, eps, monkeypatch):
             return super().__getitem__(tail)
 
     monkeypatch.setattr(forms, "_Verdicts", RecordingVerdicts)
-    step = 1 if kind == "hermitian" else 2  # admissible: even e unless hermitian
-    for e in range(0, d + 1, step):
+    step = 1 if kind == "hermitian" else 2  # even e unless hermitian, the whole space too
+    for e in range(step, d + 1, step):
         keys.clear()
-        oracle.classify_partition(form, e)
-        if e == 0:  # the zero space has no last row: its key is empty, and not looked up
-            assert keys == []
-            keys.append(())
+        classify_every_member(form, e)
         subspaces = list(enumerate_subspaces(d, e, form.field))
         assert len(keys) == len(subspaces), e
         for key, s in zip(keys, subspaces):
@@ -180,25 +185,27 @@ def test_lane_partition_matches_reference_verdicts(kind, eps, d, e):
         if c is None:
             degenerate += 1
         else:
-            want.setdefault(c, []).append(rows)
-    want = {c: tuple(v) for c, v in want.items()}
-    assert oracle.classify_partition(form, e) == (want, degenerate)
+            want.setdefault(None if c is True else c, []).append(rows)
+    ysets = oracle.build_ysets(form, e)
+    assert {sigma: y.members for sigma, y in ysets.items()} == {
+        sigma: tuple(v) for sigma, v in want.items()
+    }
+    kept = sum(y.count for y in ysets.values())
+    assert exactnum.gaussian_binomial(d, e, 2) - kept == degenerate
 
 
 @pytest.mark.parametrize("kind,eps", GF2_FORMS)
 def test_lane_partition_edge_dimensions(kind, eps):
-    # the zero space, the whole space (byte lanes at d = 8, wider lanes at
-    # d = 10), and the odd symplectic dimensions, all degenerate
-    zero, whole = (1, eps) if kind == "orthogonal" else (True, True)  # types, if orthogonal
+    # the whole space (byte lanes at d = 8, wider lanes at d = 10), of the
+    # form's own type, and the odd symplectic dimensions, all degenerate
+    whole = forms.verdicts(kind).index(eps if kind == "orthogonal" else True)
     for d in (8, 10):
         form = forms.standard_form(kind, d, 2, eps)
-        assert oracle.classify_partition(form, 0) == ({zero: ((),)}, 0)
-        rows = tuple(1 << j for j in range(d))
-        assert oracle.classify_partition(form, d) == ({whole: (rows,)}, 0)
+        assert classify_every_member(form, d) == bytes([whole])
     if kind == "symplectic":
         for d, e in [(6, 1), (6, 3), (6, 5), (10, 9)]:
             form = forms.standard_form(kind, d, 2)
-            assert oracle.classify_partition(form, e) == ({}, exactnum.gaussian_binomial(d, e, 2))
+            assert classify_every_member(form, e) == bytes(exactnum.gaussian_binomial(d, e, 2))
 
 
 @pytest.mark.parametrize("kind,eps", GF2_FORMS)
@@ -221,30 +228,58 @@ def test_lane_count_without_a_verdict_raises(monkeypatch):
     del verdicts[1]  # the hyperbolic plane's count
     monkeypatch.setattr(forms, "verdicts_by_count_gf2", lambda e: verdicts)
     with pytest.raises(ArithmeticError, match="matches no verdict"):
-        oracle.classify_partition(form, 2)
+        oracle.build_ysets(form, 2)
     argv = "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 2 --q 2".split()
     assert cli.main(argv) == 4
 
 
 def test_partition_budget_checked_after_cache_fill():
     form = forms.standard_form("symplectic", 4, 2)
-    oracle.classify_partition(form, 2)
+    oracle.build_ysets(form, 2)
     with pytest.raises(linalg.BudgetError):
-        oracle.classify_partition(form, 2, budget=10)
+        oracle.build_ysets(form, 2, budget=10)
+
+
+def test_sizes_and_budget_come_before_enumeration(monkeypatch):
+    # an inadmissible e and a build over budget raise before the first pivot
+    # pattern's candidates are listed
+    def enumerating(*args):
+        pytest.fail("build_ysets enumerated before it was sized")
+
+    monkeypatch.setattr(linalg, "row_candidates", enumerating)
+    oform = forms.standard_form("orthogonal", 6, 2, 1)
+    cases = [(oform, 0), (oform, 3), (oform, 6), (forms.standard_form("symplectic", 6, 2), 3)]
+    cases += [(forms.standard_form("hermitian", 3, 2), e) for e in (0, 3)]
+    for form, e in cases:
+        with pytest.raises(ValueError):
+            oracle.build_ysets(form, e)
+    with pytest.raises(linalg.BudgetError):
+        oracle.build_ysets(forms.standard_form("symplectic", 8, 3), 4, budget=10_000)
+
+
+def test_no_module_caches_a_build():
+    # a caller that needs a build, a quad table or a biadjacency twice holds it
+    for module in (oracle, forms):
+        cached = [
+            name
+            for name, obj in vars(module).items()
+            if getattr(obj, "__module__", None) == module.__name__ and hasattr(obj, "cache_info")
+        ]
+        assert cached == [], module.__name__
 
 
 def test_one_build_per_form_and_dimension(monkeypatch):
     # one count_case call per exception form serves all its sign triples: the
     # orthogonal sweep's 56 count reports take 18 builds, and a count with
     # e1 = e2 builds once
-    classify = oracle.classify_partition
+    build = oracle.build_ysets
     calls = []
 
     def counting(form, e, budget=None):
         calls.append((form, e))
-        return classify(form, e, budget)
+        return build(form, e, budget)
 
-    monkeypatch.setattr(oracle, "classify_partition", counting)
+    monkeypatch.setattr(oracle, "build_ysets", counting)
     rep = sweep.verify_theorem("orthogonal")
     assert (len(calls), len(set(calls)), len(rep.count_reports)) == (18, 18, 56)
     calls.clear()
@@ -255,13 +290,21 @@ def test_one_build_per_form_and_dimension(monkeypatch):
 def test_every_bucket_is_checked_at_build_time(capsys, monkeypatch):
     # a sigma = -1 bucket one member short fails its closed form, even in a
     # case that counts only sigma = +1 spaces
-    classify = oracle.classify_partition
+    classifier = forms.classifier
 
-    def short_minus(*args):
-        buckets, degenerate = classify(*args)
-        return {**buckets, -1: buckets[-1][1:]}, degenerate + 1
+    def short_minus(form, e):
+        codes_of, shorted = classifier(form, e), []
 
-    monkeypatch.setattr(oracle, "classify_partition", short_minus)
+        def codes(candidates):
+            out = codes_of(candidates)
+            if b"\x02" in out and not shorted:  # the first type -1 member, coded degenerate
+                shorted.append(out)
+                out = out.replace(b"\x02", b"\x00", 1)
+            return out
+
+        return codes
+
+    monkeypatch.setattr(forms, "classifier", short_minus)
     argv = "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 2 --q 2"
     code = cli.main(argv.split())
     out, err = capsys.readouterr()
@@ -270,40 +313,31 @@ def test_every_bucket_is_checked_at_build_time(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_build_yset_validation():
-    form = forms.standard_form("orthogonal", 4, 2, 1)
-    with pytest.raises(ValueError):
-        oracle.build_yset(form, 2)  # sigma required
-    spform = forms.standard_form("symplectic", 4, 2)
-    with pytest.raises(ValueError):
-        oracle.build_yset(spform, 2, sigma=1)
-
-
 def test_build_yset_budget():
     form = forms.standard_form("symplectic", 8, 3)
     with pytest.raises(linalg.BudgetError):
-        oracle.build_yset(form, 4, budget=10_000)
+        oracle.build_ysets(form, 4, budget=10_000)
 
 
 def test_zero_budget_is_a_budget():
     # budget=0 caps the enumeration at nothing; only None means the default
     form = forms.standard_form("symplectic", 4, 2)
     with pytest.raises(linalg.BudgetError, match="exceed budget 0"):
-        oracle.classify_partition(form, 2, budget=0)
+        oracle.build_ysets(form, 2, budget=0)
 
 
 def test_yset_examples():
     spform = forms.standard_form("symplectic", 4, 2)
-    assert oracle.build_yset(spform, 2).count == 20
+    assert oracle.build_ysets(spform, 2)[None].count == 20
     oform = forms.standard_form("orthogonal", 4, 2, 1)
-    assert oracle.build_yset(oform, 2, -1).count == 2
+    assert oracle.build_ysets(oform, 2)[-1].count == 2
     hform = forms.standard_form("hermitian", 2, 2)
-    assert oracle.build_yset(hform, 1).count == 2
+    assert oracle.build_ysets(hform, 1)[None].count == 2
 
 
 def test_hermitian_tight_case_proportion():
     hform = forms.standard_form("hermitian", 2, 2)
-    y = oracle.build_yset(hform, 1)
+    y = oracle.build_ysets(hform, 1)[None]
     rep = oracle.count_complementary(y, y)
     assert rep.pairs == 2
     assert rep.proportion == Fraction(1, 2)
@@ -322,25 +356,24 @@ def test_full_pairs_no_form_filter_regularity():
 
 def test_transitive_agrees_with_full_pairs():
     spform = forms.standard_form("symplectic", 4, 2)
-    y = oracle.build_yset(spform, 2)
+    y = oracle.build_ysets(spform, 2)[None]
     full = oracle.count_complementary(y, y)
     fast = oracle.count_complementary_transitive(y, y)
     assert full.proportion == fast.proportion
     assert full.pairs == fast.pairs
 
     hform = forms.standard_form("hermitian", 2, 2)
-    yh = oracle.build_yset(hform, 1)
+    yh = oracle.build_ysets(hform, 1)[None]
     assert (
         oracle.count_complementary(yh, yh).proportion
         == oracle.count_complementary_transitive(yh, yh).proportion
         == Fraction(1, 2)
     )
 
-    oform = forms.standard_form("orthogonal", 4, 2, 1)
+    ysets = oracle.build_ysets(forms.standard_form("orthogonal", 4, 2, 1), 2)
     for s1 in (1, -1):
         for s2 in (1, -1):
-            y1 = oracle.build_yset(oform, 2, s1)
-            y2 = oracle.build_yset(oform, 2, s2)
+            y1, y2 = ysets[s1], ysets[s2]
             assert (
                 oracle.count_complementary(y1, y2).proportion
                 == oracle.count_complementary_transitive(y1, y2).proportion
@@ -349,7 +382,7 @@ def test_transitive_agrees_with_full_pairs():
 
 def test_transitive_agrees_on_general_q():
     spform = forms.standard_form("symplectic", 4, 3)
-    y = oracle.build_yset(spform, 2)
+    y = oracle.build_ysets(spform, 2)[None]
     assert (
         oracle.count_complementary(y, y).proportion
         == oracle.count_complementary_transitive(y, y).proportion
@@ -358,7 +391,7 @@ def test_transitive_agrees_on_general_q():
 
 def test_transitive_agrees_with_full_pairs_on_o8_plus_gf2():
     # the paper's new F_2 orthogonal case: O+(8, 2), e1 = e2 = 4, both of type +
-    y = oracle.build_yset(forms.standard_form("orthogonal", 8, 2, 1), 4, 1)
+    y = oracle.build_ysets(forms.standard_form("orthogonal", 8, 2, 1), 4)[1]
     assert y.count == 67_200
     full = oracle.count_complementary(y, y)
     assert full.pairs == oracle.count_complementary_transitive(y, y).pairs == 1_455_820_800
@@ -366,7 +399,7 @@ def test_transitive_agrees_with_full_pairs_on_o8_plus_gf2():
 
 def test_full_pairs_count_matches_transitive_general_q():
     # 650^2 = 422,500 pairs over F_5, counted serially by point incidence
-    y = oracle.build_yset(forms.standard_form("symplectic", 4, 5), 2)
+    y = oracle.build_ysets(forms.standard_form("symplectic", 4, 5), 2)[None]
     assert y.count == 650
     full = oracle.count_complementary(y, y)
     assert full.pairs == oracle.count_complementary_transitive(y, y).pairs == 328_250
@@ -393,8 +426,9 @@ def test_scan_matches_reference_from_every_member(kind, d, q, eps):
     for e1 in range(2 if even else 1, d, 2 if even else 1):
         if e1 < d - e1:
             continue
+        ysets1, ysets2 = oracle.build_ysets(form, e1), oracle.build_ysets(form, d - e1)
         for s1, s2 in product(signs, repeat=2):
-            y1, y2 = oracle.build_yset(form, e1, s1), oracle.build_yset(form, d - e1, s2)
+            y1, y2 = ysets1[s1], ysets2[s2]
             rows = [[against(a)(b) for b in y2.members] for a in y1.members]
             hits1 = linalg.complement_hits(f, d, y1.members, y2.members)
             hits2 = linalg.complement_hits(f, d, y2.members, y1.members)
@@ -409,7 +443,7 @@ def test_scan_matches_reference_on_sampled_members_o8_gf2():
     against = pair_test(field(2))
     for eps in (1, -1):
         form = forms.standard_form("orthogonal", 8, 2, eps)
-        ys = {sigma: oracle.build_yset(form, 4, sigma) for sigma in (1, -1)}
+        ys = oracle.build_ysets(form, 4)
         for s1, s2 in product((1, -1), repeat=2):
             y1, y2 = ys[s1], ys[s2]
             fixed = [y1.members[i] for i in (0, y1.count - 1, rng.randrange(1, y1.count - 1))]
@@ -417,10 +451,10 @@ def test_scan_matches_reference_on_sampled_members_o8_gf2():
             assert linalg.complement_hits(form.field, 8, fixed, y2.members) == want, eps
 
 
-def _outsider_first(y):
-    """y with its first member replaced by the first degenerate subspace of its dimension."""
-    buckets, _ = oracle.classify_partition(y.form, y.e)
-    kept = {s for bucket in buckets.values() for s in bucket}
+def _outsider_first(y, build_ysets=oracle.build_ysets):
+    """y with its first member replaced by the first degenerate subspace of its
+    dimension (found by the real build, even where a test patches oracle's)."""
+    kept = {s for bucket in build_ysets(y.form, y.e).values() for s in bucket.members}
     outsider = next(s for s in linalg.members(y.form.d, y.e, y.form.field) if s not in kept)
     return y._replace(members=(outsider, *y.members[1:]))
 
@@ -428,7 +462,7 @@ def _outsider_first(y):
 def test_transitive_count_checks_its_orbit():
     # the single-orbit count scans the first and the last member of the
     # fixed side; a first member outside the orbit has other complements
-    y = oracle.build_yset(forms.standard_form("symplectic", 4, 2), 2)
+    y = oracle.build_ysets(forms.standard_form("symplectic", 4, 2), 2)[None]
     bad = _outsider_first(y)
     against = pair_test(field(2))
     first, last = (sum(map(against(s), y.members)) for s in (bad.members[0], y.members[-1]))
@@ -437,7 +471,7 @@ def test_transitive_count_checks_its_orbit():
         oracle.count_complementary_transitive(bad, y)
     # the fixed side is the one of larger dimension: here Y2
     form = forms.standard_form("orthogonal", 6, 2, 1)
-    y1, y2 = oracle.build_yset(form, 2, 1), oracle.build_yset(form, 4, 1)
+    y1, y2 = oracle.build_ysets(form, 2)[1], oracle.build_ysets(form, 4)[1]
     with pytest.raises(ArithmeticError, match="the first 4-space has"):
         oracle.count_complementary_transitive(y1, _outsider_first(y2))
 
@@ -446,7 +480,8 @@ def test_transitive_count_checks_a_middle_member():
     # an outsider halfway along the fixed side (Y1, the larger one) has other
     # complements than the first member; scanning only the ends misses it
     form = forms.standard_form("orthogonal", 4, 3, 1)
-    y1, y2 = oracle.build_yset(form, 2, 1), oracle.build_yset(form, 2, -1)
+    ysets = oracle.build_ysets(form, 2)
+    y1, y2 = ysets[1], ysets[-1]
     assert oracle.count_complementary_transitive(y1, y2).pairs == 864
     outsider = _outsider_first(y1).members[0]
     middle = y1.count // 2
@@ -459,7 +494,8 @@ def test_transitive_count_fixes_the_larger_side_on_a_tie(monkeypatch):
     # O+(4, 2) at (2, 2) with signs (-, +): |Y1| = 2 and |Y2| = 18, so the
     # count fixes Y2 and scans the two members of Y1
     form = forms.standard_form("orthogonal", 4, 2, 1)
-    y1, y2 = oracle.build_yset(form, 2, -1), oracle.build_yset(form, 2, 1)
+    ysets = oracle.build_ysets(form, 2)
+    y1, y2 = ysets[-1], ysets[1]
     scanned = []
     hits = linalg.complement_hits
 
@@ -574,9 +610,10 @@ def test_biadjacency_rows_from_masks_match_elimination(e1, e2, q):
 
 @pytest.mark.parametrize("e1,e2,q", [(2, 2, 3), (3, 2, 2)])
 def test_mixing_edges_match_compress_sum(e1, e2, q):
-    rows = biadjacency_rows(oracle.build_biadjacency(e1, e2, q))
-    for idx1, idx2 in oracle.random_subset_pairs(e1, e2, q, trials=30, seed=5):
-        assert oracle.mixing_check(e1, e2, q, idx1, idx2).edges == edges_by_compress(
+    b = oracle.build_biadjacency(e1, e2, q)
+    rows = biadjacency_rows(b)
+    for idx1, idx2 in oracle.random_subset_pairs(b, trials=30, seed=5):
+        assert oracle.mixing_check(b, idx1, idx2).edges == edges_by_compress(
             rows, idx1, idx2
         )
 
@@ -639,26 +676,25 @@ def test_mixing_integer_verdicts_match_fractions(e1, e2, q):
     boundary = [
         (full1, full2), (full1, [0]), ([0], full2), ([0], [0]), ([], full2), (full1, []), ([], [])
     ]
-    seeded = oracle.random_subset_pairs(e1, e2, q, trials=30, seed=9)
+    seeded = oracle.random_subset_pairs(b, trials=30, seed=9)
     k, qd = q ** (e1 * e2), q ** (e1 + e2)
     for idx1, idx2 in [*boundary, *seeded]:
-        rep = oracle.mixing_check(e1, e2, q, idx1, idx2)
+        rep = oracle.mixing_check(b, idx1, idx2)
         want = mixing_verdicts_by_fractions(b.n1, b.n2, k, qd, rep.edges, len(idx1), len(idx2))
         assert (rep.holds, rep.tight) == want, (len(idx1), len(idx2))
 
 
-def test_mixing_integer_verdicts_match_fractions_on_banded_graph(monkeypatch):
+def test_mixing_integer_verdicts_match_fractions_on_banded_graph():
     # a banded 81-regular matrix of the (2, 2, 3) shape: unlike the real graph,
     # its prefix pairs break the inequality, meet it and hold it with little room
     b = oracle.build_biadjacency(2, 2, 3)
     n, k = b.n1, 3**4
     band, full = (1 << k) - 1, (1 << n) - 1
-    masks = tuple(((band << i) | (band >> (n - i))) & full for i in range(n))
-    monkeypatch.setattr(oracle, "build_biadjacency", lambda *args: b._replace(masks=masks))
+    banded = b._replace(masks=tuple(((band << i) | (band >> (n - i))) & full for i in range(n)))
     seen = set()
     for s1 in range(0, n + 1, 5):
         for s2 in range(0, n + 1, 5):
-            rep = oracle.mixing_check(2, 2, 3, range(s1), range(s2))
+            rep = oracle.mixing_check(banded, range(s1), range(s2))
             want = mixing_verdicts_by_fractions(n, n, k, 3**4, rep.edges, s1, s2)
             assert (rep.holds, rep.tight) == want, (s1, s2)
             seen.add(want)
@@ -666,27 +702,29 @@ def test_mixing_integer_verdicts_match_fractions_on_banded_graph(monkeypatch):
 
 
 def test_mixing_boundaries():
-    n = oracle.build_biadjacency(2, 2, 2).n1
-    full = list(range(n))
+    b = oracle.build_biadjacency(2, 2, 2)
+    full = list(range(b.n1))
     for idx1, idx2 in [(full, full), (full, [3]), ([3], full), ([], full)]:
-        rep = oracle.mixing_check(2, 2, 2, idx1, idx2)
+        rep = oracle.mixing_check(b, idx1, idx2)
         assert rep.holds and rep.tight
 
 
 def test_mixing_check_rejects_column_out_of_range():
+    b = oracle.build_biadjacency(2, 1, 2)
     with pytest.raises(IndexError):
-        oracle.mixing_check(2, 1, 2, [0], [7])  # n2 = 7
+        oracle.mixing_check(b, [0], [7])  # n2 = 7
     with pytest.raises(IndexError):
-        oracle.mixing_check(2, 1, 2, [0], [-1])
+        oracle.mixing_check(b, [0], [-1])
 
 
 def test_mixing_check_rejects_row_out_of_range():
     # a negative index must not wrap to the last row, nor one past the end
     # surface as a bare tuple IndexError
+    b = oracle.build_biadjacency(2, 1, 2)
     with pytest.raises(IndexError, match=r"e1-space indices must lie in range\(7\)"):
-        oracle.mixing_check(2, 1, 2, [-1, 6], [0, 1])  # n1 = 7
+        oracle.mixing_check(b, [-1, 6], [0, 1])  # n1 = 7
     with pytest.raises(IndexError, match=r"e1-space indices must lie in range\(7\)"):
-        oracle.mixing_check(2, 1, 2, [7], [0])
+        oracle.mixing_check(b, [7], [0])
 
 
 def test_mixing_suite_gamma22_f2():
@@ -736,12 +774,11 @@ def test_quotient_charpoly_block_identity_symbolic():
 
 
 @pytest.mark.parametrize("n1,n2,s1,s2", [(2, 8, 1, 2), (3, 2, 2, 1)])
-def test_quotient_identity_fails_on_either_coefficient(monkeypatch, n1, n2, s1, s2):
+def test_quotient_identity_fails_on_either_coefficient(n1, n2, s1, s2):
     # k = 2 and one edge between the subsets; with n1 != n2 only the t^2
     # coefficient fails in the first case, only the constant one in the second
     fake = oracle.Biadjacency(1, 1, 2, n2, (1,) + (0,) * (n1 - 1))
-    monkeypatch.setattr(oracle, "build_biadjacency", lambda *a: fake)
-    report = oracle.mixing_check(1, 1, 2, range(s1), range(s2))
+    report = oracle.mixing_check(fake, range(s1), range(s2))
     assert (report.edges, report.charpoly_ok) == (1, False)
 
 
