@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", type=prime_power_arg, required=True)
 
     def budget(p):
-        # None: the oracle takes linalg.DEFAULT_ENUM_BUDGET
+        # None: the oracle takes oracle.DEFAULT_ENUM_BUDGET
         p.add_argument("--budget", type=nonnegative_arg, default=None)
 
     def workers(p):

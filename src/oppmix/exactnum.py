@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 from typing import NamedTuple
 
 # the classical form kinds; forms re-exports them
@@ -99,24 +99,16 @@ def prime_powers_upto(limit: int) -> list[int]:
 def gaussian_binomial(a: int, b: int, q: int) -> int:
     """Number of b-dimensional subspaces of an a-dimensional space over F_q.
 
-    Computed as prod_{i=1}^{b} (q^(a-i+1) - 1) / (q^i - 1); the division is
-    exact, and a remainder raises ArithmeticError.
+    Computed as prod_{i=1}^{b} (q^(a-i+1) - 1) / prod_{i=1}^{b} (q^i - 1), one
+    exact division; a remainder raises InexactDivisionError.
     """
     if b < 0 or a < 0 or b > a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     if q < 2:
         raise ValueError(f"need q >= 2, got q={q}")
-    num = 1
-    den = 1
-    for i in range(1, b + 1):
-        num *= q ** (a - i + 1) - 1
-        den *= q**i - 1
-        g = gcd(num, den)
-        num //= g
-        den //= g
-    if den != 1:
-        raise ArithmeticError(f"[{a}, {b}]_{q} did not reduce to an integer")
-    return num
+    num = prod(q ** (a - i + 1) - 1 for i in range(1, b + 1))
+    den = prod(q**i - 1 for i in range(1, b + 1))
+    return _exact_div(num, den, f"[{a}, {b}]_{q}")
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +165,7 @@ class InexactDivisionError(ArithmeticError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration was larger than the configured budget; linalg re-exports it."""
+    """An enumeration was larger than the configured budget."""
 
 
 def _exact_div(num: int, den: int, what: str) -> int:

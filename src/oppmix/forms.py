@@ -64,7 +64,6 @@ class ClassicalForm(NamedTuple):
     gram: tuple  # bilinear/sesquilinear gram; polar form in the orthogonal case
     quad: tuple | None  # upper-triangular Q coefficients, orthogonal only
     eps: int | None  # declared type of the orthogonal standard model
-    delta: int | None  # anisotropic-plane coefficient actually used
 
     def quad_value(self, v) -> int:
         if self.kind != ORTHOGONAL:
@@ -124,15 +123,13 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
         pairs = m if eps == 1 else m - 1
         for i in range(pairs):
             quad[2 * i][2 * i + 1] = 1
-        delta = None
         if eps == -1:
-            delta = anisotropic_delta(fld)
             quad[d - 2][d - 2] = 1
             quad[d - 2][d - 1] = 1
-            quad[d - 1][d - 1] = delta
+            quad[d - 1][d - 1] = anisotropic_delta(fld)
         quad = tuple(tuple(r) for r in quad)
         gram = _polar_from_quad(quad, fld, d)
-        form = ClassicalForm(kind, d, q, fld, gram, quad, eps, delta)
+        form = ClassicalForm(kind, d, q, fld, gram, quad, eps)
         if not det(gram, fld):
             raise ArithmeticError(f"the standard orthogonal polar form on F_{q}^{d} is degenerate")
         return form
@@ -146,13 +143,13 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
             gram[i][m + i] = 1
             gram[m + i][i] = fld.neg(1)
         gram = tuple(tuple(r) for r in gram)
-        return ClassicalForm(kind, d, q, fld, gram, None, None, None)
+        return ClassicalForm(kind, d, q, fld, gram, None, None)
     if kind == HERMITIAN:
         if d < 1:
             raise ValueError(f"hermitian model needs d >= 1, got {d}")
         fld = field(q * q)
         gram = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-        return ClassicalForm(kind, d, q, fld, gram, None, None, None)
+        return ClassicalForm(kind, d, q, fld, gram, None, None)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -182,7 +179,7 @@ def classify(r: RestrictedForm):
         return None
     if r.e % 4:
         disc = fld.neg(disc)
-    return 1 if fld.log[disc] % 2 == 0 else -1
+    return 1 if disc in fld.squares else -1
 
 
 def _arf(r: RestrictedForm) -> int | None:

@@ -6,8 +6,15 @@ The inventory is fixed: the moduli below are part of the reproducibility
 contract, because the element encoding -- and hence every enumeration
 order downstream -- depends on them.
 
-Fields of square order know their index-2 subfield and expose conj(x) = x^q,
-which is what the hermitian forms need.
+Every table comes straight from its definition: sums and products of
+polynomials reduced by the modulus (plain arithmetic mod p when q is prime),
+negatives and inverses read off their rows, and the set of nonzero squares,
+which is all the quadratic character in forms.classify needs.  A modulus
+that is not irreducible leaves a nonzero row of the product table without
+a 1 and is rejected when the field is built.
+
+Fields of square order q = r^2 know their index-2 subfield F_r and expose
+conj(x) = x^r, which is what the hermitian forms need.
 """
 
 from __future__ import annotations
@@ -45,38 +52,21 @@ class Field:
         # Index-2 subfield size, when there is one (needed for conj).
         self.base = pp.p ** (pp.k // 2) if pp.k % 2 == 0 else None
 
-        p, k = self.p, self.k
-        if k == 1:
-            mul = [[(x * y) % p for y in range(q)] for x in range(q)]
-            add = [[(x + y) % p for y in range(q)] for x in range(q)]
-        else:
-            mul = [[self._poly_mul(x, y) for y in range(q)] for x in range(q)]
-            add = [[self._poly_add(x, y) for y in range(q)] for x in range(q)]
-        self._add = tuple(tuple(r) for r in add)
-        self._mul = tuple(tuple(r) for r in mul)
-        self._neg = tuple(next(y for y in range(q) if self._add[x][y] == 0) for x in range(q))
-
-        # exp/log for the multiplicative group, from the least generator.
-        g = self._find_generator()
-        exp = [1] * (q - 1)
-        log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul[x][g]
-        if x != 1:
-            raise ArithmeticError(f"generator {g} of F_{q}* does not have order {q - 1}")
-        self.exp = tuple(exp)
-        self.log = tuple(log)
-        self._inv = tuple(
-            [0] + [self.exp[(q - 1 - self.log[x]) % (q - 1)] for x in range(1, q)]
-        )
+        elems = range(q)
+        self._add = tuple(tuple(self._poly_add(x, y) for y in elems) for x in elems)
+        self._mul = tuple(tuple(self._poly_mul(x, y) for y in elems) for x in elems)
+        self._neg = tuple(row.index(0) for row in self._add)
+        try:
+            self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
+        except ValueError:
+            raise ArithmeticError(f"modulus {self.modulus} of F_{q} is reducible") from None
+        # The nonzero squares decide quadratic characters (forms.classify).
+        self.squares = frozenset(self._mul[x][x] for x in elems[1:])
         if self.base is not None:
-            b = self.base
-            self._conj = tuple(
-                [0] + [self.exp[(self.log[x] * b) % (q - 1)] for x in range(1, q)]
-            )
+            conj = list(elems)
+            for _ in range(self.base - 1):
+                conj = [row[c] for row, c in zip(self._mul, conj)]
+            self._conj = tuple(conj)
         else:
             self._conj = None
 
@@ -110,18 +100,6 @@ class Field:
                     prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
         return sum(prod[i] * p**i for i in range(k))
 
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        for g in range(1, self.q):
-            x = g
-            order = 1
-            while x != 1:
-                x = self._mul[x][g]
-                order += 1
-            if order == n:
-                return g
-        raise ArithmeticError(f"no generator of F_{self.q}* found")
-
     # -- element operations ------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
@@ -142,7 +120,7 @@ class Field:
         return self._inv[x]
 
     def conj(self, x: int) -> int:
-        """x^q for the quadratic extension F_{q^2} over F_q."""
+        """x^r, r = sqrt(q): the involution of F_q over its subfield F_r."""
         if self._conj is None:
             raise ValueError(f"F_{self.q} is not a declared quadratic extension")
         return self._conj[x]

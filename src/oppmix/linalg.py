@@ -32,11 +32,7 @@ from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from typing import Iterator, NamedTuple
 
-from .exactnum import BudgetError  # noqa: F401 (re-exported)
 from .gf import Field
-
-
-DEFAULT_ENUM_BUDGET = 1_500_000
 
 
 class Subspace(NamedTuple):

@@ -51,6 +51,7 @@ from . import exactnum, forms, linalg
 from .forms import ClassicalForm
 from .gf import field
 
+DEFAULT_ENUM_BUDGET = 1_500_000
 BIADJACENCY_CAP = 5000
 
 
@@ -90,9 +91,9 @@ def build_ysets(form: ClassicalForm, e: int, budget: int | None = None) -> dict:
     sizes = [exactnum.count_nondegenerate(form.kind, e, d - e, form.q, form.eps, s) for s in signs]
     total = exactnum.gaussian_binomial(d, e, fld.q)
     if budget is None:
-        budget = linalg.DEFAULT_ENUM_BUDGET
+        budget = DEFAULT_ENUM_BUDGET
     if total > budget:
-        raise linalg.BudgetError(
+        raise exactnum.BudgetError(
             f"{total} {e}-subspaces of dim {d} over F_{fld.q} exceed budget {budget}"
         )
     codes_of = forms.classifier(form, e)
@@ -220,7 +221,7 @@ def build_biadjacency(e1: int, e2: int, q: int) -> Biadjacency:
     d = e1 + e2
     n1 = exactnum.gaussian_binomial(d, e1, q)
     if n1 > BIADJACENCY_CAP:
-        raise linalg.BudgetError(f"[{d} choose {e1}]_{q} = {n1} exceeds the cap {BIADJACENCY_CAP}")
+        raise exactnum.BudgetError(f"[{d} choose {e1}]_{q} = {n1} exceeds the cap {BIADJACENCY_CAP}")
     fld = field(q)
     x1 = list(linalg.members(d, e1, fld))
     x2 = list(linalg.members(d, e2, fld)) if e1 != e2 else x1

@@ -19,20 +19,14 @@ scope on purpose.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import NamedTuple
-
-from .exactnum import prime_power
 
 
 class HalfInteger(NamedTuple):
     """An exact n/2; `twice` is n."""
 
     twice: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice, 2)
 
     @property
     def is_integer(self) -> bool:
@@ -144,9 +138,8 @@ def eigenvalue_str(q: int, m: HalfInteger) -> str:
     """Render q^m, exact where possible (q a square makes q^(1/2) an integer)."""
     if m.is_integer:
         return str(q ** (m.twice // 2))
-    pp = prime_power(q)
-    if pp.k % 2 == 0:
-        root = pp.p ** (pp.k // 2)
+    root = isqrt(q)
+    if root * root == q:
         return str(root**m.twice)
     whole = q ** ((m.twice - 1) // 2) if m.twice >= 1 else Fraction(1, q ** ((1 - m.twice) // 2))
     return f"{whole}*sqrt({q})"

@@ -22,7 +22,7 @@ def test_standard_orthogonal_plus_d2():
 
 def test_standard_orthogonal_minus_d2():
     form = forms.standard_form("orthogonal", 2, 2, -1)
-    assert form.delta == 1  # x^2 + xy + y^2 is anisotropic over F_2
+    assert form.quad[1][1] == 1  # x^2 + xy + y^2 is anisotropic over F_2
     r = restrict(form, coord_subspace(2, range(2)))
     assert singular_count(r) == 0
     assert forms.classify(r) == -1

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from oppmix import gf
 from oppmix.gf import FIXED_MODULI, field
 from reference import field_pow
 
@@ -41,6 +42,7 @@ def test_additive_identity():
     for q in FIXED_MODULI:
         f = field(q)
         assert all(f.add(x, 0) == x for x in f.elements())
+        assert all(f.add(x, f.neg(x)) == 0 for x in f.elements())
 
 
 def test_inv_of_zero_raises():
@@ -67,9 +69,24 @@ def test_multiplicative_group(q):
     for x in range(1, q):
         assert field_pow(f, x, q - 1) == 1
         assert f.mul(x, f.inv(x)) == 1
-        assert f.exp[f.log[x]] == x
-    # exp enumerates the whole group once
-    assert sorted(f.exp) == list(range(1, q))
+
+
+@pytest.mark.parametrize("q", sorted(FIXED_MODULI))
+def test_squares(q):
+    f = field(q)
+    assert f.squares == {field_pow(f, x, 2) for x in range(1, q)}
+    if q % 2:
+        assert len(f.squares) == (q - 1) // 2
+        # Euler's criterion: x is a square iff x^((q-1)/2) = 1
+        assert f.squares == {x for x in range(1, q) if field_pow(f, x, (q - 1) // 2) == 1}
+    else:
+        assert f.squares == set(range(1, q))  # squaring is a bijection in characteristic 2
+
+
+def test_reducible_modulus_raises(monkeypatch):
+    monkeypatch.setitem(gf.FIXED_MODULI, 4, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2
+    with pytest.raises(ArithmeticError):
+        gf.Field(4)
 
 
 @pytest.mark.parametrize("q", [4, 9, 16, 25])

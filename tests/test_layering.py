@@ -34,6 +34,10 @@ def test_imports_point_downward():
         assert not above, f"{name} imports {sorted(above)}, which sit above it"
 
 
+def test_spectrum_imports_no_package_module():
+    assert package_imports(PACKAGE / "spectrum.py") == set()
+
+
 def definitions(tree: ast.Module):
     """(node, is_method) for the module- and class-level def and class nodes,
     dunders exempt."""
