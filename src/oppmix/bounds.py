@@ -130,14 +130,16 @@ def omega_tail_lower(base: int, e: int) -> Fraction:
 
 
 def mixing_lower_bound(alpha1: Fraction, alpha2: Fraction, e1: int, e2: int, q: int) -> Surd:
-    """q^(e1 e2)/[d choose e1]_q * (1 - sqrt((1/a1 - 1)(1/a2 - 1)) q^(-d/2))."""
+    """q^(e1 e2)/[d choose e1]_q * (1 - sqrt((1/a1 - 1)(1/a2 - 1)) q^(-d/2)).
+
+    With a_i = n_i/D_i the radicand is one Fraction, (D1 - n1)(D2 - n2) / (n1 n2 q^d).
+    """
     alpha1, alpha2 = Fraction(alpha1), Fraction(alpha2)
     if not (0 < alpha1 <= 1 and 0 < alpha2 <= 1):
         raise ValueError(f"densities must be in (0, 1], got {alpha1}, {alpha2}")
-    d = e1 + e2
+    (n1, den1), (n2, den2) = alpha1.as_integer_ratio(), alpha2.as_integer_ratio()
     k_ratio = bq(q, e1, e2)
-    radicand = (1 / alpha1 - 1) * (1 / alpha2 - 1) / Fraction(q) ** d
-    return surd(k_ratio, -k_ratio, radicand)
+    return surd(k_ratio, -k_ratio, Fraction((den1 - n1) * (den2 - n2), n1 * n2 * q ** (e1 + e2)))
 
 
 def corollary_bound(alpha: Fraction, d: int, q: int) -> Surd:
@@ -149,22 +151,18 @@ def corollary_bound(alpha: Fraction, d: int, q: int) -> Surd:
     return surd(lead, -lead * (1 / alpha - 1), Fraction(1, q**d))
 
 
-@lru_cache(maxsize=None)
 def alpha_orthogonal(eps: int, sigma: int, m1: int, m2: int, q: int) -> Fraction:
     """Density of type-sigma non-degenerate 2m1-spaces among all 2m1-spaces.
 
     For the e2 side call with (m2, m1) swapped.
     """
-    eps, sigma = parse_sign(eps), parse_sign(sigma)
-    return lambda_factor(sigma, eps, m1, m2, q) * bq(q, 2 * m1, 2 * m2) / bq(q * q, m1, m2)
+    return lambda_factor(sigma, eps, m1, m2, q) * alpha_symplectic(m1, m2, q)
 
 
-@lru_cache(maxsize=None)
 def alpha_symplectic(m1: int, m2: int, q: int) -> Fraction:
     return bq(q, 2 * m1, 2 * m2) / bq(q * q, m1, m2)
 
 
-@lru_cache(maxsize=None)
 def alpha_unitary(e1: int, e2: int, q: int) -> Fraction:
     if e1 < 1 or e2 < 1:
         raise ValueError(f"need e1, e2 >= 1, got {e1}, {e2}")

@@ -111,7 +111,6 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     return _exact_div(num, den, f"[{a}, {b}]_{q}")
 
 
-@lru_cache(maxsize=None)
 def omega(base: int, e: int) -> Fraction:
     """prod_{i=1}^{e} (1 - base^(-i)) = prod (base^i - 1) / base^(e(e+1)/2), one Fraction.
 
@@ -208,16 +207,14 @@ def count_nondegenerate(
     raise ValueError(f"unknown kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
 def lambda_factor(sigma1: int, eps: int, m1: int, m2: int, q: int) -> Fraction:
-    """(1 + sigma1 q^-m1)(1 + eps*sigma1 q^-m2) / (2 (1 + eps q^-(m1+m2)))."""
+    """(1 + sigma1 q^-m1)(1 + eps*sigma1 q^-m2) / (2 (1 + eps q^-(m1+m2))), one Fraction:
+    (q^m1 + sigma1)(q^m2 + eps*sigma1) / (2 (q^(m1+m2) + eps))."""
     sigma1 = parse_sign(sigma1)
     eps = parse_sign(eps)
     if m1 < 1 or m2 < 1:
         raise ValueError(f"need m1, m2 >= 1, got {m1}, {m2}")
-    num = (1 + Fraction(sigma1, q**m1)) * (1 + Fraction(eps * sigma1, q**m2))
-    den = 2 * (1 + Fraction(eps, q ** (m1 + m2)))
-    return num / den
+    return Fraction((q**m1 + sigma1) * (q**m2 + eps * sigma1), 2 * (q ** (m1 + m2) + eps))
 
 
 class Surd(NamedTuple):

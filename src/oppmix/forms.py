@@ -68,16 +68,8 @@ class ClassicalForm(NamedTuple):
     def quad_value(self, v) -> int:
         if self.kind != ORTHOGONAL:
             raise ValueError(f"no quadratic form on a {self.kind} space")
-        fld = self.field
-        acc = 0
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            row = self.quad[i]
-            for j in range(i, self.d):
-                if row[j] and v[j]:
-                    acc = fld.add(acc, fld.mul(row[j], fld.mul(vi, v[j])))
-        return acc
+        dot = self.field.dot
+        return dot(v, [dot(row, v) for row in self.quad])  # v^T C v
 
 
 class RestrictedForm(NamedTuple):
@@ -99,17 +91,6 @@ def anisotropic_delta(fld: Field) -> int:
     raise ArithmeticError(f"no anisotropic plane over F_{fld.q}")
 
 
-def _polar_from_quad(quad, fld: Field, d: int) -> tuple:
-    # gram = C + C^T for the upper-triangular coefficient grid C
-    gram = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            upper = quad[i][j] if j >= i else 0
-            lower = quad[j][i] if i >= j else 0
-            gram[i][j] = fld.add(upper, lower)
-    return tuple(tuple(r) for r in gram)
-
-
 def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> ClassicalForm:
     """The fixed standard model; see the module docstring for conventions."""
     if kind == ORTHOGONAL:
@@ -128,7 +109,8 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
             quad[d - 2][d - 1] = 1
             quad[d - 1][d - 1] = anisotropic_delta(fld)
         quad = tuple(tuple(r) for r in quad)
-        gram = _polar_from_quad(quad, fld, d)
+        # polar gram C + C^T: C is zero below the diagonal
+        gram = tuple(tuple(fld.add(quad[i][j], quad[j][i]) for j in range(d)) for i in range(d))
         form = ClassicalForm(kind, d, q, fld, gram, quad, eps)
         if not det(gram, fld):
             raise ArithmeticError(f"the standard orthogonal polar form on F_{q}^{d} is degenerate")

@@ -378,7 +378,4 @@ def _minors(m: int, family: list) -> list:
 
 def _independent_bits(rows) -> bool:
     """Whether bitmask vectors over F_2 are independent: their span has 2^len(rows) vectors."""
-    span = {0}
-    for x in rows:
-        span |= {v ^ x for v in span}
-    return len(span) == 1 << len(rows)
+    return len(set(_span(rows))) == 1 << len(rows)

@@ -100,8 +100,22 @@ def restrict(form: ClassicalForm, s: Subspace) -> RestrictedForm:
     gram = tuple(tuple(form.field.dot(x, image) for image in images) for x in s.basis)
     qdiag = None
     if form.kind == forms.ORTHOGONAL:
-        qdiag = tuple(form.quad_value(row) for row in s.basis)
+        qdiag = tuple(quad_value(form, row) for row in s.basis)
     return RestrictedForm(form.kind, s.e, form.field, gram, qdiag)
+
+
+def quad_value(form: ClassicalForm, v) -> int:
+    """Q(v) = sum_{i<=j} C_ij v_i v_j for the upper-triangular coefficient grid C."""
+    fld = form.field
+    acc = 0
+    for i, vi in enumerate(v):
+        if not vi:
+            continue
+        row = form.quad[i]
+        for j in range(i, form.d):
+            if row[j] and v[j]:
+                acc = fld.add(acc, fld.mul(row[j], fld.mul(vi, v[j])))
+    return acc
 
 
 def restricted_quad_value(r: RestrictedForm, v) -> int:
@@ -250,9 +264,9 @@ def rank_bits(rows) -> int:
 
 
 def quad_values_gf2(form: ClassicalForm) -> tuple:
-    """Q on all 2^d bitmask vectors over F_2, one form.quad_value call each."""
+    """Q on all 2^d bitmask vectors over F_2, one quad_value call each."""
     return tuple(
-        form.quad_value([(v >> j) & 1 for j in range(form.d)]) for v in range(1 << form.d)
+        quad_value(form, [(v >> j) & 1 for j in range(form.d)]) for v in range(1 << form.d)
     )
 
 
@@ -427,6 +441,17 @@ def omega_product(base: int, e: int) -> Fraction:
 def bq_product(base: int, e1: int, e2: int) -> Fraction:
     """omega(base, e1) * omega(base, e2) / omega(base, e1 + e2) from the product form."""
     return omega_product(base, e1) * omega_product(base, e2) / omega_product(base, e1 + e2)
+
+
+def lambda_product(sigma1: int, eps: int, m1: int, m2: int, q: int) -> Fraction:
+    """(1 + sigma1 q^-m1)(1 + eps*sigma1 q^-m2) / (2 (1 + eps q^-(m1+m2))), factor by factor."""
+    num = (1 + Fraction(sigma1, q**m1)) * (1 + Fraction(eps * sigma1, q**m2))
+    return num / (2 * (1 + Fraction(eps, q ** (m1 + m2))))
+
+
+def mixing_radicand(alpha1, alpha2, d: int, q: int) -> Fraction:
+    """(1/alpha1 - 1)(1/alpha2 - 1)/q^d, the mixing bound's radicand, as the display writes it."""
+    return (1 / Fraction(alpha1) - 1) * (1 / Fraction(alpha2) - 1) / Fraction(q) ** d
 
 
 def compare_by_subtraction(x, t) -> int:

@@ -370,16 +370,8 @@ def test_verify_fails_a_count_that_disagrees_with_its_perp_dual(capsys, monkeypa
     ]
 
 
-# the memo caches of the closed-form sweep: the kernels and the sign-free terms
-SWEEP_CACHES = (
-    exactnum.omega,
-    exactnum.bq,
-    exactnum.lambda_factor,
-    bounds.alpha_orthogonal,
-    bounds.alpha_symplectic,
-    bounds.alpha_unitary,
-    bounds._relaxed_orthogonal,
-)
+# the memo caches of the closed-form sweep: the bq kernel and the sign-free relaxed term
+SWEEP_CACHES = (exactnum.bq, bounds._relaxed_orthogonal)
 
 
 @pytest.mark.parametrize("family", sweep.GRIDS)

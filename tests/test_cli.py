@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oppmix import bounds, cli, exactnum, oracle, spectrum
+import recheck
 
 
 def run(capsys, *argv):
@@ -340,6 +341,13 @@ def test_csv_is_offered_only_where_a_report_has_rows(capsys, command):
         cli.main([command, "--e1", "2", "--e2", "1", "--q", "2", "--format", "csv"])
     assert exc.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_verify_all_bound_reports_pass_the_independent_recheck(capsys):
+    # recheck rebuilds every threshold, lower bound and verdict without oppmix
+    code, out, _ = run(capsys, "verify", "--family", "all", "--format", "json")
+    assert code == 0
+    assert recheck.recheck(json.loads(out)) == (1036, [])
 
 
 def test_verify_all_csv_is_pinned(capsys):

@@ -10,6 +10,7 @@ from reference import bilinear, bilinear_masks_gf2, classify_orthogonal_gf2, com
 from reference import coord_subspace
 from reference import enumerate_subspaces, nullspace_bits, perp, quad_values_gf2
 from reference import radical_nondegenerate, restrict, rref, singular_count, singular_point_counts
+from reference import quad_value as reference_quad_value
 from reference import subspace_from_rows, symplectic_nondeg_gf2
 
 
@@ -292,3 +293,19 @@ def test_quad_value_identity():
                     f.add(form.quad_value(x), form.quad_value(y)), bilinear(form, x, y)
                 )
                 assert lhs == rhs
+    # Q against the double-sum reference on every vector, and the polar gram
+    # against Q: G_ij = Q(e_i + e_j) - Q(e_i) - Q(e_j), G_ii = 2 Q(e_i)
+    for q in (2, 3, 4):
+        for eps in (1, -1):
+            form = forms.standard_form("orthogonal", 4, q, eps)
+            f, quad = form.field, form.quad_value
+            for v in product(range(q), repeat=4):
+                assert quad(v) == reference_quad_value(form, v), (q, eps, v)
+            units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+            for i, j in product(range(4), repeat=2):
+                qi, qj = quad(units[i]), quad(units[j])
+                if i == j:
+                    polar = f.add(qi, qi)
+                else:
+                    polar = f.sub(quad(tuple(map(max, units[i], units[j]))), f.add(qi, qj))
+                assert form.gram[i][j] == polar, (q, eps, i, j)

@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+import oppmix
 from oppmix import bounds, cli, exactnum, forms, linalg, oracle, spectrum, sweep
 from oppmix.gf import field
 from reference import (
@@ -258,14 +261,19 @@ def test_sizes_and_budget_come_before_enumeration(monkeypatch):
 
 
 def test_no_module_caches_a_build():
-    # a caller that needs a build, a quad table or a biadjacency twice holds it
-    for module in (oracle, forms):
-        cached = [
-            name
+    # a caller that needs a build, a quad table or a biadjacency twice holds it;
+    # the only memo caches in the package are these four small tables
+    cached = set()
+    for info in pkgutil.iter_modules(oppmix.__path__):
+        module = importlib.import_module(f"oppmix.{info.name}")
+        cached |= {
+            f"{info.name}.{name}"
             for name, obj in vars(module).items()
             if getattr(obj, "__module__", None) == module.__name__ and hasattr(obj, "cache_info")
-        ]
-        assert cached == [], module.__name__
+        }
+    assert cached == {
+        "gf.field", "linalg._minor_tables", "exactnum.bq", "bounds._relaxed_orthogonal"
+    }
 
 
 def test_one_build_per_form_and_dimension(monkeypatch):

@@ -1,11 +1,13 @@
 """Property tests of the exact kernels against their reference implementations."""
 
+from fractions import Fraction
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from oppmix import exactnum, forms, linalg, oracle  # noqa: E402
+from oppmix import bounds, exactnum, forms, linalg, oracle  # noqa: E402
 from oppmix.gf import FIXED_MODULI, field  # noqa: E402
 from reference import (  # noqa: E402
     bq_product,
@@ -13,6 +15,8 @@ from reference import (  # noqa: E402
     complementary,
     dense_factor_product,
     det_by_permutations,
+    lambda_product,
+    mixing_radicand,
     omega_product,
     orthogonal_type_by_count,
     points,
@@ -321,10 +325,38 @@ KERNEL_BASES = [s * b for b in (2, 3, 4, 5, 7, 8, 9, 16, 81) for s in (1, -1)]
 @hypothesis.example(base=81, e1=41, e2=41)
 @hypothesis.example(base=-81, e1=41, e2=0)
 def test_one_fraction_kernels_match_their_product_forms(base, e1, e2):
-    # the uncached bodies, so that every example computes afresh
-    assert exactnum.omega.__wrapped__(base, e1) == omega_product(base, e1)
+    # bq's uncached body, so that every example computes afresh
+    assert exactnum.omega(base, e1) == omega_product(base, e1)
     assert exactnum.bq.__wrapped__(base, e1, e2) == bq_product(base, e1, e2)
     if base >= 2:
         assert exactnum.bq(base, e1, e2) * exactnum.gaussian_binomial(e1 + e2, e1, base) == (
             base ** (e1 * e2)
         )
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 97]),
+    m1=st.integers(1, 12),
+    m2=st.integers(1, 12),
+    eps=st.sampled_from([1, -1]),
+    sigma1=st.sampled_from([1, -1]),
+)
+def test_lambda_factor_matches_its_four_factor_form(q, m1, m2, eps, sigma1):
+    assert exactnum.lambda_factor(sigma1, eps, m1, m2, q) == lambda_product(sigma1, eps, m1, m2, q)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    alpha1=st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(bool),
+    alpha2=st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(bool),
+    e1=st.integers(1, 12),
+    e2=st.integers(1, 12),
+    q=st.sampled_from([2, 3, 4, 5, 9, 16]),
+)
+@hypothesis.example(alpha1=Fraction(1), alpha2=Fraction(1, 3), e1=2, e2=2, q=2)  # radicand 0
+def test_mixing_lower_bound_matches_its_display(alpha1, alpha2, e1, e2, q):
+    # k (1 - sqrt((1/a1 - 1)(1/a2 - 1)/q^d)), k = q^(e1 e2)/[d, e1]_q, as surd builds it
+    k = Fraction(q ** (e1 * e2), exactnum.gaussian_binomial(e1 + e2, e1, q))
+    expected = exactnum.surd(k, -k, mixing_radicand(alpha1, alpha2, e1 + e2, q))
+    assert bounds.mixing_lower_bound(alpha1, alpha2, e1, e2, q) == expected
