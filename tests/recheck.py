@@ -1,4 +1,4 @@
-"""A second opinion on every bound report of `oppmix verify --family all --format json`.
+"""A second opinion on every report of `oppmix verify --family all --format json`.
 
 It uses the standard library only and imports nothing from oppmix, so a fault
 in the package's exact arithmetic cannot hide in both places at once.  For
@@ -9,7 +9,13 @@ each bound report it checks:
     densities as k (1 - sqrt((1/a1 - 1)(1/a2 - 1)/Q^d)), k = Q^(e1 e2)/[d, e1]_Q,
     with Q = q, or q^2 for the unitary family, and compared by value; on the
     containment branch it must be 1 - c1/q^2, c1 = (1 + q^-e1)/(1 - q^-(1+e1));
-  - pass (lower bound >= threshold) and tight (equal), decided by squaring.
+  - pass (lower bound >= threshold) and tight (equal), decided by squaring;
+  - each density alpha = |Y| / [d, e]_Q against |Y| counted by orbit and
+    stabilizer: |G| / |stabilizer| from the GO, Sp and GU orders below.
+
+For each count report it checks |Y1| and |Y2| against the same orbit counts,
+pairs = proportion |Y1| |Y2|, the threshold against the family's formula and
+pass (proportion >= threshold).  For each tail check: pass iff value > threshold.
 
 Run it on a saved report:
 
@@ -48,6 +54,49 @@ def gaussian(a: int, b: int, q: int) -> int:
     den = prod(q ** (i + 1) - 1 for i in range(b))
     assert num % den == 0, (a, b, q)
     return num // den
+
+
+def order_go(m: int, sign: int, q: int) -> int:
+    """|GO^sign(2m, q)|: 2 q^(m(m-1)) (q^m - sign) prod_{i<m} (q^(2i) - 1); 1 at m = 0."""
+    if m == 0:
+        return 1
+    return 2 * q ** (m * (m - 1)) * (q**m - sign) * prod(q ** (2 * i) - 1 for i in range(1, m))
+
+
+def order_sp(m: int, q: int) -> int:
+    """|Sp(2m, q)| = q^(m^2) prod_{i<=m} (q^(2i) - 1)."""
+    return q ** (m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+
+
+def order_gu(n: int, q: int) -> int:
+    """|GU(n, q)| = q^(n(n-1)/2) prod_{i<=n} (q^i - (-1)^i)."""
+    return q ** (n * (n - 1) // 2) * prod(q**i - (-1) ** i for i in range(1, n + 1))
+
+
+def orbit(family: str, e: int, d: int, q: int, eps: int, sigma: int) -> int:
+    """Non-degenerate e-spaces (of type sigma if orthogonal) in the standard
+    d-space (of type eps), as |G| / |stabilizer|: the stabilizer of S is that
+    of S times that of its perp, whose orthogonal type is eps sigma."""
+    if family == "orthogonal":
+        group, parts = order_go(d // 2, eps, q), order_go(e // 2, sigma, q) * order_go(
+            (d - e) // 2, eps * sigma, q
+        )
+    elif family == "symplectic":
+        group, parts = order_sp(d // 2, q), order_sp(e // 2, q) * order_sp((d - e) // 2, q)
+    else:
+        group, parts = order_gu(d, q), order_gu(e, q) * order_gu(d - e, q)
+    assert group % parts == 0, (family, e, d, q)
+    return group // parts
+
+
+def sign(char) -> int:
+    return -1 if char == "-" else 1
+
+
+def formula(family: str, e1: int, e2: int) -> str:
+    if family == "unitary" and e2 == 1:
+        return CONTAINMENT
+    return next(fid for fid in THRESHOLDS if fid.startswith(family))
 
 
 def threshold(formula_id: str, e1: int, e2: int, q: int) -> Fraction:
@@ -124,6 +173,11 @@ def check_report(rep: dict) -> list:
         expected = mixing_value(rep)
     if not same_value(printed, expected):
         faults.append(f"{where}: lower bound {show(printed)} is not {show(expected)}")
+    eps, d, big_q = sign(rep["eps"]), e1 + e2, q * q if rep["family"] == "unitary" else q
+    for name, e, sigma in (("alpha1", e1, rep["sigma1"]), ("alpha2", e2, rep["sigma2"])):
+        alpha = Fraction(orbit(rep["family"], e, d, q, eps, sign(sigma)), gaussian(d, e, big_q))
+        if number(rep[name]) != alpha:
+            faults.append(f"{where}: {name} {number(rep[name])}, orbit count gives {alpha}")
     passed, tight = at_least(expected, t)
     if (rep["pass"], rep["tight"]) != (passed, tight):
         printed_verdict = f"{rep['pass']}/{rep['tight']}"
@@ -131,10 +185,45 @@ def check_report(rep: dict) -> list:
     return faults
 
 
+def check_count(family: str, rep: dict) -> list:
+    """The faults of one count report, as strings; empty if it checks out."""
+    case = rep["case"]
+    q, d, e1, e2 = case["q"], case["d"], case["e1"], case["e2"]
+    eps, s1, s2 = (sign(case.get(k)) for k in ("eps", "sigma1", "sigma2"))
+    where = f"count {family} q={q} e1={e1} e2={e2} {case.get('eps', '')}"
+    where += f"{case.get('sigma1', '')}{case.get('sigma2', '')}"
+    y1, y2 = orbit(family, e1, d, q, eps, s1), orbit(family, e2, d, q, eps, s2)
+    proportion, faults = number(rep["proportion"]), []
+    if (int(rep["y1_count"]), int(rep["y2_count"])) != (y1, y2):
+        faults.append(f"{where}: |Y1|, |Y2| {rep['y1_count']}, {rep['y2_count']}, orbits {y1}, {y2}")
+    if int(rep["pairs"]) != proportion * y1 * y2:
+        faults.append(f"{where}: {rep['pairs']} pairs, proportion times |Y1| |Y2| {proportion * y1 * y2}")
+    t = threshold(formula(family, e1, e2), e1, e2, q)
+    if number(rep["threshold"]) != t:
+        faults.append(f"{where}: threshold {number(rep['threshold'])}, expected {t}")
+    if rep["pass"] != (proportion >= t):
+        faults.append(f"{where}: pass {rep['pass']} for proportion {proportion} against {t}")
+    return faults
+
+
+def check_tail(family: str, tail: dict) -> list:
+    """The fault of one tail check, if its pass is not value > threshold."""
+    value, t = number(tail["value"]), number(tail["threshold"])
+    if tail["pass"] == (value > t):
+        return []
+    where = f"tail {family} {tail['name']} q={tail['q']}"
+    return [f"{where}: pass {tail['pass']}, value {float(value)} against threshold {t}"]
+
+
 def recheck(report: dict) -> tuple:
-    """(number of bound reports checked, their faults) over every family of report."""
+    """(number of bound reports checked, every fault) over every family of report:
+    its bound reports, count reports and tail checks."""
     reports = [rep for family in report.values() for rep in family["bound_reports"]]
-    return len(reports), [fault for rep in reports for fault in check_report(rep)]
+    faults = [fault for rep in reports for fault in check_report(rep)]
+    for family, part in report.items():
+        faults += [fault for rep in part["count_reports"] for fault in check_count(family, rep)]
+        faults += [fault for tail in part["tail_checks"] for fault in check_tail(family, tail)]
+    return len(reports), faults
 
 
 def main(argv=None) -> int:
@@ -143,10 +232,12 @@ def main(argv=None) -> int:
         print("usage: recheck.py [verify-all.json]  (stdin if omitted)", file=sys.stderr)
         return 2
     with open(argv[0]) if argv else sys.stdin as stream:
-        count, faults = recheck(json.load(stream))
+        report = json.load(stream)
+    count, faults = recheck(report)
     for fault in faults:
         print(fault)
-    print(f"{count} bound reports, {len(faults)} faults")
+    counts, tails = (sum(len(part[k]) for part in report.values()) for k in ("count_reports", "tail_checks"))
+    print(f"{count} bound reports, {counts} count reports, {tails} tail checks, {len(faults)} faults")
     return 1 if faults else 0
 
 

@@ -350,6 +350,23 @@ def test_verify_all_bound_reports_pass_the_independent_recheck(capsys):
     assert recheck.recheck(json.loads(out)) == (1036, [])
 
 
+def test_recheck_finds_each_altered_density_count_and_tail(capsys):
+    # one fault per altered field: a density, |Y1|, pairs, a count's pass and a tail's
+    code, out, _ = run(capsys, "verify", "--family", "orthogonal", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    part = report["orthogonal"]
+    part["bound_reports"][0]["alpha1"]["num"] = "17"
+    part["count_reports"][0]["y1_count"] = "17"
+    part["count_reports"][1]["pairs"] = str(int(part["count_reports"][1]["pairs"]) + 1)
+    part["count_reports"][2]["pass"] = not part["count_reports"][2]["pass"]
+    part["tail_checks"][0]["pass"] = not part["tail_checks"][0]["pass"]
+    count, faults = recheck.recheck(report)
+    assert count == 672
+    kinds = ["alpha1 17/35", "|Y1|, |Y2| 17,", "pairs, proportion", "count orthogonal", "tail orthogonal"]
+    assert all(any(kind in fault for fault in faults) for kind in kinds), faults
+    assert len(faults) == 6  # the altered density also moves its lower bound
+
 def test_verify_all_csv_is_pinned(capsys):
     # header, 1,036 bound rows (288 with an irrational surd) and 56 count rows:
     # every column of both report kinds, read through CSV_COLUMNS
