@@ -7,7 +7,8 @@ failed, 2 usage error (argparse's own, or a UsageError, which only the
 checks of the parsed arguments raise), 3 enumeration budget exceeded, 4
 internal error (an ArithmeticError: an exact result contradicted itself,
 such as an enumerated count that disagrees with its closed form, or any
-other ValueError), reported as one "internal error:" line on stderr.
+other ValueError), reported as one "internal error:" line on stderr, 141
+a reader that closed stdout early, with nothing on stderr.
 
 JSON is canonical: keys sorted, rationals as {"num": "...", "den": "..."}
 decimal strings plus a non-authoritative float "approx"; parsing and
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -437,6 +439,11 @@ def main(argv=None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, as a filter killed by SIGPIPE
+        # would (128 + 13), with stdout on devnull so the final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -592,3 +596,16 @@ def test_frac_str():
 def test_family_choices_are_the_theorem_families():
     # argparse reads the names from cli.FAMILIES, so that start-up need not load bounds
     assert cli.FAMILIES == tuple(bounds.THEOREM)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader closes the pipe before the child writes its report
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    argv = "spectrum --e1 3 --e2 2 --q 2 --format json".split()
+    cmd = [sys.executable, "-m", "oppmix.cli", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
