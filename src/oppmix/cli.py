@@ -439,10 +439,8 @@ def main(argv=None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except BrokenPipeError:
-        # the reader closed stdout: stop quietly, as a filter killed by SIGPIPE
-        # would (128 + 13), with stdout on devnull so the final flush cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # a closed reader: quiet, as SIGPIPE (13) would stop a filter
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the last flush succeeds
         return 141
 
 

@@ -1,5 +1,5 @@
-"""Classical forms on (F_q)^d: standard models, restricted-form classification
-and the member classifiers of partition builds.
+"""Classical forms on (F_q)^d: standard models and the member classifier of
+partition builds.
 
 Quadratic forms are stored as upper-triangular coefficient grids and the
 polar bilinear form is *derived* (gram = C + C^T); in characteristic 2 the
@@ -13,42 +13,22 @@ standard models, fixed here once and for all:
   symplectic        gram [[0, I], [-I, 0]]           (split pairing i <-> m+i)
   hermitian         identity gram over F_{q^2}, B(x,y) = sum x_i conj(y_i)
 
-A RestrictedForm is the form on a subspace's basis: its gram (polar, if
-orthogonal) and Q on each basis row.  classify gives one verdict per
-restriction: None if it is degenerate, else True, or its type +1 or -1 if
-it is orthogonal.  Non-degeneracy is a nonzero gram determinant (a
-full-rank gram).
-For an even-dimensional quadratic restriction that agrees with the radical
-refinement (degenerate iff some nonzero vector of the polar radical is
-singular) in every characteristic: in characteristic 2 the polar form is
-alternating, so a degenerate one has a radical of dimension >= 2, on which
-Q has a nonzero zero.  There an odd-dimensional polar gram is always
-singular, so classify refuses odd quadratic restrictions; the theorems
-have none.
-
-The type of a non-degenerate even restriction is one invariant.  For odd
-q it is the discriminant's square class: type +1 iff (-1)^(e/2) det(gram)
-is a square, since the polar gram is twice Q's symmetric matrix and 2^e is
-a square; one determinant decides both questions.  For even q it is the
-Arf invariant: symplectic elimination (_arf) splits the basis into pairs
-(a, b) with B(a, b) = 1, each orthogonal to the rest, and sums Q(a) Q(b);
-type +1 iff the sum is x^2 + x for some x.  A basis vector left with no
-partner lies in the polar radical, so the same elimination finds a
-degenerate restriction.
-
 A partition build codes every member of a pivot pattern (verdicts) through
-classifier, made once per build: over F_2 the lanes (lane_classifier_gf2)
-on the build's own Q table, elsewhere the walk (_walk), which classifies
-each distinct restricted form once.
+classifier, made once per build, with one engine for every field: each
+member counts its singular points (orthogonal, and symplectic in
+characteristic 2) or its radical points (symplectic otherwise, hermitian),
+and verdicts_by_count maps the count to the member's code by the closed
+forms.  Only the per-candidate values depend on the field: over F_2 they
+come from the build's Q table on bitmask rows (quad_table_gf2), elsewhere
+from row images b^T G (_values).
 """
 
 from __future__ import annotations
 
-import struct
-import sys
+from functools import partial, reduce
 from itertools import combinations, repeat
 from math import prod
-from operator import itemgetter, mul, xor
+from operator import add, or_, pos, xor
 from typing import Callable, NamedTuple
 
 from .exactnum import HERMITIAN, ORTHOGONAL, SYMPLECTIC  # noqa: F401 (re-exported)
@@ -66,18 +46,12 @@ class ClassicalForm(NamedTuple):
     eps: int | None  # declared type of the orthogonal standard model
 
     def quad_value(self, v) -> int:
-        if self.kind != ORTHOGONAL:
-            raise ValueError(f"no quadratic form on a {self.kind} space")
+        """Q(v) = v^T C v for the coefficients C (_coefficients: a symplectic
+        form's quadratic form has polar form G in characteristic 2)."""
+        if self.kind == HERMITIAN:
+            raise ValueError("no quadratic form on a hermitian space")
         dot = self.field.dot
-        return dot(v, [dot(row, v) for row in self.quad])  # v^T C v
-
-
-class RestrictedForm(NamedTuple):
-    kind: str
-    e: int
-    field: Field
-    gram: tuple  # e x e restricted bilinear (polar, if orthogonal) gram
-    qdiag: tuple | None  # Q(b_i) per basis row, orthogonal only
+        return dot(v, [dot(row, v) for row in _coefficients(self)])
 
 
 def anisotropic_delta(fld: Field) -> int:
@@ -136,205 +110,55 @@ def standard_form(kind: str, d: int, q: int, eps: int | None = None) -> Classica
 
 
 def verdicts(kind: str) -> tuple:
-    """The verdict of member code k, in both partition classifiers: 0 degenerate
-    (None), 1 type +1 (True unless orthogonal), 2 type -1; k > 0 keys a bucket."""
+    """The verdict of member code k: 0 degenerate (None), 1 type +1 (True
+    unless orthogonal), 2 type -1; k > 0 keys a bucket."""
     return (None, 1, -1) if kind == ORTHOGONAL else (None, True)
 
 
-def classify(r: RestrictedForm):
-    """None if r is degenerate, else its type: +1 or -1 if orthogonal, True otherwise.
+def _counts_singular(kind: str, q: int) -> bool:
+    """Whether members over F_q count singular points (else radical points)."""
+    return kind == ORTHOGONAL or (kind == SYMPLECTIC and q % 2 == 0)
 
-    An odd quadratic restriction raises ValueError.
+
+def verdicts_by_count(kind: str, e: int, q: int) -> dict:
+    """Counted points -> member code (verdicts), for e-spaces over F_q, e >= 1.
+
+    An orthogonal member counts its singular points, and so does a symplectic
+    one in characteristic 2, through Q = sum_{i<j} G_ij x_i x_j, whose polar
+    form is the gram G.  A quadratic e-space is W + R, R the polar radical
+    and W non-degenerate of dimension 2m and type sigma (+1 if m = 0).  Its
+    singular vectors, 0 included, number q^(e-1) + sigma (q^(e-m) - q^(e-m-1)),
+    or exactly q^(e-1) if W has odd dimension (odd q) or Q is not zero on R
+    (characteristic 2).  These counts are pairwise distinct, and the member
+    is non-degenerate iff 2m = e.  Every other member counts the points of
+    its radical, (q^r - 1)/(q - 1) for a radical of dimension r, and is
+    non-degenerate iff r = 0.
     """
-    fld = r.field
-    if r.kind != ORTHOGONAL:
-        return True if det(r.gram, fld) else None
-    if r.e % 2:
-        raise ValueError(f"classify decides quadratic restrictions of even dimension, got {r.e}")
-    if fld.p == 2:
-        arf = _arf(r)
-        if arf is None:
-            return None
-        return 1 if any(fld.add(fld.mul(x, x), x) == arf for x in fld.elements()) else -1
-    disc = det(r.gram, fld)
-    if not disc:
-        return None
-    if r.e % 4:
-        disc = fld.neg(disc)
-    return 1 if disc in fld.squares else -1
+    if not _counts_singular(kind, q):
+        return {(q**r - 1) // (q - 1): int(r == 0) for r in range(e + 1)}
+    code = verdicts(kind).index
+    vectors = {q ** (e - 1): 0}
+    for m in range(e // 2 + 1):
+        for sigma in (1, -1) if m else (1,):
+            nondegenerate = code(sigma if kind == ORTHOGONAL else True) if 2 * m == e else 0
+            vectors[q ** (e - 1) + sigma * (q ** (e - m) - q ** (e - m - 1))] = nondegenerate
+    return {(v - 1) // (q - 1): c for v, c in vectors.items()}
 
 
-def _arf(r: RestrictedForm) -> int | None:
-    """The Arf invariant sum Q(a) Q(b) of a restriction in characteristic 2,
-    or None if it is degenerate.
-
-    Take a pair (a, b), b scaled so that B(a, b) = 1, and replace each other
-    basis vector v by v + lam a + mu b, lam = B(v, b) and mu = B(v, a), which
-    is orthogonal to both: Q(v) gains lam^2 Q(a) + mu^2 Q(b) + lam mu, and
-    B(v, w) gains lam B(a, w) + mu B(b, w).  Repeat on the rest.  A vector
-    a with no partner b lies in the polar radical.
-    """
-    fld = r.field
-    add, mul = fld.add, fld.mul
-    gram, quad = [list(row) for row in r.gram], list(r.qdiag)
-    rest, arf = list(range(r.e)), 0
-    while rest:
-        a = rest.pop()
-        b = next((v for v in rest if gram[a][v]), None)
-        if b is None:
-            return None
-        rest.remove(b)
-        c = fld.inv(gram[a][b])
-        quad[b], gram[b] = mul(mul(c, c), quad[b]), fld.scale(c, gram[b])
-        arf = add(arf, mul(quad[a], quad[b]))
-        for v in rest:
-            lam, mu = mul(c, gram[v][b]), gram[v][a]
-            lift = add(add(mul(mul(lam, lam), quad[a]), mul(mul(mu, mu), quad[b])), mul(lam, mu))
-            quad[v] = add(quad[v], lift)
-            pairs = zip(gram[v], gram[a], gram[b])
-            gram[v] = [add(x, add(mul(lam, y), mul(mu, z))) for x, y, z in pairs]
-    return arf
-
-
-# -- member classifiers: one code per member of a pivot pattern -------------
-
-
-def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
-    """The function that maps a pivot pattern's row candidates to one code per
-    member of product(*candidates), in that order, as verdicts(form.kind)
-    spells them out, for the e-subspaces of every field, 1 <= e <= d."""
-    if form.field.q == 2:
-        return lane_classifier_gf2(form, e)
-    return _walk(form, e)
-
-
-def _decode(form: ClassicalForm, columns) -> RestrictedForm:
-    """The form restricted to a member's basis, from its generic-field key.
-
-    Column j holds B(b_i, b_j) for i < j, then Q(b_j) if orthogonal, else
-    B(b_j, b_j).  Below the diagonal the gram is the transpose, negative
-    (symplectic) or conjugate (hermitian) of the upper triangle; the
-    orthogonal (polar) diagonal is 2 Q(b_j).
-    """
-    fld = form.field
-    mirror = {SYMPLECTIC: fld.neg, HERMITIAN: fld.conj}.get(form.kind, lambda v: v)
-    e = len(columns)
-    gram = [[0] * e for _ in range(e)]
-    qdiag = []
-    for j, (*above, own) in enumerate(columns):
-        for i, v in enumerate(above):
-            gram[i][j] = v
-            gram[j][i] = mirror(v)
-        if form.kind == ORTHOGONAL:
-            qdiag.append(own)
-            own = fld.add(own, own)
-        gram[j][j] = own
-    qdiag = tuple(qdiag) if form.kind == ORTHOGONAL else None
-    return RestrictedForm(form.kind, e, fld, tuple(map(tuple, gram)), qdiag)
-
-
-class _RowImages(dict):
-    """Row b -> (b^T G, conj(b), own entry) for one partition build's generic keys.
-
-    With h = b^T G (G the ambient gram), B(b, x) = dot(h, conj(x)), where
-    conj is the identity unless the form is hermitian.  The own entry is
-    Q(b) if the form is orthogonal and B(b, b) otherwise.  It holds one
-    entry per distinct row, at most (q^d - 1)/(q - 1).
-    """
-
-    def __init__(self, form: ClassicalForm):
-        super().__init__()
-        self.form = form
-        self.columns = tuple(zip(*form.gram))
-
-    def __missing__(self, b) -> tuple:
-        form, fld = self.form, self.form.field
-        h = tuple(fld.dot(col, b) for col in self.columns)
-        cb = tuple(map(fld.conj, b)) if form.kind == HERMITIAN else b
-        own = form.quad_value(b) if form.kind == ORTHOGONAL else fld.dot(h, cb)
-        image = self[b] = (h, cb, own)
-        return image
-
-
-class _Verdicts(dict):
-    """Last column -> member code (verdicts) under one prefix's columns,
-    classified on its first lookup: once per distinct restricted form."""
-
-    def __init__(self, form: ClassicalForm, columns: tuple):
-        super().__init__()
-        self.form, self.columns = form, columns
-
-    def __missing__(self, tail) -> int:
-        verdict = classify(_decode(self.form, (*self.columns, tail)))
-        code = self[tail] = verdicts(self.form.kind).index(verdict)
-        return code
-
-
-def _walk(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
-    """The classifier of e-subspaces off F_2, for e >= 1.
-
-    A member is keyed by one column per basis row b_j: the bytes B(b_i, b_j)
-    for each earlier row b_i, then Q(b_j) if orthogonal, else B(b_j, b_j).
-    Per pattern, the entries B(b, x) of each candidate b of row i against the
-    candidates x of each later row j are computed once, into b's table row
-    at index j.  Prefixes (every row but the last) extend lazily, one row at
-    a time (_extend).  Codes are memoized per prefix's columns, then per
-    last column (_Verdicts).
-    """
-    fld = form.field
-    images = _RowImages(form)
-    dot, p = fld.dot, fld.p
-    memo: dict = {}
-
-    def pairs(b, conjugates) -> list:
-        h = images[b][0]
-        if fld.k == 1:  # one C-level sum per entry, not a Field.dot loop
-            return [sum(map(mul, h, x)) % p for x in conjugates]
-        return [dot(h, x) for x in conjugates]
-
-    def codes(candidates: list) -> bytes:
-        conjugates = [[images[x][1] for x in rows] for rows in candidates]
-        owns = [[images[x][2] for x in rows] for rows in candidates]
-        prefixes = [((), ())]
-        for i in range(e - 1):
-            table = [[pairs(b, conjugates[j]) for b in candidates[i]] for j in range(i + 1, e)]
-            rows = list(zip(*[repeat(None)] * (i + 1), *table))  # one table row per candidate
-            prefixes = _extend(prefixes, i, owns[i], rows)
-        last = itemgetter(e - 1)
-        out = bytearray()
-        for columns, path in prefixes:
-            seen = memo.get(columns)
-            if seen is None:
-                seen = memo[columns] = _Verdicts(form, columns)
-            out.extend(map(seen.__getitem__, map(bytes, zip(*map(last, path), owns[-1]))))
-        return bytes(out)
-
-    return codes
-
-
-def _extend(prefixes, i: int, owns: list, rows: list):
-    """Each prefix, as (its columns, path), followed by each candidate of row
-    i, in odometer order.  path holds the table rows of the prefix's
-    candidates, rows those of row i's candidates, and owns their own entries."""
-    against = itemgetter(i)
-    for columns, path in prefixes:
-        for key, row in zip(map(bytes, zip(*map(against, path), owns)), rows):
-            yield columns + (key,), path + (row,)
-
-
-# -- GF(2): one count of the vectors with Q = 1 classifies either kind ---------
+def _coefficients(form: ClassicalForm):
+    """Q's upper-triangular coefficients; for a symplectic form, those of
+    sum_{i<j} G_ij x_i x_j, whose polar form is G in characteristic 2."""
+    return form.quad or [[g * (j > i) for j, g in enumerate(r)] for i, r in enumerate(form.gram)]
 
 
 def quad_table_gf2(form: ClassicalForm) -> bytes:
     """Q on all 2^d bitmask vectors of an orthogonal or symplectic form over F_2.
 
-    The symplectic Q is sum_{i<j} G_ij v_i v_j for the gram G.  With i the
-    lowest coordinate of v, Q(v) = Q(v - e_i) + sum_{j >= i} c_ij v_j.
+    With i the lowest coordinate of v, Q(v) = Q(v - e_i) + sum_{j >= i} c_ij v_j.
     """
     if form.q != 2 or form.kind == HERMITIAN:
         raise ValueError("quad table needs a bilinear form over F_2")
-    coeffs = form.quad or [[g * (j > i) for j, g in enumerate(r)] for i, r in enumerate(form.gram)]
-    masks = [sum(c << j for j, c in enumerate(row)) for row in coeffs]
+    masks = [sum(c << j for j, c in enumerate(row)) for row in _coefficients(form)]
     table = bytearray(1 << form.d)
     for v in range(1, 1 << form.d):
         i = (v & -v).bit_length() - 1
@@ -342,89 +166,202 @@ def quad_table_gf2(form: ClassicalForm) -> bytes:
     return bytes(table)
 
 
-def verdicts_by_count_gf2(e: int) -> dict:
-    """Nonzero v with Q(v) = 1, counted -> sigma if non-degenerate of type sigma, else 0.
+# -- the lane engine: every member of a pivot pattern counted at once --------
 
-    For e >= 1.  An e-dimensional quadratic space over F_2 is W + R, R the
-    polar radical, W non-degenerate of dimension 2m and type sigma (+1 if
-    m = 0).  Half of its 2^e vectors have Q = 1 if Q is not zero on R, else
-    2^(e-1) - sigma 2^(e-1-m) do.  No quadratic form gives another count.
-    """
-    verdicts = {}
-    for m in range(e // 2 + 1):
-        r = e - 2 * m
-        if r:
-            verdicts[1 << (e - 1)] = 0
-        for sigma in (1, -1) if m else (1,):
-            verdicts[(1 << (e - 1)) - sigma * (1 << (e - 1 - m))] = 0 if r else sigma
-    return verdicts
+_ORDER = "little"
+_FLUSH = 255  # points a byte counter takes before it flushes into the wide counts
+_NONZERO = bytes(map(bool, range(256)))
 
 
-def lane_classifier_gf2(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
-    """Verdicts over F_2 of every member with one pivot pattern, for e >= 1.
+class _Lanes:
+    """Field elements, one per byte lane, added as whole ints: by XOR in
+    characteristic 2; for odd p each base-p digit has a slot of 8/k bits
+    (nibbles for F_9 and F_25) that holds a sum of three digits, and the
+    translate `reduced` (empty in characteristic 2) turns digit sums back
+    into elements."""
 
-    The function returned maps the pattern's row candidates to one code per
-    member of product(*candidates), in that order, as verdicts(form.kind)
-    spells them out.  A count with no verdict raises.  A symplectic member
-    is non-degenerate iff quad_table_gf2's Q on it is, whatever its type.
-    """
-    keys, orthogonal = verdicts(form.kind), form.kind == ORTHOGONAL
-    code = {c: s and keys.index(s if orthogonal else True) for c, s in verdicts_by_count_gf2(e).items()}
+    def __init__(self, fld: Field):
+        p, k, self.fld = fld.p, fld.k, fld
+        width = 1 if p == 2 else 8 // k
+        self.enc = [sum(x // p**i % p << width * i for i in range(k)) for x in fld.elements()]
+        digits = [[u >> width * i & (1 << width) - 1 for i in range(k)] for u in range(256 * (p > 2))]
+        self.reduced = bytes(self.enc[sum(d % p * p**i for i, d in enumerate(u))] for u in digits)
+        self.mul = [self.table(partial(fld.mul, c)) for c in fld.elements()]  # scaling by c
+
+    def table(self, f) -> bytes:
+        """The translate table of the map f on elements."""
+        out = bytearray(256)
+        for x in self.fld.elements():
+            out[self.enc[x]] = self.enc[f(x)]
+        return bytes(out)
+
+
+def _values_gf2(form: ClassicalForm) -> tuple:
+    """owns and runs (see _gram_lanes) on F_2's bitmask rows, from
+    quad_table_gf2: Q(b), and B(x, y) = Q(x ^ y) ^ Q(x) ^ Q(y)."""
     qt = quad_table_gf2(form)
-    fmt = next(f for f in "BHIQ" if e <= 8 * struct.calcsize(f))  # a count is below 2^e
-    table = bytes(code.get(c, 255) for c in range(256))
+
+    def owns(xs: list, stride: int) -> list:
+        hi, lo = b"\1" * stride, bytes(stride)
+        return [hi if qt[x] else lo for x in xs]
+
+    def runs(xs: list, ys: list, stride: int) -> list:
+        hi, lo = b"\1" * stride, bytes(stride)
+        later = [(y, qt[y]) for y in ys]
+        return [b"".join([hi if qt[x ^ y] ^ qt[x] ^ qy else lo for y, qy in later]) for x in xs]
+
+    return owns, runs
+
+
+def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
+    """owns and runs (see _gram_lanes) on every other field, from row images
+    h = b^T G: B(b, y) = sum_t h_t conj(y_t) (conj the identity unless
+    hermitian).  A row's candidates e_c + sum_f a_f e_f run in odometer order,
+    so B(b, .) on them is h_c plus conj(a_f) h_f per free column f: a run of
+    translates, shared by every b with those entries of h.  Images and runs
+    are held for one build."""
+    fld = form.field
+    columns = tuple(zip(*form.gram))
+    singular = _counts_singular(form.kind, fld.q)
+    conj = fld.conj if form.kind == HERMITIAN else None
+    scalars = list(map(conj, fld.elements())) if conj else fld.elements()
+    shift = [lanes.table(partial(fld.add, c)) for c in fld.elements()]
+    images: dict = {}
+    memo: dict = {}
+
+    def image(b) -> tuple:  # (b^T G, own(b))
+        if b not in images:
+            h = tuple(fld.dot(col, b) for col in columns)
+            own = form.quad_value(b) if singular else fld.dot(h, map(conj, b)) if conj else 0
+            images[b] = (h, lanes.enc[own])
+        return images[b]
+
+    def runs(xs: list, ys: list, stride: int) -> list:
+        pivot = ys[0].index(1)
+        cols = [pivot, *(t for t, v in enumerate(ys[-1]) if v and t != pivot)]
+        out = []
+        for x in xs:
+            h = image(x)[0]
+            key = (stride, *[h[t] for t in cols])
+            if key not in memo:
+                run = bytes([lanes.enc[key[1]]]) * stride
+                for ht in reversed(key[2:]):
+                    run = b"".join([run.translate(shift[fld.mul(a, ht)]) for a in scalars])
+                memo[key] = run
+            out.append(memo[key])
+        return out
+
+    return (lambda xs, stride: [bytes([image(x)[1]]) * stride for x in xs]), runs
+
+
+def _gram_lanes(candidates: list, owns, runs, mirror: bytes | None) -> dict:
+    """(i, j) -> the lanes of B(b_i, b_j), (i, i) -> those of own(b_i) (Q(b) if
+    singular points count, else B(b, b)), over product(*candidates) in order.
+    Per x, owns(xs, s) gives own(x) and runs(xs, ys, s) B(x, y) over ys, each
+    value s times; B(b_j, b_i) is B(b_i, b_j) translated by mirror, if any."""
+    n, e = prod(map(len, candidates)), len(candidates)
+    strides = [prod(map(len, candidates[i + 1 :])) for i in range(e)]  # lanes per candidate
+    gram = {}
+    for i, rows in enumerate(candidates):
+        gram[i, i] = b"".join(owns(rows, strides[i])) * (n // (strides[i] * len(rows)))
+    for i, j in combinations(range(e), 2):
+        between = strides[i] // (strides[j] * len(candidates[j]))
+        row_runs = [r * between for r in runs(candidates[i], candidates[j], strides[j])]
+        gram[i, j] = b"".join(row_runs) * (n // (strides[i] * len(candidates[i])))
+        gram[j, i] = gram[i, j].translate(mirror) if mirror else gram[i, j]
+    return gram
+
+
+def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
+    """The function that maps a pivot pattern's row candidates to one code
+    (verdicts) per member of product(*candidates), in that order, 1 <= e <= d.
+
+    A member b_0, ..., b_{e-1} counts the points <v> of its span with Q(v) != 0
+    (if singular points count) or v outside its radical; verdicts_by_count
+    maps the count to the code, or ArithmeticError is raised.  All members
+    count at once, one byte lane each (_gram_lanes), over v = b_l +
+    sum_{j>l} c_j b_j per l in modular p-ary Gray-code order: a move adds g b_m,
+    so Q(v) gains g^2 Q(b_m) + g B(v, b_m) and B(v, b_j) gains g B(b_m, b_j).
+    """
+    fld, q, p, k = form.field, form.field.q, form.field.p, form.field.k
+    singular = _counts_singular(form.kind, q)
+    lanes = _Lanes(fld)
+    owns, runs = _values_gf2(form) if q == 2 else _values(form, lanes)
+    mirror = {SYMPLECTIC: fld.neg, HERMITIAN: fld.conj}.get(form.kind)
+    mirror = lanes.table(mirror) if mirror and not singular else None
+    code = {(q**e - 1) // (q - 1) - c: v for c, v in verdicts_by_count(form.kind, e, q).items()}
+    table = bytes(map(code.get, range(256), repeat(255)))
+    gens = [p**t for t in range(k)]  # the additive generators of F_q
+    refs: dict = {(0, 0, 0): 0}  # (c, i, j) -> index: lanes of c B(b_i, b_j), c own(b_i) if i = j
+
+    def index(c, i, j) -> int:  # B is symmetric unless mirrored; lane 0 is zero
+        return refs.setdefault((c, i, j) if mirror or i < j else (c, j, i), len(refs)) if c else 0
+
+    program = []  # per l: the lanes of the state and value, each kind of move, the path
+    counted = 0  # points on the byte counters since their last flush
+    for l in range(e):
+        # the state: g B(v, b_j) per generator g and later row j, else B(v, b_j) per row j
+        slots = [(g, j) for j in range(l + 1, e) for g in gens]
+        slots = slots if singular else [(1, j) for j in range(e)]
+        ruler = []  # move s adds 1 to digit t = v_p(s): p^(t mod k) b_m, m = e - 1 - t // k
+        for t in range(k * (e - 1 - l)):
+            ruler = (ruler + [t]) * (p - 1) + ruler
+        moves = [divmod(t, k) for t in ruler]
+        kinds, steps = sorted(set(moves)), []
+        for back, t in kinds:  # (gain, slot, adds); B(b_m, b_m) = 2 Q(b_m) if singular points count
+            m, g = e - 1 - back, gens[t]
+            twice = [fld.add(h, h) if singular and j == m else h for h, j in slots]
+            adds = [index(fld.mul(c, g), m, j) for c, (_, j) in zip(twice, slots)]
+            steps.append((index(fld.mul(g, g), m, m), slots.index((g, m)) if singular else 0, adds))
+        path = []
+        for move in (None, *moves):
+            if counted == _FLUSH:  # a None in a path flushes the byte counters
+                (path if move else program[-1][3]).append(None)
+            counted = counted % _FLUSH + 1
+            if move:
+                path.append(kinds.index(move))
+        program.append(([index(g, l, j) for g, j in slots], index(1, l, l), steps, path))
+    reduced, mul = lanes.reduced, lanes.mul
 
     def codes(candidates: list) -> bytes:
-        counts = _lane_counts(qt, candidates, fmt)
-        if fmt == "B":
+        n = prod(map(len, candidates))
+        gram = _gram_lanes(candidates, owns, runs, mirror)
+        lanes_of = [gram[i, j].translate(mul[c]) if c > 1 else c and gram[i, j] for c, i, j in refs]
+        ints = [int.from_bytes(b, _ORDER) if b else 0 for b in lanes_of]
+
+        def plus(a: int, b: int) -> int:
+            return int.from_bytes((a + b).to_bytes(n, _ORDER).translate(reduced), _ORDER)
+
+        def flag(v: int) -> int:  # 1 in every nonzero lane
+            return int.from_bytes(v.to_bytes(n, _ORDER).translate(_NONZERO), _ORDER)
+
+        plus = plus if reduced else xor
+        flag = pos if q == 2 else flag  # over F_2 the lanes are their own flags
+        counted, wide = 0, None
+        for init, own_ref, steps, path in program:
+            state = [ints[k] for k in init]
+            value = ints[own_ref] if singular else reduce(or_, state)
+            steps = [(ints[g], slot, [ints[k] for k in adds]) for g, slot, adds in steps]
+            counted += flag(value)
+            for move in path:
+                if move is None:  # the byte counters flush into the wide counts
+                    wide = list(map(add, wide or repeat(0, n), counted.to_bytes(n, _ORDER)))
+                    counted = 0
+                    continue
+                gain, slot, adds = steps[move]
+                if singular:
+                    value = plus(plus(value, gain), state[slot])
+                state = list(map(plus, state, adds))
+                if not singular:
+                    value = reduce(or_, state)
+                counted += flag(value)
+        counts = counted.to_bytes(n, _ORDER)
+        if wide is None:
             out = counts.translate(table)
         else:
-            out = bytes(map(code.get, memoryview(counts).cast(fmt), repeat(255)))
+            out = bytes(map(code.get, map(add, wide, counts), repeat(255)))
         if 255 in out:
-            raise ArithmeticError(f"a Q = 1 count matches no verdict ({form.kind}, e = {e})")
+            raise ArithmeticError(f"a lane count matches no verdict ({form.kind}, e = {e})")
         return out
 
     return codes
-
-
-def _lane_counts(qt: bytes, candidates: list, fmt: str) -> bytes:
-    """Per member of product(*candidates), in that order, the count of nonzero
-    v in its span with Q(v) = 1, in one lane of struct format fmt.
-
-    Lanes of Q(b_i) and of B(b_i, b_j) = Q(b_i ^ b_j) ^ Q(b_i) ^ Q(b_j) are
-    laid out by bytes repetition.  Q of each nonempty sum s of rows follows
-    in Gray-code order, Q(s + b_k) = Q(s) + Q(b_k) + B(b_k, s), by XORs of
-    whole ints, and the sum of those 2^e - 1 ints is the count in every
-    lane: fmt holds 2^e - 1, so no lane carries into the next.
-    """
-    size = struct.calcsize(fmt)
-    one, zero = (1).to_bytes(size, sys.byteorder), bytes(size)
-    e = len(candidates)
-    strides = [prod(map(len, candidates[i + 1 :])) for i in range(e)]  # lanes per candidate
-
-    def lanes(i, runs) -> int:  # runs[k]: the stretch where row i is its k-th candidate
-        block = b"".join(runs) * prod(map(len, candidates[:i]))
-        return int.from_bytes(block, sys.byteorder)
-
-    quad = []
-    for i, rows in enumerate(candidates):
-        hi, lo = one * strides[i], zero * strides[i]
-        quad.append(lanes(i, [hi if qt[x] else lo for x in rows]))
-    polar = [[0] * e for _ in range(e)]
-    for i, j in combinations(range(e), 2):
-        hi, lo = one * strides[j], zero * strides[j]
-        later = [(y, qt[y]) for y in candidates[j]]
-        between = strides[i] // strides[j] // len(later)
-        runs = [
-            b"".join([hi if qt[x ^ y] ^ qt[x] ^ qy else lo for y, qy in later]) * between
-            for x in candidates[i]
-        ]
-        polar[i][j] = polar[j][i] = lanes(i, runs)
-    total = value = 0
-    cross = [0] * e  # cross[j]: the lanes of B(b_j, s) for the current sum s
-    for step in range(1, 1 << e):
-        k = (step & -step).bit_length() - 1
-        value ^= quad[k] ^ cross[k]
-        cross = list(map(xor, cross, polar[k]))
-        total += value
-    return total.to_bytes(prod(map(len, candidates)) * size, sys.byteorder)

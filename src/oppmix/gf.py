@@ -8,10 +8,9 @@ order downstream -- depends on them.
 
 Every table comes straight from its definition: sums and products of
 polynomials reduced by the modulus (plain arithmetic mod p when q is prime),
-negatives and inverses read off their rows, and the set of nonzero squares,
-which is all the quadratic character in forms.classify needs.  A modulus
-that is not irreducible leaves a nonzero row of the product table without
-a 1 and is rejected when the field is built.
+and negatives and inverses read off their rows.  A modulus that is not
+irreducible leaves a nonzero row of the product table without a 1 and is
+rejected when the field is built.
 
 Fields of square order q = r^2 know their index-2 subfield F_r and expose
 conj(x) = x^r, which is what the hermitian forms need.
@@ -60,8 +59,6 @@ class Field:
             self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
         except ValueError:
             raise ArithmeticError(f"modulus {self.modulus} of F_{q} is reducible") from None
-        # The nonzero squares decide quadratic characters (forms.classify).
-        self.squares = frozenset(self._mul[x][x] for x in elems[1:])
         if self.base is not None:
             conj = list(elems)
             for _ in range(self.base - 1):

@@ -13,15 +13,15 @@ the corpus is regenerated), `verify --family all` in each format and with
 --full-pairs, the symplectic F_2 counts that no verify run builds, two
 orthogonal counts with e1 < e2 (over F_2 and F_4), one orthogonal count
 over F_8, one over F_9 and one over F_16 with both sides of type - (so
-every branch of the type classifier has an entry: odd and even
+every lane arithmetic of the classifier has an entry: odd and even
 characteristic, prime and extension fields), a symplectic count over F_4
-(a determinant in characteristic 2 for a form that is not orthogonal), a
+(singular points of its quadratic form in characteristic 2), a
 unitary count with e1 = 1 over F_9 (complement_hits by rank rather than
 by the 2 x 2 determinant), symplectic and orthogonal counts over F_7 (a
 prime field past F_5, where -1 is a non-square), unitary counts over F_16
-and over F_25 (e1 = 2, so a prefix row), a unitary count over F_4 with
-e2 = 4 (a prefix of three rows, whose entries take the conjugating dot
-product of an extension field), symplectic and orthogonal F_2
+and over F_25 (e1 = 2, so radical points of planes over nibble digits), a
+unitary count over F_4 with e2 = 4 (four rows, whose entries take the
+conjugating dot product of an extension field), symplectic and orthogonal F_2
 counts at d = 10 (rows of two bytes in the single-orbit scan), five single
 `bound` reports (an orthogonal exception tuple that fails with a note on
 stderr, an orthogonal table with a surd, a symplectic report as csv, a
@@ -61,12 +61,12 @@ EXTRA = [
     "count --family symplectic --e1 2 --e2 2 --q 4",
     "count --family unitary --e1 1 --e2 2 --q 3",
     # a prime field above F_5 (symplectic, and orthogonal with -1 a non-square
-    # mod 7), and hermitian counts over F_16 and over F_25 with a prefix row
+    # mod 7), and hermitian counts over F_16 and over F_25 at e = 2
     "count --family symplectic --e1 2 --e2 2 --q 7",
     "count --family orthogonal --eps - --sigma1 - --sigma2 + --e1 2 --e2 2 --q 7",
     "count --family unitary --e1 1 --e2 2 --q 4",
     "count --family unitary --e1 2 --e2 1 --q 5",
-    # a hermitian walk with a prefix of three rows
+    # a hermitian count whose members have four rows
     "count --family unitary --e1 1 --e2 4 --q 2",
     # F_2 counts at d = 10, whose scanned rows take two bytes each
     "count --family symplectic --e1 8 --e2 2 --q 2",
@@ -92,7 +92,7 @@ EXTRA = [
 ]
 
 # replayed once more in a fresh interpreter under another hash seed: a
-# generic-field count, whose restricted-form keys are bytes
+# generic-field count, whose builds hold dicts keyed by rows and row images
 SUBPROCESS_ARGV = (
     "count --family orthogonal --eps - --sigma1 - --sigma2 - --e1 2 --e2 4 --q 3 "
     "--format json --workers 1"

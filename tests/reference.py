@@ -4,11 +4,92 @@ package's fast paths are checked against."""
 from fractions import Fraction
 from itertools import combinations, compress, permutations, product
 from operator import mul
+from typing import NamedTuple
 
 from oppmix import forms, linalg
-from oppmix.forms import ClassicalForm, RestrictedForm
+from oppmix.forms import ClassicalForm
 from oppmix.gf import Field
-from oppmix.linalg import Subspace
+from oppmix.linalg import Subspace, det
+
+
+class RestrictedForm(NamedTuple):
+    kind: str
+    e: int
+    field: Field
+    gram: tuple  # e x e restricted bilinear (polar, if orthogonal) gram
+    qdiag: tuple | None  # Q(b_i) per basis row, orthogonal only
+
+
+def squares(fld: Field) -> frozenset:
+    """The nonzero squares of fld, which decide quadratic characters (classify)."""
+    return frozenset(fld.mul(x, x) for x in range(1, fld.q))
+
+
+def classify(r: RestrictedForm):
+    """None if r is degenerate, else its type: +1 or -1 if orthogonal, True otherwise.
+
+    Non-degeneracy is a nonzero gram determinant.  For an even quadratic
+    restriction that agrees with the radical refinement (degenerate iff some
+    nonzero vector of the polar radical is singular) in every characteristic:
+    in characteristic 2 the polar form is alternating, so a degenerate one has
+    a radical of dimension >= 2, on which Q has a nonzero zero.  There an
+    odd-dimensional polar gram is always singular, so an odd quadratic
+    restriction raises ValueError; the theorems have none.
+
+    The type of a non-degenerate even restriction is one invariant.  For odd
+    q it is the discriminant's square class: type +1 iff (-1)^(e/2) det(gram)
+    is a square, since the polar gram is twice Q's symmetric matrix and 2^e
+    is a square.  For even q it is the Arf invariant (_arf): type +1 iff it
+    is x^2 + x for some x.
+    """
+    fld = r.field
+    if r.kind != forms.ORTHOGONAL:
+        return True if det(r.gram, fld) else None
+    if r.e % 2:
+        raise ValueError(f"classify decides quadratic restrictions of even dimension, got {r.e}")
+    if fld.p == 2:
+        arf = _arf(r)
+        if arf is None:
+            return None
+        return 1 if any(fld.add(fld.mul(x, x), x) == arf for x in fld.elements()) else -1
+    disc = det(r.gram, fld)
+    if not disc:
+        return None
+    if r.e % 4:
+        disc = fld.neg(disc)
+    return 1 if disc in squares(fld) else -1
+
+
+def _arf(r: RestrictedForm) -> int | None:
+    """The Arf invariant sum Q(a) Q(b) of a restriction in characteristic 2,
+    or None if it is degenerate.
+
+    Take a pair (a, b), b scaled so that B(a, b) = 1, and replace each other
+    basis vector v by v + lam a + mu b, lam = B(v, b) and mu = B(v, a), which
+    is orthogonal to both: Q(v) gains lam^2 Q(a) + mu^2 Q(b) + lam mu, and
+    B(v, w) gains lam B(a, w) + mu B(b, w).  Repeat on the rest.  A vector
+    a with no partner b lies in the polar radical.
+    """
+    fld = r.field
+    add, mul = fld.add, fld.mul
+    gram, quad = [list(row) for row in r.gram], list(r.qdiag)
+    rest, arf = list(range(r.e)), 0
+    while rest:
+        a = rest.pop()
+        b = next((v for v in rest if gram[a][v]), None)
+        if b is None:
+            return None
+        rest.remove(b)
+        c = fld.inv(gram[a][b])
+        quad[b], gram[b] = mul(mul(c, c), quad[b]), fld.scale(c, gram[b])
+        arf = add(arf, mul(quad[a], quad[b]))
+        for v in rest:
+            lam, mu = mul(c, gram[v][b]), gram[v][a]
+            lift = add(add(mul(mul(lam, lam), quad[a]), mul(mul(mu, mu), quad[b])), mul(lam, mu))
+            quad[v] = add(quad[v], lift)
+            pairs = zip(gram[v], gram[a], gram[b])
+            gram[v] = [add(x, add(mul(lam, y), mul(mu, z))) for x, y, z in pairs]
+    return arf
 
 
 def enumerate_subspaces(d: int, e: int, fld: Field):
@@ -377,7 +458,7 @@ def type_by_count(singular: int, e: int, q: int) -> int:
 
 
 def orthogonal_type_by_count(r: RestrictedForm) -> int:
-    """The type forms.classify gives a non-degenerate even quadratic
+    """The type classify gives a non-degenerate even quadratic
     restriction, by exhaustion: the singular count against the two
     closed-form totals."""
     return type_by_count(singular_count(r), r.e, r.field.q)

@@ -7,7 +7,7 @@ import pytest
 
 from oppmix import bounds, cli, exactnum, forms, oracle, sweep
 from oppmix.exactnum import compare, surd
-from reference import enumerate_subspaces, restrict
+from reference import classify, enumerate_subspaces, restrict
 
 
 def interval_sign(a: Fraction, b: Fraction, base: int) -> int:
@@ -157,7 +157,7 @@ def test_alpha_partition_sums_to_one():
         for eps in (1, -1):
             form = forms.standard_form("orthogonal", 4, q, eps)
             subspaces = enumerate_subspaces(4, 2, form.field)
-            degenerate = sum(forms.classify(restrict(form, s)) is None for s in subspaces)
+            degenerate = sum(classify(restrict(form, s)) is None for s in subspaces)
             n = exactnum.gaussian_binomial(4, 2, q)
             kept = sum(y.count for y in oracle.build_ysets(form, 2).values())
             assert n - kept == degenerate

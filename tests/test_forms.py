@@ -6,10 +6,12 @@ import pytest
 from oppmix import forms, linalg, oracle
 from oppmix.gf import field
 from oppmix.linalg import Subspace
-from reference import bilinear, bilinear_masks_gf2, classify_orthogonal_gf2, complementary
+from reference import RestrictedForm, bilinear, bilinear_masks_gf2, classify, classify_orthogonal_gf2
+from reference import complementary
 from reference import coord_subspace
 from reference import enumerate_subspaces, nullspace_bits, perp, quad_values_gf2
-from reference import radical_nondegenerate, restrict, rref, singular_count, singular_point_counts
+from reference import projective_reps, radical_nondegenerate, restrict, restricted_quad_value, rref
+from reference import singular_count, singular_point_counts
 from reference import quad_value as reference_quad_value
 from reference import subspace_from_rows, symplectic_nondeg_gf2
 
@@ -18,7 +20,7 @@ def test_standard_orthogonal_plus_d2():
     form = forms.standard_form("orthogonal", 2, 2, 1)
     r = restrict(form, coord_subspace(2, range(2)))
     assert singular_count(r) == 2
-    assert forms.classify(r) == 1
+    assert classify(r) == 1
 
 
 def test_standard_orthogonal_minus_d2():
@@ -26,7 +28,7 @@ def test_standard_orthogonal_minus_d2():
     assert form.quad[1][1] == 1  # x^2 + xy + y^2 is anisotropic over F_2
     r = restrict(form, coord_subspace(2, range(2)))
     assert singular_count(r) == 0
-    assert forms.classify(r) == -1
+    assert classify(r) == -1
 
 
 def test_standard_symplectic_gram():
@@ -61,7 +63,7 @@ def test_singular_counts_match_formulas(q):
             plus, minus = singular_point_counts(m, q)
             expected = plus if eps == 1 else minus
             assert singular_count(r) == expected
-            assert forms.classify(r) == eps
+            assert classify(r) == eps
 
 
 def test_anisotropic_delta_choices():
@@ -84,7 +86,7 @@ def test_restrict_full_space_is_congruent():
         form = forms.standard_form(kind, 4, q, eps)
         r = restrict(form, coord_subspace(4, range(4)))
         assert r.gram == form.gram
-        assert forms.classify(r) is not None
+        assert classify(r) is not None
 
 
 def test_restrict_singular_line_of_hyperbolic_plane():
@@ -95,7 +97,7 @@ def test_restrict_singular_line_of_hyperbolic_plane():
     assert r.qdiag == (0,)
     # classify decides even dimensions only; the radical refinement sees Q(e0) = 0
     with pytest.raises(ValueError, match="even dimension"):
-        forms.classify(r)
+        classify(r)
     assert not radical_nondegenerate(r)
 
 
@@ -109,13 +111,13 @@ def test_odd_quadratic_restrictions_in_characteristic_2():
     r = restrict(form, line)
     assert r.gram == ((0,),) and r.qdiag == (1,)
     with pytest.raises(ValueError, match="even dimension"):
-        forms.classify(r)
+        classify(r)
     assert radical_nondegenerate(r)
     solid = Subspace(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)), (0, 1, 2))
     r = restrict(form, solid)
     assert linalg.rank(r.gram, form.field) == 2
     with pytest.raises(ValueError, match="even dimension"):
-        forms.classify(r)
+        classify(r)
     assert radical_nondegenerate(r)
 
 
@@ -124,7 +126,7 @@ def test_restrict_totally_isotropic_symplectic():
     s = coord_subspace(4, (0, 1))  # split pairing: e0 pairs with e2, e1 with e3
     r = restrict(form, s)
     assert r.gram == ((0, 0), (0, 0))
-    assert forms.classify(r) is None
+    assert classify(r) is None
 
 
 def test_hermitian_points_f4():
@@ -132,7 +134,7 @@ def test_hermitian_points_f4():
     assert form.field.q == 4
     points = list(enumerate_subspaces(2, 1, form.field))
     assert len(points) == 5
-    nondeg = [p for p in points if forms.classify(restrict(form, p)) is not None]
+    nondeg = [p for p in points if classify(restrict(form, p)) is not None]
     assert len(nondeg) == 2
 
 
@@ -170,10 +172,10 @@ def test_perp_type_is_eps_times_sigma(q, d):
         form = forms.standard_form("orthogonal", d, q, eps)
         for e in range(2, d - 1, 2):
             for s in enumerate_subspaces(d, e, f):
-                sig = forms.classify(restrict(form, s))
+                sig = classify(restrict(form, s))
                 if sig is None:
                     continue
-                assert forms.classify(restrict(form, perp(form, s))) == eps * sig
+                assert classify(restrict(form, perp(form, s))) == eps * sig
 
 
 GF2_FORMS = [("orthogonal", 1), ("orthogonal", -1), ("symplectic", None)]
@@ -199,13 +201,13 @@ def test_gf2_fast_paths_agree_with_generic():
         qt = quad_values_gf2(form)
         for e in (2, 4):
             for s in enumerate_subspaces(6, e, field(2)):
-                generic = forms.classify(restrict(form, s))
+                generic = classify(restrict(form, s))
                 assert classify_orthogonal_gf2(qt, s.bit_rows()) == generic
     form = forms.standard_form("symplectic", 6, 2)
     bil = bilinear_masks_gf2(form)
     for s in enumerate_subspaces(6, 2, field(2)):
         r = restrict(form, s)
-        assert symplectic_nondeg_gf2(bil, s.bit_rows()) == (forms.classify(r) is not None)
+        assert symplectic_nondeg_gf2(bil, s.bit_rows()) == (classify(r) is not None)
 
 
 @pytest.mark.parametrize("kind,eps", GF2_FORMS)
@@ -232,25 +234,52 @@ def test_quad_table_gf2_needs_a_bilinear_form_over_f2():
 def test_verdicts_by_count_gf2_cover_every_quadratic_form():
     # quadratic forms on (F_2)^e, as upper-triangular coefficient grids (all
     # of them up to e = 4, a seeded sample at e = 5, 6): each one's count of
-    # nonzero v with Q(v) = 1 is a key, whose verdict is the reference's
+    # singular points is a key, whose verdict is the reference's
     rng = random.Random(0)
     for e in range(1, 7):
         cells = [(i, j) for i in range(e) for j in range(i, e)]
         grids = product((0, 1), repeat=len(cells)) if e <= 4 else (
             [rng.randrange(2) for _ in cells] for _ in range(300)
         )
-        verdicts = forms.verdicts_by_count_gf2(e)
+        verdicts = forms.verdicts_by_count("orthogonal", e, 2)
         rows = tuple(1 << i for i in range(e))
         for bits in grids:
             grid = dict(zip(cells, bits))
             qt = [0] * (1 << e)
             for v in range(1, 1 << e):
                 qt[v] = sum(grid[i, j] for i, j in cells if (v >> i) & 1 and (v >> j) & 1) % 2
-            sigma = verdicts[sum(qt)]
+            code = verdicts[(1 << e) - 1 - sum(qt)]
             if e % 2:
-                assert sigma == 0
+                assert code == 0
             else:
-                assert (sigma or None) == classify_orthogonal_gf2(qt, rows), (e, grid)
+                assert forms.verdicts("orthogonal")[code] == classify_orthogonal_gf2(qt, rows), (e, grid)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_count_table_matches_reference_on_every_quadratic_form(q):
+    # every quadratic form on F_q^e while there are at most 4,096 of them, a
+    # seeded sample of 150 above that, up to e = 5: its singular points are a
+    # key of verdicts_by_count, whose code is the reference classification
+    f = field(q)
+    rng = random.Random(q)
+    for e in range(1, 6):
+        cells = [(i, j) for i in range(e) for j in range(i, e)]
+        if q ** len(cells) <= 4096:
+            grids = product(range(q), repeat=len(cells))
+        else:
+            grids = ([rng.randrange(q) for _ in cells] for _ in range(150))
+        table = forms.verdicts_by_count("orthogonal", e, q)
+        reps = projective_reps(e, q)
+        for values in grids:
+            c = dict(zip(cells, values))
+            gram = tuple(
+                tuple(f.add(c[i, i], c[i, i]) if i == j else c[min(i, j), max(i, j)] for j in range(e))
+                for i in range(e)
+            )
+            r = RestrictedForm("orthogonal", e, f, gram, tuple(c[i, i] for i in range(e)))
+            singular = sum(restricted_quad_value(r, v) == 0 for v in reps)
+            want = 0 if e % 2 else forms.verdicts("orthogonal").index(classify(r))
+            assert table[singular] == want, (q, e, values)
 
 
 def test_congruence_invariance_of_restriction():
@@ -266,7 +295,7 @@ def test_congruence_invariance_of_restriction():
     alt = subspace_from_rows(alt_rows, f, 4)
     assert alt.basis == s.basis  # canonicalization recovers RREF
     r = restrict(form, s)
-    r_direct = forms.RestrictedForm(
+    r_direct = RestrictedForm(
         "orthogonal",
         2,
         f,
@@ -276,7 +305,7 @@ def test_congruence_invariance_of_restriction():
         tuple(form.quad_value(u) for u in alt_rows),
     )
     assert singular_count(r) == singular_count(r_direct)
-    assert forms.classify(r) == forms.classify(r_direct)
+    assert classify(r) == classify(r_direct)
 
 
 def test_quad_value_identity():

@@ -12,6 +12,7 @@ from oppmix.gf import field
 from reference import (
     biadjacency_rows,
     bilinear_masks_gf2,
+    classify,
     classify_orthogonal_gf2,
     col_sums,
     complementary,
@@ -112,7 +113,7 @@ def test_memoized_partition_matches_per_member_classification(kind, d, q, eps):
         want: dict = {}
         degenerate = 0
         for s in enumerate_subspaces(d, e, form.field):
-            c = forms.classify(restrict(form, s))
+            c = classify(restrict(form, s))
             if c is None:
                 degenerate += 1
                 continue
@@ -136,30 +137,70 @@ GENERIC_KEY_CASES = (
 )
 
 
+def reference_code(form, s) -> int:
+    """The member code (forms.verdicts) of s, from the reference classification;
+    an odd quadratic restriction, which classify refuses, is degenerate."""
+    if form.kind == "orthogonal" and s.e % 2:
+        return 0
+    return forms.verdicts(form.kind).index(classify(restrict(form, s)))
+
+
 @pytest.mark.parametrize("kind,d,q,eps", GENERIC_KEY_CASES)
-def test_generic_key_matches_restrict_bytes(kind, d, q, eps, monkeypatch):
-    # the key keeps part of the gram; decoded, it is the whole restricted
-    # form, gram and Q values, of every member, and a partition build looks
-    # up one key per member in the canonical order
+def test_generic_key_matches_restrict_bytes(kind, d, q, eps):
+    # the lanes of one pivot pattern hold, member by member in the canonical
+    # order, the restricted form: own(b_i) is Q(b_i) (orthogonal) or B(b_i, b_i),
+    # and lane (i, j) is B(b_i, b_j), gram entries below the diagonal included
     form = forms.standard_form(kind, d, q, eps)
-    keys = []
-
-    class RecordingVerdicts(forms._Verdicts):
-        def __getitem__(self, tail):
-            keys.append((*self.columns, tail))
-            return super().__getitem__(tail)
-
-    monkeypatch.setattr(forms, "_Verdicts", RecordingVerdicts)
+    lanes = forms._Lanes(form.field)
+    owns, runs = forms._values(form, lanes)
+    mirror = {"symplectic": form.field.neg, "hermitian": form.field.conj}.get(kind)
+    mirror = lanes.table(mirror) if mirror else None
     step = 1 if kind == "hermitian" else 2  # even e unless hermitian, the whole space too
     for e in range(step, d + 1, step):
-        keys.clear()
-        classify_every_member(form, e)
-        subspaces = list(enumerate_subspaces(d, e, form.field))
-        assert len(keys) == len(subspaces), e
-        for key, s in zip(keys, subspaces):
-            assert forms._decode(form, key) == restrict(form, s), (e, s)
-        # one key, and so one verdict, per distinct restricted form
-        assert len(set(keys)) == len({restrict(form, s) for s in subspaces}), e
+        subspaces = iter(enumerate_subspaces(d, e, form.field))
+        for pattern in combinations(range(d), e):
+            candidates = linalg.row_candidates(d, pattern, form.field)
+            gram = forms._gram_lanes(candidates, owns, runs, mirror)
+            for k, rows in enumerate(product(*candidates)):
+                r = restrict(form, next(subspaces))
+                for (i, j), lane in gram.items():
+                    want = r.qdiag[i] if i == j and kind == "orthogonal" else r.gram[i][j]
+                    assert lane[k] == lanes.enc[want], (e, pattern, rows, i, j)
+        assert next(subspaces, None) is None
+
+
+# (kind, d, q, eps): one form of each kind over every inventory field, at
+# d <= 6, that a reference classification of every member can afford
+REFERENCE_CASES = (
+    [("orthogonal", d, 2, eps) for d in (2, 4, 6) for eps in (1, -1)]
+    + [("orthogonal", d, 3, eps) for d in (2, 4, 6) for eps in (1, -1)]
+    + [("orthogonal", 4, q, eps) for q in (4, 5, 7, 8, 9) for eps in (1, -1)]
+    + [("orthogonal", 2, q, eps) for q in (16, 25) for eps in (1, -1)]
+    + [("symplectic", d, q, None) for q in (2, 3) for d in (2, 4, 6)]
+    + [("symplectic", 4, q, None) for q in (4, 5, 7, 8, 9)]
+    + [("symplectic", 2, q, None) for q in (16, 25)]
+    + [("hermitian", d, 2, None) for d in (1, 2, 3, 4, 5)]
+    + [("hermitian", d, q, None) for q, d in [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)]]
+)
+
+
+@pytest.mark.parametrize("kind,d,q,eps", REFERENCE_CASES)
+def test_member_codes_match_reference_classification(kind, d, q, eps):
+    # every member of every dimension, odd ones and the whole space included,
+    # is coded as the reference classifies its restricted form
+    form = forms.standard_form(kind, d, q, eps)
+    for e in range(1, d + 1):
+        want = bytes(reference_code(form, s) for s in enumerate_subspaces(d, e, form.field))
+        assert classify_every_member(form, e) == want, e
+
+
+def test_counts_above_a_byte_match_reference_classification():
+    # U(4, 4) at e = 3: (16^3 - 1)/15 = 273 points per member, so the byte
+    # counters flush into two-byte counts once per member
+    form = forms.standard_form("hermitian", 4, 4)
+    want = bytes(reference_code(form, s) for s in enumerate_subspaces(4, 3, form.field))
+    assert classify_every_member(form, 3) == want
+    assert want.count(1) == exactnum.count_nondegenerate("hermitian", 3, 1, 4)
 
 
 GF2_FORMS = [("orthogonal", 1), ("orthogonal", -1), ("symplectic", None)]
@@ -212,31 +253,31 @@ def test_lane_partition_edge_dimensions(kind, eps):
 
 
 @pytest.mark.parametrize("kind,eps", GF2_FORMS)
-def test_wide_lanes_hold_the_byte_lane_counts(kind, eps):
+def test_wide_lanes_hold_the_byte_lane_counts(kind, eps, monkeypatch):
+    # byte counters that flush into the wide counts after every point, or
+    # every few, give the codes of counters that never flush
     form = forms.standard_form(kind, 6, 2, eps)
-    qt = forms.quad_table_gf2(form)
     for e in (1, 2, 3, 4):
-        for pattern in combinations(range(6), e):
-            candidates = linalg.row_candidates(6, pattern, form.field)
-            narrow = forms._lane_counts(qt, candidates, "B")
-            for fmt in "HIQ":
-                wide = memoryview(forms._lane_counts(qt, candidates, fmt)).cast(fmt)
-                assert list(wide) == list(narrow), (e, pattern, fmt)
+        narrow = classify_every_member(form, e)
+        for flush in (1, 2, 7):
+            monkeypatch.setattr(forms, "_FLUSH", flush)
+            assert classify_every_member(form, e) == narrow, (e, flush)
+        monkeypatch.undo()
 
 
 def test_lane_count_without_a_verdict_raises(monkeypatch):
     # a count that no verdict lists is an internal error, never a bucket
     form = forms.standard_form("orthogonal", 4, 2, 1)
-    verdicts = dict(forms.verdicts_by_count_gf2(2))
-    del verdicts[1]  # the hyperbolic plane's count
-    monkeypatch.setattr(forms, "verdicts_by_count_gf2", lambda e: verdicts)
+    verdicts = dict(forms.verdicts_by_count("orthogonal", 2, 2))
+    del verdicts[2]  # the hyperbolic plane's singular points
+    monkeypatch.setattr(forms, "verdicts_by_count", lambda kind, e, q: verdicts)
     with pytest.raises(ArithmeticError, match="matches no verdict"):
         oracle.build_ysets(form, 2)
     argv = "count --family orthogonal --eps + --sigma1 + --sigma2 + --e1 2 --e2 2 --q 2".split()
     assert cli.main(argv) == 4
 
 
-def test_partition_budget_checked_after_cache_fill():
+def test_partition_budget_holds_on_a_second_build():
     form = forms.standard_form("symplectic", 4, 2)
     oracle.build_ysets(form, 2)
     with pytest.raises(exactnum.BudgetError):
@@ -563,7 +604,7 @@ def test_biadjacency_cap():
         oracle.build_biadjacency(3, 3, 3)
 
 
-def test_biadjacency_cap_checked_after_cache_fill(monkeypatch):
+def test_biadjacency_cap_holds_on_a_second_build(monkeypatch):
     oracle.build_biadjacency(2, 1, 2)
     monkeypatch.setattr(oracle, "BIADJACENCY_CAP", 3)
     with pytest.raises(exactnum.BudgetError):

