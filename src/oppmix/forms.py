@@ -184,9 +184,10 @@ class _Lanes:
         p, k, self.fld = fld.p, fld.k, fld
         width = 1 if p == 2 else 8 // k
         self.enc = [sum(x // p**i % p << width * i for i in range(k)) for x in fld.elements()]
-        digits = [[u >> width * i & (1 << width) - 1 for i in range(k)] for u in range(256 * (p > 2))]
-        self.reduced = bytes(self.enc[sum(d % p * p**i for i, d in enumerate(u))] for u in digits)
-        self.mul = [self.table(partial(fld.mul, c)) for c in fld.elements()]  # scaling by c
+        sums = [0]  # per byte u of digit sums, its element: digit i of u is slot i, lowest first
+        for i in range(k * (p > 2)):
+            sums = [x + d % p * p**i for d in range(1 << width) for x in sums]
+        self.reduced = bytes(map(self.enc.__getitem__, sums)) if p > 2 else b""
 
     def table(self, f) -> bytes:
         """The translate table of the map f on elements."""
@@ -226,8 +227,7 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
     conj = fld.conj if form.kind == HERMITIAN else None
     scalars = list(map(conj, fld.elements())) if conj else fld.elements()
     shift = [lanes.table(partial(fld.add, c)) for c in fld.elements()]
-    images: dict = {}
-    memo: dict = {}
+    images, memo = {}, {}  # b -> image(b), and a run's key -> the run
 
     def image(b) -> tuple:  # (b^T G, own(b))
         if b not in images:
@@ -261,9 +261,8 @@ def _gram_lanes(candidates: list, owns, runs, mirror: bytes | None) -> dict:
     value s times; B(b_j, b_i) is B(b_i, b_j) translated by mirror, if any."""
     n, e = prod(map(len, candidates)), len(candidates)
     strides = [prod(map(len, candidates[i + 1 :])) for i in range(e)]  # lanes per candidate
-    gram = {}
-    for i, rows in enumerate(candidates):
-        gram[i, i] = b"".join(owns(rows, strides[i])) * (n // (strides[i] * len(rows)))
+    gram = {(i, i): b"".join(owns(rows, strides[i])) * (n // (strides[i] * len(rows)))
+            for i, rows in enumerate(candidates)}
     for i, j in combinations(range(e), 2):
         between = strides[i] // (strides[j] * len(candidates[j]))
         row_runs = [r * between for r in runs(candidates[i], candidates[j], strides[j])]
@@ -289,8 +288,9 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
     owns, runs = _values_gf2(form) if q == 2 else _values(form, lanes)
     mirror = {SYMPLECTIC: fld.neg, HERMITIAN: fld.conj}.get(form.kind)
     mirror = lanes.table(mirror) if mirror and not singular else None
-    code = {(q**e - 1) // (q - 1) - c: v for c, v in verdicts_by_count(form.kind, e, q).items()}
-    table = bytes(map(code.get, range(256), repeat(255)))
+    points = (q**e - 1) // (q - 1)
+    code = {points - c: v for c, v in verdicts_by_count(form.kind, e, q).items()}
+    table = bytes(map(code.get, range(min(points + 1, 256)), repeat(255))).ljust(256, b"\xff")
     gens = [p**t for t in range(k)]  # the additive generators of F_q
     refs: dict = {(0, 0, 0): 0}  # (c, i, j) -> index: lanes of c B(b_i, b_j), c own(b_i) if i = j
 
@@ -321,7 +321,8 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
             if move:
                 path.append(kinds.index(move))
         program.append(([index(g, l, j) for g, j in slots], index(1, l, l), steps, path))
-    reduced, mul = lanes.reduced, lanes.mul
+    reduced = lanes.reduced
+    mul = {c: lanes.table(partial(fld.mul, c)) for c, _, _ in refs}  # scaling by c
 
     def codes(candidates: list) -> bytes:
         n = prod(map(len, candidates))
