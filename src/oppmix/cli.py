@@ -7,8 +7,8 @@ failed, 2 usage error (argparse's own, or a UsageError, which only the
 checks of the parsed arguments raise), 3 enumeration budget exceeded, 4
 internal error (an ArithmeticError: an exact result contradicted itself,
 such as an enumerated count that disagrees with its closed form, or any
-other ValueError), reported as one "internal error:" line on stderr, 141
-a reader that closed stdout early, with nothing on stderr.
+other ValueError), reported as one "internal error:" line on stderr; 141
+when the reader closes stdout early, with nothing on stderr.
 
 JSON is canonical: keys sorted, rationals as {"num": "...", "den": "..."}
 decimal strings plus a non-authoritative float "approx"; parsing and
@@ -439,8 +439,8 @@ def main(argv=None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except BrokenPipeError:  # a closed reader: quiet, as SIGPIPE (13) would stop a filter
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the last flush succeeds
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, as SIGPIPE (13) would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the final flush cannot raise
         return 141
 
 

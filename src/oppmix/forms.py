@@ -322,7 +322,7 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
                 path.append(kinds.index(move))
         program.append(([index(g, l, j) for g, j in slots], index(1, l, l), steps, path))
     reduced = lanes.reduced
-    mul = {c: lanes.table(partial(fld.mul, c)) for c, _, _ in refs}  # scaling by c
+    mul = {c: lanes.table(partial(fld.mul, c)) for c in {c for c, _, _ in refs if c > 1}}  # scaling
 
     def codes(candidates: list) -> bytes:
         n = prod(map(len, candidates))
