@@ -4,7 +4,8 @@ It uses the standard library only and imports nothing from oppmix, so a fault
 in the package's exact arithmetic cannot hide in both places at once.  For
 each bound report it checks:
 
-  - the threshold, 1 - c/q^k, from its formula id through THRESHOLDS below;
+  - the formula id, the family's at (e1, e2), and the threshold, 1 - c/q^k,
+    from it through THRESHOLDS below;
   - the lower bound: off the containment branch it is rebuilt from the printed
     densities as k (1 - sqrt((1/a1 - 1)(1/a2 - 1)/Q^d)), k = Q^(e1 e2)/[d, e1]_Q,
     with Q = q, or q^2 for the unitary family, and compared by value; on the
@@ -78,9 +79,8 @@ def orbit(family: str, e: int, d: int, q: int, eps: int, sigma: int) -> int:
     d-space (of type eps), as |G| / |stabilizer|: the stabilizer of S is that
     of S times that of its perp, whose orthogonal type is eps sigma."""
     if family == "orthogonal":
-        group, parts = order_go(d // 2, eps, q), order_go(e // 2, sigma, q) * order_go(
-            (d - e) // 2, eps * sigma, q
-        )
+        group = order_go(d // 2, eps, q)
+        parts = order_go(e // 2, sigma, q) * order_go((d - e) // 2, eps * sigma, q)
     elif family == "symplectic":
         group, parts = order_sp(d // 2, q), order_sp(e // 2, q) * order_sp((d - e) // 2, q)
     else:
@@ -94,9 +94,12 @@ def sign(char) -> int:
 
 
 def formula(family: str, e1: int, e2: int) -> str:
+    """The formula id of the family's threshold at (e1, e2), e1 >= e2."""
     if family == "unitary" and e2 == 1:
         return CONTAINMENT
-    return next(fid for fid in THRESHOLDS if fid.startswith(family))
+    return {"orthogonal": "orthogonal-two-alpha-mixing", "symplectic": "symplectic-display"}.get(
+        family, "unitary-display"
+    )
 
 
 def threshold(formula_id: str, e1: int, e2: int, q: int) -> Fraction:
@@ -162,6 +165,8 @@ def check_report(rep: dict) -> list:
     bound = rep["lower_bound"]
     printed = number(bound["a"]), number(bound["b"]), bound["sqrt_base"]
     faults = []
+    if fid != formula(rep["family"], e1, e2):
+        faults.append(f"{where}: formula {fid}, expected {formula(rep['family'], e1, e2)}")
     t = threshold(fid, e1, e2, q)
     if number(rep["threshold"]) != t:
         faults.append(f"{where}: threshold {number(rep['threshold'])}, expected {t}")
