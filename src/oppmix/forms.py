@@ -206,10 +206,10 @@ def _values_gf2(form: ClassicalForm) -> tuple:
         hi, lo = b"\1" * stride, bytes(stride)
         return [hi if qt[x] else lo for x in xs]
 
-    def runs(xs: list, ys: list, stride: int) -> list:
+    def runs(xs: list, ys: list, stride: int, times: int) -> list:
         hi, lo = b"\1" * stride, bytes(stride)
         later = [(y, qt[y]) for y in ys]
-        return [b"".join([hi if qt[x ^ y] ^ qt[x] ^ qy else lo for y, qy in later]) for x in xs]
+        return [b"".join([hi if qt[x ^ y] ^ qt[x] ^ qy else lo for y, qy in later]) * times for x in xs]
 
     return owns, runs
 
@@ -236,7 +236,7 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
             images[b] = (h, lanes.enc[own])
         return images[b]
 
-    def runs(xs: list, ys: list, stride: int) -> list:
+    def runs(xs: list, ys: list, stride: int, times: int) -> list:
         pivot = ys[0].index(1)
         cols = [pivot, *(t for t, v in enumerate(ys[-1]) if v and t != pivot)]
         out = []
@@ -248,24 +248,24 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
                 for ht in reversed(key[2:]):
                     run = b"".join([run.translate(shift[fld.mul(a, ht)]) for a in scalars])
                 memo[key] = run
-            out.append(memo[key])
+            out.append(memo[key] * times)
         return out
 
     return (lambda xs, stride: [bytes([image(x)[1]]) * stride for x in xs]), runs
 
 
 def _gram_lanes(candidates: list, owns, runs, mirror: bytes | None) -> dict:
-    """(i, j) -> the lanes of B(b_i, b_j), (i, i) -> those of own(b_i) (Q(b) if
-    singular points count, else B(b, b)), over product(*candidates) in order.
-    Per x, owns(xs, s) gives own(x) and runs(xs, ys, s) B(x, y) over ys, each
-    value s times; B(b_j, b_i) is B(b_i, b_j) translated by mirror, if any."""
+    """(i, j) -> the lanes of B(b_i, b_j), (i, i) -> those of own(b_i), Q(b) if
+    singular points count, else B(b, b), over product(*candidates) in order.
+    owns(xs, s) and runs(xs, ys, s, t) give per x own(x) and B(x, y), y in ys,
+    each value s times, all t times; B(b_j, b_i) is B(b_i, b_j) mirrored."""
     n, e = prod(map(len, candidates)), len(candidates)
     strides = [prod(map(len, candidates[i + 1 :])) for i in range(e)]  # lanes per candidate
     gram = {(i, i): b"".join(owns(rows, strides[i])) * (n // (strides[i] * len(rows)))
             for i, rows in enumerate(candidates)}
     for i, j in combinations(range(e), 2):
         between = strides[i] // (strides[j] * len(candidates[j]))
-        row_runs = [r * between for r in runs(candidates[i], candidates[j], strides[j])]
+        row_runs = runs(candidates[i], candidates[j], strides[j], between)
         gram[i, j] = b"".join(row_runs) * (n // (strides[i] * len(candidates[i])))
         gram[j, i] = gram[i, j].translate(mirror) if mirror else gram[i, j]
     return gram
@@ -286,8 +286,7 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
     singular = _counts_singular(form.kind, q)
     lanes = _Lanes(fld)
     owns, runs = _values_gf2(form) if q == 2 else _values(form, lanes)
-    mirror = {SYMPLECTIC: fld.neg, HERMITIAN: fld.conj}.get(form.kind)
-    mirror = lanes.table(mirror) if mirror and not singular else None
+    mirror = None if singular else lanes.table({SYMPLECTIC: fld.neg, HERMITIAN: fld.conj}[form.kind])
     points = (q**e - 1) // (q - 1)
     code = {points - c: v for c, v in verdicts_by_count(form.kind, e, q).items()}
     table = bytes(map(code.get, range(min(points + 1, 256)), repeat(255))).ljust(256, b"\xff")
@@ -298,7 +297,7 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
         return refs.setdefault((c, i, j) if mirror or i < j else (c, j, i), len(refs)) if c else 0
 
     program = []  # per l: the lanes of the state and value, each kind of move, the path
-    counted = 0  # points on the byte counters since their last flush
+    counted = 0
     for l in range(e):
         # the state: g B(v, b_j) per generator g and later row j, else B(v, b_j) per row j
         slots = [(g, j) for j in range(l + 1, e) for g in gens]
@@ -313,13 +312,13 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
             twice = [fld.add(h, h) if singular and j == m else h for h, j in slots]
             adds = [index(fld.mul(c, g), m, j) for c, (_, j) in zip(twice, slots)]
             steps.append((index(fld.mul(g, g), m, m), slots.index((g, m)) if singular else 0, adds))
-        path = []
-        for move in (None, *moves):
-            if counted == _FLUSH:  # a None in a path flushes the byte counters
-                (path if move else program[-1][3]).append(None)
-            counted = counted % _FLUSH + 1
-            if move:
-                path.append(kinds.index(move))
+        path = [kinds.index(move) for move in moves]
+        for u in reversed(range(_FLUSH - counted, len(moves) + 1, _FLUSH)):
+            if u:  # a None flushes the byte counters before point u of the block, 0 its start
+                path.insert(u - 1, None)
+            else:
+                program[-1][3].append(None)
+        counted = (counted + len(moves)) % _FLUSH + 1  # points on the counters after the block
         program.append(([index(g, l, j) for g, j in slots], index(1, l, l), steps, path))
     reduced = lanes.reduced
     mul = {c: lanes.table(partial(fld.mul, c)) for c in {c for c, _, _ in refs if c > 1}}  # scaling
@@ -327,8 +326,8 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
     def codes(candidates: list) -> bytes:
         n = prod(map(len, candidates))
         gram = _gram_lanes(candidates, owns, runs, mirror)
-        lanes_of = [gram[i, j].translate(mul[c]) if c > 1 else c and gram[i, j] for c, i, j in refs]
-        ints = [int.from_bytes(b, _ORDER) if b else 0 for b in lanes_of]
+        ints = [c and int.from_bytes(gram[i, j].translate(mul[c]) if c > 1 else gram[i, j], _ORDER)
+                for c, i, j in refs]
 
         def plus(a: int, b: int) -> int:
             return int.from_bytes((a + b).to_bytes(n, _ORDER).translate(reduced), _ORDER)
