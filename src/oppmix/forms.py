@@ -302,23 +302,22 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
         # the state: g B(v, b_j) per generator g and later row j, else B(v, b_j) per row j
         slots = [(g, j) for j in range(l + 1, e) for g in gens]
         slots = slots if singular else [(1, j) for j in range(e)]
-        ruler = []  # move s adds 1 to digit t = v_p(s): p^(t mod k) b_m, m = e - 1 - t // k
-        for t in range(k * (e - 1 - l)):
-            ruler = (ruler + [t]) * (p - 1) + ruler
-        moves = [divmod(t, k) for t in ruler]
-        kinds, steps = sorted(set(moves)), []
-        for back, t in kinds:  # (gain, slot, adds); B(b_m, b_m) = 2 Q(b_m) if singular points count
+        digits, path, steps = k * (e - 1 - l), [], []
+        for t in range(digits):  # move s adds 1 to digit v_p(s) of the c_j
+            path = (path + [t]) * (p - 1) + path
+        for back, t in map(divmod, range(digits), repeat(k)):  # digit back k + t: p^t b_m
             m, g = e - 1 - back, gens[t]
+            # (gain, slot, adds), with B(b_m, b_m) = 2 Q(b_m) if singular points count
             twice = [fld.add(h, h) if singular and j == m else h for h, j in slots]
             adds = [index(fld.mul(c, g), m, j) for c, (_, j) in zip(twice, slots)]
             steps.append((index(fld.mul(g, g), m, m), slots.index((g, m)) if singular else 0, adds))
-        path = [kinds.index(move) for move in moves]
-        for u in reversed(range(_FLUSH - counted, len(moves) + 1, _FLUSH)):
+        moves = len(path)
+        for u in reversed(range(_FLUSH - counted, moves + 1, _FLUSH)):
             if u:  # a None flushes the byte counters before point u of the block, 0 its start
                 path.insert(u - 1, None)
             else:
                 program[-1][3].append(None)
-        counted = (counted + len(moves)) % _FLUSH + 1  # points on the counters after the block
+        counted = (counted + moves) % _FLUSH + 1  # points on the counters after the block
         program.append(([index(g, l, j) for g, j in slots], index(1, l, l), steps, path))
     reduced = lanes.reduced
     mul = {c: lanes.table(partial(fld.mul, c)) for c in {c for c, _, _ in refs if c > 1}}  # scaling
@@ -337,11 +336,11 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
 
         plus = plus if reduced else xor
         flag = pos if q == 2 else flag  # over F_2 the lanes are their own flags
-        counted, wide = 0, None
+        counted, wide, lane = 0, None, ints.__getitem__
         for init, own_ref, steps, path in program:
-            state = [ints[k] for k in init]
+            state = list(map(lane, init))
             value = ints[own_ref] if singular else reduce(or_, state)
-            steps = [(ints[g], slot, [ints[k] for k in adds]) for g, slot, adds in steps]
+            steps = [(ints[g], slot, list(map(lane, adds))) for g, slot, adds in steps]
             counted += flag(value)
             for move in path:
                 if move is None:  # the byte counters flush into the wide counts
