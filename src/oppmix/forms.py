@@ -217,10 +217,12 @@ def _values_gf2(form: ClassicalForm) -> tuple:
 def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
     """owns and runs (see _gram_lanes) on every other field, from row images
     h = b^T G: B(b, y) = sum_t h_t conj(y_t) (conj the identity unless
-    hermitian).  A row's candidates e_c + sum_f a_f e_f run in odometer order,
-    so B(b, .) on them is h_c plus conj(a_f) h_f per free column f: a run of
-    translates, shared by every b with those entries of h.  Images and runs
-    are held for one build."""
+    hermitian).  A later row's candidates y_0 + sum_t a_t g_t run in odometer
+    order, fastest digit first, with g_t = ys[q^t] - ys[0], so B(b, .) on
+    them is B(b, y_0) plus conj(a_t) B(b, g_t) per digit: a run of
+    translates, shared by every b with those values.  A unit vector e_c
+    reads B(b, e_c) = h_c, one entry.  Images and runs are held for one
+    build."""
     fld = form.field
     columns = tuple(zip(*form.gram))
     singular = _counts_singular(form.kind, fld.q)
@@ -228,6 +230,7 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
     scalars = list(map(conj, fld.elements())) if conj else fld.elements()
     shift = [lanes.table(partial(fld.add, c)) for c in fld.elements()]
     images, memo = {}, {}  # b -> image(b), and a run's key -> the run
+    zero = (0,) * form.d
 
     def image(b) -> tuple:  # (b^T G, own(b))
         if b not in images:
@@ -236,16 +239,25 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
             images[b] = (h, lanes.enc[own])
         return images[b]
 
+    def reader(y, y0) -> int | tuple:  # c if y - y0 is the unit vector e_c, else conj(y - y0)
+        moved = [t for t, (a, b) in enumerate(zip(y, y0)) if a != b]
+        if len(moved) == 1 and fld.sub(y[moved[0]], y0[moved[0]]) == 1:
+            return moved[0]
+        return tuple(map(conj or pos, map(fld.sub, y, y0)))
+
     def runs(xs: list, ys: list, stride: int, times: int) -> list:
-        pivot = ys[0].index(1)
-        cols = [pivot, *(t for t, v in enumerate(ys[-1]) if v and t != pivot)]
+        y0, at = ys[0], 1
+        readers = [reader(y0, zero)]
+        while at < len(ys):
+            readers.append(reader(ys[at], y0))
+            at *= fld.q
         out = []
         for x in xs:
             h = image(x)[0]
-            key = (stride, *[h[t] for t in cols])
+            key = (stride, *[fld.dot(h, r) if type(r) is tuple else h[r] for r in readers])
             if key not in memo:
                 run = bytes([lanes.enc[key[1]]]) * stride
-                for ht in reversed(key[2:]):
+                for ht in key[2:]:
                     run = b"".join([run.translate(shift[fld.mul(a, ht)]) for a in scalars])
                 memo[key] = run
             out.append(memo[key] * times)

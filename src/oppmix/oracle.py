@@ -13,9 +13,12 @@ All-pairs counts and the biadjacency matrix take their rows from
 linalg.complement_rows (point incidence); an all-pairs count is the sum of
 those rows' popcounts, taken serially in one process.  The single-orbit
 count fixes the first, the middle and the last member of one side (the one
-of larger dimension, else the one with more members) and counts the
-complements of each in one linalg.complement_hits call, a projection scan
-of the other side; the second and third counts check the shortcut.
+of larger dimension, else the one with more members), lists the complements
+of each as graphs of linear maps (linalg.complement_candidates) and codes
+them with forms.classifier, the classifier of the builds; the second and
+third counts check the shortcut.  One classification gives a probe's hits
+in every bucket of the other dimension, so count_case classifies each fixed
+bucket once for all its cases.
 
 A partition build is one loop for every field.  Each pivot pattern's
 members are the product of its rows' candidates (linalg.row_candidates),
@@ -43,7 +46,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, compress, product
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
@@ -77,6 +82,11 @@ class CountReport(NamedTuple):
     passed: bool | None = None
 
 
+def _signs(form: ClassicalForm) -> tuple:
+    """The bucket keys of a build, in the order of their codes 1, 2 (forms.verdicts)."""
+    return (1, -1) if form.kind == forms.ORTHOGONAL else (None,)
+
+
 def build_ysets(form: ClassicalForm, e: int, budget: int | None = None) -> dict:
     """Every non-degenerate bucket of the e-subspaces, as a YSet keyed by sigma
     (None unless the form is orthogonal).
@@ -87,7 +97,7 @@ def build_ysets(form: ClassicalForm, e: int, budget: int | None = None) -> dict:
     hold its count, or the build raises.  Nothing is cached.
     """
     fld, d = form.field, form.d
-    signs = (1, -1) if form.kind == forms.ORTHOGONAL else (None,)  # codes 1, 2 (forms.verdicts)
+    signs = _signs(form)
     sizes = [exactnum.count_nondegenerate(form.kind, e, d - e, form.q, form.eps, s) for s in signs]
     total = exactnum.gaussian_binomial(d, e, fld.q)
     if budget is None:
@@ -129,22 +139,39 @@ def count_complementary(y1: YSet, y2: YSet, threshold: Fraction | None = None) -
 def count_complementary_transitive(
     y1: YSet, y2: YSet, threshold: Fraction | None = None
 ) -> CountReport:
-    """Single-orbit shortcut: fix one member of one side and scan the other.
+    """Single-orbit shortcut: fix one member of one side and classify its
+    complements.
 
     Valid because the isometry group is transitive on each Y-set (Witt's
     theorem) and preserves the other and complementarity, so every member
     of a side has the same number of complements in the other side:
     hits(S1 -> Y2)·|Y1| = hits(S2 -> Y1)·|Y2|.  The fixed side is the one of
-    larger dimension, which leaves linalg.complement_hits the smaller
-    quotient, else the one with more members (Y1 if both tie).  One call
-    scans the other side from the fixed side's first, middle and last
-    members, packing it once; a count unlike the first raises ArithmeticError.
+    larger dimension, else the one with more members (Y1 if both tie).  The
+    complements of its first, middle and last members are listed as graphs
+    (linalg.complement_candidates) and coded by forms.classifier; a probe's
+    hits are its graphs in the other side's bucket, and a count unlike the
+    first raises ArithmeticError.  A probe has q^(e1·e2) <= [d, e_other]_q
+    graphs, a size that the other side's build checked against its budget.
     """
+    return _count_transitive(y1, y2, threshold, {})
+
+
+_BLOCK = 8192  # graphs per classifier call, unless one first row has more
+
+
+def _count_transitive(y1: YSet, y2: YSet, threshold, tallies: dict) -> CountReport:
+    """count_complementary_transitive, with the probes' _tallies kept in
+    tallies by the fixed side's (e, sigma) for the cases of one form."""
     if y1.form != y2.form:
         raise ValueError("Y-sets live on different spaces")
+    if y1.e + y2.e != y1.form.d:
+        raise ValueError("complements need e1 + e2 = d")
     fixed, other = (y2, y1) if (y2.e, y2.count) > (y1.e, y1.count) else (y1, y2)
-    probes = [fixed.members[i] for i in (0, fixed.count // 2, -1)]
-    hits, *checks = linalg.complement_hits(y1.form.field, y1.form.d, probes, other.members)
+    key = fixed.e, fixed.sigma
+    if key not in tallies:
+        probes = [fixed.members[i] for i in (0, fixed.count // 2, -1)]
+        tallies[key] = _tallies(fixed.form, other.e, probes)
+    hits, *checks = (tally[other.sigma] for tally in tallies[key])
     for name, again in zip(("middle", "last"), checks):
         if again != hits:
             raise ArithmeticError(
@@ -154,6 +181,24 @@ def count_complementary_transitive(
     pairs = hits * fixed.count
     proportion = Fraction(hits, other.count)
     return _finish_report(y1, y2, pairs, proportion, "transitivity-fast-path", threshold)
+
+
+def _tallies(form: ClassicalForm, e: int, probes) -> list:
+    """Per probe, {sigma: its complements in the bucket sigma of the e-spaces},
+    e = d - dim probe.  The graphs go to the classifier in blocks of at most
+    _BLOCK, split on the first row's candidates."""
+    signs = _signs(form)
+    codes_of = forms.classifier(form, e)
+    out = []
+    for s in probes:
+        first, *rest = linalg.complement_candidates(form.d, s, form.field)
+        step = max(1, _BLOCK // prod(map(len, rest)))
+        counts = [0] * len(signs)
+        for a in range(0, len(first), step):
+            codes = codes_of([first[a : a + step], *rest])
+            counts = [n + codes.count(k) for k, n in enumerate(counts, 1)]
+        out.append(dict(zip(signs, counts)))
+    return out
 
 
 def _finish_report(y1, y2, pairs, proportion, method, threshold) -> CountReport:
@@ -183,7 +228,7 @@ def count_case(
     otherwise one orbit.
     """
     ysets = {e: build_ysets(form, e, budget) for e in dict.fromkeys((e1, e2))}
-    count = count_complementary if full_pairs else count_complementary_transitive
+    count = count_complementary if full_pairs else partial(_count_transitive, tallies={})
     return [count(ysets[e1][s1], ysets[e2][s2], threshold) for s1, s2, threshold in cases]
 
 

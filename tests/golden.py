@@ -16,13 +16,13 @@ over F_8, one over F_9 and one over F_16 with both sides of type - (so
 every lane arithmetic of the classifier has an entry: odd and even
 characteristic, prime and extension fields), a symplectic count over F_4
 (singular points of its quadratic form in characteristic 2), a
-unitary count with e1 = 1 over F_9 (complement_hits by rank rather than
-by the 2 x 2 determinant), symplectic and orthogonal counts over F_7 (a
+unitary count with e1 = 1 over F_9 (a probe of two rows whose complements
+have one row each), symplectic and orthogonal counts over F_7 (a
 prime field past F_5, where -1 is a non-square), unitary counts over F_16
 and over F_25 (e1 = 2, so radical points of planes over nibble digits), a
 unitary count over F_4 with e2 = 4 (four rows, whose entries take the
 conjugating dot product of an extension field), symplectic and orthogonal F_2
-counts at d = 10 (rows of two bytes in the single-orbit scan), five single
+counts at d = 10 (a probe of eight rows, 256 vectors per coset), five single
 `bound` reports (an orthogonal exception tuple that fails with a note on
 stderr, an orthogonal table with a surd, a symplectic report as csv, a
 unitary equality and the unitary mixing display as json), the README's
@@ -57,7 +57,7 @@ EXTRA = [
     "count --family orthogonal --eps - --sigma1 + --sigma2 + --e1 2 --e2 2 --q 9",
     "count --family orthogonal --eps + --sigma1 - --sigma2 - --e1 2 --e2 2 --q 16",
     # a symplectic count in characteristic 2 off F_2, and a unitary count whose
-    # single-orbit scan has quotient dimension 1
+    # probe's complements have dimension 1
     "count --family symplectic --e1 2 --e2 2 --q 4",
     "count --family unitary --e1 1 --e2 2 --q 3",
     # a prime field above F_5 (symplectic, and orthogonal with -1 a non-square
@@ -68,7 +68,7 @@ EXTRA = [
     "count --family unitary --e1 2 --e2 1 --q 5",
     # a hermitian count whose members have four rows
     "count --family unitary --e1 1 --e2 4 --q 2",
-    # F_2 counts at d = 10, whose scanned rows take two bytes each
+    # F_2 counts at d = 10, whose probes have 2^16 complements each
     "count --family symplectic --e1 8 --e2 2 --q 2",
     "count --family orthogonal --eps - --sigma1 + --sigma2 - --e1 8 --e2 2 --q 2",
     # single bound reports: an exception tuple that fails with a note, a table

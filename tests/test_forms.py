@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oppmix import forms, linalg, oracle
+from oppmix import forms, oracle
 from oppmix.gf import field
 from oppmix.linalg import Subspace
 from reference import RestrictedForm, bilinear, bilinear_masks_gf2, classify, classify_orthogonal_gf2
@@ -115,7 +115,7 @@ def test_odd_quadratic_restrictions_in_characteristic_2():
     assert radical_nondegenerate(r)
     solid = Subspace(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)), (0, 1, 2))
     r = restrict(form, solid)
-    assert linalg.rank(r.gram, form.field) == 2
+    assert len(rref(r.gram, form.field)[1]) == 2
     with pytest.raises(ValueError, match="even dimension"):
         classify(r)
     assert radical_nondegenerate(r)

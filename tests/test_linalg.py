@@ -1,12 +1,11 @@
 import random
 from itertools import product
-from math import prod
 
 import pytest
 
 from oppmix import linalg
 from oppmix.exactnum import gaussian_binomial
-from oppmix.gf import field
+from oppmix.gf import FIXED_MODULI, field
 from oppmix.linalg import Subspace
 from reference import complementary, complementary_bits, coord_subspace, enumerate_subspaces
 from reference import nullspace, nullspace_bits, pair_test, rank_bits, rref, rref_bits
@@ -137,46 +136,74 @@ def _member(f, s):
     return s.bit_rows() if f.q == 2 else s.basis
 
 
+def _canonical(f, rows):
+    """The member that rows span: its RREF rows, as linalg.members lists them."""
+    return rref_bits(rows)[0] if f.q == 2 else rref(rows, f)[0]
+
+
+def _graphs(f, d, s1) -> list:
+    """The members spanned by the graphs that complement_candidates lists for s1."""
+    return [_canonical(f, t) for t in product(*linalg.complement_candidates(d, s1, f))]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_pair_test_matches_complementary(q):
-    # The projection scan of S1 against every e2-subspace counts what the
-    # reference's per-pair eliminations count, for every (e1, e2), e1 + e2
-    # above, at and below d included: every S1 where |X_e1| |X_e2| <= 20,000;
-    # beyond that (q = 4, 5, 9 at d = 4) a seeded sample of S1.
+    # the graphs of each S1 are exactly its complements under the
+    # reference's per-pair eliminations, each listed once, and there are
+    # q^(e1 (d - e1)) of them: every S1 where |X_e1| |X_(d-e1)| <= 20,000;
+    # beyond that (q = 4, 5, 9 at d = 4) a seeded sample of S1
     f = field(q)
     rng = random.Random(q)
     against = pair_test(f)
     for d in range(1, 5):
-        x = [list(enumerate_subspaces(d, e, f)) for e in range(d + 1)]
-        for e1, e2 in product(range(d + 1), repeat=2):
-            x1, x2 = x[e1], [_member(f, s) for s in x[e2]]
+        x = [[_member(f, s) for s in enumerate_subspaces(d, e, f)] for e in range(d + 1)]
+        for e1 in range(d + 1):
+            x1, x2 = x[e1], x[d - e1]
             if len(x1) * len(x2) > 20_000:
                 x1 = rng.sample(x1, max(1, 20_000 // len(x2)))
-            fixed = [_member(f, s) for s in x1]
-            want = [sum(map(against(s1), x2)) for s1 in fixed]
-            assert linalg.complement_hits(f, d, fixed, x2) == want, (d, e1, e2)
+            for s1 in x1:
+                graphs = _graphs(f, d, s1)
+                assert len(graphs) == len(set(graphs)) == q ** (e1 * (d - e1)), (d, e1)
+                assert set(graphs) == set(filter(against(s1), x2)), (d, e1)
 
 
-@pytest.mark.parametrize("m", range(5))
-def test_gf2_independence_decider_accepts_exactly_the_bases(m):
-    # modulo the zero space the projection is the identity, so the decider
-    # judges m-tuples of vectors of F_2^m by their minors: it accepts the
-    # prod (2^m - 2^i) ordered bases, and agrees with the reference
-    # elimination on every tuple
-    tuples = list(product(range(1 << m), repeat=m))
-    (flags,) = (list(b"".join(f)) for f in linalg._independent_gf2(m, [()], tuples))
-    assert sum(flags) == prod((1 << m) - (1 << i) for i in range(m))
-    assert flags == [complementary_bits((), t) for t in tuples]
+def _span(f, d, rows) -> list:
+    """Every vector of the span of tuple rows, in odometer order over the
+    coefficients (last row fastest), built from the definition."""
+    out = []
+    for coeffs in product(f.elements(), repeat=len(rows)):
+        v = [0] * d
+        for c, row in zip(coeffs, rows):
+            v = [f.add(x, f.mul(c, y)) for x, y in zip(v, row)]
+        out.append(tuple(v))
+    return out
 
 
-@pytest.mark.parametrize("m,r", [(4, 2), (4, 3), (2, 1), (3, 4), (5, 2), (5, 5), (6, 4)])
-def test_gf2_independence_of_other_shapes(m, r):
-    # r rows in F_2^m with r != m, or m above 4: the span count, not the minors
-    rng = random.Random(m * 10 + r)
-    tuples = [tuple(rng.randrange(1 << m) for _ in range(r)) for _ in range(400)]
-    (flags,) = (list(b"".join(f)) for f in linalg._independent_gf2(m, [()], tuples))
-    assert flags == [complementary_bits((), t) for t in tuples]
-    assert any(flags) == (r <= m) and not all(flags)
+@pytest.mark.parametrize("q", sorted(FIXED_MODULI))
+def test_complement_candidates_over_every_field(q):
+    # per non-pivot column f, in order, e_f + x for every x of the span in
+    # odometer order over x's coordinates, in the members' representation:
+    # every member at d <= 2, a seeded sample of 12 per dimension at d = 3, 4
+    # (d = 3 above F_9)
+    f = field(q)
+    rng = random.Random(q)
+    for d in range(1, 4 if q > 9 else 5):
+        for e in range(d + 1):
+            subs = list(enumerate_subspaces(d, e, f))
+            for s in subs if d <= 2 else rng.sample(subs, min(12, len(subs))):
+                span = _span(f, d, s.basis)
+                want = [
+                    [tuple(f.add(x, int(j == c)) for j, x in enumerate(v)) for v in span]
+                    for c in range(d)
+                    if c not in s.pivots
+                ]
+                if q == 2:
+                    want = [[_row_bits(v) for v in rows] for rows in want]
+                assert linalg.complement_candidates(d, _member(f, s), f) == want, (d, s)
+
+
+def _row_bits(row) -> int:
+    return sum(v << j for j, v in enumerate(row))
 
 
 def _random_subspace_bits(rng, d, e):
@@ -189,22 +216,36 @@ def _random_subspace_bits(rng, d, e):
 
 @pytest.mark.parametrize("d", [9, 10])
 def test_scan_matches_reference_on_two_byte_rows(d):
-    # rows of two bytes: for m = 1..4 the first, the last and a seeded
-    # (d - m)-subspace, each scanned against every 2-subspace at m = 2 and
-    # against 3,000 seeded random m-subspaces otherwise
+    # rows past one byte: for m = 1..4 the first, the last and a seeded
+    # (d - m)-space S, against every 2-space at m = 2 and 3,000 seeded random
+    # m-spaces otherwise.  An m-space T is a complement of S iff it meets
+    # each of S's m cosets e_f + S, so the m-spaces that meet every list of
+    # complement_candidates are exactly the reference's complements, and at
+    # m = 2 they number 2^(2 (d - 2))
     f = field(2)
     rng = random.Random(d)
     against = pair_test(f)
     for m in range(1, 5):
         first = next(linalg.members(d, d - m, f))
         last = tuple(1 << c for c in range(m, d))  # the last pattern has no free entry
-        fixed = [first, last, _random_subspace_bits(rng, d, d - m)]
         if m == 2:
             scanned = list(linalg.members(d, m, f))
         else:
             scanned = [_random_subspace_bits(rng, d, m) for _ in range(3000)]
-        want = [sum(map(against(s), scanned)) for s in fixed]
-        assert linalg.complement_hits(f, d, fixed, scanned) == want, m
+        for s in (first, last, _random_subspace_bits(rng, d, d - m)):
+            cosets = list(map(set, linalg.complement_candidates(d, s, f)))
+            assert list(map(len, cosets)) == [1 << (d - m)] * m
+            tally = sum(all(not c.isdisjoint(_bits_span(t)) for c in cosets) for t in scanned)
+            assert tally == sum(map(against(s), scanned)), m
+            if m == 2:
+                assert tally == 1 << 2 * (d - 2)
+
+
+def _bits_span(rows) -> list:
+    out = [0]
+    for b in rows:
+        out += [x ^ b for x in out]
+    return out
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -226,11 +267,14 @@ def test_complement_rows_match_complementary(q):
 
 
 def _complement_count(d, e1, q):
-    # the scan of the span of the first e1 unit vectors against every complement dimension
+    # the graphs of the span of the first e1 unit vectors: each a complement
+    # under the reference, each listed once; their number
     f = field(q)
     s1 = _member(f, coord_subspace(d, tuple(range(e1))))
-    (hits,) = linalg.complement_hits(f, d, [s1], list(linalg.members(d, d - e1, f)))
-    return hits
+    graphs = _graphs(f, d, s1)
+    assert len(set(graphs)) == len(graphs)
+    assert all(map(pair_test(f)(s1), graphs))
+    return len(graphs)
 
 
 @pytest.mark.parametrize("q", [2, 3])

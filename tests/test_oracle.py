@@ -303,7 +303,7 @@ def test_sizes_and_budget_come_before_enumeration(monkeypatch):
 
 def test_no_module_caches_a_build():
     # a caller that needs a build, a quad table or a biadjacency twice holds it;
-    # the only memo caches in the package are these four small tables
+    # the only memo caches in the package are these three small tables
     cached = set()
     for info in pkgutil.iter_modules(oppmix.__path__):
         module = importlib.import_module(f"oppmix.{info.name}")
@@ -312,9 +312,7 @@ def test_no_module_caches_a_build():
             for name, obj in vars(module).items()
             if getattr(obj, "__module__", None) == module.__name__ and hasattr(obj, "cache_info")
         }
-    assert cached == {
-        "gf.field", "linalg._minor_tables", "exactnum.bq", "bounds._relaxed_orthogonal"
-    }
+    assert cached == {"gf.field", "exactnum.bq", "bounds._relaxed_orthogonal"}
 
 
 def test_one_build_per_form_and_dimension(monkeypatch):
@@ -454,8 +452,8 @@ def test_full_pairs_count_matches_transitive_general_q():
     assert full.pairs == oracle.count_complementary_transitive(y, y).pairs == 328_250
 
 
-# (kind, d, q, eps): every split of these is scanned from every member of
-# both sides; hermitian q = 2 lives over F_4
+# (kind, d, q, eps): every split of these has every member of both sides as
+# a probe; hermitian q = 2 lives over F_4
 SCAN_FORMS = [
     *[("orthogonal", d, q, eps) for q, d in [(2, 4), (2, 6), (3, 4), (4, 4)] for eps in (1, -1)],
     *[("symplectic", d, q, None) for q, d in [(2, 4), (2, 6), (3, 4), (4, 4)]],
@@ -465,29 +463,29 @@ SCAN_FORMS = [
 
 @pytest.mark.parametrize("kind,d,q,eps", SCAN_FORMS, ids=lambda v: str(v))
 def test_scan_matches_reference_from_every_member(kind, d, q, eps):
-    # the scan of each member of either side against the other counts what
-    # the reference's per-pair eliminations count: row and column sums
+    # each member's tally of classified complements, in every bucket of the
+    # other side, is what the reference's per-pair eliminations count: row
+    # and column sums
     form = forms.standard_form(kind, d, q, eps)
-    f = form.field
-    against = pair_test(f)
+    against = pair_test(form.field)
     even = kind != "hermitian"
     signs = (1, -1) if kind == "orthogonal" else (None,)
     for e1 in range(2 if even else 1, d, 2 if even else 1):
         if e1 < d - e1:
             continue
         ysets1, ysets2 = oracle.build_ysets(form, e1), oracle.build_ysets(form, d - e1)
+        tallies1 = {s: oracle._tallies(form, d - e1, ysets1[s].members) for s in signs}
+        tallies2 = {s: oracle._tallies(form, e1, ysets2[s].members) for s in signs}
         for s1, s2 in product(signs, repeat=2):
             y1, y2 = ysets1[s1], ysets2[s2]
             rows = [[against(a)(b) for b in y2.members] for a in y1.members]
-            hits1 = linalg.complement_hits(f, d, y1.members, y2.members)
-            hits2 = linalg.complement_hits(f, d, y2.members, y1.members)
-            assert hits1 == [sum(r) for r in rows], (e1, s1, s2)
-            assert hits2 == [sum(c) for c in zip(*rows)], (e1, s1, s2)
+            assert [t[s2] for t in tallies1[s1]] == [sum(r) for r in rows], (e1, s1, s2)
+            assert [t[s1] for t in tallies2[s2]] == [sum(c) for c in zip(*rows)], (e1, s1, s2)
 
 
 def test_scan_matches_reference_on_sampled_members_o8_gf2():
     # O(8, 2) at e1 = e2 = 4, every sign: the first, the last and a seeded
-    # member of Y1, each scanned against all of Y2
+    # member of Y1, each a probe whose tally in Y2's bucket is its pair count
     rng = random.Random(8)
     against = pair_test(field(2))
     for eps in (1, -1):
@@ -497,7 +495,7 @@ def test_scan_matches_reference_on_sampled_members_o8_gf2():
             y1, y2 = ys[s1], ys[s2]
             fixed = [y1.members[i] for i in (0, y1.count - 1, rng.randrange(1, y1.count - 1))]
             want = [sum(map(against(s), y2.members)) for s in fixed]
-            assert linalg.complement_hits(form.field, 8, fixed, y2.members) == want, eps
+            assert [t[s2] for t in oracle._tallies(form, 4, fixed)] == want, eps
 
 
 def _outsider_first(y, build_ysets=oracle.build_ysets):
@@ -509,8 +507,9 @@ def _outsider_first(y, build_ysets=oracle.build_ysets):
 
 
 def test_transitive_count_checks_its_orbit():
-    # the single-orbit count scans the first and the last member of the
-    # fixed side; a first member outside the orbit has other complements
+    # the single-orbit count classifies the complements of the first and the
+    # last member of the fixed side; a first member outside the orbit has
+    # other complements
     y = oracle.build_ysets(forms.standard_form("symplectic", 4, 2), 2)[None]
     bad = _outsider_first(y)
     against = pair_test(field(2))
@@ -527,7 +526,7 @@ def test_transitive_count_checks_its_orbit():
 
 def test_transitive_count_checks_a_middle_member():
     # an outsider halfway along the fixed side (Y1, the larger one) has other
-    # complements than the first member; scanning only the ends misses it
+    # complements than the first member; probing only the ends misses it
     form = forms.standard_form("orthogonal", 4, 3, 1)
     ysets = oracle.build_ysets(form, 2)
     y1, y2 = ysets[1], ysets[-1]
@@ -541,22 +540,72 @@ def test_transitive_count_checks_a_middle_member():
 
 def test_transitive_count_fixes_the_larger_side_on_a_tie(monkeypatch):
     # O+(4, 2) at (2, 2) with signs (-, +): |Y1| = 2 and |Y2| = 18, so the
-    # count fixes Y2 and scans the two members of Y1
+    # count fixes Y2 and lists the complements of its first, middle and last
+    # members
     form = forms.standard_form("orthogonal", 4, 2, 1)
     ysets = oracle.build_ysets(form, 2)
     y1, y2 = ysets[-1], ysets[1]
-    scanned = []
-    hits = linalg.complement_hits
+    probes = []
+    candidates = linalg.complement_candidates
 
-    def recording(fld, d, fixed, members):
-        scanned.append(members)
-        return hits(fld, d, fixed, members)
+    def recording(d, s, fld):
+        probes.append(s)
+        return candidates(d, s, fld)
 
-    monkeypatch.setattr(linalg, "complement_hits", recording)
+    monkeypatch.setattr(linalg, "complement_candidates", recording)
     report = oracle.count_complementary_transitive(y1, y2)
-    assert [len(m) for m in scanned] == [y1.count] == [2]
+    assert probes == [y2.members[i] for i in (0, 9, -1)] and y2.count == 18
     against = pair_test(form.field)
     assert report.pairs == sum(sum(map(against(a), y2.members)) for a in y1.members)
+
+
+def test_transitive_count_needs_complementary_dimensions():
+    # the graphs of a probe have dimension d - e_fixed, so Y-sets whose
+    # dimensions do not add up to d are refused rather than miscounted
+    form = forms.standard_form("orthogonal", 6, 2, 1)
+    y = oracle.build_ysets(form, 2)[1]
+    with pytest.raises(ValueError, match="e1 \\+ e2 = d"):
+        oracle.count_complementary_transitive(y, y)
+
+
+def test_count_case_shares_tallies_per_fixed_bucket():
+    # one count_case call classifies each fixed bucket once for all its
+    # cases; its reports equal those of unshared single-orbit counts, in
+    # every sign case of forms whose buckets differ
+    for form, e1, e2 in [
+        (forms.standard_form("orthogonal", 4, 3, 1), 2, 2),
+        (forms.standard_form("orthogonal", 6, 2, -1), 4, 2),
+    ]:
+        signs = list(product((1, -1), repeat=2))
+        shared = oracle.count_case(form, e1, e2, [(s1, s2, None) for s1, s2 in signs])
+        ys1, ys2 = oracle.build_ysets(form, e1), oracle.build_ysets(form, e2)
+        alone = [oracle.count_complementary_transitive(ys1[s1], ys2[s2]) for s1, s2 in signs]
+        assert shared == alone
+        assert len({r.proportion for r in alone}) > 1
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_transitive_count_in_any_blocks(monkeypatch, block):
+    # the graphs reach the classifier in blocks of the first row's
+    # candidates, the last block partial where the block does not divide
+    # them (a unitary probe of F_4^2 has 16 graphs of one row); the reports
+    # do not depend on the block
+    cases = [
+        (forms.standard_form("orthogonal", 4, 3, 1), 2, 2, list(product((1, -1), repeat=2))),
+        (forms.standard_form("symplectic", 4, 2), 2, 2, [(None, None)]),
+        (forms.standard_form("hermitian", 3, 2), 1, 2, [(None, None)]),
+        (forms.standard_form("hermitian", 3, 2), 2, 1, [(None, None)]),
+    ]
+
+    def reports():
+        return [
+            oracle.count_case(form, e1, e2, [(s1, s2, None) for s1, s2 in signs])
+            for form, e1, e2, signs in cases
+        ]
+
+    want = reports()
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    assert reports() == want
 
 
 def test_transitive_count_outside_the_orbit_exits_4(capsys, monkeypatch):
