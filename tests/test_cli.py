@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -609,3 +610,73 @@ def test_closed_stdout_exits_141_without_a_traceback():
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (141, b"")
+
+
+FUZZ_FLAGS = {  # flag -> (good values, bad values)
+    "--e1": (["1", "2", "2", "3", "4", "4"], ["0", "-1", "9", "x"]),
+    "--e2": (["1", "2", "2", "3", "4"], ["0", "-2", ""]),
+    "--q": (["2", "3", "4", "5", "7", "8", "9", "16", "25"], ["1", "6", "0", "q"]),
+    "--family": (["orthogonal", "symplectic", "unitary"], ["all", "affine"]),
+    "--eps": (["+", "-"], ["+1", "0"]),
+    "--sigma1": (["+", "-"], ["2"]),
+    "--sigma2": (["+", "-"], ["plus"]),
+    "--format": (["table", "json"], ["xml"]),
+    "--trials": (["0", "1", "3"], ["-2"]),
+    "--seed": (["0", "7"], ["s"]),
+    "--workers": (["1", "2"], ["w"]),
+    "--budget": (["0", "50", "400", "3000", "20000"], ["-1", "b"]),
+    "--rows": (["table", "json", "csv"], ["xml"]),  # --format where a report has rows
+}
+FUZZ_COMMANDS = {  # command -> the flags it takes
+    "spectrum": ["--e1", "--e2", "--q", "--format", "--workers"],
+    "bound": ["--e1", "--e2", "--q", "--family", "--eps", "--sigma1", "--sigma2", "--rows"],
+    "count": ["--e1", "--e2", "--q", "--family", "--eps", "--sigma1", "--sigma2", "--rows",
+              "--budget", "--workers", "--full-pairs"],
+    "verify": ["--family", "--rows", "--budget", "--workers", "--full-pairs", "--skip-oracle"],
+    "mixing-check": ["--e1", "--e2", "--q", "--format", "--trials", "--seed", "--workers"],
+}
+FUZZ_OPTIONAL = {"--format", "--rows", "--workers", "--full-pairs", "--skip-oracle", "--seed"}
+# mixing-check's matrix has no budget but its row cap, so it takes small cases only
+FUZZ_SMALL = {"--e1": ["1", "2", "3"], "--e2": ["1", "2", "3"], "--q": ["2", "3", "4", "5"]}
+
+
+def _random_argv(rng) -> list:
+    """One seeded argv: a command (now and then an unknown one) and its flags
+    in a shuffled order.  A required flag is left out, or a flag given a
+    malformed value, with chance 1/30; an optional flag comes with chance
+    1/2, and now and then a flag the command does not take.  Every count and
+    verify carries a budget of at most 20,000 members."""
+    command = rng.choice(["spectrum", "bound", "count", "mixing-check"] * 4 + ["verify", "nonsense"])
+    keep = [1 / 2 if f in FUZZ_OPTIONAL else 29 / 30 for f in FUZZ_COMMANDS.get(command, [])]
+    flags = [f for f, p in zip(FUZZ_COMMANDS.get(command, ["--q"]), keep) if rng.random() < p]
+    if rng.random() < 1 / 20:
+        flags.append(rng.choice([*FUZZ_FLAGS, "--bogus"]))
+    argv = [command]
+    for flag in rng.sample(flags, len(flags)):
+        good, bad = FUZZ_FLAGS.get(flag, ([], []))
+        good = FUZZ_SMALL.get(flag, good) if command == "mixing-check" else good
+        value = rng.choice(bad if bad and rng.random() < 1 / 30 else good or [None])
+        flag = "--format" if flag == "--rows" else flag
+        argv += [flag] if value is None else [flag, value]
+    if command in ("count", "verify") and "--budget" not in flags:
+        argv += ["--budget", "20000"]
+    return argv
+
+
+def test_random_argv_exits_0_to_4_without_a_traceback(capsys):
+    # 300 seeded argv lists through cli.main: each exits 0 (pass), 1 (fail),
+    # 2 (usage), 3 (budget) or 4 (internal error), and none ends in a
+    # traceback; the seed reaches the first four
+    rng = random.Random(2022)
+    codes = set()
+    for _ in range(300):
+        argv = _random_argv(rng)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in range(5), argv
+        assert "Traceback" not in err, argv
+        codes.add(code)
+    assert codes >= {0, 1, 2, 3}
