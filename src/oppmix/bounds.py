@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 from .exactnum import (
@@ -123,7 +123,9 @@ def omega_tail_lower(base: int, e: int) -> Fraction:
     """
     if base < 2:
         raise ValueError("positive base >= 2 only")
-    return omega(base, e) * (1 - Fraction(1, base**e * (base - 1)))
+    m = base**e * (base - 1)  # the factor is (m - 1)/m; omega(base, e) is n/d, reduced once with it
+    n, d = prod(base**i - 1 for i in range(1, e + 1)), base ** (e * (e + 1) // 2)
+    return Fraction(n * (m - 1), d * m)
 
 
 # -- bound formulas ----------------------------------------------------------
@@ -134,7 +136,6 @@ def mixing_lower_bound(alpha1: Fraction, alpha2: Fraction, e1: int, e2: int, q: 
 
     With a_i = n_i/D_i the radicand is one Fraction, (D1 - n1)(D2 - n2) / (n1 n2 q^d).
     """
-    alpha1, alpha2 = Fraction(alpha1), Fraction(alpha2)
     if not (0 < alpha1 <= 1 and 0 < alpha2 <= 1):
         raise ValueError(f"densities must be in (0, 1], got {alpha1}, {alpha2}")
     (n1, den1), (n2, den2) = alpha1.as_integer_ratio(), alpha2.as_integer_ratio()
@@ -198,10 +199,10 @@ class BoundReport(NamedTuple):
         return " ".join(bits)
 
 
-def _report(family, case: Case, e1, e2, q, alphas, value: Surd, **extra) -> BoundReport:
-    """The one BoundReport builder: case (THEOREM's for e1, e2, q) gives the threshold
-    and formula id, compare(value, threshold) the verdict; extra the optional fields."""
-    threshold = case.threshold(q)
+def _report(family, case: Case, threshold, e1, e2, q, alphas, value: Surd, **extra) -> BoundReport:
+    """The one BoundReport builder: case (THEOREM's for e1, e2, q) gives the formula
+    id, threshold is its threshold at q, compare(value, threshold) the verdict;
+    extra the optional fields."""
     verdict = compare(value, threshold)
     passed, tight = verdict >= 0, verdict == 0
     return BoundReport(
@@ -209,32 +210,48 @@ def _report(family, case: Case, e1, e2, q, alphas, value: Surd, **extra) -> Boun
     )
 
 
-def bound_orthogonal(eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: int) -> BoundReport:
+class OrthogonalTerms(NamedTuple):
+    """What the eight sign triples of one orthogonal (m1, m2, q) share."""
+
+    case: Case  # THEOREM's
+    threshold: Fraction
+    alpha1: dict  # (eps, sigma1) -> the density of the type-sigma1 2m1-spaces
+    alpha2: dict  # (eps, sigma2) -> the density of the type-sigma2 2m2-spaces
+    relaxed: Fraction  # the relaxed value, which no sign enters
+
+
+def orthogonal_terms(m1: int, m2: int, q: int) -> OrthogonalTerms:
+    """The case, threshold, densities and relaxed value of (m1, m2, q), each computed once."""
+    case = THEOREM["orthogonal"].case(2 * m1, 2 * m2, q)
+    signs = [(eps, sigma) for eps in (PLUS, MINUS) for sigma in (PLUS, MINUS)]
+    alpha1 = {(eps, sigma): alpha_orthogonal(eps, sigma, m1, m2, q) for eps, sigma in signs}
+    alpha2 = {(eps, sigma): alpha_orthogonal(eps, sigma, m2, m1, q) for eps, sigma in signs}
+    qd = Fraction(q) ** -(m1 + m2)
+    lam = lambda_factor(MINUS, PLUS, m1, m2, q)
+    relaxed = bq(q, 2 * m1, 2 * m2) * (1 + qd) - bq(q * q, m1, m2) * qd / lam
+    return OrthogonalTerms(case, case.threshold(q), alpha1, alpha2, relaxed)
+
+
+def bound_orthogonal(
+    eps: int, sigma1: int, sigma2: int, m1: int, m2: int, q: int, terms: OrthogonalTerms | None = None
+) -> BoundReport:
     """Two-density mixing bound vs 1 - 3/(2q), plus the relaxed uniform form.
 
     The relaxed value replaces both densities by the worst one (the lambda
     factor at (-, +)); it is weaker but free of the cross term, which is what
-    the tail analysis wants, and is reported alongside for reference.
+    the tail analysis wants, and is reported alongside for reference.  terms
+    is orthogonal_terms(m1, m2, q), computed here unless a caller that runs
+    the other sign triples passes it in.
     """
     eps, sigma1, sigma2 = parse_sign(eps), parse_sign(sigma1), parse_sign(sigma2)
     e1, e2 = 2 * m1, 2 * m2
-    case = THEOREM["orthogonal"].case(e1, e2, q)
-    a1 = alpha_orthogonal(eps, sigma1, m1, m2, q)
-    a2 = alpha_orthogonal(eps, sigma2, m2, m1, q)
+    terms = terms or orthogonal_terms(m1, m2, q)
+    a1, a2 = terms.alpha1[eps, sigma1], terms.alpha2[eps, sigma2]
     exact = mixing_lower_bound(a1, a2, e1, e2, q)
-    relaxed = _relaxed_orthogonal(m1, m2, q)
-    extra = dict(eps=eps, sigma1=sigma1, sigma2=sigma2, relaxed_bound=relaxed)
+    extra = dict(eps=eps, sigma1=sigma1, sigma2=sigma2, relaxed_bound=terms.relaxed)
     if THEOREM["orthogonal"].is_exception(e1, e2, q):
         extra["note"] = "exception tuple: dispatch to the enumeration oracle (`count`)"
-    return _report("orthogonal", case, e1, e2, q, (a1, a2), exact, **extra)
-
-
-@lru_cache(maxsize=None)
-def _relaxed_orthogonal(m1: int, m2: int, q: int) -> Fraction:
-    """bound_orthogonal's relaxed value, computed once per (m1, m2, q): no sign enters it."""
-    qd = Fraction(q) ** -(m1 + m2)
-    lam = lambda_factor(MINUS, PLUS, m1, m2, q)
-    return bq(q, 2 * m1, 2 * m2) * (1 + qd) - bq(q * q, m1, m2) * qd / lam
+    return _report("orthogonal", terms.case, terms.threshold, e1, e2, q, (a1, a2), exact, **extra)
 
 
 def _collapse(exact: Surd, display: Fraction) -> Surd:
@@ -252,7 +269,7 @@ def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
     qd = Fraction(q) ** -(m1 + m2)
     display = bq(q, e1, e2) * (1 + qd) - bq(q * q, m1, m2) * qd
     exact = _collapse(mixing_lower_bound(a, a, e1, e2, q), display)
-    return _report("symplectic", case, e1, e2, q, (a, a), exact)
+    return _report("symplectic", case, case.threshold(q), e1, e2, q, (a, a), exact)
 
 
 def unitary_c1(e1: int, q: int) -> Fraction:
@@ -275,15 +292,16 @@ def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:
         qd = Fraction(q) ** -(e1 + e2)
         display = bq(q * q, e1, e2) * (1 + qd) - bq(-q, e1, e2) * qd
         value = _collapse(mixing_lower_bound(a, a, e1, e2, q * q), display)
-    return _report("unitary", case, e1, e2, q, (a, a), value)
+    return _report("unitary", case, case.threshold(q), e1, e2, q, (a, a), value)
 
 
 def bound_case(
-    family: str, e1: int, e2: int, q: int, eps=None, sigma1=None, sigma2=None
+    family: str, e1: int, e2: int, q: int, eps=None, sigma1=None, sigma2=None, terms=None
 ) -> BoundReport:
-    """The closed-form report for one case, with dimensions e1, e2 as counted."""
+    """The closed-form report for one case, with dimensions e1, e2 as counted;
+    terms, for the orthogonal family, as bound_orthogonal takes it."""
     if family == "orthogonal":
-        return bound_orthogonal(eps, sigma1, sigma2, e1 // 2, e2 // 2, q)
+        return bound_orthogonal(eps, sigma1, sigma2, e1 // 2, e2 // 2, q, terms)
     if family == "symplectic":
         return bound_symplectic(e1 // 2, e2 // 2, q)
     return bound_unitary(e1, e2, q)

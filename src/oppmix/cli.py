@@ -17,7 +17,7 @@ record read through CSV_COLUMNS, so the two formats cannot drift apart.
 
 Start-up loads only exactnum and this module.  The closed-form, enumeration,
 form, brute-force and spectral layers (bounds, gf, linalg, forms, oracle,
-spectrum, sweep) and csv are imported inside the commands that run them;
+spectrum, sweep), csv and json are imported inside the functions that use them;
 FAMILIES names the theorem's families for argparse without loading bounds.
 
 Every count runs serially in one process.  spectrum, count, verify and
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -69,7 +68,10 @@ def quad_jsonable(x: Surd) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    """obj as canonical JSON.  A report holds no cycle, so none is looked for."""
+    import json
+
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": "), check_circular=False)
 
 
 def frac_str(x) -> str:

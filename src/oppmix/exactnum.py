@@ -248,9 +248,10 @@ class Surd(NamedTuple):
 def surd(a, b=0, rad=0) -> Surd:
     """a + b*sqrt(rad) for a rational radicand rad >= 0, in canonical form.
 
-    rad = num/den becomes b/den * sqrt(num*den); a square radicand folds into a.
+    rad = num/den becomes b/den * sqrt(num*den); a square radicand folds into
+    a.  A Fraction argument is used as it comes; any other is made one.
     """
-    a, b, rad = Fraction(a), Fraction(b), Fraction(rad)
+    a, b, rad = (x if type(x) is Fraction else Fraction(x) for x in (a, b, rad))
     if rad < 0:
         raise ValueError(f"negative radicand {rad}")
     b, base = b / rad.denominator, rad.numerator * rad.denominator
@@ -261,17 +262,24 @@ def surd(a, b=0, rad=0) -> Surd:
 
 
 def compare(x: Surd, t) -> int:
-    """The sign of x - t for a rational t: -1, 0 or 1, decided exactly.
+    """The sign of x - t for a rational t: -1, 0 or 1, decided exactly, on
+    integers.
 
-    A rational x (b = 0) compares a with t.  Otherwise, with a' = a - t,
-    a' + b*sqrt(base) takes the common sign of a' and b when they agree, and
-    else the sign of whichever of a'^2 and b^2*base is larger.
+    With a - t = n/m (m > 0) and b = u/v (v > 0), a rational x (b = 0) takes
+    the sign of n.  Otherwise a - t + b*sqrt(base) takes the common sign of
+    n and u when they agree, and else the sign of whichever of (n v)^2 and
+    u^2 base m^2 is larger, the two sides of (a - t)^2 vs b^2 base times
+    (m v)^2.
     """
+    (an, ad), (tn, td) = x.a.as_integer_ratio(), t.as_integer_ratio()
+    n = an * td - tn * ad
+    sn = (n > 0) - (n < 0)
     if not x.b:
-        return (x.a > t) - (x.a < t)
-    a, b = x.a - t, x.b
-    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-    if sa * sb >= 0:
-        return sa or sb
-    gap = a * a - b * b * x.base
-    return sa if gap > 0 else sb if gap < 0 else 0
+        return sn
+    u, v = x.b.as_integer_ratio()
+    su = (u > 0) - (u < 0)
+    if sn * su >= 0:
+        return sn or su
+    nv, um = n * v, u * ad * td
+    gap = nv * nv - um * um * x.base
+    return sn if gap > 0 else su if gap < 0 else 0

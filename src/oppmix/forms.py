@@ -197,53 +197,63 @@ class _Lanes:
         return bytes(out)
 
 
-def _values_gf2(form: ClassicalForm) -> tuple:
-    """owns and runs (see _gram_lanes) on F_2's bitmask rows, from
-    quad_table_gf2: Q(b), and B(x, y) = Q(x ^ y) ^ Q(x) ^ Q(y)."""
-    qt = quad_table_gf2(form)
-
-    def owns(xs: list, stride: int) -> list:
-        hi, lo = b"\1" * stride, bytes(stride)
-        return [hi if qt[x] else lo for x in xs]
-
-    def runs(xs: list, ys: list, stride: int, times: int) -> list:
-        hi, lo = b"\1" * stride, bytes(stride)
-        later = [(y, qt[y]) for y in ys]
-        return [b"".join([hi if qt[x ^ y] ^ qt[x] ^ qy else lo for y, qy in later]) * times for x in xs]
-
-    return owns, runs
-
-
 def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
-    """owns and runs (see _gram_lanes) on every other field, from row images
-    h = b^T G: B(b, y) = sum_t h_t conj(y_t) (conj the identity unless
-    hermitian).  A later row's candidates y_0 + sum_t a_t g_t run in odometer
-    order, fastest digit first, with g_t = ys[q^t] - ys[0], so B(b, .) on
-    them is B(b, y_0) plus conj(a_t) B(b, g_t) per digit: a run of
-    translates, shared by every b with those values.  A unit vector e_c
-    reads B(b, e_c) = h_c, one entry.  Images and runs are held for one
+    """owns and runs (see _gram_lanes), with the pairing B(b, y) the only
+    part that depends on the field: over F_2, B(b, y) = Q(b ^ y) ^ Q(b) ^ Q(y)
+    from the build's Q table on bitmask rows (quad_table_gf2); elsewhere
+    B(b, y) = sum_t h_t conj(y_t) from the row image h = b^T G (conj the
+    identity unless hermitian), where a unit vector e_c reads h_c, one entry.
+    A later row's candidates y_0 + sum_t a_t g_t run in odometer order,
+    fastest digit first, with g_t = ys[q^t] - ys[0], so B(b, .) on them is
+    B(b, y_0) plus conj(a_t) B(b, g_t) per digit: a run of translates,
+    shared by every b with those values.  Images and runs are held for one
     build."""
     fld = form.field
-    columns = tuple(zip(*form.gram))
-    singular = _counts_singular(form.kind, fld.q)
-    conj = fld.conj if form.kind == HERMITIAN else None
-    scalars = list(map(conj, fld.elements())) if conj else fld.elements()
+    scalars = list(map(fld.conj, fld.elements())) if form.kind == HERMITIAN else fld.elements()
     shift = [lanes.table(partial(fld.add, c)) for c in fld.elements()]
-    images, memo = {}, {}  # b -> image(b), and a run's key -> the run
-    zero = (0,) * form.d
+    memo = {}  # a run's key -> the run
+    if fld.q == 2:
+        qt = quad_table_gf2(form)
+        zero = 0
 
-    def image(b) -> tuple:  # (b^T G, own(b))
-        if b not in images:
-            h = tuple(fld.dot(col, b) for col in columns)
-            own = form.quad_value(b) if singular else fld.dot(h, map(conj, b)) if conj else 0
-            images[b] = (h, lanes.enc[own])
-        return images[b]
+        def own(b) -> int:
+            return qt[b]
 
-    def reader(y, y0) -> int | tuple:  # c if y - y0 is the unit vector e_c, else conj(y - y0)
-        moved = [t for t, (a, b) in enumerate(zip(y, y0)) if a != b]
-        if len(moved) == 1 and fld.sub(y[moved[0]], y0[moved[0]]) == 1:
-            return moved[0]
-        return tuple(map(conj or pos, map(fld.sub, y, y0)))
+        def reader(y, y0) -> int:
+            return y ^ y0
+
+        def pairing(b, readers) -> list:
+            return [qt[b ^ r] ^ qt[b] ^ qt[r] for r in readers]
+
+    else:
+        columns = tuple(zip(*form.gram))
+        singular = _counts_singular(form.kind, fld.q)
+        conj = fld.conj if form.kind == HERMITIAN else None
+        images = {}  # b -> (b^T G, own(b))
+        zero = (0,) * form.d
+
+        def image(b) -> tuple:
+            if b not in images:
+                h = tuple(fld.dot(col, b) for col in columns)
+                value = form.quad_value(b) if singular else fld.dot(h, map(conj, b)) if conj else 0
+                images[b] = (h, value)
+            return images[b]
+
+        def own(b) -> int:
+            return image(b)[1]
+
+        def reader(y, y0) -> int | tuple:  # c if y - y0 is the unit vector e_c, else conj(y - y0)
+            moved = [t for t, (a, b) in enumerate(zip(y, y0)) if a != b]
+            if len(moved) == 1 and fld.sub(y[moved[0]], y0[moved[0]]) == 1:
+                return moved[0]
+            return tuple(map(conj or pos, map(fld.sub, y, y0)))
+
+        def pairing(b, readers) -> list:
+            h = image(b)[0]
+            return [fld.dot(h, r) if type(r) is tuple else h[r] for r in readers]
+
+    def owns(xs: list, stride: int) -> list:
+        return [bytes([lanes.enc[own(x)]]) * stride for x in xs]
 
     def runs(xs: list, ys: list, stride: int, times: int) -> list:
         y0, at = ys[0], 1
@@ -253,8 +263,7 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
             at *= fld.q
         out = []
         for x in xs:
-            h = image(x)[0]
-            key = (stride, *[fld.dot(h, r) if type(r) is tuple else h[r] for r in readers])
+            key = (stride, *pairing(x, readers))
             if key not in memo:
                 run = bytes([lanes.enc[key[1]]]) * stride
                 for ht in key[2:]:
@@ -263,7 +272,7 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
             out.append(memo[key] * times)
         return out
 
-    return (lambda xs, stride: [bytes([image(x)[1]]) * stride for x in xs]), runs
+    return owns, runs
 
 
 def _gram_lanes(candidates: list, owns, runs, mirror: bytes | None) -> dict:
@@ -297,7 +306,7 @@ def classifier(form: ClassicalForm, e: int) -> Callable[[list], bytes]:
     fld, q, p, k = form.field, form.field.q, form.field.p, form.field.k
     singular = _counts_singular(form.kind, q)
     lanes = _Lanes(fld)
-    owns, runs = _values_gf2(form) if q == 2 else _values(form, lanes)
+    owns, runs = _values(form, lanes)
     mirror = None if singular else lanes.table({SYMPLECTIC: fld.neg, HERMITIAN: fld.conj}[form.kind])
     points = (q**e - 1) // (q - 1)
     code = {points - c: v for c, v in verdicts_by_count(form.kind, e, q).items()}

@@ -42,15 +42,7 @@ class Subspace(NamedTuple):
 
     def bit_rows(self) -> tuple:
         """Rows as bitmasks; only meaningful over F_2."""
-        return tuple(_row_to_bits(row) for row in self.basis)
-
-
-def _row_to_bits(row) -> int:
-    out = 0
-    for j, v in enumerate(row):
-        if v:
-            out |= 1 << j
-    return out
+        return tuple(sum(1 << j for j, v in enumerate(row) if v) for row in self.basis)
 
 
 # -- reduction -------------------------------------------------------------
@@ -96,15 +88,15 @@ def row_candidates(d: int, pattern, fld: Field) -> list:
     pivot_set = set(pattern)
     out = []
     for c in pattern:
-        free = [j for j in range(c + 1, d) if j not in pivot_set]
-        rows = []
-        for values in product(fld.elements(), repeat=len(free)):
-            row = [0] * d
-            row[c] = 1
-            for j, v in zip(free, values):
-                row[j] = v
-            rows.append(tuple(row))
-        out.append(list(map(_row_to_bits, rows)) if fld.q == 2 else rows)
+        rows = [1 << c] if fld.q == 2 else [tuple(int(j == c) for j in range(d))]
+        for j in range(c + 1, d):
+            if j in pivot_set:
+                continue
+            if fld.q == 2:  # each free entry in turn becomes the fastest digit
+                rows = [r | v << j for r in rows for v in (0, 1)]
+            else:
+                rows = [(*r[:j], v, *r[j + 1 :]) for r in rows for v in fld.elements()]
+        out.append(rows)
     return out
 
 

@@ -47,7 +47,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, compress, product
+from collections.abc import Callable, Sequence
+from itertools import chain, combinations, compress, product
 from math import prod
 from operator import mul
 from typing import NamedTuple
@@ -60,11 +61,77 @@ DEFAULT_ENUM_BUDGET = 1_500_000
 BIADJACENCY_CAP = 5000
 
 
+class Members:
+    """The kept members of one bucket of a partition build, in the canonical
+    order, read off the build's codes: patterns holds per pivot pattern its
+    row candidates and one code (forms.verdicts) per member of their
+    product, and the bucket keeps the members coded code.
+
+    len and an index read the codes alone, so the single-orbit count takes
+    its probes without listing a member; every other read (iteration, a
+    slice, equality) lists the members once, as the tuple of each one's
+    RREF rows (tuple), and reads that.
+    """
+
+    __slots__ = ("patterns", "code", "sizes", "_listed")
+
+    def __init__(self, patterns: list, code: int):
+        self.patterns, self.code = patterns, code
+        self.sizes = [codes.count(code) for _, codes in patterns]
+        self._listed = None
+
+    def __len__(self) -> int:
+        return sum(self.sizes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or self._listed is not None:
+            return self.tuple()[i]
+        at = i + len(self) if i < 0 else i
+        if not 0 <= at < len(self):
+            raise IndexError("member index out of range")
+        for (candidates, codes), size in zip(self.patterns, self.sizes):
+            if at < size:
+                break
+            at -= size
+        lo, hi = 0, len(codes)  # the member is the at-th one coded code in codes[lo:hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            left = codes.count(self.code, lo, mid)
+            lo, hi, at = (lo, mid, at) if at < left else (mid, hi, at - left)
+        rows = []
+        for rows_of in reversed(candidates):  # lo in mixed radix, the last row fastest
+            lo, r = divmod(lo, len(rows_of))
+            rows.append(rows_of[r])
+        return tuple(reversed(rows))
+
+    def __iter__(self):
+        return iter(self.tuple())
+
+    def __eq__(self, other) -> bool:
+        return self.tuple() == (other.tuple() if isinstance(other, Members) else other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Members({len(self)} coded {self.code})"
+
+    def tuple(self) -> tuple:
+        """Every member, listed on the first call."""
+        if self._listed is None:
+            keep = bytes(map(self.code.__eq__, range(256)))
+            self._listed = tuple(chain.from_iterable(
+                compress(product(*candidates), codes.translate(keep))
+                for candidates, codes in self.patterns
+            ))
+        return self._listed
+
+
 class YSet(NamedTuple):
     form: ClassicalForm
     e: int
     sigma: int | None  # orthogonal subspace type; None for symplectic/hermitian
-    members: tuple  # each the tuple of its RREF rows, bitmasks over F_2
+    members: Sequence  # each the tuple of its RREF rows, bitmasks over F_2; a build's are Members
+    classifier: Callable | None = None  # the build's forms.classifier(form, e), if it has one
 
     @property
     def count(self) -> int:
@@ -107,20 +174,18 @@ def build_ysets(form: ClassicalForm, e: int, budget: int | None = None) -> dict:
             f"{total} {e}-subspaces of dim {d} over F_{fld.q} exceed budget {budget}"
         )
     codes_of = forms.classifier(form, e)
-    keeps = [bytes(map(k.__eq__, range(256))) for k in range(1, len(signs) + 1)]
-    buckets = [[] for _ in signs]
+    patterns = []
     for pattern in combinations(range(d), e):
         candidates = linalg.row_candidates(d, pattern, fld)
-        codes = codes_of(candidates)
-        for bucket, keep in zip(buckets, keeps):
-            bucket += compress(product(*candidates), codes.translate(keep))
+        patterns.append((candidates, codes_of(candidates)))
+    buckets = [Members(patterns, k) for k in range(1, len(signs) + 1)]
     for sigma, size, members in zip(signs, sizes, buckets):
         if len(members) != size:
             raise ArithmeticError(
                 f"enumerated {len(members)} non-degenerate {e}-spaces, closed form says "
                 f"{size} ({form.kind}, q={form.q}, d={form.d}, sigma={sigma})"
             )
-    return {sigma: YSet(form, e, sigma, tuple(members)) for sigma, members in zip(signs, buckets)}
+    return {sigma: YSet(form, e, sigma, members, codes_of) for sigma, members in zip(signs, buckets)}
 
 
 # -- pair counting -----------------------------------------------------------
@@ -156,7 +221,7 @@ def count_complementary_transitive(
     return _count_transitive(y1, y2, threshold, {})
 
 
-_BLOCK = 8192  # graphs per classifier call, unless one first row has more
+_BLOCK = 65536  # graphs per classifier call, unless one first row has more
 
 
 def _count_transitive(y1: YSet, y2: YSet, threshold, tallies: dict) -> CountReport:
@@ -170,7 +235,7 @@ def _count_transitive(y1: YSet, y2: YSet, threshold, tallies: dict) -> CountRepo
     key = fixed.e, fixed.sigma
     if key not in tallies:
         probes = [fixed.members[i] for i in (0, fixed.count // 2, -1)]
-        tallies[key] = _tallies(fixed.form, other.e, probes)
+        tallies[key] = _tallies(fixed.form, other.e, probes, other.classifier)
     hits, *checks = (tally[other.sigma] for tally in tallies[key])
     for name, again in zip(("middle", "last"), checks):
         if again != hits:
@@ -183,12 +248,13 @@ def _count_transitive(y1: YSet, y2: YSet, threshold, tallies: dict) -> CountRepo
     return _finish_report(y1, y2, pairs, proportion, "transitivity-fast-path", threshold)
 
 
-def _tallies(form: ClassicalForm, e: int, probes) -> list:
+def _tallies(form: ClassicalForm, e: int, probes, codes_of=None) -> list:
     """Per probe, {sigma: its complements in the bucket sigma of the e-spaces},
-    e = d - dim probe.  The graphs go to the classifier in blocks of at most
-    _BLOCK, split on the first row's candidates."""
+    e = d - dim probe.  The graphs go to codes_of, the e-spaces' classifier
+    (a new forms.classifier(form, e) if None), in blocks of at most _BLOCK,
+    split on the first row's candidates."""
     signs = _signs(form)
-    codes_of = forms.classifier(form, e)
+    codes_of = codes_of or forms.classifier(form, e)
     out = []
     for s in probes:
         first, *rest = linalg.complement_candidates(form.d, s, form.field)

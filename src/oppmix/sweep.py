@@ -81,7 +81,8 @@ def verify_theorem(
     bound_reports, count_reports, failures = [], [], []
     for e1, e2, q in GRIDS[family]:
         exception = fam.is_exception(e1, e2, q)
-        reps = [bounds.bound_case(family, e1, e2, q, eps, s1, s2) for eps, s1, s2 in signs]
+        terms = bounds.orthogonal_terms(e1 // 2, e2 // 2, q) if fam.signed else None
+        reps = [bounds.bound_case(family, e1, e2, q, eps, s1, s2, terms) for eps, s1, s2 in signs]
         bound_reports += reps
         if not exception:
             failures += [f"closed-form bound failed: {r.label()}" for r in reps if not r.passed]

@@ -370,8 +370,8 @@ def test_verify_fails_a_count_that_disagrees_with_its_perp_dual(capsys, monkeypa
     ]
 
 
-# the memo caches of the closed-form sweep: the bq kernel and the sign-free relaxed term
-SWEEP_CACHES = (exactnum.bq, bounds._relaxed_orthogonal)
+# the memo cache of the closed-form sweep: the bq kernel
+SWEEP_CACHES = (exactnum.bq,)
 
 
 @pytest.mark.parametrize("family", sweep.GRIDS)

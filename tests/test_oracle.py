@@ -302,8 +302,8 @@ def test_sizes_and_budget_come_before_enumeration(monkeypatch):
 
 
 def test_no_module_caches_a_build():
-    # a caller that needs a build, a quad table or a biadjacency twice holds it;
-    # the only memo caches in the package are these three small tables
+    # a caller that needs a build, a quad table, a biadjacency or a closed form
+    # twice holds it; the only memo caches in the package are these two small tables
     cached = set()
     for info in pkgutil.iter_modules(oppmix.__path__):
         module = importlib.import_module(f"oppmix.{info.name}")
@@ -312,7 +312,7 @@ def test_no_module_caches_a_build():
             for name, obj in vars(module).items()
             if getattr(obj, "__module__", None) == module.__name__ and hasattr(obj, "cache_info")
         }
-    assert cached == {"gf.field", "exactnum.bq", "bounds._relaxed_orthogonal"}
+    assert cached == {"gf.field", "exactnum.bq"}
 
 
 def test_one_build_per_form_and_dimension(monkeypatch):
