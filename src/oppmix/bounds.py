@@ -136,9 +136,9 @@ def mixing_lower_bound(alpha1: Fraction, alpha2: Fraction, e1: int, e2: int, q: 
 
     With a_i = n_i/D_i the radicand is one Fraction, (D1 - n1)(D2 - n2) / (n1 n2 q^d).
     """
-    if not (0 < alpha1 <= 1 and 0 < alpha2 <= 1):
-        raise ValueError(f"densities must be in (0, 1], got {alpha1}, {alpha2}")
     (n1, den1), (n2, den2) = alpha1.as_integer_ratio(), alpha2.as_integer_ratio()
+    if not (0 < n1 <= den1 and 0 < n2 <= den2):
+        raise ValueError(f"densities must be in (0, 1], got {alpha1}, {alpha2}")
     k_ratio = bq(q, e1, e2)
     return surd(k_ratio, -k_ratio, Fraction((den1 - n1) * (den2 - n2), n1 * n2 * q ** (e1 + e2)))
 
@@ -273,8 +273,9 @@ def bound_symplectic(m1: int, m2: int, q: int) -> BoundReport:
 
 
 def unitary_c1(e1: int, q: int) -> Fraction:
-    """(1 + q^-e1) / (1 - q^-(1+e1)), the e2 = 1 overestimate constant."""
-    return (1 + Fraction(1, q**e1)) / (1 - Fraction(1, q ** (1 + e1)))
+    """(1 + q^-e1) / (1 - q^-(1+e1)), the e2 = 1 overestimate constant:
+    q (q^e1 + 1) / (q^(e1+1) - 1), one Fraction."""
+    return Fraction(q * (q**e1 + 1), q ** (e1 + 1) - 1)
 
 
 def bound_unitary(e1: int, e2: int, q: int) -> BoundReport:

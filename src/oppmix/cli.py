@@ -51,11 +51,8 @@ CSV_COLUMNS = {
 
 
 def frac_jsonable(x: Fraction) -> dict:
-    return {
-        "num": str(x.numerator),
-        "den": str(x.denominator),
-        "approx": x.numerator / x.denominator,
-    }
+    n, d = x.as_integer_ratio()
+    return {"num": str(n), "den": str(d), "approx": n / d}
 
 
 def quad_jsonable(x: Surd) -> dict:

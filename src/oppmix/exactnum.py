@@ -232,14 +232,17 @@ class Surd(NamedTuple):
     __lt__ = __le__ = __gt__ = __ge__ = None
 
     def approx(self) -> float:
-        x = self.a
+        """The float nearest a + b*isqrt(base 10^80)/10^40: one integer
+        division, which rounds correctly whatever the common factors."""
+        n, d = self.a.as_integer_ratio()
         if self.b:
             scale = 10**40
-            x += self.b * Fraction(isqrt(self.base * scale * scale), scale)
+            (u, v), root = self.b.as_integer_ratio(), isqrt(self.base * scale * scale)
+            n, d = n * v * scale + u * root * d, d * v * scale
         try:
-            return x.numerator / x.denominator
+            return n / d
         except OverflowError:
-            return float("inf") if x > 0 else float("-inf")
+            return float("inf") if n > 0 else float("-inf")
 
     def __str__(self):
         return f"{self.a} + {self.b}*sqrt({self.base})" if self.b else str(self.a)
@@ -252,11 +255,12 @@ def surd(a, b=0, rad=0) -> Surd:
     a.  A Fraction argument is used as it comes; any other is made one.
     """
     a, b, rad = (x if type(x) is Fraction else Fraction(x) for x in (a, b, rad))
-    if rad < 0:
+    num, den = rad.as_integer_ratio()
+    if num < 0:
         raise ValueError(f"negative radicand {rad}")
-    b, base = b / rad.denominator, rad.numerator * rad.denominator
+    b, base = b / den, num * den
     root = isqrt(base)
-    if b == 0 or root * root == base:
+    if not b or root * root == base:
         return Surd(a + b * root, Fraction(0), 0)
     return Surd(a, b, base)
 

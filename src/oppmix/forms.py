@@ -219,11 +219,12 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
         def own(b) -> int:
             return qt[b]
 
-        def reader(y, y0) -> int:
-            return y ^ y0
+        def reader(y, y0) -> tuple:  # y - y0 and its Q
+            return y ^ y0, qt[y ^ y0]
 
         def pairing(b, readers) -> list:
-            return [qt[b ^ r] ^ qt[b] ^ qt[r] for r in readers]
+            qb = qt[b]
+            return [qt[b ^ r] ^ qb ^ qr for r, qr in readers]
 
     else:
         columns = tuple(zip(*form.gram))

@@ -177,7 +177,7 @@ def build_ysets(form: ClassicalForm, e: int, budget: int | None = None) -> dict:
     patterns = []
     for pattern in combinations(range(d), e):
         candidates = linalg.row_candidates(d, pattern, fld)
-        patterns.append((candidates, codes_of(candidates)))
+        patterns.append((candidates, _codes(codes_of, candidates)))
     buckets = [Members(patterns, k) for k in range(1, len(signs) + 1)]
     for sigma, size, members in zip(signs, sizes, buckets):
         if len(members) != size:
@@ -221,7 +221,17 @@ def count_complementary_transitive(
     return _count_transitive(y1, y2, threshold, {})
 
 
-_BLOCK = 65536  # graphs per classifier call, unless one first row has more
+_BLOCK = 65536  # members per classifier call, unless one first row has more
+
+
+def _codes(codes_of, candidates: list) -> bytes:
+    """codes_of(candidates), taken in blocks of at most _BLOCK members split on
+    the first row's candidates."""
+    first, *rest = candidates
+    step = max(1, _BLOCK // prod(map(len, rest)))
+    if step >= len(first):
+        return codes_of(candidates)
+    return b"".join(codes_of([first[a : a + step], *rest]) for a in range(0, len(first), step))
 
 
 def _count_transitive(y1: YSet, y2: YSet, threshold, tallies: dict) -> CountReport:
@@ -251,19 +261,13 @@ def _count_transitive(y1: YSet, y2: YSet, threshold, tallies: dict) -> CountRepo
 def _tallies(form: ClassicalForm, e: int, probes, codes_of=None) -> list:
     """Per probe, {sigma: its complements in the bucket sigma of the e-spaces},
     e = d - dim probe.  The graphs go to codes_of, the e-spaces' classifier
-    (a new forms.classifier(form, e) if None), in blocks of at most _BLOCK,
-    split on the first row's candidates."""
+    (a new forms.classifier(form, e) if None), through _codes."""
     signs = _signs(form)
     codes_of = codes_of or forms.classifier(form, e)
     out = []
     for s in probes:
-        first, *rest = linalg.complement_candidates(form.d, s, form.field)
-        step = max(1, _BLOCK // prod(map(len, rest)))
-        counts = [0] * len(signs)
-        for a in range(0, len(first), step):
-            codes = codes_of([first[a : a + step], *rest])
-            counts = [n + codes.count(k) for k, n in enumerate(counts, 1)]
-        out.append(dict(zip(signs, counts)))
+        codes = _codes(codes_of, linalg.complement_candidates(form.d, s, form.field))
+        out.append({sigma: codes.count(k) for k, sigma in enumerate(signs, 1)})
     return out
 
 
