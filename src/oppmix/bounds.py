@@ -37,7 +37,6 @@ from .exactnum import (
     bq,
     compare,
     lambda_factor,
-    omega,
     parse_sign,
     prime_power,
     prime_powers_upto,
@@ -46,7 +45,10 @@ from .exactnum import (
 )
 
 CONTAINMENT = "unitary-e2-1-containment"
-TAIL_Q_LIMIT = 97  # the tail displays are checked for every prime power up to this
+# The tail displays are checked for every prime power up to this.  At q = 97 the
+# omega tail's denominator has 4,260 digits, under CPython's default limit of
+# 4,300 for str() of an int; q = 103 would need 4,316 (see README).
+TAIL_Q_LIMIT = 97
 
 
 # -- the theorem's cases -------------------------------------------------------
@@ -119,11 +121,13 @@ def omega_tail_lower(base: int, e: int) -> Fraction:
 
     omega_base(e') = omega_base(e) * prod_{i>e..e'} (1 - base^-i) and the
     Weierstrass inequality bounds the trailing product below by
-    1 - sum_{i>e} base^-i = 1 - base^-e/(base-1).
+    1 - sum_{i>e} base^-i = 1 - base^-e/(base-1).  With m = base^e (base - 1)
+    and omega_base(e) = n/d as exactnum.omega writes it, the bound is
+    n (m - 1) / (d m), one Fraction, reduced once.
     """
     if base < 2:
         raise ValueError("positive base >= 2 only")
-    m = base**e * (base - 1)  # the factor is (m - 1)/m; omega(base, e) is n/d, reduced once with it
+    m = base**e * (base - 1)
     n, d = prod(base**i - 1 for i in range(1, e + 1)), base ** (e * (e + 1) // 2)
     return Fraction(n * (m - 1), d * m)
 

@@ -18,9 +18,12 @@ classifier, made once per build, with one engine for every field: each
 member counts its singular points (orthogonal, and symplectic in
 characteristic 2) or its radical points (symplectic otherwise, hermitian),
 and verdicts_by_count maps the count to the member's code by the closed
-forms.  Only the per-candidate values depend on the field: over F_2 they
-come from the build's Q table on bitmask rows (quad_table_gf2), elsewhere
-from row images b^T G (_values).
+forms.  Only the per-candidate values depend on the field, and of them
+only the pairing B(b, y) and own(b) (_values): over F_2 they come from the
+build's Q table on bitmask rows (quad_table_gf2), elsewhere from row images
+b^T G.  One run builder serves both regimes: a later row's candidates are
+read off their generators, so B(b, .) on them is a run of translates,
+memoized by its key for the build.
 """
 
 from __future__ import annotations

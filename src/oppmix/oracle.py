@@ -13,19 +13,24 @@ All-pairs counts and the biadjacency matrix take their rows from
 linalg.complement_rows (point incidence); an all-pairs count is the sum of
 those rows' popcounts, taken serially in one process.  The single-orbit
 count fixes the first, the middle and the last member of one side (the one
-of larger dimension, else the one with more members), lists the complements
-of each as graphs of linear maps (linalg.complement_candidates) and codes
-them with forms.classifier, the classifier of the builds; the second and
-third counts check the shortcut.  One classification gives a probe's hits
-in every bucket of the other dimension, so count_case classifies each fixed
-bucket once for all its cases.
+of larger dimension, else the one with more members), reads them off the
+build's codes by index, lists the complements of each as graphs of linear
+maps (linalg.complement_candidates) and codes them with the other side's
+build classifier, which classifies exactly those graphs' (form, e); the
+second and third counts check the shortcut.  One classification gives a
+probe's hits in every bucket of the other dimension, so count_case
+classifies each fixed bucket once for all its cases.
 
 A partition build is one loop for every field.  Each pivot pattern's
 members are the product of its rows' candidates (linalg.row_candidates),
 last row fastest; forms.classifier gives each member one code
-(forms.verdicts), and itertools.compress builds only the kept members.
-No module state caches a build: count_case builds each distinct e of one
-form once for a list of sign cases and drops the builds when it returns.
+(forms.verdicts), in blocks of at most _BLOCK members, as it does a probe's
+graphs.  A build keeps each pattern's candidates and codes, not its
+members: a bucket (Members) counts its code in the codes, reads one member
+by index, and lists its members only when a caller iterates them, as an
+all-pairs count does.  No module state caches a build: count_case builds
+each distinct e of one form once for a list of sign cases and drops the
+builds when it returns.
 
 The biadjacency matrix of the complementarity graph holds each row as an int
 bitmask, so edge counts and the entries of N N^T are popcounts.  Callers
@@ -70,7 +75,7 @@ class Members:
     len and an index read the codes alone, so the single-orbit count takes
     its probes without listing a member; every other read (iteration, a
     slice, equality) lists the members once, as the tuple of each one's
-    RREF rows (tuple), and reads that.
+    RREF rows (listed), and reads that.
     """
 
     __slots__ = ("patterns", "code", "sizes", "_listed")
@@ -85,7 +90,7 @@ class Members:
 
     def __getitem__(self, i):
         if isinstance(i, slice) or self._listed is not None:
-            return self.tuple()[i]
+            return self.listed()[i]
         at = i + len(self) if i < 0 else i
         if not 0 <= at < len(self):
             raise IndexError("member index out of range")
@@ -105,17 +110,12 @@ class Members:
         return tuple(reversed(rows))
 
     def __iter__(self):
-        return iter(self.tuple())
+        return iter(self.listed())
 
     def __eq__(self, other) -> bool:
-        return self.tuple() == (other.tuple() if isinstance(other, Members) else other)
+        return self.listed() == (other.listed() if isinstance(other, Members) else other)
 
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Members({len(self)} coded {self.code})"
-
-    def tuple(self) -> tuple:
+    def listed(self) -> tuple:
         """Every member, listed on the first call."""
         if self._listed is None:
             keep = bytes(map(self.code.__eq__, range(256)))

@@ -355,6 +355,34 @@ def test_verify_all_bound_reports_pass_the_independent_recheck(capsys):
     assert recheck.recheck(json.loads(out)) == (1036, [])
 
 
+def test_verify_all_integers_print_within_the_default_digit_limit(capsys):
+    # str() of an int longer than CPython's default limit raises, so verify
+    # would exit 4 and a reader's int() would fail; the longest printed
+    # integer is the omega tail's denominator at q = TAIL_Q_LIMIT = 97
+    code, out, _ = run(capsys, "verify", "--family", "all", "--format", "json")
+    assert code == 0
+    lengths = {}
+
+    def walk(value, at):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                if key in ("num", "den"):
+                    lengths[f"{at}.{key}"] = len(item.lstrip("-"))
+                else:
+                    walk(item, f"{at}.{key}")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                walk(item, f"{at}[{i}]")
+
+    report = json.loads(out)
+    walk(report, "")
+    longest = max(lengths, key=lengths.get)
+    assert lengths[longest] < sys.int_info.default_max_str_digits, (longest, lengths[longest])
+    tails = report["orthogonal"]["tail_checks"]
+    at = next(i for i, t in enumerate(tails) if (t["name"], t["q"]) == ("omega-inf-lower", 97))
+    assert bounds.TAIL_Q_LIMIT == 97 and longest == f".orthogonal.tail_checks[{at}].value.den"
+
+
 def test_recheck_finds_each_altered_density_count_and_tail(capsys):
     # one fault per altered field: a density, |Y1|, pairs, a count's pass and a tail's
     code, out, _ = run(capsys, "verify", "--family", "orthogonal", "--format", "json")

@@ -234,3 +234,12 @@ def test_count_command_loads_no_spectrum():
     )
     assert "oppmix.oracle" in loaded
     assert not {"oppmix.spectrum", "dataclasses"} & loaded
+
+
+def test_json_loads_only_for_json_output():
+    # cli imports json inside dumps_canonical, so start-up, usage errors and
+    # table or CSV reports never load it
+    count = ("count", "--family", "symplectic", "--e1", "2", "--e2", "2", "--q", "3")
+    assert "json" not in modules_after_command(*count)
+    assert "json" not in modules_after_command(*count, "--format", "csv")
+    assert "json" in modules_after_command(*count, "--format", "json")

@@ -608,6 +608,65 @@ def test_transitive_count_in_any_blocks(monkeypatch, block):
     assert reports() == want
 
 
+@pytest.mark.parametrize(
+    "kind,d,q,eps,e",
+    [("orthogonal", 6, 2, 1, 2), ("orthogonal", 4, 3, -1, 2), ("symplectic", 4, 3, None, 2),
+     ("hermitian", 3, 2, None, 1), ("hermitian", 3, 2, None, 2)],
+)
+def test_a_member_read_by_index_is_the_listed_member(kind, d, q, eps, e):
+    # an index reads a member off its pattern's codes, before anything is
+    # listed; it equals the member at that place of the listed tuple, and
+    # len, read off the codes too, equals the tuple's length
+    form = forms.standard_form(kind, d, q, eps)
+    for members in (y.members for y in oracle.build_ysets(form, e).values()):
+        n = len(members)
+        read = [members[i] for i in range(n)] + [members[i] for i in range(-n, 0)]
+        with pytest.raises(IndexError):
+            members[n]
+        with pytest.raises(IndexError):
+            members[-n - 1]
+        listed = members.listed()
+        assert len(listed) == n == sum(members.sizes)
+        assert read == [*listed, *listed]
+
+
+def test_each_patterns_first_and_last_member_read_by_index_o8_minus():
+    # O-(8, 2) at e = 4: the first and the last kept member of every pivot
+    # pattern, read by index, against the listed members; each bucket's
+    # count equals its listed length
+    ysets = oracle.build_ysets(forms.standard_form("orthogonal", 8, 2, -1), 4)
+    for members in (y.members for y in ysets.values()):
+        starts = [0]
+        for size in members.sizes:
+            starts.append(starts[-1] + size)
+        ends = [(a, b - 1) for a, b in zip(starts, starts[1:]) if b > a]
+        read = {i: members[i] for end in ends for i in end}
+        listed = members.listed()
+        assert len(ends) > 1 and all(listed[i] == s for i, s in read.items())
+        assert len(members) == len(listed)
+
+
+def test_a_count_without_full_pairs_lists_no_member(monkeypatch):
+    # the single-orbit count reads its probes by index and the sizes off the
+    # codes, so neither a count_case call nor the orthogonal sweep lists a
+    # bucket; counting all pairs does
+    def listing(self):
+        raise AssertionError("a bucket's members were listed")
+
+    monkeypatch.setattr(oracle.Members, "listed", listing)
+    cases = [
+        (forms.standard_form("orthogonal", 6, 2, 1), 4, 2, list(product((1, -1), repeat=2))),
+        (forms.standard_form("symplectic", 4, 3), 2, 2, [(None, None)]),
+        (forms.standard_form("hermitian", 3, 2), 1, 2, [(None, None)]),
+    ]
+    for form, e1, e2, signs in cases:
+        oracle.count_case(form, e1, e2, [(s1, s2, None) for s1, s2 in signs])
+    assert sweep.verify_theorem("orthogonal").passed
+    form, e1, e2, signs = cases[1]
+    with pytest.raises(AssertionError, match="listed"):
+        oracle.count_case(form, e1, e2, [(None, None, None)], full_pairs=True)
+
+
 def test_transitive_count_outside_the_orbit_exits_4(capsys, monkeypatch):
     # e1 = e2: one build serves both sides, and its first member is an outsider
     build = oracle.build_ysets
