@@ -201,11 +201,12 @@ class _Lanes:
 
 
 def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
-    """owns and runs (see _gram_lanes), with the pairing B(b, y) the only
-    part that depends on the field: over F_2, B(b, y) = Q(b ^ y) ^ Q(b) ^ Q(y)
-    from the build's Q table on bitmask rows (quad_table_gf2); elsewhere
-    B(b, y) = sum_t h_t conj(y_t) from the row image h = b^T G (conj the
-    identity unless hermitian), where a unit vector e_c reads h_c, one entry.
+    """owns and runs (see _gram_lanes), with own(b) and the pairing B(b, y)
+    the only parts that depend on the field: over F_2, own(b) = Q(b) and
+    B(b, y) = Q(b ^ y) ^ Q(b) ^ Q(y) from the build's Q table on bitmask rows
+    (quad_table_gf2); elsewhere B(b, y) = sum_t h_t conj(y_t) from the row
+    image h = b^T G (conj the identity unless hermitian), where a unit
+    vector e_c reads h_c, one entry.
     A later row's candidates y_0 + sum_t a_t g_t run in odometer order,
     fastest digit first, with g_t = ys[q^t] - ys[0], so B(b, .) on them is
     B(b, y_0) plus conj(a_t) B(b, g_t) per digit: a run of translates,
@@ -218,9 +219,7 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
     if fld.q == 2:
         qt = quad_table_gf2(form)
         zero = 0
-
-        def own(b) -> int:
-            return qt[b]
+        own = qt.__getitem__
 
         def reader(y, y0) -> tuple:  # y - y0 and its Q
             return y ^ y0, qt[y ^ y0]
@@ -256,8 +255,10 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
             h = image(b)[0]
             return [fld.dot(h, r) if type(r) is tuple else h[r] for r in readers]
 
+    lane = [bytes([lanes.enc[x]]) for x in fld.elements()]  # one lane holding x
+
     def owns(xs: list, stride: int) -> list:
-        return [bytes([lanes.enc[own(x)]]) * stride for x in xs]
+        return [lane[own(x)] * stride for x in xs]
 
     def runs(xs: list, ys: list, stride: int, times: int) -> list:
         y0, at = ys[0], 1
@@ -269,7 +270,7 @@ def _values(form: ClassicalForm, lanes: _Lanes) -> tuple:
         for x in xs:
             key = (stride, *pairing(x, readers))
             if key not in memo:
-                run = bytes([lanes.enc[key[1]]]) * stride
+                run = lane[key[1]] * stride
                 for ht in key[2:]:
                     run = b"".join([run.translate(shift[fld.mul(a, ht)]) for a in scalars])
                 memo[key] = run

@@ -50,9 +50,9 @@ threshold in.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
-from collections.abc import Callable, Sequence
 from itertools import chain, combinations, compress, product
 from math import prod
 from operator import mul
@@ -229,8 +229,6 @@ def _codes(codes_of, candidates: list) -> bytes:
     the first row's candidates."""
     first, *rest = candidates
     step = max(1, _BLOCK // prod(map(len, rest)))
-    if step >= len(first):
-        return codes_of(candidates)
     return b"".join(codes_of([first[a : a + step], *rest]) for a in range(0, len(first), step))
 
 
